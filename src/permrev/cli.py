@@ -7,13 +7,15 @@ failure, 3 capacity exceeded.
 from __future__ import annotations
 
 import sys
+from typing import Sequence
 
 import click
 
+from .dfa import apply_word
 from .errors import CapacityError
 from .minimize import asc as _asc
 from .minimize import minimize as _minimize
-from .reversal import DEFAULT_MAX_STATES, reverse_dfa
+from .reversal import DEFAULT_MAX_STATES, reverse_construction, reverse_dfa
 from .spectrum import DEFAULT_SEED, magic_one_probe, spectrum_table
 from .textio import (
     emit_dfa,
@@ -23,8 +25,10 @@ from .textio import (
     word_from_str,
 )
 from .witness import (
+    Star,
     WitnessParams,
     WitnessReport,
+    apply_star_labels,
     build_witness,
     classify_reverse_states,
     star_label,
@@ -102,6 +106,14 @@ def _yes(flag: bool) -> str:
     return "yes" if flag else "NO"
 
 
+def _accepting_star_lines(stars: Sequence[Star]) -> list[str]:
+    lines = [f"accepting stars ({len(stars)}):"]
+    for star in stars:
+        members = ",".join(subset_label(member) for member in star.members)
+        lines.append(f"  {star_label(star.center)} = {{{members}}}")
+    return lines
+
+
 def _format_witness_report(report: WitnessReport) -> str:
     params = report.params
     lines = [
@@ -110,12 +122,9 @@ def _format_witness_report(report: WitnessReport) -> str:
         f" minimal={_yes(report.forward_minimal)}",
         f"reverse: states={report.reverse_states} finals={report.reverse_finals}"
         f" minimal={_yes(report.reverse_minimal)} stars={_yes(report.stars_match)}",
-        f"accepting stars ({len(report.accepting_stars)}):",
+        *_accepting_star_lines(report.accepting_stars),
+        f"asc: forward={report.asc_forward} reverse={report.asc_reverse}",
     ]
-    for star in report.accepting_stars:
-        members = ",".join(subset_label(member) for member in star.members)
-        lines.append(f"  {star_label(star.center)} = {{{members}}}")
-    lines.append(f"asc: forward={report.asc_forward} reverse={report.asc_reverse}")
     lines.append(
         "result: PASS" if report.passed else f"result: FAIL ({report.first_failure})"
     )
@@ -185,12 +194,9 @@ def example() -> None:
     """Reproduce the worked m=3, alpha=4 reversal computation."""
     params = WitnessParams(3, 4)
     fwd = build_witness(3, 4)
-    rev = reverse_dfa(fwd)
-    classification = classify_reverse_states(fwd, params, rev)
-    names = [
-        star_label(center) if center is not None else rev.label(i)
-        for i, center in enumerate(classification.centers)
-    ]
+    rev, subsets = reverse_construction(fwd)
+    classification = classify_reverse_states(params, rev, subsets)
+    names = apply_star_labels(rev, classification).labels
 
     click.echo(f"worked example: witness m=3 alpha=4 (n={params.n})")
     click.echo(f"reverse start: {names[rev.start]}")
@@ -200,22 +206,16 @@ def example() -> None:
         state = rev.delta[state][0]
         chain.append(names[state])
     click.echo("a-chain: " + " -a-> ".join(chain))
-    after_b = rev.delta[state][1]
-    click.echo(f"b-step: {names[state]} -b-> {names[after_b]}")
-    state = rev.start
-    for letter in word_from_str("aabaaaa"):
-        state = rev.delta[state][letter]
+    click.echo(f"b-step: {names[state]} -b-> {names[rev.delta[state][1]]}")
+    state = apply_word(rev, rev.start, word_from_str("aabaaaa"))
     click.echo(f"word a2ba4: {names[rev.start]} -a2ba4-> {names[state]}")
 
-    final_centers = sorted(
-        (classification.centers[i], i) for i in rev.finals
-        if classification.centers[i] is not None
+    centers = sorted(
+        center for i in rev.finals
+        if (center := classification.centers[i]) is not None
     )
-    click.echo(f"accepting stars ({len(rev.finals)}):")
-    for center, i in final_centers:
-        star = star_members(params, center)
-        members = ",".join(subset_label(member) for member in star.members)
-        click.echo(f"  {names[i]} = {{{members}}}")
+    for line in _accepting_star_lines([star_members(params, c) for c in centers]):
+        click.echo(line)
     click.echo(f"asc: forward={_asc(fwd)} reverse={_asc(rev)}")
 
 

@@ -9,7 +9,6 @@ tie-break, so state numbering is reproducible.
 
 from __future__ import annotations
 
-from collections import deque
 from typing import Iterable
 
 from .dfa import Dfa, Word
@@ -76,42 +75,11 @@ def reverse_word(fwd: Dfa, mask: SubsetState, word: Word) -> SubsetState:
     return mask
 
 
-def _explore(fwd: Dfa, max_states: int) -> tuple[list[SubsetState], list[list[int]]]:
-    init = finals_mask(fwd)
-    index = {init: 0}
-    subsets = [init]
-    rows: list[list[int]] = []
-    queue = deque([0])
-    while queue:
-        i = queue.popleft()
-        row = []
-        for c in range(fwd.alphabet_size):
-            t = reverse_step(fwd, subsets[i], c)
-            j = index.get(t)
-            if j is None:
-                if len(subsets) >= max_states:
-                    raise CapacityError(
-                        f"reverse construction exceeded {max_states} states",
-                        count=len(subsets),
-                    )
-                j = len(subsets)
-                index[t] = j
-                subsets.append(t)
-                queue.append(j)
-            row.append(j)
-        rows.append(row)
-    return subsets, rows
-
-
-def reverse_subsets(fwd: Dfa, max_states: int = DEFAULT_MAX_STATES) -> list[SubsetState]:
-    """The reachable subset-states, in intern (BFS) order."""
-    if max_states < 1:
-        raise ValueError(f"max_states must be >= 1 (got {max_states})")
-    return _explore(fwd, max_states)[0]
-
-
-def reverse_dfa(fwd: Dfa, max_states: int = DEFAULT_MAX_STATES) -> Dfa:
-    """Reachable part of the automaton accepting the reversed language.
+def reverse_construction(
+    fwd: Dfa, max_states: int = DEFAULT_MAX_STATES
+) -> tuple[Dfa, list[SubsetState]]:
+    """Reachable part of the automaton accepting the reversed language, and
+    the subset-state behind each of its states.
 
     Exploration starts from the forward final set and follows letter
     preimages; a subset-state is final iff it contains the forward start
@@ -119,16 +87,42 @@ def reverse_dfa(fwd: Dfa, max_states: int = DEFAULT_MAX_STATES) -> Dfa:
     """
     if max_states < 1:
         raise ValueError(f"max_states must be >= 1 (got {max_states})")
-    subsets, rows = _explore(fwd, max_states)
-    finals = frozenset(i for i, s in enumerate(subsets) if (s >> fwd.start) & 1)
-    labels = tuple(
-        ",".join(fwd.label(q) for q in mask_states(s)) for s in subsets
-    )
-    return Dfa(
+    subsets = [finals_mask(fwd)]
+    index = {subsets[0]: 0}
+    rows: list[tuple[int, ...]] = []
+    for s in subsets:  # grows while it is walked: BFS order
+        row = []
+        for c in range(fwd.alphabet_size):
+            t = reverse_step(fwd, s, c)
+            j = index.get(t)
+            if j is None:
+                if len(subsets) >= max_states:
+                    raise CapacityError(
+                        f"reverse construction exceeded {max_states} states",
+                        count=len(subsets),
+                    )
+                j = index[t] = len(subsets)
+                subsets.append(t)
+            row.append(j)
+        rows.append(tuple(row))
+    rev = Dfa(
         num_states=len(subsets),
         alphabet_size=fwd.alphabet_size,
-        delta=tuple(tuple(row) for row in rows),
+        delta=tuple(rows),
         start=0,
-        finals=finals,
-        labels=labels,
+        finals=frozenset(i for i, s in enumerate(subsets) if (s >> fwd.start) & 1),
+        labels=tuple(
+            ",".join(fwd.label(q) for q in mask_states(s)) for s in subsets
+        ),
     )
+    return rev, subsets
+
+
+def reverse_subsets(fwd: Dfa, max_states: int = DEFAULT_MAX_STATES) -> list[SubsetState]:
+    """The reachable subset-states, in intern (BFS) order."""
+    return reverse_construction(fwd, max_states)[1]
+
+
+def reverse_dfa(fwd: Dfa, max_states: int = DEFAULT_MAX_STATES) -> Dfa:
+    """The automaton of ``reverse_construction`` without its subsets."""
+    return reverse_construction(fwd, max_states)[0]

@@ -120,14 +120,15 @@ def magic_one_probe(
     By default ``samples`` counts draws, and only draws with asc >= 2 are
     checked (a run can be vacuous, e.g. on one state). With
     ``count_checked_only`` the sampler rejects until ``samples`` automata
-    with asc >= 2 have been checked.
+    with asc >= 2 have been checked; that needs ``n_max >= 3``, because on
+    at most 2 states two final states accept the same words.
     """
     if not 1 <= n_max <= MAX_PROBE_STATES:
         raise ValueError(f"n_max must be between 1 and {MAX_PROBE_STATES}")
     if samples < 0:
         raise ValueError(f"samples must be >= 0 (got {samples})")
-    if count_checked_only and n_max < 2:
-        raise ValueError("no automaton on one state has asc >= 2")
+    if count_checked_only and n_max < 3:
+        raise ValueError("no automaton on fewer than 3 states has asc >= 2")
     rng = random.Random(seed)
     drawn = 0
     checked = 0

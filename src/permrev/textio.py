@@ -214,7 +214,8 @@ def emit_dot(dfa: Dfa) -> str:
     ]
     for q in range(dfa.num_states):
         shape = "doublecircle" if q in dfa.finals else "circle"
-        label = dfa.label(q) or str(q)
+        label = (dfa.label(q) or str(q)).replace("\\", "\\\\")
+        label = label.replace('"', '\\"')
         out.append(f'  q{q} [label="{label}", shape={shape}];')
     for q in range(dfa.num_states):
         for c in range(dfa.alphabet_size):

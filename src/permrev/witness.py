@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 from .dfa import Dfa
 from .errors import CapacityError
-from .minimize import asc, minimize
+from .minimize import minimize
 from .perms import (
     KSubset,
     act_on_subset,
@@ -30,7 +30,11 @@ from .perms import (
     perm_inverse,
     transposition_perm,
 )
-from .reversal import mask_states, reverse_dfa, reverse_step, reverse_subsets
+from .reversal import SubsetState, mask_states, reverse_construction
+
+# Unused here: perfbench/tracing.py wraps these names on this module by attribute.
+from .minimize import asc  # noqa: F401
+from .reversal import reverse_dfa, reverse_step, reverse_subsets  # noqa: F401
 
 DEFAULT_STATE_CAP = 10_000
 
@@ -156,32 +160,23 @@ class StarClassification:
 
 
 def classify_reverse_states(
-    fwd: Dfa, params: WitnessParams, rev: Dfa
+    params: WitnessParams, rev: Dfa, subsets: list[SubsetState]
 ) -> StarClassification:
-    """Match every reachable reverse state to its star center.
+    """Match every reverse state to its star center.
 
-    The subset behind each state of ``rev`` is recovered by re-running the
-    reverse construction, which doubles as a check that ``rev`` really is
-    the reverse of ``fwd``. Besides the per-state star test, this checks the
-    bijection with all (alpha-1)-subset centers and the single-letter law:
-    reading letter c maps the star around T to the star around the preimage
-    of T under c.
+    ``subsets[i]`` is the subset of witness states behind state ``i`` of
+    ``rev``, as ``reverse_construction`` returns them. Besides the per-state
+    star test, this checks the bijection with all (alpha-1)-subset centers
+    and the single-letter law: reading letter c maps the star around T to
+    the star around the preimage of T under c. Raises ValueError when the
+    subsets do not fit ``rev`` or the witness for ``params``.
     """
     n, alpha = params.n, params.alpha
-    if fwd.alphabet_size != 2 or fwd.num_states != math.comb(n, alpha):
-        raise ValueError("fwd is not the witness for these parameters")
-    subsets = reverse_subsets(fwd)
-    if len(subsets) != rev.num_states or rev.start != 0:
-        raise ValueError("rev is not the reverse construction of fwd")
-    index = {s: i for i, s in enumerate(subsets)}
-    for i, s in enumerate(subsets):
-        for c in range(fwd.alphabet_size):
-            if rev.delta[i][c] != index[reverse_step(fwd, s, c)]:
-                raise ValueError("rev is not the reverse construction of fwd")
-    if rev.finals != frozenset(
-        i for i, s in enumerate(subsets) if (s >> fwd.start) & 1
-    ):
-        raise ValueError("rev is not the reverse construction of fwd")
+    total = math.comb(n, alpha)
+    if rev.alphabet_size != 2 or len(subsets) != rev.num_states:
+        raise ValueError("subsets do not match the states of rev")
+    if any(s < 0 or s >> total for s in subsets):
+        raise ValueError("a subset does not fit the witness for these parameters")
 
     centers: list[KSubset | None] = []
     non_star: list[int] = []
@@ -267,13 +262,14 @@ def verify_witness(
     params = WitnessParams(m, alpha)
     n = params.n
     fwd = build_witness(m, alpha, state_cap=state_cap)
-    rev = reverse_dfa(fwd)
-    classification = classify_reverse_states(fwd, params, rev)
+    rev, subsets = reverse_construction(fwd)
+    classification = classify_reverse_states(params, rev, subsets)
+    min_fwd, min_rev = minimize(fwd), minimize(rev)
 
-    forward_minimal = minimize(fwd).num_states == fwd.num_states
-    reverse_minimal = minimize(rev).num_states == rev.num_states
-    asc_forward = asc(fwd)
-    asc_reverse = asc(rev)
+    forward_minimal = min_fwd.num_states == fwd.num_states
+    reverse_minimal = min_rev.num_states == rev.num_states
+    asc_forward = len(min_fwd.finals)
+    asc_reverse = len(min_rev.finals)
 
     accepting_centers: list[KSubset] = []
     accepting_ok = classification.all_stars

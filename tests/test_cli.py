@@ -135,6 +135,12 @@ def test_probe_command(capsys):
     assert "counterexamples=0" in out
 
 
+def test_probe_command_rejects_asc2_on_two_states(capsys):
+    code, _, err = run(capsys, "probe-magic-one", "--n-max", "2", "--require-asc2")
+    assert code == 1
+    assert "asc >= 2" in err
+
+
 def test_stdin_dash_input(capsys, monkeypatch):
     import io
     monkeypatch.setattr("sys.stdin", io.StringIO(EMPTY_LANG_DOC))

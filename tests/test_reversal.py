@@ -1,3 +1,4 @@
+import math
 import random
 from itertools import product
 
@@ -11,6 +12,7 @@ from permrev.perms import colex_rank
 from permrev.reversal import (
     finals_mask,
     mask_states,
+    reverse_construction,
     reverse_dfa,
     reverse_step,
     reverse_subsets,
@@ -116,13 +118,16 @@ def test_witness_reverse_counts(witness_3_4):
     assert len(rev.finals) == 4
 
 
-def test_smallest_witness_reverse_against_brute_force():
-    fwd = build_witness(2, 2)
-    rev = reverse_dfa(fwd)
+@pytest.mark.parametrize("m,alpha", [(2, 2), (3, 4), (4, 3)])
+def test_smallest_witness_reverse_against_brute_force(m, alpha):
+    fwd = build_witness(m, alpha)
+    rev, subsets = reverse_construction(fwd)
     brute = brute_reachable_subsets(fwd)
-    assert rev.num_states == len(brute) == 3
-    assert {frozenset(mask_states(s)) for s in reverse_subsets(fwd)} == brute
-    assert len(rev.finals) == 2
+    assert len(subsets) == len(brute) == math.comb(m + alpha - 1, alpha - 1)
+    assert {frozenset(mask_states(s)) for s in subsets} == brute
+    assert subsets == reverse_subsets(fwd)
+    assert rev == reverse_dfa(fwd)
+    assert len(rev.finals) == alpha
 
 
 def test_reverse_start_is_finals_and_labels_join(witness_3_4):

@@ -94,6 +94,12 @@ def test_probe_validates_arguments():
         magic_one_probe(1, 10, count_checked_only=True)
 
 
+def test_probe_rejects_asc2_count_on_two_states():
+    # no automaton on at most 2 states has asc >= 2, so this would never end
+    with pytest.raises(ValueError):
+        magic_one_probe(2, 1, count_checked_only=True)
+
+
 def test_known_witness_confirms_probe_expectation():
     # a fixed permutation automaton with asc 2 reverses to asc 2, not 1
     assert asc_pair(build_witness(2, 2)) == (2, 2)

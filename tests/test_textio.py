@@ -5,7 +5,7 @@ from hypothesis import given
 import hypothesis.strategies as st
 
 from permrev.dfa import Dfa
-from permrev.reversal import reverse_dfa
+from permrev.reversal import reverse_construction, reverse_dfa
 from permrev.spectrum import magic_one_probe, spectrum_table, trivial_rows
 from permrev.textio import (
     ParseError,
@@ -156,9 +156,20 @@ def test_dot_witness_counts(witness_3_4):
     assert len(edge_lines) == 30
 
 
+def test_dot_escapes_quotes_and_backslashes():
+    dfa = parse_dfa(
+        "dfa 2 1\nstart 0\nfinals 1\n"
+        'state 0 [a"b] : 1\nstate 1 [c\\d] : 0\n'
+    )
+    assert dfa.labels == ('a"b', "c\\d")
+    dot = emit_dot(dfa)
+    assert 'q0 [label="a\\"b", shape=circle];' in dot
+    assert 'q1 [label="c\\\\d", shape=doublecircle];' in dot
+
+
 def test_dot_reverse_witness_has_star_labels(witness_3_4):
-    rev = reverse_dfa(witness_3_4)
-    cls = classify_reverse_states(witness_3_4, WitnessParams(3, 4), rev)
+    rev, subsets = reverse_construction(witness_3_4)
+    cls = classify_reverse_states(WitnessParams(3, 4), rev, subsets)
     dot = emit_dot(apply_star_labels(rev, cls))
     assert 'label="S(123)"' in dot
     assert dot.count("shape=") == 20 + 1  # 20 states plus the start marker

@@ -3,10 +3,11 @@ from itertools import combinations
 
 import pytest
 
+from permrev import witness
 from permrev.dfa import Dfa, is_permutation_automaton
 from permrev.errors import CapacityError
 from permrev.minimize import distinguishing_word
-from permrev.reversal import reverse_dfa
+from permrev.reversal import reverse_construction
 from permrev.witness import (
     Star,
     WitnessParams,
@@ -129,8 +130,8 @@ def test_stars_pairwise_distinct():
 
 def test_classification_of_worked_example(witness_3_4):
     params = WitnessParams(3, 4)
-    rev = reverse_dfa(witness_3_4)
-    cls = classify_reverse_states(witness_3_4, params, rev)
+    rev, subsets = reverse_construction(witness_3_4)
+    cls = classify_reverse_states(params, rev, subsets)
     assert cls.all_stars
     assert cls.covers_all_centers
     assert cls.letter_law_holds
@@ -142,26 +143,30 @@ def test_classification_of_worked_example(witness_3_4):
 def test_classification_smallest_witness():
     params = WitnessParams(2, 2)
     fwd = build_witness(2, 2)
-    rev = reverse_dfa(fwd)
-    cls = classify_reverse_states(fwd, params, rev)
+    cls = classify_reverse_states(params, *reverse_construction(fwd))
     assert cls.ok
     assert sorted(cls.centers) == [(0,), (1,), (2,)]
 
 
 def test_classification_rejects_foreign_automata(witness_3_4):
     params = WitnessParams(3, 4)
+    _, subsets = reverse_construction(witness_3_4)
+    # a 15-state automaton against the 20 subsets of the reverse witness
     with pytest.raises(ValueError):
-        classify_reverse_states(witness_3_4, params, witness_3_4)
-    other = Dfa(1, 2, ((0, 0),), 0, frozenset({0}))
+        classify_reverse_states(params, witness_3_4, subsets)
+    # the (4, 3) construction has 20-bit masks; (3, 4) has 15 witness states
     with pytest.raises(ValueError):
-        classify_reverse_states(other, params, reverse_dfa(other))
+        classify_reverse_states(params, *reverse_construction(build_witness(4, 3)))
+    # right state count and masks, but a one-letter automaton
+    unary = Dfa(20, 1, tuple((q,) for q in range(20)), 0, frozenset())
+    with pytest.raises(ValueError):
+        classify_reverse_states(params, unary, subsets)
 
 
 def test_star_relabeling(witness_3_4):
-    params = WitnessParams(3, 4)
-    rev = reverse_dfa(witness_3_4)
+    rev, subsets = reverse_construction(witness_3_4)
     labeled = apply_star_labels(
-        rev, classify_reverse_states(witness_3_4, params, rev)
+        rev, classify_reverse_states(WitnessParams(3, 4), rev, subsets)
     )
     assert labeled.labels[0] == "S(123)"
     assert all(label.startswith("S(") for label in labeled.labels)
@@ -197,6 +202,28 @@ def test_verify_4_3():
     assert report.passed
     assert (report.forward_states, report.forward_finals) == (20, 4)
     assert (report.reverse_states, report.reverse_finals) == (15, 3)
+
+
+def test_verify_explores_once_and_minimizes_twice(monkeypatch):
+    names = ("reverse_construction", "reverse_dfa", "reverse_subsets", "minimize", "asc")
+    calls = dict.fromkeys(names, 0)
+
+    def counted(name):
+        original = getattr(witness, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(witness, name, counted(name))
+    assert verify_witness(3, 4).passed
+    assert calls == {
+        "reverse_construction": 1, "reverse_dfa": 0, "reverse_subsets": 0,
+        "minimize": 2, "asc": 0,
+    }
 
 
 def test_verify_propagates_capacity():
