@@ -231,7 +231,8 @@ def main(argv: list[str] | None = None) -> int:
         click.echo(f"verification failed: {exc}", err=True)
         return 2
     except CapacityError as exc:
-        click.echo(f"capacity exceeded: {exc}", err=True)
+        stage = f"{exc.stage}: " if exc.stage else ""
+        click.echo(f"capacity exceeded: {stage}{exc}", err=True)
         return 3
     except (ValueError, OSError) as exc:
         click.echo(f"error: {exc}", err=True)

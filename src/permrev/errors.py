@@ -10,12 +10,16 @@ class CapacityError(RuntimeError):
     """A configured size cap was exceeded before the computation finished.
 
     ``count`` records how far the computation got (states interned, group
-    elements visited, ...) when it gave up.
+    elements visited, ...) when it gave up; ``stage`` names the function
+    whose cap it was, such as ``"reverse_construction"``.
     """
 
-    def __init__(self, message: str, count: int | None = None) -> None:
+    def __init__(
+        self, message: str, count: int | None = None, *, stage: str | None = None
+    ) -> None:
         super().__init__(message)
         self.count = count
+        self.stage = stage
 
 
 class NotInGroupError(ValueError):

@@ -197,6 +197,7 @@ def synthesize_word(
                     raise CapacityError(
                         f"group closure exceeded {max_group_size} elements",
                         count=len(parent),
+                        stage="synthesize_word",
                     )
                 parent[nxt] = (cur, idx)
                 queue.append(nxt)

@@ -28,13 +28,13 @@ def subset_mask(states: Iterable[int]) -> SubsetState:
 
 def mask_states(mask: SubsetState) -> list[int]:
     """The members of a subset-state, ascending."""
+    if mask < 0:
+        raise ValueError("subset-state must be non-negative")
     out = []
-    q = 0
     while mask:
-        if mask & 1:
-            out.append(q)
-        mask >>= 1
-        q += 1
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
     return out
 
 
@@ -47,6 +47,28 @@ def _check_mask(dfa: Dfa, mask: SubsetState) -> None:
         raise ValueError("subset-state does not fit the forward automaton")
 
 
+def _check_letter(dfa: Dfa, letter: int) -> None:
+    if not 0 <= letter < dfa.alphabet_size:
+        raise ValueError(f"letter {letter} is out of range")
+
+
+def _predecessors(fwd: Dfa, letter: int) -> list[list[int]]:
+    """``pre[q]`` lists the forward states ``p`` with ``delta[p][letter] == q``."""
+    pre: list[list[int]] = [[] for _ in range(fwd.num_states)]
+    for p, row in enumerate(fwd.delta):
+        pre[row[letter]].append(p)
+    return pre
+
+
+def _preimage(pre: list[list[int]], mask: SubsetState) -> SubsetState:
+    """Union of the predecessor lists over the members of ``mask``."""
+    out = 0
+    for q in mask_states(mask):
+        for p in pre[q]:
+            out |= 1 << p
+    return out
+
+
 def reverse_step(fwd: Dfa, mask: SubsetState, letter: int) -> SubsetState:
     """Preimage of the subset under one letter of the forward automaton.
 
@@ -54,13 +76,8 @@ def reverse_step(fwd: Dfa, mask: SubsetState, letter: int) -> SubsetState:
     and preserves cardinality.
     """
     _check_mask(fwd, mask)
-    if not 0 <= letter < fwd.alphabet_size:
-        raise ValueError(f"letter {letter} is out of range")
-    out = 0
-    for q in range(fwd.num_states):
-        if (mask >> fwd.delta[q][letter]) & 1:
-            out |= 1 << q
-    return out
+    _check_letter(fwd, letter)
+    return _preimage(_predecessors(fwd, letter), mask)
 
 
 def reverse_word(fwd: Dfa, mask: SubsetState, word: Word) -> SubsetState:
@@ -71,7 +88,10 @@ def reverse_word(fwd: Dfa, mask: SubsetState, word: Word) -> SubsetState:
     """
     _check_mask(fwd, mask)
     for c in word:
-        mask = reverse_step(fwd, mask, c)
+        _check_letter(fwd, c)
+    pre = [_predecessors(fwd, c) for c in range(fwd.alphabet_size)]
+    for c in word:
+        mask = _preimage(pre[c], mask)
     return mask
 
 
@@ -87,19 +107,21 @@ def reverse_construction(
     """
     if max_states < 1:
         raise ValueError(f"max_states must be >= 1 (got {max_states})")
+    pre = [_predecessors(fwd, c) for c in range(fwd.alphabet_size)]
     subsets = [finals_mask(fwd)]
     index = {subsets[0]: 0}
     rows: list[tuple[int, ...]] = []
     for s in subsets:  # grows while it is walked: BFS order
         row = []
-        for c in range(fwd.alphabet_size):
-            t = reverse_step(fwd, s, c)
+        for pre_c in pre:
+            t = _preimage(pre_c, s)
             j = index.get(t)
             if j is None:
                 if len(subsets) >= max_states:
                     raise CapacityError(
                         f"reverse construction exceeded {max_states} states",
                         count=len(subsets),
+                        stage="reverse_construction",
                     )
                 j = index[t] = len(subsets)
                 subsets.append(t)

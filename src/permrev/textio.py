@@ -39,6 +39,9 @@ class ParseError(ValueError):
 
 
 def letter_name(c: int) -> str:
+    """'a'..'z' for letters 0..25, then "c26", "c27", ... (DOT labels only)."""
+    if c < 0:
+        raise ValueError(f"letter {c} is negative")
     return _LETTERS[c] if c < len(_LETTERS) else f"c{c}"
 
 
@@ -54,7 +57,11 @@ def word_from_str(text: str) -> tuple[int, ...]:
 
 
 def word_to_str(word: Word) -> str:
-    return "".join(letter_name(c) for c in word)
+    """Inverse of ``word_from_str``; only letters 0..25 have a name there."""
+    for c in word:
+        if not 0 <= c < len(_LETTERS):
+            raise ValueError(f"letter {c} has no single-character name")
+    return "".join(_LETTERS[c] for c in word)
 
 
 def emit_dfa(dfa: Dfa) -> str:
@@ -135,8 +142,9 @@ def parse_dfa(text: str) -> Dfa:
             raise ParseError(line_no, col, f"final state {q} is out of range")
         finals.add(q)
 
-    delta: list[tuple[int, ...] | None] = [None] * num_states
-    labels: list[str | None] = [None] * num_states
+    # Keyed by state index, so nothing is allocated from the header's count.
+    delta: dict[int, tuple[int, ...]] = {}
+    labels: dict[int, str | None] = {}
     labeled: bool | None = None
     for line_no, tokens in rows[3:]:
         if tokens[0][1] != "state":
@@ -147,7 +155,7 @@ def parse_dfa(text: str) -> Dfa:
         q = _int_token(line_no, col, token, "a state index")
         if not 0 <= q < num_states:
             raise ParseError(line_no, col, f"state {q} is out of range")
-        if delta[q] is not None:
+        if q in delta:
             raise ParseError(line_no, col, f"duplicate line for state {q}")
         rest = tokens[2:]
         label: str | None = None
@@ -186,17 +194,17 @@ def parse_dfa(text: str) -> Dfa:
         delta[q] = tuple(images)
         labels[q] = label
 
-    for q, row in enumerate(delta):
-        if row is None:
+    for q in range(num_states):
+        if q not in delta:
             raise ParseError(last_line, 1, f"missing 'state {q}' line")
 
     return Dfa(
         num_states=num_states,
         alphabet_size=alphabet_size,
-        delta=tuple(row for row in delta if row is not None),
+        delta=tuple(delta[q] for q in range(num_states)),
         start=start,
         finals=frozenset(finals),
-        labels=tuple(lbl or "" for lbl in labels) if labeled else None,
+        labels=tuple(labels[q] or "" for q in range(num_states)) if labeled else None,
     )
 
 

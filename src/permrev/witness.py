@@ -121,6 +121,7 @@ def build_witness(m: int, alpha: int, state_cap: int = DEFAULT_STATE_CAP) -> Dfa
             f"witness for (m={m}, alpha={alpha}) needs {total} states "
             f"(cap {state_cap})",
             count=total,
+            stage="build_witness",
         )
     a = cycle_perm(n)
     b = transposition_perm(n)

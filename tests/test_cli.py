@@ -50,7 +50,7 @@ def test_reverse_capacity_exit_code(tmp_path, capsys):
     run(capsys, "witness", "3", "4", "--out", str(source))
     code, _, err = run(capsys, "reverse", str(source), "--max-states", "2")
     assert code == 3
-    assert "capacity" in err
+    assert "capacity exceeded: reverse_construction: " in err
 
 
 def test_minimize_collapses(tmp_path, capsys):

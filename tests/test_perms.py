@@ -189,8 +189,9 @@ def test_synthesize_detects_missing_target():
 def test_synthesize_respects_group_cap():
     gens = [cycle_perm(5), transposition_perm(5)]
     target = perm_inverse(cycle_perm(5))
-    with pytest.raises(CapacityError):
+    with pytest.raises(CapacityError) as info:
         synthesize_word(gens, target, max_group_size=3)
+    assert info.value.stage == "synthesize_word"
 
 
 def test_synthesize_size_mismatch():

@@ -22,8 +22,8 @@ from permrev.reversal import (
 from permrev.textio import word_from_str
 from permrev.witness import WitnessParams, build_witness, star_members
 
-from conftest import dfa_with_word, pfas
-from oracles import brute_reachable_subsets, random_dfa
+from conftest import dfa_with_word, dfas, pfas
+from oracles import brute_reachable_subsets, random_dfa, reverse_by_word_formula
 
 SIGMA_STAR = Dfa(1, 2, ((0, 0),), 0, frozenset({0}))
 
@@ -37,6 +37,19 @@ def star_mask(params, center):
 def test_mask_roundtrip():
     assert mask_states(subset_mask([0, 3, 5])) == [0, 3, 5]
     assert mask_states(0) == []
+
+
+def test_mask_states_sparse_high_bit():
+    assert mask_states(subset_mask([0, 5000])) == [0, 5000]
+    assert mask_states(1 << 5000) == [5000]
+
+
+def test_mask_states_rejects_negative_mask():
+    # -1 >> 1 == -1: a shift or bit walk over a negative int never ends
+    with pytest.raises(ValueError):
+        mask_states(-1)
+    with pytest.raises(ValueError):
+        mask_states(-(1 << 40))
 
 
 def test_preimage_of_empty_is_empty(witness_3_4):
@@ -140,8 +153,26 @@ def test_capacity_cap_reports_progress(witness_3_4):
     with pytest.raises(CapacityError) as info:
         reverse_dfa(witness_3_4, max_states=2)
     assert info.value.count == 2
+    assert info.value.stage == "reverse_construction"
     with pytest.raises(ValueError):
         reverse_dfa(witness_3_4, max_states=0)
+
+
+@given(dfas(max_states=6))
+def test_construction_subsets_match_brute_force(dfa):
+    # arbitrary DFAs: states with no predecessor or several on one letter
+    _, subsets = reverse_construction(dfa)
+    assert len(set(subsets)) == len(subsets)
+    assert {frozenset(mask_states(s)) for s in subsets} == brute_reachable_subsets(dfa)
+
+
+@given(dfas())
+def test_construction_matches_word_formula(dfa):
+    # both explore in BFS order with letter tie-break, so the tables agree
+    rev, oracle = reverse_dfa(dfa), reverse_by_word_formula(dfa)
+    assert (rev.num_states, rev.delta, rev.start, rev.finals) == (
+        oracle.num_states, oracle.delta, oracle.start, oracle.finals
+    )
 
 
 @given(pfas())

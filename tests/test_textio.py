@@ -11,6 +11,7 @@ from permrev.textio import (
     ParseError,
     emit_dfa,
     emit_dot,
+    letter_name,
     parse_dfa,
     report_to_json,
     word_from_str,
@@ -115,6 +116,23 @@ def test_missing_state_line():
     assert "state 1" in str(info.value)
 
 
+def test_header_count_bounded_by_state_lines():
+    # nothing is allocated from the header's count; the first gap is named
+    text = "dfa 5 1\nstart 0\nfinals\nstate 0 : 0\nstate 1 : 1\n"
+    with pytest.raises(ParseError) as info:
+        parse_dfa(text)
+    assert (info.value.line, info.value.column) == (5, 1)
+    assert "missing 'state 2' line" in str(info.value)
+
+
+def test_duplicate_reported_before_missing():
+    text = "dfa 3 1\nstart 0\nfinals\nstate 0 : 0\nstate 0 : 0\n"
+    with pytest.raises(ParseError) as info:
+        parse_dfa(text)
+    assert (info.value.line, info.value.column) == (5, 7)
+    assert "duplicate" in str(info.value)
+
+
 def test_inconsistent_labeling():
     text = "dfa 2 1\nstart 0\nfinals\nstate 0 [x] : 0\nstate 1 : 1\n"
     with pytest.raises(ParseError):
@@ -185,6 +203,17 @@ def test_word_conversions():
     assert word_from_str("") == ()
     with pytest.raises(ValueError):
         word_from_str("a!b")
+
+
+def test_letter_names_read_back_or_raise():
+    assert word_from_str(word_to_str(tuple(range(26)))) == tuple(range(26))
+    assert letter_name(26) == "c26"  # DOT edge labels only
+    with pytest.raises(ValueError):
+        letter_name(-1)
+    with pytest.raises(ValueError):
+        word_to_str((-1,))
+    with pytest.raises(ValueError):
+        word_to_str((0, 26))
 
 
 # ---------------------------------------------------------------------

@@ -82,8 +82,10 @@ def test_witness_rejects_bad_params():
 
 
 def test_witness_respects_state_cap():
-    with pytest.raises(CapacityError):
+    with pytest.raises(CapacityError) as info:
         build_witness(5, 5, state_cap=10)
+    assert info.value.stage == "build_witness"
+    assert info.value.count == math.comb(9, 5)
 
 
 # ---------------------------------------------------------------------
