@@ -16,7 +16,12 @@ from .errors import CapacityError
 from .minimize import asc as _asc
 from .minimize import minimize as _minimize
 from .reversal import DEFAULT_MAX_STATES, reverse_construction, reverse_dfa
-from .spectrum import DEFAULT_SEED, magic_one_probe, spectrum_table
+from .spectrum import (
+    DEFAULT_SEED,
+    MagicProbeReport,
+    magic_one_probe,
+    spectrum_table,
+)
 from .textio import (
     emit_dfa,
     emit_dot,
@@ -36,6 +41,11 @@ from .witness import (
     subset_label,
     verify_witness,
 )
+
+
+# State bound of the probe behind `spectrum --probe-samples`; also the
+# default of `probe-magic-one --n-max`.
+PROBE_N_MAX = 6
 
 
 class _VerificationFailed(Exception):
@@ -145,13 +155,44 @@ def verify(m: int, alpha: int, json_path: str | None) -> None:
         raise _VerificationFailed(report.first_failure)
 
 
+def _format_probe_report(report: MagicProbeReport) -> str:
+    histogram = " ".join(
+        f"({forward},{reverse})={count}"
+        for (forward, reverse), count in report.histogram
+    )
+    lines = [
+        f"drawn={report.drawn} checked(asc>=2)={report.checked} "
+        f"counterexamples={len(report.counterexamples)}",
+        f"histogram: {histogram or '(none)'}",
+    ]
+    for dfa, forward, reverse_asc in report.counterexamples:
+        lines.append(f"counterexample: asc={forward} reverse asc={reverse_asc}")
+        lines.append(emit_dfa(dfa).rstrip("\n"))
+    return "\n".join(lines)
+
+
 @cli.command()
 @click.option("--m-max", default=5, show_default=True, type=int)
 @click.option("--alpha-max", default=5, show_default=True, type=int)
+@click.option(
+    "--probe-samples",
+    default=0,
+    show_default=True,
+    type=int,
+    help=f"Also run the magic-value probe (n_max {PROBE_N_MAX}, seed {DEFAULT_SEED})"
+    " until this many automata with asc >= 2 are checked.",
+)
 @click.option("--json", "json_path", default=None, help="Also write the report as JSON.")
-def spectrum(m_max: int, alpha_max: int, json_path: str | None) -> None:
+def spectrum(
+    m_max: int, alpha_max: int, probe_samples: int, json_path: str | None
+) -> None:
     """Verify the asc pairs across the witness grid plus the trivial rows."""
-    report = spectrum_table(m_max, alpha_max)
+    probe = None
+    if probe_samples:
+        probe = magic_one_probe(
+            PROBE_N_MAX, probe_samples, DEFAULT_SEED, count_checked_only=True
+        )
+    report = spectrum_table(m_max, alpha_max, probe=probe)
     for row in report.rows:
         pair = (
             "skipped"
@@ -159,6 +200,8 @@ def spectrum(m_max: int, alpha_max: int, json_path: str | None) -> None:
             else f"({row.asc_forward},{row.asc_reverse})"
         )
         click.echo(f"m={row.m} alpha={row.alpha} asc={pair} {row.verdict}")
+    if probe is not None:
+        click.echo(_format_probe_report(probe))
     click.echo(f"result: {'PASS' if report.passed else 'FAIL'}")
     if json_path is not None:
         _write_text(json_path, report_to_json(report))
@@ -167,7 +210,7 @@ def spectrum(m_max: int, alpha_max: int, json_path: str | None) -> None:
 
 
 @cli.command("probe-magic-one")
-@click.option("--n-max", default=6, show_default=True, type=int)
+@click.option("--n-max", default=PROBE_N_MAX, show_default=True, type=int)
 @click.option("--samples", default=1000, show_default=True, type=int)
 @click.option("--seed", default=DEFAULT_SEED, show_default=True, type=int)
 @click.option(
@@ -178,13 +221,7 @@ def spectrum(m_max: int, alpha_max: int, json_path: str | None) -> None:
 def probe_magic_one(n_max: int, samples: int, seed: int, require_asc2: bool) -> None:
     """Search random permutation automata for a reversal with asc 1."""
     report = magic_one_probe(n_max, samples, seed, count_checked_only=require_asc2)
-    click.echo(
-        f"drawn={report.drawn} checked(asc>=2)={report.checked} "
-        f"counterexamples={len(report.counterexamples)}"
-    )
-    for dfa, forward, reverse_asc in report.counterexamples:
-        click.echo(f"counterexample: asc={forward} reverse asc={reverse_asc}")
-        click.echo(emit_dfa(dfa), nl=False)
+    click.echo(_format_probe_report(report))
     if not report.passed:
         raise _VerificationFailed("magic-one probe found a counterexample")
 

@@ -79,9 +79,7 @@ def perm_order(p: Perm) -> int:
 
 def perm_from_word(generators: Sequence[Perm], word: Sequence[int]) -> Perm:
     """Compose the generators named by ``word``, left to right."""
-    if not generators:
-        raise ValueError("generators must be nonempty")
-    acc = identity_perm(len(generators[0]))
+    acc = identity_perm(_check_generators(generators))
     for c in word:
         if not 0 <= c < len(generators):
             raise ValueError(f"letter {c} does not name a generator")
@@ -120,21 +118,31 @@ def colex_unrank(rank: int, n: int, k: int) -> KSubset:
 
 def ksubsets(n: int, k: int) -> Iterator[KSubset]:
     """All k-subsets of {0..n-1} in colexicographic order."""
+    if n < 0 or k < 0:
+        raise ValueError(f"n and k must be >= 0 (got n={n}, k={k})")
+    return _ksubsets(n, k)
+
+
+def _ksubsets(n: int, k: int) -> Iterator[KSubset]:
     if k == 0:
         yield ()
         return
     for last in range(k - 1, n):
-        for rest in ksubsets(last, k - 1):
+        for rest in _ksubsets(last, k - 1):
             yield rest + (last,)
 
 
 def _check_generators(generators: Sequence[Perm]) -> int:
+    """The common point count n; each generator must permute range(n)."""
     if not generators:
         raise ValueError("generators must be nonempty")
     n = len(generators[0])
-    for g in generators[1:]:
+    points = set(range(n))
+    for g in generators:
         if len(g) != n:
             raise ValueError("generators must act on the same points")
+        if set(g) != points:
+            raise ValueError(f"generator {g} is not a permutation of [{n}]")
     return n
 
 

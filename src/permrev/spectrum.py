@@ -10,6 +10,7 @@ unattainable value once asc >= 2).
 from __future__ import annotations
 
 import random
+from collections import Counter
 from dataclasses import dataclass
 
 from .dfa import Dfa, is_permutation_automaton
@@ -93,8 +94,10 @@ class MagicProbeReport:
     """Result of the empirical search for a reversal with asc 1.
 
     ``drawn`` counts all sampled automata, ``checked`` the ones with
-    asc >= 2 whose reversal was actually tested. A counterexample is a
-    finding (recorded with its asc pair), never an exception.
+    asc >= 2 whose reversal was actually tested. ``histogram`` counts the
+    checked automata per ``(asc, asc_reverse)`` pair, sorted by pair; its
+    counts sum to ``checked``. A counterexample is a finding (recorded with
+    its asc pair), never an exception.
     """
 
     n_max: int
@@ -103,6 +106,7 @@ class MagicProbeReport:
     drawn: int
     checked: int
     counterexamples: tuple[tuple[Dfa, int, int], ...]
+    histogram: tuple[tuple[tuple[int, int], int], ...]
 
     @property
     def passed(self) -> bool:
@@ -133,6 +137,7 @@ def magic_one_probe(
     drawn = 0
     checked = 0
     hits: list[tuple[Dfa, int, int]] = []
+    pairs: Counter[tuple[int, int]] = Counter()
     while (checked if count_checked_only else drawn) < samples:
         dfa = random_pfa(rng, rng.randint(1, n_max))
         drawn += 1
@@ -141,6 +146,7 @@ def magic_one_probe(
             continue
         checked += 1
         reverse = asc(reverse_dfa(dfa))
+        pairs[forward, reverse] += 1
         if reverse == 1:
             hits.append((dfa, forward, reverse))
     return MagicProbeReport(
@@ -150,6 +156,7 @@ def magic_one_probe(
         drawn=drawn,
         checked=checked,
         counterexamples=tuple(hits),
+        histogram=tuple(sorted(pairs.items())),
     )
 
 

@@ -276,6 +276,10 @@ def probe_report_dict(report: MagicProbeReport) -> dict:
             {"asc": forward, "asc_reverse": reverse, "dfa": emit_dfa(dfa)}
             for dfa, forward, reverse in report.counterexamples
         ],
+        "histogram": [
+            {"asc": forward, "asc_reverse": reverse, "count": count}
+            for (forward, reverse), count in report.histogram
+        ],
     }
 
 

@@ -129,10 +129,27 @@ def test_spectrum_command(capsys):
     assert "result: PASS" in out
 
 
+def test_spectrum_command_with_probe(capsys):
+    code, out, _ = run(
+        capsys, "spectrum", "--m-max", "3", "--alpha-max", "3",
+        "--probe-samples", "50", "--json", "-",
+    )
+    assert code == 0
+    assert "checked(asc>=2)=50 counterexamples=0" in out
+    payload = json.loads(out[out.index("\n{") + 1:])
+    probe = payload["magic_probe"]
+    assert probe is not None
+    assert (probe["n_max"], probe["seed"], probe["checked"]) == (6, 1009, 50)
+    assert sum(entry["count"] for entry in probe["histogram"]) == 50
+
+
 def test_probe_command(capsys):
     code, out, _ = run(capsys, "probe-magic-one", "--n-max", "3", "--samples", "50")
     assert code == 0
-    assert "counterexamples=0" in out
+    assert out.splitlines() == [
+        "drawn=50 checked(asc>=2)=8 counterexamples=0",
+        "histogram: (2,2)=8",
+    ]
 
 
 def test_probe_command_rejects_asc2_on_two_states(capsys):

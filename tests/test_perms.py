@@ -114,6 +114,13 @@ def test_ksubsets_colex_order():
     assert list(ksubsets(4, 2)) == [(0, 1), (0, 2), (1, 2), (0, 3), (1, 3), (2, 3)]
 
 
+@pytest.mark.parametrize("n, k", [(3, -1), (-1, 0), (-2, -2)])
+def test_ksubsets_rejects_negative_sizes(n, k):
+    # k < 0 used to recurse until RecursionError
+    with pytest.raises(ValueError):
+        ksubsets(n, k)
+
+
 def test_rank_matches_enumeration_order():
     for n, k in [(5, 2), (6, 3), (7, 4)]:
         for rank, subset in enumerate(ksubsets(n, k)):
@@ -184,6 +191,25 @@ def test_synthesize_generator_itself():
 def test_synthesize_detects_missing_target():
     with pytest.raises(NotInGroupError):
         synthesize_word([identity_perm(4)], transposition_perm(4))
+
+
+NOT_A_PERMUTATION = [(3, 0, 1)]  # point 3 is outside [3]; point 2 has no preimage
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: perm_from_word(NOT_A_PERMUTATION, [0, 0]),
+        lambda: orbit(NOT_A_PERMUTATION, (0,)),
+        lambda: synthesize_word(NOT_A_PERMUTATION, identity_perm(3)),
+        lambda: orbit([cycle_perm(3), (0, 0, 1)], (0,)),
+    ],
+    ids=["perm_from_word", "orbit", "synthesize_word", "orbit-second-generator"],
+)
+def test_non_permutation_generators_rejected(call):
+    # perm_from_word used to raise IndexError on the first of these
+    with pytest.raises(ValueError):
+        call()
 
 
 def test_synthesize_respects_group_cap():

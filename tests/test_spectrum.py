@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 import pytest
 
@@ -83,6 +84,21 @@ def test_probe_can_count_checked_samples():
     report = magic_one_probe(4, 25, seed=2, count_checked_only=True)
     assert report.checked == 25
     assert report.drawn >= 25
+
+
+def test_probe_histogram_golden():
+    report = magic_one_probe(6, 2000, seed=1009)
+    assert report.checked == 774
+    assert sum(count for _, count in report.histogram) == report.checked
+    assert list(report.histogram) == sorted(report.histogram)
+    reverse_values = Counter()
+    for (_, reverse), count in report.histogram:
+        reverse_values[reverse] += count
+    assert reverse_values == {
+        2: 161, 3: 189, 4: 130, 5: 71, 6: 95, 8: 3, 9: 5, 10: 120,
+    }
+    ones = sum(count for (_, reverse), count in report.histogram if reverse == 1)
+    assert ones == len(report.counterexamples)
 
 
 def test_probe_validates_arguments():

@@ -1,7 +1,9 @@
+import dataclasses
 import json
+import random
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from permrev.dfa import Dfa
@@ -26,6 +28,7 @@ from permrev.witness import (
 )
 
 from conftest import dfas
+from oracles import random_dfa
 
 SIGMA_STAR = Dfa(1, 2, ((0, 0),), 0, frozenset({0}))
 
@@ -155,6 +158,56 @@ def test_parse_empty_document():
         parse_dfa("")
 
 
+MUTATION_TOKENS = ("dfa", "start", "finals", "state", ":", "[", "[]", "[s0]")
+
+
+@st.composite
+def mutated_documents(draw):
+    """The emitted text of a random DFA with one token dropped, duplicated
+    or replaced."""
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    dfa = random_dfa(rng, max_states=4, alphabet_size=draw(st.integers(1, 2)))
+    if draw(st.booleans()):
+        labels = tuple(f"s{q}" for q in range(dfa.num_states))
+        dfa = dataclasses.replace(dfa, labels=labels)
+    lines = [line.split() for line in emit_dfa(dfa).splitlines()]
+    # The position and the action come from the seeded rng, so that they
+    # spread evenly over the document instead of clustering on the header.
+    line = rng.choice(lines)
+    j = rng.randrange(len(line))
+    action = rng.choice(("drop", "duplicate", "replace"))
+    if action == "drop":
+        del line[j]
+    elif action == "duplicate":
+        line.insert(j, line[j])
+    else:
+        line[j] = draw(
+            st.integers(-2, 6).map(str)
+            | st.sampled_from(MUTATION_TOKENS)
+            | st.text(min_size=1)
+        )
+    return "\n".join(" ".join(line) for line in lines) + "\n"
+
+
+def check_parse_roundtrips_or_raises(text):
+    try:
+        dfa = parse_dfa(text)
+    except ParseError:
+        return
+    assert parse_dfa(emit_dfa(dfa)) == dfa
+
+
+@given(st.text())
+def test_parse_arbitrary_text_roundtrips_or_raises(text):
+    check_parse_roundtrips_or_raises(text)
+
+
+@settings(max_examples=300)
+@given(mutated_documents())
+def test_parse_mutated_document_roundtrips_or_raises(text):
+    check_parse_roundtrips_or_raises(text)
+
+
 # ---------------------------------------------------------------------
 # DOT export
 # ---------------------------------------------------------------------
@@ -236,7 +289,13 @@ def test_spectrum_report_json_with_probe():
     assert payload["rows"][0] == {
         "m": 0, "alpha": 0, "asc_forward": 0, "asc_reverse": 0, "verdict": "pass",
     }
-    assert payload["magic_probe"]["kind"] == "magic_probe_report"
+    probe = payload["magic_probe"]
+    assert probe["kind"] == "magic_probe_report"
+    assert probe["histogram"] == [
+        {"asc": forward, "asc_reverse": reverse, "count": count}
+        for (forward, reverse), count in report.magic_probe.histogram
+    ]
+    assert sum(entry["count"] for entry in probe["histogram"]) == probe["checked"]
     assert payload["passed"] is True
 
 
