@@ -247,11 +247,8 @@ def example() -> None:
     state = apply_word(rev, rev.start, word_from_str("aabaaaa"))
     click.echo(f"word a2ba4: {names[rev.start]} -a2ba4-> {names[state]}")
 
-    centers = sorted(
-        center for i in rev.finals
-        if (center := classification.centers[i]) is not None
-    )
-    for line in _accepting_star_lines([star_members(params, c) for c in centers]):
+    stars = [star_members(params, c) for c in classification.accepting_centers]
+    for line in _accepting_star_lines(stars):
         click.echo(line)
     click.echo(f"asc: forward={_asc(fwd)} reverse={_asc(rev)}")
 

@@ -35,22 +35,14 @@ def minimize(dfa: Dfa) -> Dfa:
             break
         nblocks = len(ids)
 
+    # Blocks in order of first appearance along the BFS order ``reach``.
+    # This is the quotient's own BFS order: a block's later states lead
+    # only to blocks its first state already led to.
     rep: dict[int, int] = {}
     for q in reach:
         rep.setdefault(block[q], q)
-
-    start_block = block[dfa.start]
-    number = {start_block: 0}
-    order = [start_block]
-    queue = deque(order)
-    while queue:
-        b = queue.popleft()
-        for c in range(dfa.alphabet_size):
-            t = block[dfa.delta[rep[b]][c]]
-            if t not in number:
-                number[t] = len(order)
-                order.append(t)
-                queue.append(t)
+    order = list(rep)
+    number = {b: i for i, b in enumerate(order)}
 
     delta = tuple(
         tuple(number[block[dfa.delta[rep[b]][c]]] for c in range(dfa.alphabet_size))

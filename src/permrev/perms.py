@@ -154,6 +154,8 @@ def orbit(generators: Sequence[Perm], seed: KSubset) -> list[KSubset]:
     """
     n = _check_generators(generators)
     seed = tuple(sorted(seed))
+    if len(set(seed)) != len(seed):
+        raise ValueError(f"seed {seed} has repeated points")
     for i in seed:
         if not 0 <= i < n:
             raise ValueError(f"point {i} is out of range for n={n}")

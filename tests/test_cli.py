@@ -169,9 +169,16 @@ def test_stdin_dash_input(capsys, monkeypatch):
 def test_example_reproduces_star_chain(capsys):
     code, out, _ = run(capsys, "example")
     assert code == 0
-    assert (
-        "S(123) -a-> S(126) -a-> S(156) -a-> S(456) -a-> S(345) -a-> S(234)" in out
-    )
-    assert "S(234) -b-> S(134)" in out
-    assert "S(123) -a2ba4-> S(124)" in out
-    assert "asc: forward=3 reverse=4" in out
+    assert out.splitlines() == [
+        "worked example: witness m=3 alpha=4 (n=6)",
+        "reverse start: S(123)",
+        "a-chain: S(123) -a-> S(126) -a-> S(156) -a-> S(456) -a-> S(345) -a-> S(234)",
+        "b-step: S(234) -b-> S(134)",
+        "word a2ba4: S(123) -a2ba4-> S(124)",
+        "accepting stars (4):",
+        "  S(123) = {1234,1235,1236}",
+        "  S(124) = {1234,1245,1246}",
+        "  S(134) = {1234,1345,1346}",
+        "  S(234) = {1234,2345,2346}",
+        "asc: forward=3 reverse=4",
+    ]

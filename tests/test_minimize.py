@@ -2,8 +2,9 @@ import random
 
 import pytest
 from hypothesis import given, settings
+import hypothesis.strategies as st
 
-from permrev.dfa import Dfa, apply_word
+from permrev.dfa import Dfa, apply_word, reachable_states
 from permrev.minimize import are_equivalent, asc, distinguishing_word, minimize
 from permrev.reversal import reverse_dfa
 
@@ -44,6 +45,21 @@ def test_minimize_is_idempotent(dfa):
 @given(dfas())
 def test_minimize_preserves_language(dfa):
     assert are_equivalent(dfa, minimize(dfa))
+
+
+@given(dfas(), st.data())
+def test_minimized_table_ignores_state_names(dfa, data):
+    # the canonical numbering is breadth-first from the start state with
+    # letter tie-break, whatever the input's own state numbers are
+    name = data.draw(st.permutations(range(dfa.num_states)))
+    delta = [None] * dfa.num_states
+    for q, row in enumerate(dfa.delta):
+        delta[name[q]] = tuple(name[t] for t in row)
+    renamed = Dfa(dfa.num_states, dfa.alphabet_size, tuple(delta),
+                  name[dfa.start], frozenset(name[q] for q in dfa.finals))
+    small = minimize(dfa)
+    assert minimize(renamed) == small
+    assert reachable_states(small) == list(range(small.num_states))
 
 
 def test_double_reversal_is_equivalent(witness_3_4):

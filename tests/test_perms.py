@@ -159,6 +159,9 @@ def test_orbit_requires_generators():
 def test_orbit_validates_points():
     with pytest.raises(ValueError):
         orbit([cycle_perm(3)], (0, 3))
+    # a multiset seed would grow an orbit of multisets such as (2, 2)
+    with pytest.raises(ValueError, match="repeated"):
+        orbit([cycle_perm(3), transposition_perm(3)], (1, 1))
 
 
 @pytest.mark.parametrize("n", range(2, 7))

@@ -208,6 +208,43 @@ def test_parse_mutated_document_roundtrips_or_raises(text):
     check_parse_roundtrips_or_raises(text)
 
 
+KEYWORDS = ("dfa", "start", "finals", "state", ":")
+
+
+@st.composite
+def value_mutated_documents(draw):
+    """The emitted text of a random DFA with one value changed: a count, a
+    state index, a transition image or a label. Every keyword stays in
+    place, so each example gets past the parser's structural checks."""
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    dfa = random_dfa(rng, max_states=4, alphabet_size=draw(st.integers(1, 2)))
+    if draw(st.booleans()):
+        labels = tuple(f"s{q}" for q in range(dfa.num_states))
+        dfa = dataclasses.replace(dfa, labels=labels)
+    lines = [line.split() for line in emit_dfa(dfa).splitlines()]
+    values = [
+        (i, j)
+        for i, line in enumerate(lines)
+        for j, token in enumerate(line)
+        if token not in KEYWORDS
+    ]
+    # As above, the position comes from the seeded rng so that it spreads
+    # over the document.
+    i, j = rng.choice(values)
+    if lines[i][j].startswith("["):
+        printable = st.characters(blacklist_categories=("Z", "C"))
+        lines[i][j] = "[" + draw(st.text(printable, max_size=3)) + "]"
+    else:
+        lines[i][j] = str(draw(st.integers(-1, dfa.num_states + 1)))
+    return "\n".join(" ".join(line) for line in lines) + "\n"
+
+
+@settings(max_examples=300)
+@given(value_mutated_documents())
+def test_parse_value_mutated_document_roundtrips_or_raises(text):
+    check_parse_roundtrips_or_raises(text)
+
+
 # ---------------------------------------------------------------------
 # DOT export
 # ---------------------------------------------------------------------

@@ -107,6 +107,9 @@ def test_star_members_worked_examples():
 def test_star_center_size_checked():
     with pytest.raises(ValueError):
         star_members(WitnessParams(3, 4), (0, 1))
+    # three points, but only two distinct ones
+    with pytest.raises(ValueError, match="repeated"):
+        star_members(WitnessParams(3, 4), (0, 0, 1))
 
 
 def test_star_always_has_m_members():
@@ -140,6 +143,24 @@ def test_classification_of_worked_example(witness_3_4):
     assert len(set(cls.centers)) == math.comb(6, 3) == 20
     # the a-successor of the start star S(123) is S(126)
     assert cls.centers[rev.delta[0][0]] == (0, 1, 5)
+    assert cls.accepting_centers == ((0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3))
+
+
+def test_classification_flags_a_non_star_state(witness_3_4):
+    params = WitnessParams(3, 4)
+    rev, subsets = reverse_construction(witness_3_4)
+    before = classify_reverse_states(params, rev, subsets)
+    # two stars of 3 members share at most one, so their union is no star
+    union = subsets[0] | subsets[1]
+    j = 5
+    changed = subsets[:j] + [union] + subsets[j + 1:]
+    after = classify_reverse_states(params, rev, changed)
+    assert after.centers[j] is None
+    assert not after.all_stars
+    assert not after.ok
+    assert [c for i, c in enumerate(after.centers) if i != j] == [
+        c for i, c in enumerate(before.centers) if i != j
+    ]
 
 
 def test_classification_smallest_witness():
@@ -163,6 +184,10 @@ def test_classification_rejects_foreign_automata(witness_3_4):
     unary = Dfa(20, 1, tuple((q,) for q in range(20)), 0, frozenset())
     with pytest.raises(ValueError):
         classify_reverse_states(params, unary, subsets)
+    # right count, but one subset twice
+    rev, subsets = reverse_construction(witness_3_4)
+    with pytest.raises(ValueError, match="do not match"):
+        classify_reverse_states(params, rev, subsets[:-1] + subsets[:1])
 
 
 def test_star_relabeling(witness_3_4):
