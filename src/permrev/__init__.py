@@ -1,8 +1,8 @@
 """Accepting-state complexity of reversal on permutation automata.
 
 Builds the k-subset witness family, runs the reverse subset construction,
-minimizes and measures accepting-state complexity, and machine-verifies the
-exact reversal spectrum at desk scale.
+reads accepting-state complexity and minimality off its subsets, and
+machine-verifies the exact reversal spectrum at desk scale.
 """
 
 from .dfa import (
@@ -33,7 +33,9 @@ from .perms import (
     transposition_perm,
 )
 from .reversal import (
+    ReversalCertificate,
     SubsetState,
+    certify_reversal,
     finals_mask,
     mask_states,
     reverse_dfa,

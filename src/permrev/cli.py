@@ -15,7 +15,12 @@ from .dfa import apply_word
 from .errors import CapacityError
 from .minimize import asc as _asc
 from .minimize import minimize as _minimize
-from .reversal import DEFAULT_MAX_STATES, reverse_construction, reverse_dfa
+from .reversal import (
+    DEFAULT_MAX_STATES,
+    certify_reversal,
+    reverse_construction,
+    reverse_dfa,
+)
 from .spectrum import (
     DEFAULT_SEED,
     MagicProbeReport,
@@ -250,7 +255,10 @@ def example() -> None:
     stars = [star_members(params, c) for c in classification.accepting_centers]
     for line in _accepting_star_lines(stars):
         click.echo(line)
-    click.echo(f"asc: forward={_asc(fwd)} reverse={_asc(rev)}")
+    certificate = certify_reversal(fwd, rev, subsets)
+    click.echo(
+        f"asc: forward={certificate.asc_forward} reverse={certificate.asc_reverse}"
+    )
 
 
 def main(argv: list[str] | None = None) -> int:

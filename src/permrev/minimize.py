@@ -5,6 +5,12 @@ Moore-style partition refinement, and renumbers the quotient breadth-first
 from the start state with letter-index tie-break. That renumbering is a
 canonical form: two DFAs accept the same language iff their minimized
 tables are identical, which is how ``are_equivalent`` decides.
+
+The verification pipeline (``verify_witness``, the spectrum grid and the
+magic-value probe) does not minimize: it reads asc and minimality off the
+reverse subsets with ``reversal.certify_reversal``. The minimizer serves
+``permrev minimize`` and ``permrev asc``, ``are_equivalent``, and the
+tests, where table filling checks it and it checks the certificate.
 """
 
 from __future__ import annotations

@@ -5,13 +5,17 @@ bit ``q`` is set iff forward state ``q`` belongs to the subset. The full
 power-set automaton is never materialized; only the part reachable from the
 forward finals is interned, in BFS discovery order with letter-index
 tie-break, so state numbering is reproducible.
+
+``certify_reversal`` reads the accepting-state complexity and minimality of
+both sides off those subsets, without minimizing either automaton.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Iterable
 
-from .dfa import Dfa, Word
+from .dfa import Dfa, Word, reachable_states
 from .errors import CapacityError
 
 SubsetState = int
@@ -148,3 +152,68 @@ def reverse_subsets(fwd: Dfa, max_states: int = DEFAULT_MAX_STATES) -> list[Subs
 def reverse_dfa(fwd: Dfa, max_states: int = DEFAULT_MAX_STATES) -> Dfa:
     """The automaton of ``reverse_construction`` without its subsets."""
     return reverse_construction(fwd, max_states)[0]
+
+
+@dataclass(frozen=True)
+class ReversalCertificate:
+    """asc and minimality of a DFA and of its reverse, as read off the
+    reverse subsets.
+
+    ``forward_minimal`` and ``reverse_minimal`` mean that minimizing the
+    automaton would keep every one of its states.
+    """
+
+    asc_forward: int
+    asc_reverse: int
+    forward_minimal: bool
+    reverse_minimal: bool
+
+
+def certify_reversal(
+    fwd: Dfa, rev: Dfa, subsets: list[SubsetState]
+) -> ReversalCertificate:
+    """asc and minimality of ``fwd`` and ``rev`` without Moore refinement.
+
+    ``rev`` and ``subsets`` must be what ``reverse_construction(fwd)``
+    returns. The subsets are exactly the sets ``{p : delta(p, w) in F}``,
+    one for each word w, so two forward states are Myhill-Nerode
+    equivalent iff every subset holds both or neither, and two reverse
+    states are equivalent iff their subsets agree on the reachable forward
+    states (Brzozowski's double-reversal argument). The forward classes
+    come from refining one partition by membership in each subset; the
+    cost is about the total size of the subsets. Raises ValueError when
+    the subsets do not fit ``rev`` or ``fwd``, or the alphabets differ.
+    """
+    if len(subsets) != rev.num_states:
+        raise ValueError("subsets do not match the states of rev")
+    if rev.alphabet_size != fwd.alphabet_size:
+        raise ValueError("fwd and rev have different alphabets")
+    for s in subsets:
+        _check_mask(fwd, s)
+    reach = reachable_states(fwd)
+    accessible = len(reach) == fwd.num_states
+    # Unreachable states take no part in either language's quotient.
+    if accessible:
+        cut = subsets
+    else:
+        reach_mask = subset_mask(reach)
+        cut = [s & reach_mask for s in subsets]
+
+    block = [0] * fwd.num_states
+    fresh = 1
+    for s in cut:
+        # Members of s leave their block for a fresh one, shared only with
+        # the members of s from the same old block.
+        moved: dict[int, int] = {}
+        for p in mask_states(s):
+            new = moved.get(block[p])
+            if new is None:
+                new = moved[block[p]] = fresh
+                fresh += 1
+            block[p] = new
+    return ReversalCertificate(
+        asc_forward=len({block[q] for q in reach if q in fwd.finals}),
+        asc_reverse=len({cut[i] for i in rev.finals}),
+        forward_minimal=accessible and len(set(block)) == fwd.num_states,
+        reverse_minimal=len(set(cut)) == len(cut),
+    )

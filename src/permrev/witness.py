@@ -19,7 +19,6 @@ from dataclasses import dataclass
 
 from .dfa import Dfa
 from .errors import CapacityError
-from .minimize import minimize
 from .perms import (
     KSubset,
     act_on_subset,
@@ -29,10 +28,15 @@ from .perms import (
     perm_inverse,
     transposition_perm,
 )
-from .reversal import SubsetState, reverse_construction, subset_mask
+from .reversal import (
+    SubsetState,
+    certify_reversal,
+    reverse_construction,
+    subset_mask,
+)
 
 # Unused here: perfbench/tracing.py wraps these names on this module by attribute.
-from .minimize import asc  # noqa: F401
+from .minimize import asc, minimize  # noqa: F401
 from .perms import colex_unrank  # noqa: F401
 from .reversal import mask_states, reverse_dfa, reverse_step, reverse_subsets  # noqa: F401
 
@@ -257,15 +261,8 @@ def verify_witness(
     n = params.n
     fwd = build_witness(m, alpha, state_cap=state_cap)
     rev, subsets = reverse_construction(fwd)
-    # Minimize first: with the classification alive during minimization,
-    # repeated (8, 7) runs peaked about 0.9 MB higher (CPython 3.11).
-    min_fwd, min_rev = minimize(fwd), minimize(rev)
+    certificate = certify_reversal(fwd, rev, subsets)
     classification = classify_reverse_states(params, rev, subsets)
-
-    forward_minimal = min_fwd.num_states == fwd.num_states
-    reverse_minimal = min_rev.num_states == rev.num_states
-    asc_forward = len(min_fwd.finals)
-    asc_reverse = len(min_rev.finals)
 
     expected_centers = tuple(itertools.combinations(params.q_init, alpha - 1))
     accepting_ok = (
@@ -279,14 +276,14 @@ def verify_witness(
     checks = (
         ("forward_states", fwd.num_states == math.comb(n, alpha)),
         ("forward_finals", len(fwd.finals) == m),
-        ("forward_minimal", forward_minimal),
+        ("forward_minimal", certificate.forward_minimal),
         ("reverse_states", rev.num_states == math.comb(n, alpha - 1)),
         ("stars_match", classification.ok),
         ("reverse_finals", len(rev.finals) == alpha),
         ("accepting_centers", accepting_ok),
-        ("reverse_minimal", reverse_minimal),
-        ("asc_forward", asc_forward == m),
-        ("asc_reverse", asc_reverse == alpha),
+        ("reverse_minimal", certificate.reverse_minimal),
+        ("asc_forward", certificate.asc_forward == m),
+        ("asc_reverse", certificate.asc_reverse == alpha),
     )
     first_failure = next((name for name, ok in checks if not ok), None)
 
@@ -294,14 +291,14 @@ def verify_witness(
         params=params,
         forward_states=fwd.num_states,
         forward_finals=len(fwd.finals),
-        forward_minimal=forward_minimal,
+        forward_minimal=certificate.forward_minimal,
         reverse_states=rev.num_states,
         reverse_finals=len(rev.finals),
-        reverse_minimal=reverse_minimal,
+        reverse_minimal=certificate.reverse_minimal,
         stars_match=classification.ok,
         accepting_centers_match=accepting_ok,
-        asc_forward=asc_forward,
-        asc_reverse=asc_reverse,
+        asc_forward=certificate.asc_forward,
+        asc_reverse=certificate.asc_reverse,
         accepting_stars=accepting_stars,
         first_failure=first_failure,
     )

@@ -8,8 +8,10 @@ import hypothesis.strategies as st
 
 from permrev.dfa import Dfa, accepts, apply_word, is_permutation_automaton
 from permrev.errors import CapacityError
+from permrev.minimize import minimize
 from permrev.perms import colex_rank
 from permrev.reversal import (
+    certify_reversal,
     finals_mask,
     mask_states,
     reverse_construction,
@@ -23,7 +25,12 @@ from permrev.textio import word_from_str
 from permrev.witness import WitnessParams, build_witness, star_members
 
 from conftest import dfa_with_word, dfas, pfas
-from oracles import brute_reachable_subsets, random_dfa, reverse_by_word_formula
+from oracles import (
+    brute_reachable_subsets,
+    minimize_counts_by_marking,
+    random_dfa,
+    reverse_by_word_formula,
+)
 
 SIGMA_STAR = Dfa(1, 2, ((0, 0),), 0, frozenset({0}))
 
@@ -189,3 +196,74 @@ def test_reversed_language_on_exhaustive_words():
         for length in range(9):
             for word in product((0, 1), repeat=length):
                 assert accepts(rev, word) == accepts(fwd, tuple(reversed(word)))
+
+
+# ---------------------------------------------------------------------
+# certify_reversal
+# ---------------------------------------------------------------------
+
+def certified(fwd):
+    """(asc_forward, asc_reverse, forward_minimal, reverse_minimal)."""
+    c = certify_reversal(fwd, *reverse_construction(fwd))
+    return c.asc_forward, c.asc_reverse, c.forward_minimal, c.reverse_minimal
+
+
+@given(dfas())
+def test_certificate_matches_minimize(fwd):
+    # dfas() draws many DFAs with unreachable states and 1-3 letters
+    rev = reverse_dfa(fwd)
+    small_fwd, small_rev = minimize(fwd), minimize(rev)
+    assert certified(fwd) == (
+        len(small_fwd.finals),
+        len(small_rev.finals),
+        small_fwd.num_states == fwd.num_states,
+        small_rev.num_states == rev.num_states,
+    )
+
+
+def test_certificate_matches_marking_oracle_on_witnesses():
+    for m in range(2, 6):
+        for alpha in range(2, 6):
+            fwd = build_witness(m, alpha)
+            rev = reverse_dfa(fwd)
+            fwd_states, fwd_finals = minimize_counts_by_marking(fwd)
+            rev_states, rev_finals = minimize_counts_by_marking(rev)
+            assert certified(fwd) == (
+                fwd_finals,
+                rev_finals,
+                fwd_states == fwd.num_states,
+                rev_states == rev.num_states,
+            )
+
+
+def test_certificate_of_trivial_languages():
+    assert certified(Dfa(1, 2, ((0, 0),), 0, frozenset())) == (0, 0, True, True)
+    assert certified(Dfa(3, 2, ((1, 2), (2, 0), (0, 1)), 0, frozenset())) == (
+        0, 0, False, True
+    )
+    assert certified(SIGMA_STAR) == (1, 1, True, True)
+
+
+def test_certificate_cuts_subsets_to_reachable_states():
+    # State 0 loops and accepts; 1 -> 2 -> 2 with 2 final is unreachable.
+    # The subsets {0, 2} and {0, 1, 2} differ only off the reachable part,
+    # so both sides accept a* with one final state and are not minimal.
+    fwd = Dfa(3, 1, ((0,), (2,), (2,)), 0, frozenset({0, 2}))
+    _, subsets = reverse_construction(fwd)
+    assert subsets == [subset_mask([0, 2]), subset_mask([0, 1, 2])]
+    assert certified(fwd) == (1, 1, False, False)
+
+
+def test_certificate_rejects_foreign_subsets(witness_3_4):
+    rev, subsets = reverse_construction(witness_3_4)
+    with pytest.raises(ValueError):
+        certify_reversal(witness_3_4, rev, subsets[:-1])
+    with pytest.raises(ValueError):
+        certify_reversal(witness_3_4, rev, subsets + [subsets[0]])
+    unary = Dfa(rev.num_states, 1, tuple((row[0],) for row in rev.delta),
+                rev.start, rev.finals)
+    with pytest.raises(ValueError):
+        certify_reversal(witness_3_4, unary, subsets)
+    for bad in (-1, 1 << witness_3_4.num_states):
+        with pytest.raises(ValueError):
+            certify_reversal(witness_3_4, rev, [bad] + subsets[1:])

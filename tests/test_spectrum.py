@@ -3,6 +3,7 @@ from collections import Counter
 
 import pytest
 
+from permrev import spectrum
 from permrev.dfa import Dfa, is_permutation_automaton
 from permrev.minimize import asc
 from permrev.reversal import reverse_dfa
@@ -144,6 +145,18 @@ def test_full_grid_passes():
     assert all((r.asc_forward, r.asc_reverse) == (r.m, r.alpha) for r in grid_rows)
 
 
+def test_grid_2_to_8_reads_m_alpha():
+    report = spectrum_table(8, 8)
+    assert report.passed
+    assert [(r.m, r.alpha) for r in report.rows[2:]] == [
+        (m, alpha) for m in range(2, 9) for alpha in range(2, 9)
+    ]
+    assert all(
+        (r.asc_forward, r.asc_reverse, r.verdict) == (r.m, r.alpha, "pass")
+        for r in report.rows
+    )
+
+
 def test_capacity_rows_are_skipped_not_failed():
     report = spectrum_table(4, 4, state_cap=20)
     skipped = {(r.m, r.alpha) for r in report.skipped}
@@ -157,3 +170,47 @@ def test_probe_report_travels_with_table():
     report = spectrum_table(2, 2, probe=probe)
     assert report.magic_probe is probe
     assert report.passed
+
+
+# ---------------------------------------------------------------------
+# call structure: one exploration per automaton, no minimization
+# ---------------------------------------------------------------------
+
+def count_calls(monkeypatch, names):
+    calls = dict.fromkeys(names, 0)
+
+    def counted(name):
+        original = getattr(spectrum, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        return wrapper
+
+    for name in names:
+        monkeypatch.setattr(spectrum, name, counted(name))
+    return calls
+
+
+def test_grid_explores_each_automaton_once_and_never_minimizes(monkeypatch):
+    calls = count_calls(
+        monkeypatch, ("build_witness", "reverse_construction", "reverse_dfa", "asc")
+    )
+    assert spectrum_table(3, 3).passed
+    # four witnesses plus the two one-state automata of the trivial rows
+    assert calls == {
+        "build_witness": 4, "reverse_construction": 6, "reverse_dfa": 0, "asc": 0,
+    }
+
+
+def test_probe_explores_each_draw_once_and_never_minimizes(monkeypatch):
+    calls = count_calls(
+        monkeypatch, ("random_pfa", "reverse_construction", "reverse_dfa", "asc")
+    )
+    report = magic_one_probe(6, 50, count_checked_only=True)
+    assert report.checked == 50
+    assert calls == {
+        "random_pfa": report.drawn, "reverse_construction": report.drawn,
+        "reverse_dfa": 0, "asc": 0,
+    }
