@@ -36,13 +36,11 @@ from .reversal import (
     ReversalCertificate,
     SubsetState,
     certify_reversal,
-    finals_mask,
     mask_states,
     reverse_dfa,
     reverse_step,
     reverse_subsets,
     reverse_word,
-    subset_mask,
 )
 from .spectrum import (
     MagicProbeReport,

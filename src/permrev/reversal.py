@@ -1,10 +1,11 @@
 """Reverse subset construction, explored lazily from the final-state set.
 
-Subset-states are plain ints used as bit vectors over the forward states:
-bit ``q`` is set iff forward state ``q`` belongs to the subset. The full
-power-set automaton is never materialized; only the part reachable from the
-forward finals is interned, in BFS discovery order with letter-index
-tie-break, so state numbering is reproducible.
+A subset-state is the strictly increasing tuple of its forward states. It
+costs its member count, not the forward state count, and each subset has
+exactly one form, so subsets are interned by hashing. The full power-set
+automaton is never materialized; only the part reachable from the forward
+finals is interned, in BFS discovery order with letter-index tie-break, so
+state numbering is reproducible.
 
 ``certify_reversal`` reads the accepting-state complexity and minimality of
 both sides off those subsets, without minimizing either automaton.
@@ -13,27 +14,20 @@ both sides off those subsets, without minimizing either automaton.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from operator import lt
 
 from .dfa import Dfa, Word, reachable_states
 from .errors import CapacityError
 
-SubsetState = int
+SubsetState = tuple[int, ...]
 
 DEFAULT_MAX_STATES = 1_000_000
 
 
-def subset_mask(states: Iterable[int]) -> SubsetState:
-    mask = 0
-    for q in states:
-        mask |= 1 << q
-    return mask
-
-
-def mask_states(mask: SubsetState) -> list[int]:
-    """The members of a subset-state, ascending."""
+def mask_states(mask: int) -> list[int]:
+    """The set bits of a non-negative int, ascending."""
     if mask < 0:
-        raise ValueError("subset-state must be non-negative")
+        raise ValueError("mask must be non-negative")
     out = []
     while mask:
         low = mask & -mask
@@ -42,12 +36,11 @@ def mask_states(mask: SubsetState) -> list[int]:
     return out
 
 
-def finals_mask(dfa: Dfa) -> SubsetState:
-    return subset_mask(dfa.finals)
-
-
-def _check_mask(dfa: Dfa, mask: SubsetState) -> None:
-    if mask < 0 or mask >> dfa.num_states:
+def _check_subset(dfa: Dfa, s: SubsetState) -> None:
+    """Reject anything but a strictly increasing tuple of forward states."""
+    if not isinstance(s, tuple) or s and (
+        s[0] < 0 or s[-1] >= dfa.num_states or not all(map(lt, s, s[1:]))
+    ):
         raise ValueError("subset-state does not fit the forward automaton")
 
 
@@ -64,39 +57,37 @@ def _predecessors(fwd: Dfa, letter: int) -> list[list[int]]:
     return pre
 
 
-def _preimage(pre: list[list[int]], mask: SubsetState) -> SubsetState:
-    """Union of the predecessor lists over the members of ``mask``."""
-    out = 0
-    for q in mask_states(mask):
-        for p in pre[q]:
-            out |= 1 << p
-    return out
+def _preimage(pre: list[list[int]], s: SubsetState) -> SubsetState:
+    """Union of the predecessor lists over the members of ``s``."""
+    # Each state has one successor per letter, so the predecessor lists of
+    # distinct states are disjoint and the union has no repeats.
+    return tuple(sorted([p for q in s for p in pre[q]]))
 
 
-def reverse_step(fwd: Dfa, mask: SubsetState, letter: int) -> SubsetState:
+def reverse_step(fwd: Dfa, s: SubsetState, letter: int) -> SubsetState:
     """Preimage of the subset under one letter of the forward automaton.
 
     When ``fwd`` is a permutation automaton this is a bijection on subsets
     and preserves cardinality.
     """
-    _check_mask(fwd, mask)
+    _check_subset(fwd, s)
     _check_letter(fwd, letter)
-    return _preimage(_predecessors(fwd, letter), mask)
+    return _preimage(_predecessors(fwd, letter), s)
 
 
-def reverse_word(fwd: Dfa, mask: SubsetState, word: Word) -> SubsetState:
+def reverse_word(fwd: Dfa, s: SubsetState, word: Word) -> SubsetState:
     """Fold reverse_step over the word, left to right.
 
     Equals the direct formula: the set of forward states that land inside
     the given subset when run on the reversed word.
     """
-    _check_mask(fwd, mask)
+    _check_subset(fwd, s)
     for c in word:
         _check_letter(fwd, c)
     pre = [_predecessors(fwd, c) for c in range(fwd.alphabet_size)]
     for c in word:
-        mask = _preimage(pre[c], mask)
-    return mask
+        s = _preimage(pre[c], s)
+    return s
 
 
 def reverse_construction(
@@ -112,7 +103,7 @@ def reverse_construction(
     if max_states < 1:
         raise ValueError(f"max_states must be >= 1 (got {max_states})")
     pre = [_predecessors(fwd, c) for c in range(fwd.alphabet_size)]
-    subsets = [finals_mask(fwd)]
+    subsets = [tuple(sorted(fwd.finals))]
     index = {subsets[0]: 0}
     rows: list[tuple[int, ...]] = []
     for s in subsets:  # grows while it is walked: BFS order
@@ -136,10 +127,8 @@ def reverse_construction(
         alphabet_size=fwd.alphabet_size,
         delta=tuple(rows),
         start=0,
-        finals=frozenset(i for i, s in enumerate(subsets) if (s >> fwd.start) & 1),
-        labels=tuple(
-            ",".join(fwd.label(q) for q in mask_states(s)) for s in subsets
-        ),
+        finals=frozenset(i for i, s in enumerate(subsets) if fwd.start in s),
+        labels=tuple(",".join(fwd.label(q) for q in s) for s in subsets),
     )
     return rev, subsets
 
@@ -189,15 +178,15 @@ def certify_reversal(
     if rev.alphabet_size != fwd.alphabet_size:
         raise ValueError("fwd and rev have different alphabets")
     for s in subsets:
-        _check_mask(fwd, s)
+        _check_subset(fwd, s)
     reach = reachable_states(fwd)
     accessible = len(reach) == fwd.num_states
     # Unreachable states take no part in either language's quotient.
     if accessible:
         cut = subsets
     else:
-        reach_mask = subset_mask(reach)
-        cut = [s & reach_mask for s in subsets]
+        live = set(reach)
+        cut = [tuple(p for p in s if p in live) for s in subsets]
 
     block = [0] * fwd.num_states
     fresh = 1
@@ -205,7 +194,7 @@ def certify_reversal(
         # Members of s leave their block for a fresh one, shared only with
         # the members of s from the same old block.
         moved: dict[int, int] = {}
-        for p in mask_states(s):
+        for p in s:
             new = moved.get(block[p])
             if new is None:
                 new = moved[block[p]] = fresh

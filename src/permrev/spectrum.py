@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 from .dfa import Dfa, is_permutation_automaton
 from .errors import CapacityError
-from .reversal import DEFAULT_MAX_STATES, certify_reversal, reverse_construction
+from .reversal import certify_reversal, reverse_construction
 from .witness import DEFAULT_STATE_CAP, build_witness
 
 # Unused here: perfbench/tracing.py wraps these names on this module by attribute.
@@ -34,11 +34,11 @@ _NOTES = (
 )
 
 
-def asc_pair(pfa: Dfa, max_states: int = DEFAULT_MAX_STATES) -> tuple[int, int]:
+def asc_pair(pfa: Dfa) -> tuple[int, int]:
     """(asc of the language, asc of its reversal) for a permutation automaton."""
     if not is_permutation_automaton(pfa):
         raise ValueError("asc_pair requires a permutation automaton")
-    certificate = certify_reversal(pfa, *reverse_construction(pfa, max_states))
+    certificate = certify_reversal(pfa, *reverse_construction(pfa))
     return certificate.asc_forward, certificate.asc_reverse
 
 
@@ -146,8 +146,7 @@ def magic_one_probe(
     while (checked if count_checked_only else drawn) < samples:
         dfa = random_pfa(rng, rng.randint(1, n_max))
         drawn += 1
-        certificate = certify_reversal(dfa, *reverse_construction(dfa))
-        forward, reverse = certificate.asc_forward, certificate.asc_reverse
+        forward, reverse = asc_pair(dfa)
         if forward < 2:
             continue
         checked += 1

@@ -28,12 +28,7 @@ from .perms import (
     perm_inverse,
     transposition_perm,
 )
-from .reversal import (
-    SubsetState,
-    certify_reversal,
-    reverse_construction,
-    subset_mask,
-)
+from .reversal import SubsetState, certify_reversal, reverse_construction
 
 # Unused here: perfbench/tracing.py wraps these names on this module by attribute.
 from .minimize import asc, minimize  # noqa: F401
@@ -175,8 +170,8 @@ def classify_reverse_states(
 
     ``subsets[i]`` is the subset of witness states behind state ``i`` of
     ``rev``, as ``reverse_construction`` returns them; they must be
-    distinct. Each state is found by looking up the subset mask of every
-    star, which is enough because a star is fixed by its mask when m >= 2.
+    distinct. Each state is found by looking up the members of every star,
+    which is enough because a star is fixed by its members when m >= 2.
     Besides the per-state star test, this checks the bijection with all
     (alpha-1)-subset centers and the single-letter law: reading letter c
     maps the star around T to the star around the preimage of T under c.
@@ -188,19 +183,19 @@ def classify_reverse_states(
     index = {s: i for i, s in enumerate(subsets)}
     if rev.alphabet_size != 2 or not len(index) == len(subsets) == rev.num_states:
         raise ValueError("subsets do not match the states of rev")
-    if any(s < 0 or s >> total for s in subsets):
+    if any(s and s[-1] >= total for s in subsets):
         raise ValueError("a subset does not fit the witness for these parameters")
 
     centers: list[KSubset | None] = [None] * len(subsets)
     for center in ksubsets(n, alpha - 1):
         star = star_members(params, center)
-        mask = subset_mask(colex_rank(x) for x in star.members)
-        if mask in index:
-            centers[index[mask]] = center
+        key = tuple(sorted(colex_rank(x) for x in star.members))
+        if key in index:
+            centers[index[key]] = center
     accepting = sorted(centers[i] for i in rev.finals if centers[i] is not None)
 
     all_stars = None not in centers
-    # Distinct centers have distinct masks, so no two states share a center.
+    # Distinct centers have distinct members, so no two states share a center.
     covers = all_stars and len(centers) == math.comb(n, alpha - 1)
     inverses = (perm_inverse(cycle_perm(n)), perm_inverse(transposition_perm(n)))
     letter_law = all_stars and all(

@@ -12,14 +12,12 @@ from permrev.minimize import minimize
 from permrev.perms import colex_rank
 from permrev.reversal import (
     certify_reversal,
-    finals_mask,
     mask_states,
     reverse_construction,
     reverse_dfa,
     reverse_step,
     reverse_subsets,
     reverse_word,
-    subset_mask,
 )
 from permrev.textio import word_from_str
 from permrev.witness import WitnessParams, build_witness, star_members
@@ -35,19 +33,19 @@ from oracles import (
 SIGMA_STAR = Dfa(1, 2, ((0, 0),), 0, frozenset({0}))
 
 
-def star_mask(params, center):
-    return subset_mask(
-        colex_rank(member) for member in star_members(params, center).members
+def star_subset(params, center):
+    return tuple(
+        sorted(colex_rank(member) for member in star_members(params, center).members)
     )
 
 
 def test_mask_roundtrip():
-    assert mask_states(subset_mask([0, 3, 5])) == [0, 3, 5]
+    assert mask_states(0b101001) == [0, 3, 5]
     assert mask_states(0) == []
 
 
 def test_mask_states_sparse_high_bit():
-    assert mask_states(subset_mask([0, 5000])) == [0, 5000]
+    assert mask_states(1 | 1 << 5000) == [0, 5000]
     assert mask_states(1 << 5000) == [5000]
 
 
@@ -60,44 +58,46 @@ def test_mask_states_rejects_negative_mask():
 
 
 def test_preimage_of_empty_is_empty(witness_3_4):
-    assert reverse_step(witness_3_4, 0, 0) == 0
-    assert reverse_step(witness_3_4, 0, 1) == 0
+    assert reverse_step(witness_3_4, (), 0) == ()
+    assert reverse_step(witness_3_4, (), 1) == ()
 
 
 def test_single_a_step_on_final_star(witness_3_4):
     params = WitnessParams(3, 4)
-    assert reverse_step(witness_3_4, star_mask(params, (0, 1, 2)), 0) == star_mask(
+    assert reverse_step(witness_3_4, star_subset(params, (0, 1, 2)), 0) == star_subset(
         params, (0, 1, 5)
     )
 
 
 def test_single_b_step_on_star(witness_3_4):
     params = WitnessParams(3, 4)
-    assert reverse_step(witness_3_4, star_mask(params, (1, 2, 3)), 1) == star_mask(
+    assert reverse_step(witness_3_4, star_subset(params, (1, 2, 3)), 1) == star_subset(
         params, (0, 2, 3)
     )
 
 
 def test_reverse_step_validates_inputs(witness_3_4):
+    # 15 witness states; members must be in range, distinct and ascending
+    for bad in ((15,), (0, 15), (-1, 2), (3, 1), (1, 1), 1 << 15, 0, [1, 3]):
+        with pytest.raises(ValueError):
+            reverse_step(witness_3_4, bad, 0)
     with pytest.raises(ValueError):
-        reverse_step(witness_3_4, 1 << 15, 0)
-    with pytest.raises(ValueError):
-        reverse_step(witness_3_4, 1, 2)
+        reverse_step(witness_3_4, (1,), 2)
 
 
 def test_reverse_word_empty_is_identity(witness_3_4):
-    mask = finals_mask(witness_3_4)
-    assert reverse_word(witness_3_4, mask, ()) == mask
+    start = tuple(sorted(witness_3_4.finals))
+    assert reverse_word(witness_3_4, start, ()) == start
 
 
 def test_reverse_word_worked_chain(witness_3_4):
     params = WitnessParams(3, 4)
-    start = finals_mask(witness_3_4)
-    assert start == star_mask(params, (0, 1, 2))
-    assert reverse_word(witness_3_4, start, word_from_str("aabaaaa")) == star_mask(
+    start = tuple(sorted(witness_3_4.finals))
+    assert start == star_subset(params, (0, 1, 2))
+    assert reverse_word(witness_3_4, start, word_from_str("aabaaaa")) == star_subset(
         params, (0, 1, 3)
     )
-    assert reverse_word(witness_3_4, start, word_from_str("aaaaa")) == star_mask(
+    assert reverse_word(witness_3_4, start, word_from_str("aaaaa")) == star_subset(
         params, (1, 2, 3)
     )
 
@@ -105,20 +105,20 @@ def test_reverse_word_worked_chain(witness_3_4):
 @given(dfa_with_word(), st.data())
 def test_reverse_word_matches_direct_formula(dfa_word, data):
     dfa, word = dfa_word
-    bits = data.draw(st.integers(0, (1 << dfa.num_states) - 1))
-    expected = subset_mask(
+    members = data.draw(st.sets(st.integers(0, dfa.num_states - 1)))
+    expected = tuple(
         q
         for q in range(dfa.num_states)
-        if (bits >> apply_word(dfa, q, tuple(reversed(word)))) & 1
+        if apply_word(dfa, q, tuple(reversed(word))) in members
     )
-    assert reverse_word(dfa, bits, word) == expected
+    assert reverse_word(dfa, tuple(sorted(members)), word) == expected
 
 
 @given(pfas(), st.data())
 def test_permutation_steps_preserve_cardinality(pfa, data):
-    bits = data.draw(st.integers(0, (1 << pfa.num_states) - 1))
+    s = tuple(sorted(data.draw(st.sets(st.integers(0, pfa.num_states - 1)))))
     letter = data.draw(st.integers(0, pfa.alphabet_size - 1))
-    assert len(mask_states(reverse_step(pfa, bits, letter))) == len(mask_states(bits))
+    assert len(reverse_step(pfa, s, letter)) == len(s)
 
 
 # ---------------------------------------------------------------------
@@ -144,7 +144,7 @@ def test_smallest_witness_reverse_against_brute_force(m, alpha):
     rev, subsets = reverse_construction(fwd)
     brute = brute_reachable_subsets(fwd)
     assert len(subsets) == len(brute) == math.comb(m + alpha - 1, alpha - 1)
-    assert {frozenset(mask_states(s)) for s in subsets} == brute
+    assert {frozenset(s) for s in subsets} == brute
     assert subsets == reverse_subsets(fwd)
     assert rev == reverse_dfa(fwd)
     assert len(rev.finals) == alpha
@@ -168,9 +168,13 @@ def test_capacity_cap_reports_progress(witness_3_4):
 @given(dfas(max_states=6))
 def test_construction_subsets_match_brute_force(dfa):
     # arbitrary DFAs: states with no predecessor or several on one letter
-    _, subsets = reverse_construction(dfa)
+    rev, subsets = reverse_construction(dfa)
     assert len(set(subsets)) == len(subsets)
-    assert {frozenset(mask_states(s)) for s in subsets} == brute_reachable_subsets(dfa)
+    assert {frozenset(s) for s in subsets} == brute_reachable_subsets(dfa)
+    # the canonical form that hashing and the S ∩ reach cut rely on
+    for i, s in enumerate(subsets):
+        assert all(p < q for p, q in zip(s, s[1:]))
+        assert rev.labels[i] == ",".join(dfa.label(q) for q in s)
 
 
 @given(dfas())
@@ -250,7 +254,7 @@ def test_certificate_cuts_subsets_to_reachable_states():
     # so both sides accept a* with one final state and are not minimal.
     fwd = Dfa(3, 1, ((0,), (2,), (2,)), 0, frozenset({0, 2}))
     _, subsets = reverse_construction(fwd)
-    assert subsets == [subset_mask([0, 2]), subset_mask([0, 1, 2])]
+    assert subsets == [(0, 2), (0, 1, 2)]
     assert certified(fwd) == (1, 1, False, False)
 
 
@@ -264,6 +268,6 @@ def test_certificate_rejects_foreign_subsets(witness_3_4):
                 rev.start, rev.finals)
     with pytest.raises(ValueError):
         certify_reversal(witness_3_4, unary, subsets)
-    for bad in (-1, 1 << witness_3_4.num_states):
+    for bad in ((-1, 2), (15,), (3, 1), (1, 1), -1, 1 << 15, [1, 3]):
         with pytest.raises(ValueError):
             certify_reversal(witness_3_4, rev, [bad] + subsets[1:])

@@ -151,7 +151,7 @@ def test_classification_flags_a_non_star_state(witness_3_4):
     rev, subsets = reverse_construction(witness_3_4)
     before = classify_reverse_states(params, rev, subsets)
     # two stars of 3 members share at most one, so their union is no star
-    union = subsets[0] | subsets[1]
+    union = tuple(sorted(set(subsets[0]) | set(subsets[1])))
     j = 5
     changed = subsets[:j] + [union] + subsets[j + 1:]
     after = classify_reverse_states(params, rev, changed)
@@ -177,15 +177,19 @@ def test_classification_rejects_foreign_automata(witness_3_4):
     # a 15-state automaton against the 20 subsets of the reverse witness
     with pytest.raises(ValueError):
         classify_reverse_states(params, witness_3_4, subsets)
-    # the (4, 3) construction has 20-bit masks; (3, 4) has 15 witness states
+    # the (4, 3) construction has 20 witness states; (3, 4) has 15
     with pytest.raises(ValueError):
         classify_reverse_states(params, *reverse_construction(build_witness(4, 3)))
-    # right state count and masks, but a one-letter automaton
+    # right state count, but a member at or above C(6, 4) = 15
+    rev, subsets = reverse_construction(witness_3_4)
+    for bad in ((0, 1, 15), (16,)):
+        with pytest.raises(ValueError):
+            classify_reverse_states(params, rev, [bad] + subsets[1:])
+    # right state count and subsets, but a one-letter automaton
     unary = Dfa(20, 1, tuple((q,) for q in range(20)), 0, frozenset())
     with pytest.raises(ValueError):
         classify_reverse_states(params, unary, subsets)
     # right count, but one subset twice
-    rev, subsets = reverse_construction(witness_3_4)
     with pytest.raises(ValueError, match="do not match"):
         classify_reverse_states(params, rev, subsets[:-1] + subsets[:1])
 
