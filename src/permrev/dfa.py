@@ -37,10 +37,14 @@ class Dfa:
         object.__setattr__(self, "finals", frozenset(self.finals))
         if self.labels is not None:
             object.__setattr__(self, "labels", tuple(self.labels))
-        if self.num_states < 1:
-            raise ValueError(f"num_states must be >= 1 (got {self.num_states})")
-        if self.alphabet_size < 1:
-            raise ValueError(f"alphabet_size must be >= 1 (got {self.alphabet_size})")
+        if type(self.num_states) is not int or self.num_states < 1:
+            raise ValueError(
+                f"num_states must be an int >= 1 (got {self.num_states!r})"
+            )
+        if type(self.alphabet_size) is not int or self.alphabet_size < 1:
+            raise ValueError(
+                f"alphabet_size must be an int >= 1 (got {self.alphabet_size!r})"
+            )
         if len(self.delta) != self.num_states:
             raise ValueError(
                 f"delta has {len(self.delta)} rows for {self.num_states} states"
@@ -52,13 +56,13 @@ class Dfa:
                     f"of {self.alphabet_size}"
                 )
             for c, target in enumerate(row):
-                if not 0 <= target < self.num_states:
-                    raise ValueError(f"delta({q},{c}) = {target} is out of range")
-        if not 0 <= self.start < self.num_states:
-            raise ValueError(f"start state {self.start} is out of range")
+                if type(target) is not int or not 0 <= target < self.num_states:
+                    raise ValueError(f"delta({q},{c}) = {target!r} is not a state")
+        if type(self.start) is not int or not 0 <= self.start < self.num_states:
+            raise ValueError(f"start state {self.start!r} is not a state")
         for q in self.finals:
-            if not 0 <= q < self.num_states:
-                raise ValueError(f"final state {q} is out of range")
+            if type(q) is not int or not 0 <= q < self.num_states:
+                raise ValueError(f"final state {q!r} is not a state")
         if self.labels is not None and len(self.labels) != self.num_states:
             raise ValueError("labels must name every state")
 

@@ -13,7 +13,7 @@ both sides off those subsets, without minimizing either automaton.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from operator import lt
 
 from .dfa import Dfa, Word, reachable_states
@@ -98,7 +98,8 @@ def reverse_construction(
 
     Exploration starts from the forward final set and follows letter
     preimages; a subset-state is final iff it contains the forward start
-    state. State labels join the forward labels of the members with commas.
+    state. The reverse DFA is unlabeled (``labels=None``): the subsets name
+    its states, and ``reverse_dfa`` renders them as labels for text output.
     """
     if max_states < 1:
         raise ValueError(f"max_states must be >= 1 (got {max_states})")
@@ -128,7 +129,6 @@ def reverse_construction(
         delta=tuple(rows),
         start=0,
         finals=frozenset(i for i, s in enumerate(subsets) if fwd.start in s),
-        labels=tuple(",".join(fwd.label(q) for q in s) for s in subsets),
     )
     return rev, subsets
 
@@ -139,8 +139,15 @@ def reverse_subsets(fwd: Dfa, max_states: int = DEFAULT_MAX_STATES) -> list[Subs
 
 
 def reverse_dfa(fwd: Dfa, max_states: int = DEFAULT_MAX_STATES) -> Dfa:
-    """The automaton of ``reverse_construction`` without its subsets."""
-    return reverse_construction(fwd, max_states)[0]
+    """The automaton of ``reverse_construction``, labeled for text output.
+
+    Each state's label joins the forward labels of its subset's members
+    with commas; this is the view that ``permrev reverse`` emits.
+    """
+    rev, subsets = reverse_construction(fwd, max_states)
+    return replace(
+        rev, labels=tuple(",".join(fwd.label(q) for q in s) for s in subsets)
+    )
 
 
 @dataclass(frozen=True)

@@ -127,7 +127,8 @@ def magic_one_probe(
     """Sample random binary permutation automata and test their reversals.
 
     By default ``samples`` counts draws, and only draws with asc >= 2 are
-    checked (a run can be vacuous, e.g. on one state). With
+    checked (a run can be vacuous, e.g. on one state); a draw with fewer
+    than two final states is counted without being reversed. With
     ``count_checked_only`` the sampler rejects until ``samples`` automata
     with asc >= 2 have been checked; that needs ``n_max >= 3``, because on
     at most 2 states two final states accept the same words.
@@ -146,6 +147,8 @@ def magic_one_probe(
     while (checked if count_checked_only else drawn) < samples:
         dfa = random_pfa(rng, rng.randint(1, n_max))
         drawn += 1
+        if len(dfa.finals) < 2:
+            continue  # asc never exceeds the number of final states
         forward, reverse = asc_pair(dfa)
         if forward < 2:
             continue

@@ -207,7 +207,11 @@ def classify_reverse_states(
 
 
 def apply_star_labels(rev: Dfa, classification: StarClassification) -> Dfa:
-    """Relabel reverse states with the star shorthand where one matches."""
+    """Relabel reverse states with the star shorthand where one matches.
+
+    A state that is not a star keeps its label in ``rev``, which is its
+    index when ``rev`` is unlabeled, as ``reverse_construction`` returns it.
+    """
     labels = tuple(
         star_label(center) if center is not None else rev.label(i)
         for i, center in enumerate(classification.centers)

@@ -47,6 +47,34 @@ def test_rejects_bad_start_and_finals():
         Dfa(2, 1, ((0,), (1,)), 0, frozenset({5}))
 
 
+def test_rejects_non_integer_target():
+    # 0 <= 1.5 < 2 holds, so only the type test stops a float state
+    with pytest.raises(ValueError, match="not a state"):
+        Dfa(2, 1, ((1.5,), (0,)), 0, frozenset())
+    for bad in ("1", True, None):
+        with pytest.raises(ValueError):
+            Dfa(2, 1, ((bad,), (0,)), 0, frozenset())
+
+
+def test_rejects_non_integer_start_and_finals():
+    # a string final used to escape as TypeError from the range comparison
+    with pytest.raises(ValueError, match="not a state"):
+        Dfa(2, 1, ((0,), (1,)), 0, frozenset({"x"}))
+    for finals in ({1.0}, {None}):
+        with pytest.raises(ValueError):
+            Dfa(2, 1, ((0,), (1,)), 0, frozenset(finals))
+    for start in (0.0, "0", None):
+        with pytest.raises(ValueError):
+            Dfa(2, 1, ((0,), (1,)), start, frozenset())
+
+
+def test_rejects_non_integer_sizes():
+    with pytest.raises(ValueError):
+        Dfa(2.0, 1, ((0,), (1,)), 0, frozenset())
+    with pytest.raises(ValueError):
+        Dfa(1, "1", ((0,),), 0, frozenset())
+
+
 def test_rejects_label_length_mismatch():
     with pytest.raises(ValueError):
         Dfa(2, 1, ((0,), (1,)), 0, frozenset(), labels=("only-one",))

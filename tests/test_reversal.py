@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 from itertools import product
@@ -146,7 +147,9 @@ def test_smallest_witness_reverse_against_brute_force(m, alpha):
     assert len(subsets) == len(brute) == math.comb(m + alpha - 1, alpha - 1)
     assert {frozenset(s) for s in subsets} == brute
     assert subsets == reverse_subsets(fwd)
-    assert rev == reverse_dfa(fwd)
+    # the pipeline's reverse is unlabeled; reverse_dfa only adds labels
+    assert rev.labels is None
+    assert dataclasses.replace(reverse_dfa(fwd), labels=None) == rev
     assert len(rev.finals) == alpha
 
 
@@ -168,13 +171,14 @@ def test_capacity_cap_reports_progress(witness_3_4):
 @given(dfas(max_states=6))
 def test_construction_subsets_match_brute_force(dfa):
     # arbitrary DFAs: states with no predecessor or several on one letter
-    rev, subsets = reverse_construction(dfa)
+    _, subsets = reverse_construction(dfa)
     assert len(set(subsets)) == len(subsets)
     assert {frozenset(s) for s in subsets} == brute_reachable_subsets(dfa)
+    labels = reverse_dfa(dfa).labels
     # the canonical form that hashing and the S ∩ reach cut rely on
     for i, s in enumerate(subsets):
         assert all(p < q for p, q in zip(s, s[1:]))
-        assert rev.labels[i] == ",".join(dfa.label(q) for q in s)
+        assert labels[i] == ",".join(dfa.label(q) for q in s)
 
 
 @given(dfas())

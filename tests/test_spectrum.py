@@ -2,11 +2,12 @@ import random
 from collections import Counter
 
 import pytest
+from hypothesis import given
 
 from permrev import spectrum
 from permrev.dfa import Dfa, is_permutation_automaton
 from permrev.minimize import asc
-from permrev.reversal import reverse_dfa
+from permrev.reversal import certify_reversal, reverse_construction, reverse_dfa
 from permrev.spectrum import (
     DEFAULT_SEED,
     asc_pair,
@@ -17,6 +18,8 @@ from permrev.spectrum import (
     trivial_rows,
 )
 from permrev.witness import build_witness
+
+from conftest import dfas, pfas
 
 
 def test_asc_pair_rejects_non_permutation_input():
@@ -100,6 +103,35 @@ def test_probe_histogram_golden():
     }
     ones = sum(count for (_, reverse), count in report.histogram if reverse == 1)
     assert ones == len(report.counterexamples)
+
+
+def test_probe_golden_counts_every_draw():
+    # Draws with fewer than two finals are skipped before reversal; the
+    # sampling stream, counts and histogram must not notice.
+    report = magic_one_probe(8, 1000, seed=7)
+    assert (report.drawn, report.checked) == (1000, 530)
+    assert report.counterexamples == ()
+    assert report.histogram == (
+        ((2, 2), 56), ((2, 3), 32), ((2, 4), 37), ((2, 5), 26), ((2, 6), 12),
+        ((2, 7), 17), ((3, 3), 36), ((3, 4), 1), ((3, 5), 1), ((3, 6), 37),
+        ((3, 9), 3), ((3, 10), 42), ((3, 12), 1), ((3, 15), 26), ((3, 18), 1),
+        ((3, 21), 22), ((4, 4), 25), ((4, 6), 4), ((4, 8), 2), ((4, 10), 18),
+        ((4, 20), 22), ((4, 35), 41), ((5, 5), 12), ((5, 15), 18), ((5, 30), 1),
+        ((5, 35), 20), ((6, 6), 5), ((6, 21), 7), ((7, 7), 5),
+    )
+
+
+@given(dfas())
+def test_asc_never_exceeds_final_count(dfa):
+    # the premise of the probe's skip, on arbitrary DFAs
+    certificate = certify_reversal(dfa, *reverse_construction(dfa))
+    assert certificate.asc_forward <= len(dfa.finals)
+
+
+@given(pfas())
+def test_asc_pair_below_two_without_two_finals(pfa):
+    forward, _ = asc_pair(pfa)
+    assert forward < 2 or len(pfa.finals) >= 2
 
 
 def test_probe_validates_arguments():
@@ -205,12 +237,20 @@ def test_grid_explores_each_automaton_once_and_never_minimizes(monkeypatch):
 
 
 def test_probe_explores_each_draw_once_and_never_minimizes(monkeypatch):
-    calls = count_calls(
-        monkeypatch, ("random_pfa", "reverse_construction", "reverse_dfa", "asc")
-    )
+    draws = []
+    original = spectrum.random_pfa
+
+    def recorded(*args):
+        draws.append(original(*args))
+        return draws[-1]
+
+    monkeypatch.setattr(spectrum, "random_pfa", recorded)
+    calls = count_calls(monkeypatch, ("reverse_construction", "reverse_dfa", "asc"))
     report = magic_one_probe(6, 50, count_checked_only=True)
     assert report.checked == 50
+    assert len(draws) == report.drawn
+    # a draw with fewer than two finals has asc <= 1 and is never reversed
     assert calls == {
-        "random_pfa": report.drawn, "reverse_construction": report.drawn,
+        "reverse_construction": sum(len(dfa.finals) >= 2 for dfa in draws),
         "reverse_dfa": 0, "asc": 0,
     }
