@@ -40,7 +40,6 @@ from .reversal import (
     reverse_dfa,
     reverse_step,
     reverse_subsets,
-    reverse_word,
 )
 from .spectrum import (
     MagicProbeReport,
@@ -67,7 +66,6 @@ from .witness import (
     StarClassification,
     WitnessParams,
     WitnessReport,
-    apply_star_labels,
     build_witness,
     classify_reverse_states,
     star_label,

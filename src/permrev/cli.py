@@ -15,12 +15,7 @@ from .dfa import apply_word
 from .errors import CapacityError
 from .minimize import asc as _asc
 from .minimize import minimize as _minimize
-from .reversal import (
-    DEFAULT_MAX_STATES,
-    certify_reversal,
-    reverse_construction,
-    reverse_dfa,
-)
+from .reversal import DEFAULT_MAX_STATES, certify_reversal, reverse_dfa
 from .spectrum import (
     DEFAULT_SEED,
     MagicProbeReport,
@@ -38,7 +33,6 @@ from .witness import (
     Star,
     WitnessParams,
     WitnessReport,
-    apply_star_labels,
     build_witness,
     classify_reverse_states,
     star_label,
@@ -236,9 +230,12 @@ def example() -> None:
     """Reproduce the worked m=3, alpha=4 reversal computation."""
     params = WitnessParams(3, 4)
     fwd = build_witness(3, 4)
-    rev, subsets = reverse_construction(fwd)
+    rev, subsets, certificate = certify_reversal(fwd)
     classification = classify_reverse_states(params, rev, subsets)
-    names = apply_star_labels(rev, classification).labels
+    names = [
+        star_label(center) if center is not None else str(i)
+        for i, center in enumerate(classification.centers)
+    ]
 
     click.echo(f"worked example: witness m=3 alpha=4 (n={params.n})")
     click.echo(f"reverse start: {names[rev.start]}")
@@ -255,7 +252,6 @@ def example() -> None:
     stars = [star_members(params, c) for c in classification.accepting_centers]
     for line in _accepting_star_lines(stars):
         click.echo(line)
-    certificate = certify_reversal(fwd, rev, subsets)
     click.echo(
         f"asc: forward={certificate.asc_forward} reverse={certificate.asc_reverse}"
     )

@@ -22,7 +22,7 @@ class Dfa:
 
     ``delta[q][c]`` is the successor of state ``q`` on letter ``c``; the
     table is total by construction. ``labels``, when present, names every
-    state.
+    state with a str.
     """
 
     num_states: int
@@ -63,8 +63,12 @@ class Dfa:
         for q in self.finals:
             if type(q) is not int or not 0 <= q < self.num_states:
                 raise ValueError(f"final state {q!r} is not a state")
-        if self.labels is not None and len(self.labels) != self.num_states:
-            raise ValueError("labels must name every state")
+        if self.labels is not None:
+            if len(self.labels) != self.num_states:
+                raise ValueError("labels must name every state")
+            for label in self.labels:
+                if not isinstance(label, str):
+                    raise ValueError(f"label {label!r} is not a str")
 
     def label(self, q: int) -> str:
         return self.labels[q] if self.labels is not None else str(q)

@@ -7,8 +7,9 @@ automaton is never materialized; only the part reachable from the forward
 finals is interned, in BFS discovery order with letter-index tie-break, so
 state numbering is reproducible.
 
-``certify_reversal`` reads the accepting-state complexity and minimality of
-both sides off those subsets, without minimizing either automaton.
+``certify_reversal`` runs the construction and reads the accepting-state
+complexity and minimality of both sides off its subsets, without
+minimizing either automaton.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from operator import lt
 
-from .dfa import Dfa, Word, reachable_states
+from .dfa import Dfa, reachable_states
 from .errors import CapacityError
 
 SubsetState = tuple[int, ...]
@@ -73,21 +74,6 @@ def reverse_step(fwd: Dfa, s: SubsetState, letter: int) -> SubsetState:
     _check_subset(fwd, s)
     _check_letter(fwd, letter)
     return _preimage(_predecessors(fwd, letter), s)
-
-
-def reverse_word(fwd: Dfa, s: SubsetState, word: Word) -> SubsetState:
-    """Fold reverse_step over the word, left to right.
-
-    Equals the direct formula: the set of forward states that land inside
-    the given subset when run on the reversed word.
-    """
-    _check_subset(fwd, s)
-    for c in word:
-        _check_letter(fwd, c)
-    pre = [_predecessors(fwd, c) for c in range(fwd.alphabet_size)]
-    for c in word:
-        s = _preimage(pre[c], s)
-    return s
 
 
 def reverse_construction(
@@ -166,26 +152,20 @@ class ReversalCertificate:
 
 
 def certify_reversal(
-    fwd: Dfa, rev: Dfa, subsets: list[SubsetState]
-) -> ReversalCertificate:
-    """asc and minimality of ``fwd`` and ``rev`` without Moore refinement.
+    fwd: Dfa,
+) -> tuple[Dfa, list[SubsetState], ReversalCertificate]:
+    """``reverse_construction(fwd)`` and the certificate read off its subsets.
 
-    ``rev`` and ``subsets`` must be what ``reverse_construction(fwd)``
-    returns. The subsets are exactly the sets ``{p : delta(p, w) in F}``,
+    The construction runs with its default cap; its CapacityError
+    propagates. The subsets are exactly the sets ``{p : delta(p, w) in F}``,
     one for each word w, so two forward states are Myhill-Nerode
     equivalent iff every subset holds both or neither, and two reverse
     states are equivalent iff their subsets agree on the reachable forward
     states (Brzozowski's double-reversal argument). The forward classes
     come from refining one partition by membership in each subset; the
-    cost is about the total size of the subsets. Raises ValueError when
-    the subsets do not fit ``rev`` or ``fwd``, or the alphabets differ.
+    cost is about the total size of the subsets, with no Moore refinement.
     """
-    if len(subsets) != rev.num_states:
-        raise ValueError("subsets do not match the states of rev")
-    if rev.alphabet_size != fwd.alphabet_size:
-        raise ValueError("fwd and rev have different alphabets")
-    for s in subsets:
-        _check_subset(fwd, s)
+    rev, subsets = reverse_construction(fwd)
     reach = reachable_states(fwd)
     accessible = len(reach) == fwd.num_states
     # Unreachable states take no part in either language's quotient.
@@ -207,7 +187,7 @@ def certify_reversal(
                 new = moved[block[p]] = fresh
                 fresh += 1
             block[p] = new
-    return ReversalCertificate(
+    return rev, subsets, ReversalCertificate(
         asc_forward=len({block[q] for q in reach if q in fwd.finals}),
         asc_reverse=len({cut[i] for i in rev.finals}),
         forward_minimal=accessible and len(set(block)) == fwd.num_states,

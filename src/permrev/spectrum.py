@@ -5,7 +5,8 @@ The grid rows check that the (m, alpha) witness really has asc pair
 one-state automata; and the magic-value probe samples random permutation
 automata looking for a reversal with asc 1 (none is expected: 1 is the one
 unattainable value once asc >= 2). Every asc pair here comes from one
-reverse subset construction and ``certify_reversal``; nothing is minimized.
+``certify_reversal`` call, which runs the reverse subset construction and
+reads both complexities off its subsets; nothing is minimized.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 
 from .dfa import Dfa, is_permutation_automaton
 from .errors import CapacityError
-from .reversal import certify_reversal, reverse_construction
+from .reversal import certify_reversal
 from .witness import DEFAULT_STATE_CAP, build_witness
 
 # Unused here: perfbench/tracing.py wraps these names on this module by attribute.
@@ -38,7 +39,7 @@ def asc_pair(pfa: Dfa) -> tuple[int, int]:
     """(asc of the language, asc of its reversal) for a permutation automaton."""
     if not is_permutation_automaton(pfa):
         raise ValueError("asc_pair requires a permutation automaton")
-    certificate = certify_reversal(pfa, *reverse_construction(pfa))
+    certificate = certify_reversal(pfa)[2]
     return certificate.asc_forward, certificate.asc_reverse
 
 
@@ -197,8 +198,12 @@ def spectrum_table(
     """Trivial rows plus the witness grid 2..m_max x 2..alpha_max.
 
     Rows whose witness would blow the state cap are recorded as skipped,
-    not failed; the overall verdict ignores them.
+    not failed; the overall verdict ignores them. Raises ValueError when
+    ``m_max`` or ``alpha_max`` is not an int.
     """
+    for name, value in (("m_max", m_max), ("alpha_max", alpha_max)):
+        if type(value) is not int:
+            raise ValueError(f"{name} must be an int (got {value!r})")
     rows = list(trivial_rows())
     for m in range(2, m_max + 1):
         for alpha in range(2, alpha_max + 1):

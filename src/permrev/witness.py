@@ -28,7 +28,7 @@ from .perms import (
     perm_inverse,
     transposition_perm,
 )
-from .reversal import SubsetState, certify_reversal, reverse_construction
+from .reversal import SubsetState, certify_reversal
 
 # Unused here: perfbench/tracing.py wraps these names on this module by attribute.
 from .minimize import asc, minimize  # noqa: F401
@@ -46,10 +46,10 @@ class WitnessParams:
     alpha: int
 
     def __post_init__(self) -> None:
-        if self.m < 2:
-            raise ValueError(f"m must be >= 2 (got {self.m})")
-        if self.alpha < 2:
-            raise ValueError(f"alpha must be >= 2 (got {self.alpha})")
+        if type(self.m) is not int or self.m < 2:
+            raise ValueError(f"m must be an int >= 2 (got {self.m!r})")
+        if type(self.alpha) is not int or self.alpha < 2:
+            raise ValueError(f"alpha must be an int >= 2 (got {self.alpha!r})")
 
     @property
     def n(self) -> int:
@@ -169,7 +169,7 @@ def classify_reverse_states(
     """Match every reverse state to its star center.
 
     ``subsets[i]`` is the subset of witness states behind state ``i`` of
-    ``rev``, as ``reverse_construction`` returns them; they must be
+    ``rev``, as ``certify_reversal`` returns them; they must be
     distinct. Each state is found by looking up the members of every star,
     which is enough because a star is fixed by its members when m >= 2.
     Besides the per-state star test, this checks the bijection with all
@@ -204,20 +204,6 @@ def classify_reverse_states(
         for c in (0, 1)
     )
     return StarClassification(tuple(centers), tuple(accepting), covers, letter_law)
-
-
-def apply_star_labels(rev: Dfa, classification: StarClassification) -> Dfa:
-    """Relabel reverse states with the star shorthand where one matches.
-
-    A state that is not a star keeps its label in ``rev``, which is its
-    index when ``rev`` is unlabeled, as ``reverse_construction`` returns it.
-    """
-    labels = tuple(
-        star_label(center) if center is not None else rev.label(i)
-        for i, center in enumerate(classification.centers)
-    )
-    return Dfa(rev.num_states, rev.alphabet_size, rev.delta, rev.start,
-               rev.finals, labels)
 
 
 @dataclass(frozen=True)
@@ -259,8 +245,7 @@ def verify_witness(
     params = WitnessParams(m, alpha)
     n = params.n
     fwd = build_witness(m, alpha, state_cap=state_cap)
-    rev, subsets = reverse_construction(fwd)
-    certificate = certify_reversal(fwd, rev, subsets)
+    rev, subsets, certificate = certify_reversal(fwd)
     classification = classify_reverse_states(params, rev, subsets)
 
     expected_centers = tuple(itertools.combinations(params.q_init, alpha - 1))

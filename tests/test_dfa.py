@@ -80,6 +80,13 @@ def test_rejects_label_length_mismatch():
         Dfa(2, 1, ((0,), (1,)), 0, frozenset(), labels=("only-one",))
 
 
+def test_rejects_non_string_labels():
+    # emit_dfa and emit_dot need str labels; anything else is refused up front
+    for bad in ((5,), (None,), (b"q0",)):
+        with pytest.raises(ValueError):
+            Dfa(1, 1, ((0,),), 0, frozenset(), labels=bad)
+
+
 def test_empty_finals_allowed():
     dfa = Dfa(1, 2, ((0, 0),), 0, frozenset())
     assert not accepts(dfa, ())

@@ -18,7 +18,6 @@ from permrev.reversal import (
     reverse_dfa,
     reverse_step,
     reverse_subsets,
-    reverse_word,
 )
 from permrev.textio import word_from_str
 from permrev.witness import WitnessParams, build_witness, star_members
@@ -38,6 +37,13 @@ def star_subset(params, center):
     return tuple(
         sorted(colex_rank(member) for member in star_members(params, center).members)
     )
+
+
+def reverse_word(fwd, s, word):
+    """reverse_step folded over the word, left to right."""
+    for c in word:
+        s = reverse_step(fwd, s, c)
+    return s
 
 
 def test_mask_roundtrip():
@@ -87,8 +93,10 @@ def test_reverse_step_validates_inputs(witness_3_4):
 
 
 def test_reverse_word_empty_is_identity(witness_3_4):
+    # the construction starts from the preimage of the finals under no letter
     start = tuple(sorted(witness_3_4.finals))
     assert reverse_word(witness_3_4, start, ()) == start
+    assert reverse_construction(witness_3_4)[1][0] == start
 
 
 def test_reverse_word_worked_chain(witness_3_4):
@@ -212,8 +220,13 @@ def test_reversed_language_on_exhaustive_words():
 
 def certified(fwd):
     """(asc_forward, asc_reverse, forward_minimal, reverse_minimal)."""
-    c = certify_reversal(fwd, *reverse_construction(fwd))
+    c = certify_reversal(fwd)[2]
     return c.asc_forward, c.asc_reverse, c.forward_minimal, c.reverse_minimal
+
+
+@given(dfas())
+def test_certify_reversal_returns_its_construction(fwd):
+    assert certify_reversal(fwd)[:2] == reverse_construction(fwd)
 
 
 @given(dfas())
@@ -260,18 +273,3 @@ def test_certificate_cuts_subsets_to_reachable_states():
     _, subsets = reverse_construction(fwd)
     assert subsets == [(0, 2), (0, 1, 2)]
     assert certified(fwd) == (1, 1, False, False)
-
-
-def test_certificate_rejects_foreign_subsets(witness_3_4):
-    rev, subsets = reverse_construction(witness_3_4)
-    with pytest.raises(ValueError):
-        certify_reversal(witness_3_4, rev, subsets[:-1])
-    with pytest.raises(ValueError):
-        certify_reversal(witness_3_4, rev, subsets + [subsets[0]])
-    unary = Dfa(rev.num_states, 1, tuple((row[0],) for row in rev.delta),
-                rev.start, rev.finals)
-    with pytest.raises(ValueError):
-        certify_reversal(witness_3_4, unary, subsets)
-    for bad in ((-1, 2), (15,), (3, 1), (1, 1), -1, 1 << 15, [1, 3]):
-        with pytest.raises(ValueError):
-            certify_reversal(witness_3_4, rev, [bad] + subsets[1:])

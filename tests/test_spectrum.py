@@ -7,7 +7,7 @@ from hypothesis import given
 from permrev import spectrum
 from permrev.dfa import Dfa, is_permutation_automaton
 from permrev.minimize import asc
-from permrev.reversal import certify_reversal, reverse_construction, reverse_dfa
+from permrev.reversal import certify_reversal, reverse_dfa
 from permrev.spectrum import (
     DEFAULT_SEED,
     asc_pair,
@@ -17,9 +17,22 @@ from permrev.spectrum import (
     spectrum_table,
     trivial_rows,
 )
-from permrev.witness import build_witness
+from permrev.witness import build_witness, verify_witness
 
 from conftest import dfas, pfas
+
+
+@pytest.mark.parametrize("call", [
+    lambda: verify_witness(3.0, 4),
+    lambda: verify_witness(3, True),
+    lambda: build_witness(3, 4.0),
+    lambda: spectrum_table("5", 5),
+    lambda: spectrum_table(5, 5.0),
+], ids=["verify-float-m", "verify-bool-alpha", "build-float-alpha",
+        "table-str-m_max", "table-float-alpha_max"])
+def test_witness_sizes_must_be_ints(call):
+    with pytest.raises(ValueError, match="must be an int"):
+        call()
 
 
 def test_asc_pair_rejects_non_permutation_input():
@@ -124,7 +137,7 @@ def test_probe_golden_counts_every_draw():
 @given(dfas())
 def test_asc_never_exceeds_final_count(dfa):
     # the premise of the probe's skip, on arbitrary DFAs
-    certificate = certify_reversal(dfa, *reverse_construction(dfa))
+    certificate = certify_reversal(dfa)[2]
     assert certificate.asc_forward <= len(dfa.finals)
 
 
@@ -227,12 +240,12 @@ def count_calls(monkeypatch, names):
 
 def test_grid_explores_each_automaton_once_and_never_minimizes(monkeypatch):
     calls = count_calls(
-        monkeypatch, ("build_witness", "reverse_construction", "reverse_dfa", "asc")
+        monkeypatch, ("build_witness", "certify_reversal", "reverse_dfa", "asc")
     )
     assert spectrum_table(3, 3).passed
     # four witnesses plus the two one-state automata of the trivial rows
     assert calls == {
-        "build_witness": 4, "reverse_construction": 6, "reverse_dfa": 0, "asc": 0,
+        "build_witness": 4, "certify_reversal": 6, "reverse_dfa": 0, "asc": 0,
     }
 
 
@@ -245,12 +258,12 @@ def test_probe_explores_each_draw_once_and_never_minimizes(monkeypatch):
         return draws[-1]
 
     monkeypatch.setattr(spectrum, "random_pfa", recorded)
-    calls = count_calls(monkeypatch, ("reverse_construction", "reverse_dfa", "asc"))
+    calls = count_calls(monkeypatch, ("certify_reversal", "reverse_dfa", "asc"))
     report = magic_one_probe(6, 50, count_checked_only=True)
     assert report.checked == 50
     assert len(draws) == report.drawn
     # a draw with fewer than two finals has asc <= 1 and is never reversed
     assert calls == {
-        "reverse_construction": sum(len(dfa.finals) >= 2 for dfa in draws),
+        "certify_reversal": sum(len(dfa.finals) >= 2 for dfa in draws),
         "reverse_dfa": 0, "asc": 0,
     }

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import random
 
@@ -21,9 +22,9 @@ from permrev.textio import (
 )
 from permrev.witness import (
     WitnessParams,
-    apply_star_labels,
     build_witness,
     classify_reverse_states,
+    star_label,
     verify_witness,
 )
 
@@ -278,7 +279,9 @@ def test_dot_escapes_quotes_and_backslashes():
 def test_dot_reverse_witness_has_star_labels(witness_3_4):
     rev, subsets = reverse_construction(witness_3_4)
     cls = classify_reverse_states(WitnessParams(3, 4), rev, subsets)
-    dot = emit_dot(apply_star_labels(rev, cls))
+    dot = emit_dot(
+        dataclasses.replace(rev, labels=tuple(star_label(c) for c in cls.centers))
+    )
     assert 'label="S(123)"' in dot
     assert dot.count("shape=") == 20 + 1  # 20 states plus the start marker
 
@@ -334,6 +337,17 @@ def test_spectrum_report_json_with_probe():
     ]
     assert sum(entry["count"] for entry in probe["histogram"]) == probe["checked"]
     assert payload["passed"] is True
+
+
+@pytest.mark.parametrize("make_report,digest", [
+    (lambda: verify_witness(8, 7),
+     "e86d6961fa2c190d220092a48b2c5a45ad03540c29b943b413b1d273c11a1d54"),
+    (lambda: spectrum_table(7, 7),
+     "8c2e44bccc95c18a27801543b6c4d6f59eff903d07ec33798b7e09f494d3a0c1"),
+], ids=["verify_8_7", "spectrum_7_7"])
+def test_report_json_is_pinned(make_report, digest):
+    # the benchmark's verify and grid reports, byte for byte
+    assert hashlib.sha256(report_to_json(make_report()).encode()).hexdigest() == digest
 
 
 def test_report_json_rejects_other_types():

@@ -3,7 +3,7 @@ from itertools import combinations
 
 import pytest
 
-from permrev import witness
+from permrev import reversal, witness
 from permrev.dfa import Dfa, is_permutation_automaton
 from permrev.errors import CapacityError
 from permrev.minimize import distinguishing_word
@@ -11,7 +11,6 @@ from permrev.reversal import reverse_construction
 from permrev.witness import (
     Star,
     WitnessParams,
-    apply_star_labels,
     build_witness,
     classify_reverse_states,
     star_label,
@@ -194,15 +193,6 @@ def test_classification_rejects_foreign_automata(witness_3_4):
         classify_reverse_states(params, rev, subsets[:-1] + subsets[:1])
 
 
-def test_star_relabeling(witness_3_4):
-    rev, subsets = reverse_construction(witness_3_4)
-    labeled = apply_star_labels(
-        rev, classify_reverse_states(WitnessParams(3, 4), rev, subsets)
-    )
-    assert labeled.labels[0] == "S(123)"
-    assert all(label.startswith("S(") for label in labeled.labels)
-
-
 # ---------------------------------------------------------------------
 # verification
 # ---------------------------------------------------------------------
@@ -236,11 +226,11 @@ def test_verify_4_3():
 
 
 def test_verify_explores_once_and_never_minimizes(monkeypatch):
-    names = ("reverse_construction", "reverse_dfa", "reverse_subsets", "minimize", "asc")
-    calls = dict.fromkeys(names, 0)
+    names = ("certify_reversal", "reverse_dfa", "reverse_subsets", "minimize", "asc")
+    calls = dict.fromkeys(names + ("reverse_construction",), 0)
 
-    def counted(name):
-        original = getattr(witness, name)
+    def counted(owner, name):
+        original = getattr(owner, name)
 
         def wrapper(*args, **kwargs):
             calls[name] += 1
@@ -248,12 +238,16 @@ def test_verify_explores_once_and_never_minimizes(monkeypatch):
 
         return wrapper
 
-    for name in calls:
-        monkeypatch.setattr(witness, name, counted(name))
+    for name in names:
+        monkeypatch.setattr(witness, name, counted(witness, name))
+    # certify_reversal looks up the construction on its own module
+    monkeypatch.setattr(
+        reversal, "reverse_construction", counted(reversal, "reverse_construction")
+    )
     assert verify_witness(3, 4).passed
     assert calls == {
-        "reverse_construction": 1, "reverse_dfa": 0, "reverse_subsets": 0,
-        "minimize": 0, "asc": 0,
+        "certify_reversal": 1, "reverse_construction": 1, "reverse_dfa": 0,
+        "reverse_subsets": 0, "minimize": 0, "asc": 0,
     }
 
 
