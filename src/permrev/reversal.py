@@ -87,8 +87,8 @@ def reverse_construction(
     state. The reverse DFA is unlabeled (``labels=None``): the subsets name
     its states, and ``reverse_dfa`` renders them as labels for text output.
     """
-    if max_states < 1:
-        raise ValueError(f"max_states must be >= 1 (got {max_states})")
+    if type(max_states) is not int or max_states < 1:
+        raise ValueError(f"max_states must be an int >= 1 (got {max_states!r})")
     pre = [_predecessors(fwd, c) for c in range(fwd.alphabet_size)]
     subsets = [tuple(sorted(fwd.finals))]
     index = {subsets[0]: 0}

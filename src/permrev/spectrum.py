@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from .dfa import Dfa, is_permutation_automaton
 from .errors import CapacityError
 from .reversal import certify_reversal
-from .witness import DEFAULT_STATE_CAP, build_witness
+from .witness import DEFAULT_STATE_CAP, build_witness, check_state_cap
 
 # Unused here: perfbench/tracing.py wraps these names on this module by attribute.
 from .minimize import asc  # noqa: F401
@@ -134,6 +134,9 @@ def magic_one_probe(
     with asc >= 2 have been checked; that needs ``n_max >= 3``, because on
     at most 2 states two final states accept the same words.
     """
+    for name, value in (("n_max", n_max), ("samples", samples)):
+        if type(value) is not int:
+            raise ValueError(f"{name} must be an int (got {value!r})")
     if not 1 <= n_max <= MAX_PROBE_STATES:
         raise ValueError(f"n_max must be between 1 and {MAX_PROBE_STATES}")
     if samples < 0:
@@ -199,11 +202,13 @@ def spectrum_table(
 
     Rows whose witness would blow the state cap are recorded as skipped,
     not failed; the overall verdict ignores them. Raises ValueError when
-    ``m_max`` or ``alpha_max`` is not an int.
+    ``m_max`` or ``alpha_max`` is not an int, or ``state_cap`` is not an
+    int >= 1.
     """
     for name, value in (("m_max", m_max), ("alpha_max", alpha_max)):
         if type(value) is not int:
             raise ValueError(f"{name} must be an int (got {value!r})")
+    check_state_cap(state_cap)
     rows = list(trivial_rows())
     for m in range(2, m_max + 1):
         for alpha in range(2, alpha_max + 1):

@@ -108,13 +108,22 @@ def star_members(params: WitnessParams, center: KSubset) -> Star:
     return Star(center, members)
 
 
+def check_state_cap(state_cap: int) -> None:
+    """Raise ValueError unless ``state_cap`` is an int >= 1."""
+    if type(state_cap) is not int or state_cap < 1:
+        raise ValueError(f"state_cap must be an int >= 1 (got {state_cap!r})")
+
+
 def build_witness(m: int, alpha: int, state_cap: int = DEFAULT_STATE_CAP) -> Dfa:
     """The binary permutation automaton on the alpha-subsets of [n].
 
     States are numbered in colexicographic order and labeled 1-based, so the
-    start state {1..alpha} is state 0 with label like "1234".
+    start state {1..alpha} is state 0 with label like "1234". Raises
+    ValueError when ``state_cap`` is not an int >= 1 and CapacityError when
+    the witness would have more than ``state_cap`` states.
     """
     params = WitnessParams(m, alpha)
+    check_state_cap(state_cap)
     n = params.n
     total = math.comb(n, alpha)
     if total > state_cap:
@@ -169,9 +178,11 @@ def classify_reverse_states(
     """Match every reverse state to its star center.
 
     ``subsets[i]`` is the subset of witness states behind state ``i`` of
-    ``rev``, as ``certify_reversal`` returns them; they must be
-    distinct. Each state is found by looking up the members of every star,
-    which is enough because a star is fixed by its members when m >= 2.
+    ``rev``, as ``certify_reversal`` returns them: distinct, strictly
+    increasing tuples of witness state numbers. A state's center is the
+    common part of its members. m alpha-subsets whose common part has
+    alpha - 1 points are the whole star around it, since that star has
+    exactly m members; any other state gets center None.
     Besides the per-state star test, this checks the bijection with all
     (alpha-1)-subset centers and the single-letter law: reading letter c
     maps the star around T to the star around the preimage of T under c.
@@ -180,18 +191,19 @@ def classify_reverse_states(
     """
     n, alpha = params.n, params.alpha
     total = math.comb(n, alpha)
-    index = {s: i for i, s in enumerate(subsets)}
-    if rev.alphabet_size != 2 or not len(index) == len(subsets) == rev.num_states:
-        raise ValueError("subsets do not match the states of rev")
-    if any(s and s[-1] >= total for s in subsets):
+    if not all(_is_witness_subset(s, total) for s in subsets):
         raise ValueError("a subset does not fit the witness for these parameters")
+    if rev.alphabet_size != 2 or not len(set(subsets)) == len(subsets) == rev.num_states:
+        raise ValueError("subsets do not match the states of rev")
 
-    centers: list[KSubset | None] = [None] * len(subsets)
-    for center in ksubsets(n, alpha - 1):
-        star = star_members(params, center)
-        key = tuple(sorted(colex_rank(x) for x in star.members))
-        if key in index:
-            centers[index[key]] = center
+    points = [sum(1 << i for i in x) for x in ksubsets(n, alpha)]
+    centers: list[KSubset | None] = []
+    for s in subsets:
+        common = (1 << n) - 1
+        for q in s:
+            common &= points[q]
+        star = len(s) == params.m and common.bit_count() == alpha - 1
+        centers.append(tuple(i for i in range(n) if common >> i & 1) if star else None)
     accepting = sorted(centers[i] for i in rev.finals if centers[i] is not None)
 
     all_stars = None not in centers
@@ -204,6 +216,16 @@ def classify_reverse_states(
         for c in (0, 1)
     )
     return StarClassification(tuple(centers), tuple(accepting), covers, letter_law)
+
+
+def _is_witness_subset(s: SubsetState, total: int) -> bool:
+    """Whether ``s`` is a strictly increasing tuple inside range(total)."""
+    return (
+        type(s) is tuple
+        and all(type(q) is int for q in s)
+        and all(p < q for p, q in zip(s, s[1:]))
+        and (not s or 0 <= s[0] and s[-1] < total)
+    )
 
 
 @dataclass(frozen=True)

@@ -3,13 +3,15 @@
 Everything here deliberately avoids the code paths it is meant to check:
 the marking minimizer never calls the partition-refinement one, and the
 word-formula reversal recomputes every subset from scratch by running
-reversed words forward instead of folding letter preimages.
+reversed words forward instead of folding letter preimages, and the star
+oracle lists every star explicitly instead of reading a state's center off
+its members.
 """
 
 from __future__ import annotations
 
 import random
-from itertools import product
+from itertools import combinations, product
 
 from permrev.dfa import Dfa, apply_word
 
@@ -162,3 +164,18 @@ def perm_order_by_powers(p: tuple[int, ...]) -> int:
         power = tuple(p[i] for i in power)
         d += 1
     return d
+
+
+def star_centers_by_enumeration(n: int, alpha: int, subsets) -> list:
+    """Center of each subset-state of the alpha-subset witness on [n], or None.
+
+    Witness states are numbered by the colexicographic order of the
+    alpha-subsets; every star is listed by its member numbers and each
+    subset is looked up among them.
+    """
+    states = sorted(combinations(range(n), alpha), key=lambda x: x[::-1])
+    stars = {
+        tuple(q for q, x in enumerate(states) if set(center) <= set(x)): center
+        for center in combinations(range(n), alpha - 1)
+    }
+    return [stars.get(tuple(s)) for s in subsets]

@@ -172,8 +172,9 @@ def test_capacity_cap_reports_progress(witness_3_4):
         reverse_dfa(witness_3_4, max_states=2)
     assert info.value.count == 2
     assert info.value.stage == "reverse_construction"
-    with pytest.raises(ValueError):
-        reverse_dfa(witness_3_4, max_states=0)
+    for bad in (0, None, 2.0, True):
+        with pytest.raises(ValueError, match="max_states must be an int"):
+            reverse_dfa(witness_3_4, max_states=bad)
 
 
 @given(dfas(max_states=6))

@@ -28,8 +28,18 @@ from conftest import dfas, pfas
     lambda: build_witness(3, 4.0),
     lambda: spectrum_table("5", 5),
     lambda: spectrum_table(5, 5.0),
+    lambda: magic_one_probe(3, 5.5),
+    lambda: magic_one_probe(True, 3),
+    lambda: magic_one_probe(3.0, 5),
+    lambda: magic_one_probe(3, True),
+    lambda: build_witness(2, 2, state_cap=True),
+    lambda: build_witness(2, 2, state_cap=0),
+    lambda: verify_witness(3, 3, state_cap=None),
+    lambda: spectrum_table(1, 1, state_cap="x"),
 ], ids=["verify-float-m", "verify-bool-alpha", "build-float-alpha",
-        "table-str-m_max", "table-float-alpha_max"])
+        "table-str-m_max", "table-float-alpha_max", "probe-float-samples",
+        "probe-bool-n_max", "probe-float-n_max", "probe-bool-samples",
+        "build-bool-cap", "build-zero-cap", "verify-none-cap", "table-str-cap"])
 def test_witness_sizes_must_be_ints(call):
     with pytest.raises(ValueError, match="must be an int"):
         call()

@@ -19,7 +19,7 @@ from permrev.witness import (
     verify_witness,
 )
 
-from oracles import all_pairs_distinguishable
+from oracles import all_pairs_distinguishable, star_centers_by_enumeration
 
 
 def labels_of(dfa, states):
@@ -191,6 +191,68 @@ def test_classification_rejects_foreign_automata(witness_3_4):
     # right count, but one subset twice
     with pytest.raises(ValueError, match="do not match"):
         classify_reverse_states(params, rev, subsets[:-1] + subsets[:1])
+    # a repeated, an unsorted or a negative member; intersecting the point
+    # sets without checking the subset would call each the star (0, 1, 5)
+    for bad in ((5, 5, 6), (6, 5, 9), (-10, 6, 9)):
+        with pytest.raises(ValueError, match="does not fit"):
+            classify_reverse_states(params, rev, [bad] + subsets[1:])
+
+
+def _perturbed(subsets, total):
+    """Lists that differ from ``subsets`` in one strictly increasing subset:
+    a member dropped, a member replaced by another state, or the union of
+    two neighbouring subsets."""
+    seen = set(subsets)
+    for j in range(0, len(subsets), max(1, len(subsets) // 4)):
+        s, t = subsets[j], subsets[(j + 1) % len(subsets)]
+        outside = next(q for q in range(total) if q not in s)
+        for changed in (
+            s[1:],
+            tuple(sorted(s[:-1] + (outside,))),
+            tuple(sorted(set(s) | set(t))),
+        ):
+            if changed not in seen:
+                yield subsets[:j] + [changed] + subsets[j + 1:]
+
+
+def test_classification_matches_star_oracle():
+    perturbed = 0
+    for m in range(2, 6):
+        for alpha in range(2, 6):
+            params = WitnessParams(m, alpha)
+            n, total = params.n, math.comb(params.n, alpha)
+            rev, subsets = reverse_construction(build_witness(m, alpha))
+            cls = classify_reverse_states(params, rev, subsets)
+            assert list(cls.centers) == star_centers_by_enumeration(n, alpha, subsets)
+            assert cls.all_stars
+            # every star is in the list, so a changed subset is no star
+            for case in _perturbed(subsets, total):
+                cls = classify_reverse_states(params, rev, case)
+                assert list(cls.centers) == star_centers_by_enumeration(
+                    n, alpha, case
+                ), (m, alpha)
+                assert cls.centers.count(None) == 1
+                perturbed += 1
+    assert perturbed > 150
+
+
+def test_classification_builds_no_star_per_center(monkeypatch, witness_3_4):
+    def forbidden(*args):
+        raise AssertionError("classify must not build stars by center")
+
+    sizes = []
+    original = witness.ksubsets
+
+    def recorded(n, k):
+        sizes.append(k)
+        return original(n, k)
+
+    monkeypatch.setattr(witness, "star_members", forbidden)
+    monkeypatch.setattr(witness, "colex_rank", forbidden)
+    monkeypatch.setattr(witness, "ksubsets", recorded)
+    rev, subsets = reverse_construction(witness_3_4)
+    assert classify_reverse_states(WitnessParams(3, 4), rev, subsets).ok
+    assert sizes and set(sizes) == {4}
 
 
 # ---------------------------------------------------------------------
@@ -249,6 +311,16 @@ def test_verify_explores_once_and_never_minimizes(monkeypatch):
         "certify_reversal": 1, "reverse_construction": 1, "reverse_dfa": 0,
         "reverse_subsets": 0, "minimize": 0, "asc": 0,
     }
+
+
+def test_verify_passes_on_the_2_to_7_grid():
+    failures = [
+        (m, alpha)
+        for m in range(2, 8)
+        for alpha in range(2, 8)
+        if not verify_witness(m, alpha).passed
+    ]
+    assert failures == []
 
 
 def test_verify_propagates_capacity():
