@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
+from itertools import combinations
 from typing import Iterator, Sequence
 
 from .errors import CapacityError, NotInGroupError
@@ -54,6 +55,8 @@ def perm_compose(p: Perm, q: Perm) -> Perm:
 
 
 def perm_inverse(p: Perm) -> Perm:
+    """The permutation undoing p; ValueError unless p permutes range(len(p))."""
+    _check_generators((p,))
     inverse = [0] * len(p)
     for i, image in enumerate(p):
         inverse[image] = i
@@ -61,7 +64,11 @@ def perm_inverse(p: Perm) -> Perm:
 
 
 def perm_order(p: Perm) -> int:
-    """Least d >= 1 with p^d = identity (the lcm of the cycle lengths)."""
+    """Least d >= 1 with p^d = identity (the lcm of the cycle lengths).
+
+    Raises ValueError unless p permutes range(len(p)).
+    """
+    _check_generators((p,))
     seen = [False] * len(p)
     order = 1
     for i in range(len(p)):
@@ -117,19 +124,17 @@ def colex_unrank(rank: int, n: int, k: int) -> KSubset:
 
 
 def ksubsets(n: int, k: int) -> Iterator[KSubset]:
-    """All k-subsets of {0..n-1} in colexicographic order."""
+    """All k-subsets of {0..n-1} in colexicographic order.
+
+    The subsets are enumerated in one step, so the first one costs as much
+    memory as all of them.
+    """
     if n < 0 or k < 0:
         raise ValueError(f"n and k must be >= 0 (got n={n}, k={k})")
-    return _ksubsets(n, k)
-
-
-def _ksubsets(n: int, k: int) -> Iterator[KSubset]:
-    if k == 0:
-        yield ()
-        return
-    for last in range(k - 1, n):
-        for rest in _ksubsets(last, k - 1):
-            yield rest + (last,)
+    # combinations over the points in decreasing order list the reversed
+    # subsets in decreasing colexicographic order.
+    descending = list(combinations(range(n - 1, -1, -1), k))
+    return (x[::-1] for x in reversed(descending))
 
 
 def _check_generators(generators: Sequence[Perm]) -> int:
@@ -142,7 +147,7 @@ def _check_generators(generators: Sequence[Perm]) -> int:
         if len(g) != n:
             raise ValueError("generators must act on the same points")
         if set(g) != points:
-            raise ValueError(f"generator {g} is not a permutation of [{n}]")
+            raise ValueError(f"{g} is not a permutation of [{n}]")
     return n
 
 

@@ -7,6 +7,12 @@ automaton is never materialized; only the part reachable from the forward
 finals is interned, in BFS discovery order with letter-index tie-break, so
 state numbering is reproducible.
 
+A letter that permutes the forward states gives each state exactly one
+predecessor, so the preimage of S is S mapped through the letter's inverse
+and sorted: |S| lookups and one sort. Any other letter unions the
+predecessor lists of the members of S, about |S| + |preimage| list
+operations plus one sort. Each letter takes its path from the input.
+
 ``certify_reversal`` runs the construction and reads the accepting-state
 complexity and minimality of both sides off its subsets, without
 minimizing either automaton.
@@ -15,7 +21,9 @@ minimizing either automaton.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import partial
 from operator import lt
+from typing import Callable
 
 from .dfa import Dfa, reachable_states
 from .errors import CapacityError
@@ -65,6 +73,19 @@ def _preimage(pre: list[list[int]], s: SubsetState) -> SubsetState:
     return tuple(sorted([p for q in s for p in pre[q]]))
 
 
+def _preimage_map(fwd: Dfa, letter: int) -> Callable[[SubsetState], SubsetState]:
+    """The map taking a subset-state to its preimage under ``letter``.
+
+    When the letter permutes the states, every state has exactly one
+    predecessor, and the preimage is the image under the inverse map.
+    """
+    pre = _predecessors(fwd, letter)
+    if all(len(ps) == 1 for ps in pre):
+        inverse = [p for (p,) in pre].__getitem__
+        return lambda s: tuple(sorted(map(inverse, s)))
+    return partial(_preimage, pre)
+
+
 def reverse_step(fwd: Dfa, s: SubsetState, letter: int) -> SubsetState:
     """Preimage of the subset under one letter of the forward automaton.
 
@@ -73,7 +94,7 @@ def reverse_step(fwd: Dfa, s: SubsetState, letter: int) -> SubsetState:
     """
     _check_subset(fwd, s)
     _check_letter(fwd, letter)
-    return _preimage(_predecessors(fwd, letter), s)
+    return _preimage_map(fwd, letter)(s)
 
 
 def reverse_construction(
@@ -84,19 +105,22 @@ def reverse_construction(
 
     Exploration starts from the forward final set and follows letter
     preimages; a subset-state is final iff it contains the forward start
-    state. The reverse DFA is unlabeled (``labels=None``): the subsets name
-    its states, and ``reverse_dfa`` renders them as labels for text output.
+    state. Each letter's preimage goes through its inverse map when the
+    letter permutes the forward states, and through the union of its
+    predecessor lists otherwise; one BFS serves both. The reverse DFA is
+    unlabeled (``labels=None``): the subsets name its states, and
+    ``reverse_dfa`` renders them as labels for text output.
     """
     if type(max_states) is not int or max_states < 1:
         raise ValueError(f"max_states must be an int >= 1 (got {max_states!r})")
-    pre = [_predecessors(fwd, c) for c in range(fwd.alphabet_size)]
+    preimages = [_preimage_map(fwd, c) for c in range(fwd.alphabet_size)]
     subsets = [tuple(sorted(fwd.finals))]
     index = {subsets[0]: 0}
     rows: list[tuple[int, ...]] = []
     for s in subsets:  # grows while it is walked: BFS order
         row = []
-        for pre_c in pre:
-            t = _preimage(pre_c, s)
+        for preimage in preimages:
+            t = preimage(s)
             j = index.get(t)
             if j is None:
                 if len(subsets) >= max_states:

@@ -16,23 +16,25 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import reduce
+from operator import and_, lt
+from typing import Iterable
 
 from .dfa import Dfa
 from .errors import CapacityError
-from .perms import (
-    KSubset,
-    act_on_subset,
-    colex_rank,
-    cycle_perm,
-    ksubsets,
-    perm_inverse,
-    transposition_perm,
-)
+from .perms import KSubset, ksubsets
 from .reversal import SubsetState, certify_reversal
 
 # Unused here: perfbench/tracing.py wraps these names on this module by attribute.
 from .minimize import asc, minimize  # noqa: F401
-from .perms import colex_unrank  # noqa: F401
+from .perms import (  # noqa: F401
+    act_on_subset,
+    colex_rank,
+    colex_unrank,
+    cycle_perm,
+    perm_inverse,
+    transposition_perm,
+)
 from .reversal import mask_states, reverse_dfa, reverse_step, reverse_subsets  # noqa: F401
 
 DEFAULT_STATE_CAP = 10_000
@@ -114,38 +116,55 @@ def check_state_cap(state_cap: int) -> None:
         raise ValueError(f"state_cap must be an int >= 1 (got {state_cap!r})")
 
 
+def _point_sets(subsets: Iterable[KSubset], n: int) -> list[int]:
+    """Each subset as an n-bit mask: bit i is set iff point i is a member.
+
+    Colexicographic order of k-subsets is increasing order of their masks.
+    """
+    bit = [1 << i for i in range(n)]
+    return [sum(map(bit.__getitem__, x)) for x in subsets]
+
+
 def build_witness(m: int, alpha: int, state_cap: int = DEFAULT_STATE_CAP) -> Dfa:
     """The binary permutation automaton on the alpha-subsets of [n].
 
     States are numbered in colexicographic order and labeled 1-based, so the
-    start state {1..alpha} is state 0 with label like "1234". Raises
-    ValueError when ``state_cap`` is not an int >= 1 and CapacityError when
-    the witness would have more than ``state_cap`` states.
+    start state {1..alpha} is state 0 with label like "1234". Each state is
+    an n-bit point-set: letter a (i -> i+1 mod n) rotates it left by one
+    bit, letter b swaps bits 0 and 1, and a dict from point-set to state
+    number gives each image's index. Raises ValueError when ``state_cap`` is
+    not an int >= 1 and CapacityError when the witness would have more than
+    ``state_cap`` states; the exact count is the error's ``count``.
     """
     params = WitnessParams(m, alpha)
     check_state_cap(state_cap)
     n = params.n
     total = math.comb(n, alpha)
     if total > state_cap:
+        # C(n, alpha) can have more digits than str(int) accepts.
         raise CapacityError(
-            f"witness for (m={m}, alpha={alpha}) needs {total} states "
-            f"(cap {state_cap})",
+            f"witness for (m={m}, alpha={alpha}) needs C({n}, {alpha}) states, "
+            f"more than the cap of {state_cap}",
             count=total,
             stage="build_witness",
         )
-    a = cycle_perm(n)
-    b = transposition_perm(n)
     subsets = list(ksubsets(n, alpha))
+    points = _point_sets(subsets, n)
+    index = {x: i for i, x in enumerate(points)}
+    full = (1 << n) - 1
     delta = tuple(
-        (colex_rank(act_on_subset(a, x)), colex_rank(act_on_subset(b, x)))
-        for x in subsets
+        (index[(x << 1 | x >> (n - 1)) & full], index[x ^ 3] if x & 3 in (1, 2) else i)
+        for i, x in enumerate(points)
     )
-    start = colex_rank(params.q_init)
-    finals = frozenset(
-        colex_rank(x) for x in star_members(params, params.center0).members
+    # The final star: the first alpha - 1 points and any one other point.
+    center0 = (1 << (alpha - 1)) - 1
+    finals = frozenset(index[center0 | 1 << u] for u in range(alpha - 1, n))
+    # The labels subset_label writes, joined from one digit string per point.
+    digits = [str(i + 1) for i in range(n)]
+    labels = tuple(
+        ("." if x[-1] > 8 else "").join(map(digits.__getitem__, x)) for x in subsets
     )
-    labels = tuple(subset_label(x) for x in subsets)
-    return Dfa(total, 2, delta, start, finals, labels)
+    return Dfa(total, 2, delta, 0, finals, labels)
 
 
 @dataclass(frozen=True)
@@ -180,12 +199,15 @@ def classify_reverse_states(
     ``subsets[i]`` is the subset of witness states behind state ``i`` of
     ``rev``, as ``certify_reversal`` returns them: distinct, strictly
     increasing tuples of witness state numbers. A state's center is the
-    common part of its members. m alpha-subsets whose common part has
-    alpha - 1 points are the whole star around it, since that star has
-    exactly m members; any other state gets center None.
+    common part of its members, the AND of their n-bit point-sets. m
+    alpha-subsets whose common part has alpha - 1 points are the whole
+    star around it, since that star has exactly m members; any other state
+    gets center None.
     Besides the per-state star test, this checks the bijection with all
-    (alpha-1)-subset centers and the single-letter law: reading letter c
-    maps the star around T to the star around the preimage of T under c.
+    (alpha-1)-subset centers and the single-letter law on center masks:
+    reading letter c maps the star around T to the star around the preimage
+    of T under c, a right rotation by one bit for a and the swap of bits 0
+    and 1 for b.
     Raises ValueError when the subsets do not fit ``rev`` or the witness
     for ``params``.
     """
@@ -196,24 +218,28 @@ def classify_reverse_states(
     if rev.alphabet_size != 2 or not len(set(subsets)) == len(subsets) == rev.num_states:
         raise ValueError("subsets do not match the states of rev")
 
-    points = [sum(1 << i for i in x) for x in ksubsets(n, alpha)]
-    centers: list[KSubset | None] = []
+    points = _point_sets(ksubsets(n, alpha), n)
+    full = (1 << n) - 1
+    commons: list[int | None] = []
     for s in subsets:
-        common = (1 << n) - 1
-        for q in s:
-            common &= points[q]
+        common = reduce(and_, map(points.__getitem__, s), full)
         star = len(s) == params.m and common.bit_count() == alpha - 1
-        centers.append(tuple(i for i in range(n) if common >> i & 1) if star else None)
+        commons.append(common if star else None)
+    centers = [
+        None if c is None else tuple(i for i in range(n) if c >> i & 1)
+        for c in commons
+    ]
     accepting = sorted(centers[i] for i in rev.finals if centers[i] is not None)
 
-    all_stars = None not in centers
+    all_stars = None not in commons
     # Distinct centers have distinct members, so no two states share a center.
-    covers = all_stars and len(centers) == math.comb(n, alpha - 1)
-    inverses = (perm_inverse(cycle_perm(n)), perm_inverse(transposition_perm(n)))
+    covers = all_stars and len(commons) == math.comb(n, alpha - 1)
+    # Reading a reverse letter applies its inverse to the center: a^-1 is a
+    # right rotation by one bit and b is its own inverse.
     letter_law = all_stars and all(
-        centers[rev.delta[i][c]] == act_on_subset(inverses[c], center)
-        for i, center in enumerate(centers)
-        for c in (0, 1)
+        commons[to_a] == (c >> 1 | (c & 1) << (n - 1))
+        and commons[to_b] == (c ^ 3 if c & 3 in (1, 2) else c)
+        for c, (to_a, to_b) in zip(commons, rev.delta)
     )
     return StarClassification(tuple(centers), tuple(accepting), covers, letter_law)
 
@@ -222,8 +248,8 @@ def _is_witness_subset(s: SubsetState, total: int) -> bool:
     """Whether ``s`` is a strictly increasing tuple inside range(total)."""
     return (
         type(s) is tuple
-        and all(type(q) is int for q in s)
-        and all(p < q for p, q in zip(s, s[1:]))
+        and set(map(type, s)) <= {int}
+        and all(map(lt, s, s[1:]))
         and (not s or 0 <= s[0] and s[-1] < total)
     )
 

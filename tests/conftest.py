@@ -28,6 +28,21 @@ def pfas(draw, max_states=6, alphabet_size=2):
 
 
 @st.composite
+def mixed_dfas(draw, max_states=6):
+    """Binary DFAs with one permuting letter and one that merges two states."""
+    n = draw(st.integers(2, max_states))
+    perm = draw(st.permutations(tuple(range(n))))
+    merge = [draw(st.integers(0, n - 1)) for _ in range(n)]
+    p, q = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+    merge[q] = merge[p]
+    columns = (perm, merge) if draw(st.booleans()) else (merge, perm)
+    delta = tuple(tuple(col[r] for col in columns) for r in range(n))
+    start = draw(st.integers(0, n - 1))
+    finals = frozenset(draw(st.sets(st.integers(0, n - 1))))
+    return Dfa(n, 2, delta, start, finals)
+
+
+@st.composite
 def dfa_with_word(draw, max_states=5, max_alphabet=3, max_len=8):
     dfa = draw(dfas(max_states=max_states, max_alphabet=max_alphabet))
     word = tuple(

@@ -1,11 +1,11 @@
 """Independent reference implementations used to cross-check the library.
 
 Everything here deliberately avoids the code paths it is meant to check:
-the marking minimizer never calls the partition-refinement one, and the
+the marking minimizer never calls the partition-refinement one, the
 word-formula reversal recomputes every subset from scratch by running
-reversed words forward instead of folding letter preimages, and the star
+reversed words forward instead of folding letter preimages, the star
 oracle lists every star explicitly instead of reading a state's center off
-its members.
+its members, and the witness oracle moves point tuples instead of bit masks.
 """
 
 from __future__ import annotations
@@ -166,6 +166,46 @@ def perm_order_by_powers(p: tuple[int, ...]) -> int:
     return d
 
 
+def _colex_subsets(n: int, k: int) -> list[tuple[int, ...]]:
+    """The k-subsets of range(n), sorted colexicographically."""
+    return sorted(combinations(range(n), k), key=lambda x: x[::-1])
+
+
+def witness_by_itertools(m: int, alpha: int) -> Dfa:
+    """The (m, alpha) witness built from point tuples.
+
+    States are the colex-sorted alpha-subsets of [n]; letter a moves every
+    point i to i + 1 mod n, letter b swaps points 0 and 1, and each image
+    is sorted and looked up by position. A label writes the points 1-based,
+    with dots between them once some point needs two digits.
+    """
+    n = m + alpha - 1
+    states = _colex_subsets(n, alpha)
+    number = {x: q for q, x in enumerate(states)}
+
+    def image(x, move):
+        return number[tuple(sorted(move(i) for i in x))]
+
+    def a(i):
+        return (i + 1) % n
+
+    def b(i):
+        return {0: 1, 1: 0}.get(i, i)
+
+    def label(x):
+        points = [str(i + 1) for i in x]
+        return ("." if max(i + 1 for i in x) > 9 else "").join(points)
+
+    return Dfa(
+        len(states),
+        2,
+        tuple((image(x, a), image(x, b)) for x in states),
+        number[tuple(range(alpha))],
+        frozenset(q for q, x in enumerate(states) if set(range(alpha - 1)) <= set(x)),
+        tuple(label(x) for x in states),
+    )
+
+
 def star_centers_by_enumeration(n: int, alpha: int, subsets) -> list:
     """Center of each subset-state of the alpha-subset witness on [n], or None.
 
@@ -173,7 +213,7 @@ def star_centers_by_enumeration(n: int, alpha: int, subsets) -> list:
     alpha-subsets; every star is listed by its member numbers and each
     subset is looked up among them.
     """
-    states = sorted(combinations(range(n), alpha), key=lambda x: x[::-1])
+    states = _colex_subsets(n, alpha)
     stars = {
         tuple(q for q, x in enumerate(states) if set(center) <= set(x)): center
         for center in combinations(range(n), alpha - 1)

@@ -53,6 +53,13 @@ def test_reverse_capacity_exit_code(tmp_path, capsys):
     assert "capacity exceeded: reverse_construction: " in err
 
 
+def test_verify_capacity_exit_code(capsys):
+    # C(19999, 10000) has more digits than str(int) accepts by default
+    code, _, err = run(capsys, "verify", "10000", "10000")
+    assert code == 3
+    assert "capacity exceeded: build_witness: " in err
+
+
 def test_minimize_collapses(tmp_path, capsys):
     doc = emit_dfa(Dfa(2, 2, ((1, 1), (1, 1)), 0, frozenset({0, 1})))
     path = tmp_path / "d.dfa"

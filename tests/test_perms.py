@@ -206,11 +206,15 @@ NOT_A_PERMUTATION = [(3, 0, 1)]  # point 3 is outside [3]; point 2 has no preima
         lambda: orbit(NOT_A_PERMUTATION, (0,)),
         lambda: synthesize_word(NOT_A_PERMUTATION, identity_perm(3)),
         lambda: orbit([cycle_perm(3), (0, 0, 1)], (0,)),
+        lambda: perm_inverse((0, 0)),
+        lambda: perm_order((1, 1)),
     ],
-    ids=["perm_from_word", "orbit", "synthesize_word", "orbit-second-generator"],
+    ids=["perm_from_word", "orbit", "synthesize_word", "orbit-second-generator",
+         "perm_inverse", "perm_order"],
 )
 def test_non_permutation_generators_rejected(call):
-    # perm_from_word used to raise IndexError on the first of these
+    # perm_from_word used to raise IndexError on the first of these;
+    # perm_inverse((0, 0)) returned (1, 0) and perm_order((1, 1)) returned 2
     with pytest.raises(ValueError):
         call()
 

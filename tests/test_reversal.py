@@ -22,7 +22,7 @@ from permrev.reversal import (
 from permrev.textio import word_from_str
 from permrev.witness import WitnessParams, build_witness, star_members
 
-from conftest import dfa_with_word, dfas, pfas
+from conftest import dfa_with_word, dfas, mixed_dfas, pfas
 from oracles import (
     brute_reachable_subsets,
     minimize_counts_by_marking,
@@ -194,6 +194,18 @@ def test_construction_subsets_match_brute_force(dfa):
 def test_construction_matches_word_formula(dfa):
     # both explore in BFS order with letter tie-break, so the tables agree
     rev, oracle = reverse_dfa(dfa), reverse_by_word_formula(dfa)
+    assert (rev.num_states, rev.delta, rev.start, rev.finals) == (
+        oracle.num_states, oracle.delta, oracle.start, oracle.finals
+    )
+
+
+@given(mixed_dfas())
+def test_construction_mixing_permuting_and_merging_letters(dfa):
+    # one letter reverses through its inverse map, the other through the
+    # union of its predecessor lists, in the same BFS
+    rev, subsets = reverse_construction(dfa)
+    assert {frozenset(s) for s in subsets} == brute_reachable_subsets(dfa)
+    oracle = reverse_by_word_formula(dfa)
     assert (rev.num_states, rev.delta, rev.start, rev.finals) == (
         oracle.num_states, oracle.delta, oracle.start, oracle.finals
     )

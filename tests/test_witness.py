@@ -19,7 +19,11 @@ from permrev.witness import (
     verify_witness,
 )
 
-from oracles import all_pairs_distinguishable, star_centers_by_enumeration
+from oracles import (
+    all_pairs_distinguishable,
+    star_centers_by_enumeration,
+    witness_by_itertools,
+)
 
 
 def labels_of(dfa, states):
@@ -73,6 +77,17 @@ def test_witness_5_2_final_count():
     assert len(dfa.finals) == 5
 
 
+def test_witness_matches_itertools_oracle():
+    # the 2..6 grid, where n reaches 11, and one cell with n = 12
+    cells = [(m, alpha) for m in range(2, 7) for alpha in range(2, 7)] + [(9, 4)]
+    for m, alpha in cells:
+        dfa, oracle = build_witness(m, alpha), witness_by_itertools(m, alpha)
+        assert (dfa.delta, dfa.finals, dfa.start, dfa.labels) == (
+            oracle.delta, oracle.finals, oracle.start, oracle.labels
+        ), (m, alpha)
+    assert "1.2.3.12" in dfa.labels and "1234" in dfa.labels
+
+
 def test_witness_rejects_bad_params():
     with pytest.raises(ValueError):
         build_witness(1, 4)
@@ -85,6 +100,10 @@ def test_witness_respects_state_cap():
         build_witness(5, 5, state_cap=10)
     assert info.value.stage == "build_witness"
     assert info.value.count == math.comb(9, 5)
+    # C(19999, 10000) has more digits than str(int) accepts by default
+    with pytest.raises(CapacityError, match=r"C\(19999, 10000\)") as info:
+        build_witness(10000, 10000)
+    assert info.value.count == math.comb(19999, 10000)
 
 
 # ---------------------------------------------------------------------
