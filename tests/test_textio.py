@@ -159,6 +159,83 @@ def test_parse_empty_document():
         parse_dfa("")
 
 
+HEAD = "dfa 2 1\nstart 0\nfinals 1\n"
+HEAD2 = "dfa 2 2\nstart 0\nfinals 1\n"
+
+
+@pytest.mark.parametrize("text,line,column,message", [
+    ("", 1, 1, "expected 'dfa' header"),
+    ("  \n\t\n", 1, 1, "expected 'dfa' header"),
+    ("  dfx 2 1\n", 1, 3, "expected 'dfa' header"),
+    ("dfa 2 1 9\n", 1, 9, "expected 'dfa <num_states> <alphabet_size>'"),
+    ("dfa 2\n", 1, 5, "expected 'dfa <num_states> <alphabet_size>'"),
+    ("dfa two 1\n", 1, 5, "expected a state count, got 'two'"),
+    ("dfa 2 b\n", 1, 7, "expected an alphabet size, got 'b'"),
+    ("dfa 0 1\n", 1, 5, "state count must be >= 1"),
+    ("dfa 2 -1\n", 1, 7, "alphabet size must be >= 1"),
+    ("dfa 2 1\n\n\n", 1, 1, "expected 'start' line"),
+    ("dfa 2 1\n  begin 0\n", 2, 3, "expected 'start <index>'"),
+    ("dfa 2 1\nstart 0 1\n", 2, 1, "expected 'start <index>'"),
+    ("dfa 2 1\nstart x\n", 2, 7, "expected a state index, got 'x'"),
+    ("dfa 2 1\nstart\t2\n", 2, 7, "start state 2 is out of range"),
+    ("dfa 2 1\r\nstart 5\r\n", 2, 7, "start state 5 is out of range"),
+    ("dfa 2 1\x1cstart 9\n", 2, 7, "start state 9 is out of range"),
+    ("dfa 2 1\nstart 0\n", 2, 1, "expected 'finals' line"),
+    ("dfa 2 1\nstart 0\nfinal 1\n", 3, 1, "expected 'finals' line"),
+    ("dfa 2 1\nstart 0\nfinals 1 y\n", 3, 10, "expected a state index, got 'y'"),
+    ("dfa 2 1\nstart 0\nfinals 0  5\n", 3, 11, "final state 5 is out of range"),
+    ("dfa 2 1\nstart 0\nfinals 7 y\n", 3, 8, "final state 7 is out of range"),
+    (HEAD + "stat 0 : 1\n", 4, 1, "expected 'state' line"),
+    (HEAD + "  state\n", 4, 3, "expected 'state <index>'"),
+    (HEAD + "state zero : 1\n", 4, 7, "expected a state index, got 'zero'"),
+    (HEAD + "state 2 : 1\n", 4, 7, "state 2 is out of range"),
+    (HEAD + "state 0 : 1\nstate\t 0 : 0\n", 5, 8, "duplicate line for state 0"),
+    (HEAD + "state 0 [a]b : 1\n", 4, 9, "expected '[<label>]'"),
+    (HEAD + "state 0 [a : 1\n", 4, 9, "expected '[<label>]'"),
+    (HEAD + "state 0 [a[b] : 1\n", 4, 9, "expected '[<label>]'"),
+    (HEAD + "state 0 [x] : 1\nstate 1 : 0\n", 5, 1,
+     "state lines must be labeled consistently"),
+    (HEAD + "state 0 : 1\n state 1 [x] : 0\n", 5, 2,
+     "state lines must be labeled consistently"),
+    (HEAD + "state 0 - 1\n", 4, 9, "expected ':' before the transition images"),
+    (HEAD + "state 0\n", 4, 7, "expected ':' before the transition images"),
+    (HEAD + "state 0 [x]\n", 4, 9, "expected ':' before the transition images"),
+    (HEAD + "state 0 : 1 0\n", 4, 13, "expected 1 transition images, got 2"),
+    (HEAD + "state 0 :\n", 4, 9, "expected 1 transition images, got 0"),
+    (HEAD + "state 0 [] :\n", 4, 12, "expected 1 transition images, got 0"),
+    (HEAD + "state 0 : z\n", 4, 11, "expected a state index, got 'z'"),
+    (HEAD + "state 0 : 2\n", 4, 11, "image 2 is out of range"),
+    (HEAD + "state 0 : -1\n", 4, 11, "image -1 is out of range"),
+    (HEAD2 + "state 0 : 9 z\n", 4, 11, "image 9 is out of range"),
+    (HEAD2 + "state 0 : z 9\n", 4, 11, "expected a state index, got 'z'"),
+    (HEAD2 + "state 0 : 1 z\n", 4, 13, "expected a state index, got 'z'"),
+    (HEAD2 + "state 0 : 1 -3\n", 4, 13, "image -3 is out of range"),
+    (HEAD + "state\x1f0\xa0:\u3000z\n", 4, 11, "expected a state index, got 'z'"),
+    (HEAD + "state 1 : 0\n\n", 4, 1, "missing 'state 0' line"),
+    ("dfa 3 1\nstart 0\nfinals\nstate 0 : 0\nstate 2 : 2\n", 5, 1,
+     "missing 'state 1' line"),
+], ids=[
+    "empty", "blank", "header", "header_long", "header_short", "state_count",
+    "alphabet_size", "state_count_zero", "alphabet_size_negative",
+    "start_missing", "start_keyword", "start_long", "start_index",
+    "start_range", "start_range_crlf", "start_range_file_separator",
+    "finals_missing", "finals_keyword", "finals_index", "finals_range",
+    "finals_range_first", "state_keyword", "state_short", "state_index",
+    "state_range", "state_duplicate", "label_trailing", "label_open",
+    "label_nested", "labels_dropped", "labels_added", "colon_other",
+    "colon_missing", "colon_missing_labeled", "images_too_many",
+    "images_none", "images_none_labeled", "image_index", "image_range",
+    "image_negative", "image_range_first", "image_index_first",
+    "image_index_second", "image_range_second", "unicode_whitespace",
+    "state_missing", "state_gap",
+])
+def test_parse_error_positions_are_pinned(text, line, column, message):
+    with pytest.raises(ParseError) as info:
+        parse_dfa(text)
+    assert (info.value.line, info.value.column) == (line, column)
+    assert str(info.value) == f"line {line}, column {column}: {message}"
+
+
 MUTATION_TOKENS = ("dfa", "start", "finals", "state", ":", "[", "[]", "[s0]")
 
 
@@ -284,6 +361,26 @@ def test_dot_reverse_witness_has_star_labels(witness_3_4):
     )
     assert 'label="S(123)"' in dot
     assert dot.count("shape=") == 20 + 1  # 20 states plus the start marker
+
+
+def grid_dfas():
+    """The forward and reverse DFAs of the 2..7 grid, then of (6, 5)."""
+    cells = [(m, alpha) for m in range(2, 8) for alpha in range(2, 8)]
+    for m, alpha in cells + [(6, 5)]:
+        fwd = build_witness(m, alpha)
+        yield fwd
+        yield reverse_dfa(fwd)
+
+
+def test_emitters_are_pinned():
+    # (6, 5) has n = 10 points, so its reverse labels are dotted
+    digest = hashlib.sha256()
+    for dfa in grid_dfas():
+        digest.update(emit_dfa(dfa).encode())
+        digest.update(emit_dot(dfa).encode())
+    assert digest.hexdigest() == (
+        "375ec026b6c8dfb4096d82c37a4d542a559b94e9716c3fd0bc3604b8d58b772a"
+    )
 
 
 # ---------------------------------------------------------------------
