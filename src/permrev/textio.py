@@ -7,16 +7,22 @@ The DFA document format is line oriented::
     finals <index> <index> ...
     state <index> [<label>] : <image on letter 0> <image on letter 1> ...
 
-The ``finals`` line may list no indices. The bracketed label is optional
-but must appear on every state line or on none; labels cannot contain
-whitespace or brackets. ``parse_dfa``/``emit_dfa`` round-trip exactly,
-labels included. Parse errors carry a 1-based line and column.
+Tokens are separated by whitespace, which means exactly what
+``str.split()`` splits on: ASCII blanks, ``\x1c``-``\x1f``, ``\x85``,
+``\xa0`` and the other Unicode spaces and line separators. Lines are
+those of ``str.splitlines()``. The ``finals`` line may list no indices.
+The bracketed label is optional but must appear on every state line or on
+none; a label cannot contain whitespace, ``[`` or ``]``.
+``parse_dfa``/``emit_dfa`` round-trip exactly, labels included. Parse
+errors carry a 1-based line and column; the column is computed only when
+an error is raised.
 """
 
 from __future__ import annotations
 
 import json
 import re
+from itertools import islice
 
 from .dfa import Dfa, Word
 from .spectrum import MagicProbeReport, SpectrumReport
@@ -27,6 +33,7 @@ FORMAT_VERSION = "1"
 _LETTERS = "abcdefghijklmnopqrstuvwxyz"
 
 _TOKEN = re.compile(r"\S+")
+_UNWRITABLE = re.compile(r"[\s\[\]]")
 
 
 class ParseError(ValueError):
@@ -39,7 +46,12 @@ class ParseError(ValueError):
 
 
 def letter_name(c: int) -> str:
-    """'a'..'z' for letters 0..25, then "c26", "c27", ... (DOT labels only)."""
+    """'a'..'z' for letters 0..25, then "c26", "c27", ... (DOT labels only).
+
+    ``ValueError`` unless ``c`` is an int >= 0 (a bool is not).
+    """
+    if type(c) is not int:
+        raise ValueError(f"letter {c!r} is not an int")
     if c < 0:
         raise ValueError(f"letter {c} is negative")
     return _LETTERS[c] if c < len(_LETTERS) else f"c{c}"
@@ -69,142 +81,167 @@ def emit_dfa(dfa: Dfa) -> str:
     lines = [
         f"dfa {dfa.num_states} {dfa.alphabet_size}",
         f"start {dfa.start}",
-        ("finals " + " ".join(str(q) for q in sorted(dfa.finals))).rstrip(),
+        " ".join(["finals", *map(str, sorted(dfa.finals))]),
     ]
-    for q in range(dfa.num_states):
-        images = " ".join(str(t) for t in dfa.delta[q])
-        if dfa.labels is not None:
-            label = dfa.labels[q]
-            if re.search(r"[\s\[\]]", label):
-                raise ValueError(
-                    f"label {label!r} cannot be written to the text format"
-                )
-            lines.append(f"state {q} [{label}] : {images}")
-        else:
-            lines.append(f"state {q} : {images}")
+    if dfa.labels is None:
+        lines += [
+            f"state {q} : {' '.join(map(str, row))}"
+            for q, row in enumerate(dfa.delta)
+        ]
+    else:
+        # One pass over all labels at C speed; the pattern names the first
+        # bad label only when that pass fails.
+        joined = "".join(dfa.labels)
+        if joined and (joined.split() != [joined] or "[" in joined or "]" in joined):
+            bad = next(filter(_UNWRITABLE.search, dfa.labels))
+            raise ValueError(f"label {bad!r} cannot be written to the text format")
+        lines += [
+            f"state {q} [{label}] : {' '.join(map(str, row))}"
+            for q, (label, row) in enumerate(zip(dfa.labels, dfa.delta))
+        ]
     return "\n".join(lines) + "\n"
 
 
-def _tokens(line: str) -> list[tuple[int, str]]:
-    return [(m.start() + 1, m.group()) for m in _TOKEN.finditer(line)]
+def _column(line: str, k: int) -> int:
+    """1-based column of token ``k`` of ``line``; called only to report an error."""
+    return next(islice(_TOKEN.finditer(line), k, None)).start() + 1
 
 
-def _int_token(line_no: int, col: int, token: str, what: str) -> int:
+def _indices(
+    line_no: int, line: str, tokens: list[str], k: int, bound: int, what: str
+) -> tuple[int, ...]:
+    """``tokens[k:]`` as ints in ``range(bound)``.
+
+    On failure the tokens are walked one by one, so the error names the
+    first token that is not an int or is out of range.
+    """
+    try:
+        values = tuple(map(int, tokens[k:]))
+    except ValueError:
+        pass
+    else:
+        if not values or (min(values) >= 0 and max(values) < bound):
+            return values
+    for i in range(k, len(tokens)):
+        value = _int_token(line_no, line, i, tokens[i], "a state index")
+        if not 0 <= value < bound:
+            raise ParseError(
+                line_no, _column(line, i), f"{what} {value} is out of range"
+            )
+    raise AssertionError("a token failed the bulk check but not the walk")
+
+
+def _int_token(line_no: int, line: str, k: int, token: str, what: str) -> int:
     try:
         return int(token)
     except ValueError:
-        raise ParseError(line_no, col, f"expected {what}, got {token!r}") from None
+        raise ParseError(
+            line_no, _column(line, k), f"expected {what}, got {token!r}"
+        ) from None
 
 
 def parse_dfa(text: str) -> Dfa:
-    rows = [
-        (line_no, _tokens(line))
-        for line_no, line in enumerate(text.splitlines(), start=1)
-    ]
-    rows = [(line_no, tokens) for line_no, tokens in rows if tokens]
+    rows = []
+    for line_no, line in enumerate(text.splitlines(), start=1):
+        tokens = line.split()
+        if tokens:
+            rows.append((line_no, line, tokens))
     last_line = rows[-1][0] if rows else 1
 
-    def need_row(i: int, what: str) -> tuple[int, list[tuple[int, str]]]:
+    def need_row(i: int, what: str) -> tuple[int, str, list[str]]:
         if i >= len(rows):
             raise ParseError(last_line, 1, f"expected {what}")
         return rows[i]
 
-    line_no, tokens = need_row(0, "'dfa' header")
-    if tokens[0][1] != "dfa":
-        raise ParseError(line_no, tokens[0][0], "expected 'dfa' header")
+    line_no, line, tokens = need_row(0, "'dfa' header")
+    if tokens[0] != "dfa":
+        raise ParseError(line_no, _column(line, 0), "expected 'dfa' header")
     if len(tokens) != 3:
         raise ParseError(
-            line_no, tokens[-1][0], "expected 'dfa <num_states> <alphabet_size>'"
+            line_no,
+            _column(line, len(tokens) - 1),
+            "expected 'dfa <num_states> <alphabet_size>'",
         )
-    num_states = _int_token(line_no, tokens[1][0], tokens[1][1], "a state count")
-    alphabet_size = _int_token(line_no, tokens[2][0], tokens[2][1], "an alphabet size")
+    num_states = _int_token(line_no, line, 1, tokens[1], "a state count")
+    alphabet_size = _int_token(line_no, line, 2, tokens[2], "an alphabet size")
     if num_states < 1:
-        raise ParseError(line_no, tokens[1][0], "state count must be >= 1")
+        raise ParseError(line_no, _column(line, 1), "state count must be >= 1")
     if alphabet_size < 1:
-        raise ParseError(line_no, tokens[2][0], "alphabet size must be >= 1")
+        raise ParseError(line_no, _column(line, 2), "alphabet size must be >= 1")
 
-    line_no, tokens = need_row(1, "'start' line")
-    if tokens[0][1] != "start" or len(tokens) != 2:
-        raise ParseError(line_no, tokens[0][0], "expected 'start <index>'")
-    start = _int_token(line_no, tokens[1][0], tokens[1][1], "a state index")
+    line_no, line, tokens = need_row(1, "'start' line")
+    if tokens[0] != "start" or len(tokens) != 2:
+        raise ParseError(line_no, _column(line, 0), "expected 'start <index>'")
+    start = _int_token(line_no, line, 1, tokens[1], "a state index")
     if not 0 <= start < num_states:
         raise ParseError(
-            line_no, tokens[1][0], f"start state {start} is out of range"
+            line_no, _column(line, 1), f"start state {start} is out of range"
         )
 
-    line_no, tokens = need_row(2, "'finals' line")
-    if tokens[0][1] != "finals":
-        raise ParseError(line_no, tokens[0][0], "expected 'finals' line")
-    finals = set()
-    for col, token in tokens[1:]:
-        q = _int_token(line_no, col, token, "a state index")
-        if not 0 <= q < num_states:
-            raise ParseError(line_no, col, f"final state {q} is out of range")
-        finals.add(q)
+    line_no, line, tokens = need_row(2, "'finals' line")
+    if tokens[0] != "finals":
+        raise ParseError(line_no, _column(line, 0), "expected 'finals' line")
+    finals = _indices(line_no, line, tokens, 1, num_states, "final state")
 
     # Keyed by state index, so nothing is allocated from the header's count.
     delta: dict[int, tuple[int, ...]] = {}
     labels: dict[int, str | None] = {}
     labeled: bool | None = None
-    for line_no, tokens in rows[3:]:
-        if tokens[0][1] != "state":
-            raise ParseError(line_no, tokens[0][0], "expected 'state' line")
+    for line_no, line, tokens in rows[3:]:
+        if tokens[0] != "state":
+            raise ParseError(line_no, _column(line, 0), "expected 'state' line")
         if len(tokens) < 2:
-            raise ParseError(line_no, tokens[0][0], "expected 'state <index>'")
-        col, token = tokens[1]
-        q = _int_token(line_no, col, token, "a state index")
+            raise ParseError(line_no, _column(line, 0), "expected 'state <index>'")
+        q = _int_token(line_no, line, 1, tokens[1], "a state index")
         if not 0 <= q < num_states:
-            raise ParseError(line_no, col, f"state {q} is out of range")
+            raise ParseError(line_no, _column(line, 1), f"state {q} is out of range")
         if q in delta:
-            raise ParseError(line_no, col, f"duplicate line for state {q}")
-        rest = tokens[2:]
+            raise ParseError(
+                line_no, _column(line, 1), f"duplicate line for state {q}"
+            )
+        k = 2
         label: str | None = None
-        if rest and rest[0][1].startswith("["):
-            col, token = rest[0]
+        if len(tokens) > 2 and tokens[2].startswith("["):
+            token = tokens[2]
             if not token.endswith("]") or "[" in token[1:] or "]" in token[:-1]:
-                raise ParseError(line_no, col, "expected '[<label>]'")
+                raise ParseError(line_no, _column(line, 2), "expected '[<label>]'")
             label = token[1:-1]
-            rest = rest[1:]
+            k = 3
         if labeled is None:
             labeled = label is not None
         elif labeled != (label is not None):
             raise ParseError(
-                line_no, tokens[0][0],
+                line_no, _column(line, 0),
                 "state lines must be labeled consistently",
             )
-        if not rest or rest[0][1] != ":":
+        if k >= len(tokens) or tokens[k] != ":":
             raise ParseError(
                 line_no,
-                rest[0][0] if rest else tokens[-1][0],
+                _column(line, min(k, len(tokens) - 1)),
                 "expected ':' before the transition images",
             )
-        rest = rest[1:]
-        if len(rest) != alphabet_size:
+        k += 1
+        if len(tokens) - k != alphabet_size:
             raise ParseError(
                 line_no,
-                rest[len(rest) - 1][0] if rest else tokens[-1][0],
-                f"expected {alphabet_size} transition images, got {len(rest)}",
+                _column(line, len(tokens) - 1),
+                f"expected {alphabet_size} transition images, got {len(tokens) - k}",
             )
-        images = []
-        for col, token in rest:
-            t = _int_token(line_no, col, token, "a state index")
-            if not 0 <= t < num_states:
-                raise ParseError(line_no, col, f"image {t} is out of range")
-            images.append(t)
-        delta[q] = tuple(images)
+        delta[q] = _indices(line_no, line, tokens, k, num_states, "image")
         labels[q] = label
 
-    for q in range(num_states):
-        if q not in delta:
-            raise ParseError(last_line, 1, f"missing 'state {q}' line")
+    if len(delta) != num_states:
+        missing = next(q for q in range(num_states) if q not in delta)
+        raise ParseError(last_line, 1, f"missing 'state {missing}' line")
 
+    states = range(num_states)
     return Dfa(
         num_states=num_states,
         alphabet_size=alphabet_size,
-        delta=tuple(delta[q] for q in range(num_states)),
+        delta=tuple(map(delta.__getitem__, states)),
         start=start,
         finals=frozenset(finals),
-        labels=tuple(labels[q] or "" for q in range(num_states)) if labeled else None,
+        labels=tuple(map(labels.__getitem__, states)) if labeled else None,
     )
 
 
@@ -220,14 +257,18 @@ def emit_dot(dfa: Dfa) -> str:
         "  __start [shape=point];",
         f"  __start -> q{dfa.start};",
     ]
-    for q in range(dfa.num_states):
-        shape = "doublecircle" if q in dfa.finals else "circle"
-        label = (dfa.label(q) or str(q)).replace("\\", "\\\\")
-        label = label.replace('"', '\\"')
+    labels = dfa.labels if dfa.labels is not None else map(str, range(dfa.num_states))
+    finals = dfa.finals
+    for q, label in enumerate(labels):
+        shape = "doublecircle" if q in finals else "circle"
+        label = (label or str(q)).replace("\\", "\\\\").replace('"', '\\"')
         out.append(f'  q{q} [label="{label}", shape={shape}];')
-    for q in range(dfa.num_states):
-        for c in range(dfa.alphabet_size):
-            out.append(f'  q{q} -> q{dfa.delta[q][c]} [label="{letter_name(c)}"];')
+    ends = [f' [label="{letter_name(c)}"];' for c in range(dfa.alphabet_size)]
+    out += [
+        f"  q{q} -> q{t}{end}"
+        for q, row in enumerate(dfa.delta)
+        for t, end in zip(row, ends)
+    ]
     out.append("}")
     return "\n".join(out) + "\n"
 
@@ -308,6 +349,7 @@ def spectrum_report_dict(report: SpectrumReport) -> dict:
 
 
 def report_to_json(report: WitnessReport | SpectrumReport | MagicProbeReport) -> str:
+    """The report as indented JSON; ``ValueError`` for any other object."""
     if isinstance(report, WitnessReport):
         payload = witness_report_dict(report)
     elif isinstance(report, SpectrumReport):
@@ -315,5 +357,5 @@ def report_to_json(report: WitnessReport | SpectrumReport | MagicProbeReport) ->
     elif isinstance(report, MagicProbeReport):
         payload = probe_report_dict(report)
     else:
-        raise TypeError(f"no JSON form for {type(report).__name__}")
+        raise ValueError(f"no JSON form for {type(report).__name__}")
     return json.dumps(payload, indent=2) + "\n"

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
+from permrev import textio
 from permrev.dfa import Dfa
 from permrev.reversal import reverse_construction, reverse_dfa
 from permrev.spectrum import magic_one_probe, spectrum_table, trivial_rows
@@ -154,6 +155,25 @@ def test_unwritable_label():
         emit_dfa(bad)
 
 
+@pytest.mark.parametrize("label", [
+    "a b", "a\tb", "a\x1fb", "a\xa0b", "a\u3000b", "a\u2028b", " ", "[", "a]",
+])
+def test_unwritable_label_is_named(label):
+    # whitespace is what str.split() splits on, so no label can break a line
+    dfa = Dfa(3, 1, ((0,), (1,), (2,)), 0, frozenset(), labels=("", label, "x y"))
+    with pytest.raises(ValueError) as info:
+        emit_dfa(dfa)
+    assert str(info.value) == (
+        f"label {label!r} cannot be written to the text format"
+    )
+
+
+def test_empty_and_punctuated_labels_are_writable():
+    labels = ("", "1.2.3.4.10", 'a"b\\c', "S(123)", "")
+    dfa = Dfa(5, 1, tuple((q,) for q in range(5)), 0, frozenset(), labels=labels)
+    assert parse_dfa(emit_dfa(dfa)) == dfa
+
+
 def test_parse_empty_document():
     with pytest.raises(ParseError):
         parse_dfa("")
@@ -265,6 +285,45 @@ def mutated_documents(draw):
             | st.text(min_size=1)
         )
     return "\n".join(" ".join(line) for line in lines) + "\n"
+
+
+def test_well_formed_document_computes_no_column(monkeypatch):
+    # columns are found only for an error; a good document never asks
+    docs = [emit_dfa(dfa) for dfa in grid_dfas()]
+
+    def fail(line, k):
+        raise AssertionError("a column was computed")
+
+    monkeypatch.setattr(textio, "_column", fail)
+    monkeypatch.setattr(textio, "_TOKEN", None)
+    for text in docs:
+        parse_dfa(text)
+
+
+SPLIT_TEXT = st.text(
+    st.sampled_from(" \t\n\r\x0b\x0c\x1c\x1d\x1e\x1f\x85\xa0\u1680\u2000"
+                    "\u2028\u2029\u202f\u3000\u200b\ufeffab[]:0")
+    | st.characters()
+)
+
+
+@given(SPLIT_TEXT)
+def test_split_tokens_match_the_column_pattern(text):
+    # parse_dfa splits with str.split(); _column counts tokens with _TOKEN
+    for line in text.splitlines():
+        assert line.split() == textio._TOKEN.findall(line)
+
+
+@settings(max_examples=300)
+@given(mutated_documents())
+def test_parse_error_column_starts_a_token(text):
+    try:
+        parse_dfa(text)
+    except ParseError as err:
+        lines = text.splitlines()
+        line = lines[err.line - 1] if err.line <= len(lines) else ""
+        starts = {m.start() + 1 for m in textio._TOKEN.finditer(line)}
+        assert err.column == 1 or err.column in starts
 
 
 def check_parse_roundtrips_or_raises(text):
@@ -395,6 +454,25 @@ def test_word_conversions():
         word_from_str("a!b")
 
 
+@pytest.mark.parametrize("letter", [2.5, "a", True, None, -3])
+def test_letter_name_rejects_non_letters(letter):
+    with pytest.raises(ValueError):
+        letter_name(letter)
+
+
+def test_dot_names_each_letter_once(monkeypatch):
+    calls = []
+
+    def counting(c):
+        calls.append(c)
+        return letter_name(c)
+
+    monkeypatch.setattr(textio, "letter_name", counting)
+    dfa = build_witness(4, 3)
+    assert emit_dot(dfa).count(' [label="b"];') == dfa.num_states
+    assert calls == [0, 1]
+
+
 def test_letter_names_read_back_or_raise():
     assert word_from_str(word_to_str(tuple(range(26)))) == tuple(range(26))
     assert letter_name(26) == "c26"  # DOT edge labels only
@@ -448,5 +526,7 @@ def test_report_json_is_pinned(make_report, digest):
 
 
 def test_report_json_rejects_other_types():
-    with pytest.raises(TypeError):
+    with pytest.raises(ValueError):
+        report_to_json(object())
+    with pytest.raises(ValueError):
         report_to_json(trivial_rows())
