@@ -56,6 +56,28 @@ def test_rejects_non_integer_target():
             Dfa(2, 1, ((bad,), (0,)), 0, frozenset())
 
 
+@pytest.mark.parametrize("delta, message", [
+    (((0, 1),), "delta has 1 rows for 2 states"),
+    (((0, 1), (1,)), "state 1: row has 1 entries for an alphabet of 2"),
+    (((0, 1, 0), (1, 0)), "state 0: row has 3 entries for an alphabet of 2"),
+    (((0, 1.5), (1, 0)), "delta(0,1) = 1.5 is not a state"),
+    (((0, 1), (None, 0)), "delta(1,0) = None is not a state"),
+    (((True, 1), (1, 0)), "delta(0,0) = True is not a state"),
+    (((0, 1), ("1", 0)), "delta(1,0) = '1' is not a state"),
+    (((0, 1), (1, -1)), "delta(1,1) = -1 is not a state"),
+    (((0, 2), (1, 0)), "delta(0,1) = 2 is not a state"),
+    # the first bad entry in row order is named, whatever its kind
+    (((0, 7), (-1, 0)), "delta(0,1) = 7 is not a state"),
+    (((0, 1), (None, 9)), "delta(1,0) = None is not a state"),
+    (((0, 9), (1,)), "delta(0,1) = 9 is not a state"),
+    (((0,), (1, 9)), "state 0: row has 1 entries for an alphabet of 2"),
+])
+def test_rejection_messages_are_pinned(delta, message):
+    with pytest.raises(ValueError) as info:
+        Dfa(2, 2, delta, 0, frozenset())
+    assert str(info.value) == message
+
+
 def test_rejects_non_integer_start_and_finals():
     # a string final used to escape as TypeError from the range comparison
     with pytest.raises(ValueError, match="not a state"):
