@@ -4,6 +4,18 @@ import pytest
 from permrev.dfa import Dfa
 from permrev.witness import build_witness
 
+def pytest_collection_finish(session):
+    """Build the alphabet of ``st.text()`` before any test runs.
+
+    The default alphabet is every character that utf-8 encodes. Hypothesis
+    computes that set once per process, on first use, and caches it in its
+    storage directory; with an empty directory that takes about 2 s, which
+    would count against the input generation of the first test to draw
+    text. Hypothesis warns about such work while conftest files load, so it
+    runs here, once collection is done.
+    """
+    st.text().validate()
+
 
 @st.composite
 def dfas(draw, max_states=5, max_alphabet=3):
