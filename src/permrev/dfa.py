@@ -9,9 +9,11 @@ construction, so instances are safe to share between threads.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
+from itertools import chain, repeat
 from typing import Sequence
+
+from .errors import are_indices, check_int
 
 Word = Sequence[int]
 
@@ -22,7 +24,11 @@ class Dfa:
 
     ``delta[q][c]`` is the successor of state ``q`` on letter ``c``; the
     table is total by construction. ``labels``, when present, names every
-    state with a str.
+    state with a str. Construction raises ValueError for a bad size, row,
+    entry, start, final or label. The table is checked in one pass of
+    builtins over all its entries; only when that fails are the rows
+    walked, so that the message names the first bad row or entry in row
+    order.
     """
 
     num_states: int
@@ -33,22 +39,35 @@ class Dfa:
     labels: tuple[str, ...] | None = None
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "delta", tuple(tuple(row) for row in self.delta))
+        object.__setattr__(self, "delta", tuple(map(tuple, self.delta)))
         object.__setattr__(self, "finals", frozenset(self.finals))
         if self.labels is not None:
             object.__setattr__(self, "labels", tuple(self.labels))
-        if type(self.num_states) is not int or self.num_states < 1:
-            raise ValueError(
-                f"num_states must be an int >= 1 (got {self.num_states!r})"
-            )
-        if type(self.alphabet_size) is not int or self.alphabet_size < 1:
-            raise ValueError(
-                f"alphabet_size must be an int >= 1 (got {self.alphabet_size!r})"
-            )
+        check_int("num_states", self.num_states, 1)
+        check_int("alphabet_size", self.alphabet_size, 1)
         if len(self.delta) != self.num_states:
             raise ValueError(
                 f"delta has {len(self.delta)} rows for {self.num_states} states"
             )
+        if set(map(len, self.delta)) != {self.alphabet_size} or not are_indices(
+            [*chain.from_iterable(self.delta)], self.num_states
+        ):
+            self._reject_table()
+        if type(self.start) is not int or not 0 <= self.start < self.num_states:
+            raise ValueError(f"start state {self.start!r} is not a state")
+        if not are_indices(self.finals, self.num_states):
+            for q in self.finals:
+                if type(q) is not int or not 0 <= q < self.num_states:
+                    raise ValueError(f"final state {q!r} is not a state")
+        if self.labels is not None:
+            if len(self.labels) != self.num_states:
+                raise ValueError("labels must name every state")
+            if not all(map(isinstance, self.labels, repeat(str))):
+                label = next(x for x in self.labels if not isinstance(x, str))
+                raise ValueError(f"label {label!r} is not a str")
+
+    def _reject_table(self) -> None:
+        """Raise ValueError naming the first short or long row or bad entry."""
         for q, row in enumerate(self.delta):
             if len(row) != self.alphabet_size:
                 raise ValueError(
@@ -58,17 +77,6 @@ class Dfa:
             for c, target in enumerate(row):
                 if type(target) is not int or not 0 <= target < self.num_states:
                     raise ValueError(f"delta({q},{c}) = {target!r} is not a state")
-        if type(self.start) is not int or not 0 <= self.start < self.num_states:
-            raise ValueError(f"start state {self.start!r} is not a state")
-        for q in self.finals:
-            if type(q) is not int or not 0 <= q < self.num_states:
-                raise ValueError(f"final state {q!r} is not a state")
-        if self.labels is not None:
-            if len(self.labels) != self.num_states:
-                raise ValueError("labels must name every state")
-            for label in self.labels:
-                if not isinstance(label, str):
-                    raise ValueError(f"label {label!r} is not a str")
 
     def label(self, q: int) -> str:
         return self.labels[q] if self.labels is not None else str(q)
@@ -109,16 +117,13 @@ def reachable_states(dfa: Dfa) -> list[int]:
     Ties break by letter index, so the order is reproducible; the canonical
     renumbering in minimization reuses it.
     """
+    delta = dfa.delta
     seen = [False] * dfa.num_states
     seen[dfa.start] = True
     order = [dfa.start]
-    queue = deque(order)
-    while queue:
-        q = queue.popleft()
-        for c in range(dfa.alphabet_size):
-            t = dfa.delta[q][c]
+    for q in order:  # grows while it is walked: BFS order
+        for t in delta[q]:
             if not seen[t]:
                 seen[t] = True
                 order.append(t)
-                queue.append(t)
     return order

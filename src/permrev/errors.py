@@ -1,9 +1,32 @@
-"""Shared exception types.
+"""Shared exception types and the shared int argument checks.
 
 Input-validation failures raise plain ``ValueError`` throughout the package;
 the classes here cover the two situations that need to be told apart by
 callers (and by the CLI exit-code mapping).
 """
+
+from __future__ import annotations
+
+from typing import Collection
+
+
+def check_int(name: str, value: object, minimum: int) -> None:
+    """Raise ValueError unless ``value`` is an int >= ``minimum``.
+
+    A bool is not an int here, and neither is a float with an integral value.
+    """
+    if type(value) is not int or value < minimum:
+        raise ValueError(f"{name} must be an int >= {minimum} (got {value!r})")
+
+
+def are_indices(values: Collection, stop: int) -> bool:
+    """Whether every value is an int in ``range(stop)``; a bool is not.
+
+    One pass of builtins over the values, for checking whole tables.
+    """
+    return set(map(type, values)) <= {int} and (
+        not values or 0 <= min(values) and max(values) < stop
+    )
 
 
 class CapacityError(RuntimeError):

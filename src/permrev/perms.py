@@ -14,7 +14,7 @@ from collections import deque
 from itertools import combinations
 from typing import Iterator, Sequence
 
-from .errors import CapacityError, NotInGroupError
+from .errors import CapacityError, NotInGroupError, check_int
 
 Perm = tuple[int, ...]
 KSubset = tuple[int, ...]
@@ -24,22 +24,25 @@ MAX_GROUP_ELEMENTS = 40_320
 
 
 def identity_perm(n: int) -> Perm:
-    if n < 1:
-        raise ValueError(f"n must be >= 1 (got {n})")
+    check_int("n", n, 1)
     return tuple(range(n))
 
 
 def cycle_perm(n: int) -> Perm:
-    """The full cycle: point i goes to i+1, the last point wraps to the first."""
-    if n < 1:
-        raise ValueError(f"n must be >= 1 (got {n})")
+    """The full cycle: point i goes to i+1, the last point wraps to the first.
+
+    Raises ValueError unless ``n`` is an int >= 1.
+    """
+    check_int("n", n, 1)
     return tuple((i + 1) % n for i in range(n))
 
 
 def transposition_perm(n: int) -> Perm:
-    """The transposition swapping the first two points."""
-    if n < 2:
-        raise ValueError(f"n must be >= 2 (got {n})")
+    """The transposition swapping the first two points.
+
+    Raises ValueError unless ``n`` is an int >= 2.
+    """
+    check_int("n", n, 2)
     return (1, 0) + tuple(range(2, n))
 
 
@@ -108,8 +111,15 @@ def colex_rank(subset: KSubset) -> int:
 
 
 def colex_unrank(rank: int, n: int, k: int) -> KSubset:
-    """The k-subset of {0..n-1} with the given colexicographic rank."""
-    if not 0 <= rank < math.comb(n, k):
+    """The k-subset of {0..n-1} with the given colexicographic rank.
+
+    Raises ValueError unless ``n``, ``k`` and ``rank`` are ints >= 0 and
+    ``rank`` is below C(n, k).
+    """
+    check_int("n", n, 0)
+    check_int("k", k, 0)
+    check_int("rank", rank, 0)
+    if rank >= math.comb(n, k):
         raise ValueError(f"rank {rank} out of range for {k}-subsets of [{n}]")
     out = [0] * k
     r = rank
@@ -127,10 +137,11 @@ def ksubsets(n: int, k: int) -> Iterator[KSubset]:
     """All k-subsets of {0..n-1} in colexicographic order.
 
     The subsets are enumerated in one step, so the first one costs as much
-    memory as all of them.
+    memory as all of them. Raises ValueError unless ``n`` and ``k`` are
+    ints >= 0.
     """
-    if n < 0 or k < 0:
-        raise ValueError(f"n and k must be >= 0 (got n={n}, k={k})")
+    check_int("n", n, 0)
+    check_int("k", k, 0)
     # combinations over the points in decreasing order list the reversed
     # subsets in decreasing colexicographic order.
     descending = list(combinations(range(n - 1, -1, -1), k))

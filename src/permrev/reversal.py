@@ -22,11 +22,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import partial
-from operator import lt
-from typing import Callable
+from itertools import chain
+from operator import itemgetter, lt
+from typing import Callable, Iterable
 
 from .dfa import Dfa, reachable_states
-from .errors import CapacityError
+from .errors import CapacityError, check_int
 
 SubsetState = tuple[int, ...]
 
@@ -66,24 +67,22 @@ def _predecessors(fwd: Dfa, letter: int) -> list[list[int]]:
     return pre
 
 
-def _preimage(pre: list[list[int]], s: SubsetState) -> SubsetState:
-    """Union of the predecessor lists over the members of ``s``."""
-    # Each state has one successor per letter, so the predecessor lists of
-    # distinct states are disjoint and the union has no repeats.
-    return tuple(sorted([p for q in s for p in pre[q]]))
-
-
-def _preimage_map(fwd: Dfa, letter: int) -> Callable[[SubsetState], SubsetState]:
-    """The map taking a subset-state to its preimage under ``letter``.
+def _preimage_map(fwd: Dfa, letter: int) -> Callable[[SubsetState], Iterable[int]]:
+    """The map taking a subset-state to its preimage under ``letter``,
+    unsorted.
 
     When the letter permutes the states, every state has exactly one
     predecessor, and the preimage is the image under the inverse map.
+    Otherwise it is the union of the predecessor lists of the members;
+    each state has one successor per letter, so distinct states have
+    disjoint lists and the union has no repeats.
     """
+    column = [*map(itemgetter(letter), fwd.delta)]
+    if len(set(column)) == fwd.num_states:
+        inverse = sorted(range(fwd.num_states), key=column.__getitem__)
+        return partial(map, inverse.__getitem__)
     pre = _predecessors(fwd, letter)
-    if all(len(ps) == 1 for ps in pre):
-        inverse = [p for (p,) in pre].__getitem__
-        return lambda s: tuple(sorted(map(inverse, s)))
-    return partial(_preimage, pre)
+    return lambda s: chain.from_iterable(map(pre.__getitem__, s))
 
 
 def reverse_step(fwd: Dfa, s: SubsetState, letter: int) -> SubsetState:
@@ -94,7 +93,7 @@ def reverse_step(fwd: Dfa, s: SubsetState, letter: int) -> SubsetState:
     """
     _check_subset(fwd, s)
     _check_letter(fwd, letter)
-    return _preimage_map(fwd, letter)(s)
+    return tuple(sorted(_preimage_map(fwd, letter)(s)))
 
 
 def reverse_construction(
@@ -111,25 +110,24 @@ def reverse_construction(
     unlabeled (``labels=None``): the subsets name its states, and
     ``reverse_dfa`` renders them as labels for text output.
     """
-    if type(max_states) is not int or max_states < 1:
-        raise ValueError(f"max_states must be an int >= 1 (got {max_states!r})")
+    check_int("max_states", max_states, 1)
     preimages = [_preimage_map(fwd, c) for c in range(fwd.alphabet_size)]
     subsets = [tuple(sorted(fwd.finals))]
     index = {subsets[0]: 0}
+    intern = index.setdefault
     rows: list[tuple[int, ...]] = []
     for s in subsets:  # grows while it is walked: BFS order
         row = []
         for preimage in preimages:
-            t = preimage(s)
-            j = index.get(t)
-            if j is None:
-                if len(subsets) >= max_states:
+            t = tuple(sorted(preimage(s)))
+            j = intern(t, len(subsets))
+            if j == len(subsets):
+                if j >= max_states:
                     raise CapacityError(
                         f"reverse construction exceeded {max_states} states",
-                        count=len(subsets),
+                        count=j,
                         stage="reverse_construction",
                     )
-                j = index[t] = len(subsets)
                 subsets.append(t)
             row.append(j)
         rows.append(tuple(row))
@@ -206,11 +204,8 @@ def certify_reversal(
         # the members of s from the same old block.
         moved: dict[int, int] = {}
         for p in s:
-            new = moved.get(block[p])
-            if new is None:
-                new = moved[block[p]] = fresh
-                fresh += 1
-            block[p] = new
+            block[p] = moved.setdefault(block[p], fresh + len(moved))
+        fresh += len(moved)
     return rev, subsets, ReversalCertificate(
         asc_forward=len({block[q] for q in reach if q in fwd.finals}),
         asc_reverse=len({cut[i] for i in rev.finals}),

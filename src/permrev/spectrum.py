@@ -16,9 +16,9 @@ from collections import Counter
 from dataclasses import dataclass
 
 from .dfa import Dfa, is_permutation_automaton
-from .errors import CapacityError
+from .errors import CapacityError, check_int
 from .reversal import certify_reversal
-from .witness import DEFAULT_STATE_CAP, build_witness, check_state_cap
+from .witness import DEFAULT_STATE_CAP, build_witness
 
 # Unused here: perfbench/tracing.py wraps these names on this module by attribute.
 from .minimize import asc  # noqa: F401
@@ -79,9 +79,13 @@ def trivial_rows() -> tuple[SpectrumRow, SpectrumRow]:
 
 
 def random_pfa(rng: random.Random, num_states: int, alphabet_size: int = 2) -> Dfa:
-    """Uniform random permutation per letter, uniform start, fair-coin finals."""
-    if num_states < 1:
-        raise ValueError(f"num_states must be >= 1 (got {num_states})")
+    """Uniform random permutation per letter, uniform start, fair-coin finals.
+
+    Raises ValueError unless ``num_states`` and ``alphabet_size`` are
+    ints >= 1.
+    """
+    check_int("num_states", num_states, 1)
+    check_int("alphabet_size", alphabet_size, 1)
     columns = []
     for _ in range(alphabet_size):
         column = list(range(num_states))
@@ -208,7 +212,7 @@ def spectrum_table(
     for name, value in (("m_max", m_max), ("alpha_max", alpha_max)):
         if type(value) is not int:
             raise ValueError(f"{name} must be an int (got {value!r})")
-    check_state_cap(state_cap)
+    check_int("state_cap", state_cap, 1)
     rows = list(trivial_rows())
     for m in range(2, m_max + 1):
         for alpha in range(2, alpha_max + 1):

@@ -13,15 +13,15 @@ backward, and the accepting-state complexities.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from functools import reduce
-from operator import and_, lt
+from itertools import chain, combinations, compress, islice, repeat
+from operator import and_, eq, itemgetter, lt, xor
 from typing import Iterable
 
 from .dfa import Dfa
-from .errors import CapacityError
+from .errors import CapacityError, are_indices, check_int
 from .perms import KSubset, ksubsets
 from .reversal import SubsetState, certify_reversal
 
@@ -48,10 +48,8 @@ class WitnessParams:
     alpha: int
 
     def __post_init__(self) -> None:
-        if type(self.m) is not int or self.m < 2:
-            raise ValueError(f"m must be an int >= 2 (got {self.m!r})")
-        if type(self.alpha) is not int or self.alpha < 2:
-            raise ValueError(f"alpha must be an int >= 2 (got {self.alpha!r})")
+        check_int("m", self.m, 2)
+        check_int("alpha", self.alpha, 2)
 
     @property
     def n(self) -> int:
@@ -110,19 +108,21 @@ def star_members(params: WitnessParams, center: KSubset) -> Star:
     return Star(center, members)
 
 
-def check_state_cap(state_cap: int) -> None:
-    """Raise ValueError unless ``state_cap`` is an int >= 1."""
-    if type(state_cap) is not int or state_cap < 1:
-        raise ValueError(f"state_cap must be an int >= 1 (got {state_cap!r})")
+def _colex_masks(n: int, k: int) -> list[int]:
+    """The k-subsets of [n] as n-bit masks (bit i set iff point i is a
+    member), in increasing order, which is colexicographic order.
 
-
-def _point_sets(subsets: Iterable[KSubset], n: int) -> list[int]:
-    """Each subset as an n-bit mask: bit i is set iff point i is a member.
-
-    Colexicographic order of k-subsets is increasing order of their masks.
+    The masks are built up one point at a time: adding point j keeps the
+    t-subsets of the points so far and appends the (t-1)-subsets with bit j
+    set, which are all larger. Only the sizes that can still grow to k are
+    kept up to date.
     """
-    bit = [1 << i for i in range(n)]
-    return [sum(map(bit.__getitem__, x)) for x in subsets]
+    by_size = [[0]] + [[] for _ in range(k)]
+    for j in range(n):
+        bit = 1 << j
+        for t in range(min(j + 1, k), max(0, k - n + j), -1):
+            by_size[t] += map(bit.__or__, by_size[t - 1])
+    return by_size[k]
 
 
 def build_witness(m: int, alpha: int, state_cap: int = DEFAULT_STATE_CAP) -> Dfa:
@@ -130,14 +130,17 @@ def build_witness(m: int, alpha: int, state_cap: int = DEFAULT_STATE_CAP) -> Dfa
 
     States are numbered in colexicographic order and labeled 1-based, so the
     start state {1..alpha} is state 0 with label like "1234". Each state is
-    an n-bit point-set: letter a (i -> i+1 mod n) rotates it left by one
-    bit, letter b swaps bits 0 and 1, and a dict from point-set to state
-    number gives each image's index. Raises ValueError when ``state_cap`` is
-    not an int >= 1 and CapacityError when the witness would have more than
-    ``state_cap`` states; the exact count is the error's ``count``.
+    an n-bit point-set, from ``_colex_masks``: letter a (i -> i+1 mod n)
+    rotates it left by one bit, letter b swaps bits 0 and 1, and a dict from
+    point-set to state number gives each image's index. Each letter's column
+    of images is one pass of builtins over all point-sets, and the labels
+    are joined from ``itertools.combinations`` of the digit strings. Raises
+    ValueError when ``state_cap`` is not an int >= 1 and CapacityError when
+    the witness would have more than ``state_cap`` states; the exact count
+    is the error's ``count``.
     """
     params = WitnessParams(m, alpha)
-    check_state_cap(state_cap)
+    check_int("state_cap", state_cap, 1)
     n = params.n
     total = math.comb(n, alpha)
     if total > state_cap:
@@ -148,23 +151,49 @@ def build_witness(m: int, alpha: int, state_cap: int = DEFAULT_STATE_CAP) -> Dfa
             count=total,
             stage="build_witness",
         )
-    subsets = list(ksubsets(n, alpha))
-    points = _point_sets(subsets, n)
-    index = {x: i for i, x in enumerate(points)}
-    full = (1 << n) - 1
-    delta = tuple(
-        (index[(x << 1 | x >> (n - 1)) & full], index[x ^ 3] if x & 3 in (1, 2) else i)
-        for i, x in enumerate(points)
-    )
+    points = _colex_masks(n, alpha)
+    index = dict(zip(points, range(total)))
+    a_images = map(index.__getitem__, _rotations(points, n, n - 1))
+    b_images = map(index.__getitem__, _swaps(points))
     # The final star: the first alpha - 1 points and any one other point.
     center0 = (1 << (alpha - 1)) - 1
     finals = frozenset(index[center0 | 1 << u] for u in range(alpha - 1, n))
-    # The labels subset_label writes, joined from one digit string per point.
-    digits = [str(i + 1) for i in range(n)]
-    labels = tuple(
-        ("." if x[-1] > 8 else "").join(map(digits.__getitem__, x)) for x in subsets
-    )
-    return Dfa(total, 2, delta, 0, finals, labels)
+    return Dfa(total, 2, tuple(zip(a_images, b_images)), 0, finals, _labels(n, alpha))
+
+
+def _rotations(masks: list[int], n: int, shift: int) -> Iterable[int]:
+    """Each n-bit mask rotated right by ``shift`` bits (left by n - shift).
+
+    The 2n bits of x * (2^n + 1) are x twice over, side by side, so a shift
+    and a cut to n bits give the rotation.
+    """
+    doubled = map(((1 << n) + 1).__mul__, masks)
+    return map(((1 << n) - 1).__and__, map(shift.__rrshift__, doubled))
+
+
+# x ^ _SWAP01[x & 3] is x with bits 0 and 1 swapped.
+_SWAP01 = (0, 3, 3, 0)
+
+
+def _swaps(masks: list[int]) -> Iterable[int]:
+    """Each mask with bits 0 and 1 swapped: the transposition of points 0, 1."""
+    return map(xor, masks, map(_SWAP01.__getitem__, map((3).__and__, masks)))
+
+
+def _labels(n: int, alpha: int) -> list[str]:
+    """``subset_label`` of every alpha-subset of [n], in colexicographic order.
+
+    ``combinations`` of the points in decreasing order lists the subsets in
+    decreasing colexicographic order, each in decreasing point order. Every
+    subset of 1..9 comes after every subset that has a point above 9, so
+    the last C(min(n, 9), alpha) get plain digits and the rest get dots.
+    """
+    descending = combinations([str(p) for p in range(n, 0, -1)], alpha)
+    dotted = math.comb(n, alpha) - math.comb(min(n, 9), alpha)
+    labels = [*map(".".join, map(reversed, islice(descending, dotted)))]
+    labels += map("".join, map(reversed, descending))
+    labels.reverse()
+    return labels
 
 
 @dataclass(frozen=True)
@@ -202,55 +231,72 @@ def classify_reverse_states(
     common part of its members, the AND of their n-bit point-sets. m
     alpha-subsets whose common part has alpha - 1 points are the whole
     star around it, since that star has exactly m members; any other state
-    gets center None.
+    gets center None. A star's center tuple is its first member's point
+    tuple, from ``ksubsets``, without the one point outside the common
+    part; no star is built per center.
     Besides the per-state star test, this checks the bijection with all
     (alpha-1)-subset centers and the single-letter law on center masks:
     reading letter c maps the star around T to the star around the preimage
     of T under c, a right rotation by one bit for a and the swap of bits 0
     and 1 for b.
+    The subset checks, the AND of the members, the star test and the
+    letter law each run as builtins over a whole column; only cutting each
+    center out of its first member is a comprehension.
     Raises ValueError when the subsets do not fit ``rev`` or the witness
     for ``params``.
     """
     n, alpha = params.n, params.alpha
-    total = math.comb(n, alpha)
-    if not all(_is_witness_subset(s, total) for s in subsets):
+    if not _fit_witness(subsets, math.comb(n, alpha)):
         raise ValueError("a subset does not fit the witness for these parameters")
     if rev.alphabet_size != 2 or not len(set(subsets)) == len(subsets) == rev.num_states:
         raise ValueError("subsets do not match the states of rev")
 
-    points = _point_sets(ksubsets(n, alpha), n)
-    full = (1 << n) - 1
-    commons: list[int | None] = []
-    for s in subsets:
-        common = reduce(and_, map(points.__getitem__, s), full)
-        star = len(s) == params.m and common.bit_count() == alpha - 1
-        commons.append(common if star else None)
-    centers = [
-        None if c is None else tuple(i for i in range(n) if c >> i & 1)
-        for c in commons
+    points = _colex_masks(n, alpha)
+    members = map(map, repeat(points.__getitem__), subsets)
+    commons = [*map(reduce, repeat(and_), members, repeat((1 << n) - 1))]
+    stars = [
+        *map(and_, map(params.m.__eq__, map(len, subsets)),
+             map((alpha - 1).__eq__, map(int.bit_count, commons)))
     ]
+    all_stars = all(stars)
+    # A star's first member is its center plus the least point u outside
+    # it. The points below u are all in the center, so u is at index u of
+    # the member's point tuple, and dropping that index leaves the center.
+    # The member's point-set XOR the center is the bit of u: u + 1 bits long.
+    tuples = [*ksubsets(n, alpha)]
+    firsts = [*map(itemgetter(0), compress(subsets, stars))]
+    outside = map(xor, map(points.__getitem__, firsts), compress(commons, stars))
+    ends = map(int.bit_length, outside)
+    centers = [x[:e - 1] + x[e:] for x, e in zip(map(tuples.__getitem__, firsts), ends)]
+    if not all_stars:
+        found = iter(centers)
+        centers = [next(found) if star else None for star in stars]
     accepting = sorted(centers[i] for i in rev.finals if centers[i] is not None)
 
-    all_stars = None not in commons
     # Distinct centers have distinct members, so no two states share a center.
     covers = all_stars and len(commons) == math.comb(n, alpha - 1)
     # Reading a reverse letter applies its inverse to the center: a^-1 is a
     # right rotation by one bit and b is its own inverse.
-    letter_law = all_stars and all(
-        commons[to_a] == (c >> 1 | (c & 1) << (n - 1))
-        and commons[to_b] == (c ^ 3 if c & 3 in (1, 2) else c)
-        for c, (to_a, to_b) in zip(commons, rev.delta)
+    to_a = map(commons.__getitem__, map(itemgetter(0), rev.delta))
+    to_b = map(commons.__getitem__, map(itemgetter(1), rev.delta))
+    letter_law = (
+        all_stars
+        and all(map(eq, to_a, _rotations(commons, n, 1)))
+        and all(map(eq, to_b, _swaps(commons)))
     )
     return StarClassification(tuple(centers), tuple(accepting), covers, letter_law)
 
 
-def _is_witness_subset(s: SubsetState, total: int) -> bool:
-    """Whether ``s`` is a strictly increasing tuple inside range(total)."""
-    return (
-        type(s) is tuple
-        and set(map(type, s)) <= {int}
-        and all(map(lt, s, s[1:]))
-        and (not s or 0 <= s[0] and s[-1] < total)
+def _fit_witness(subsets: list[SubsetState], total: int) -> bool:
+    """Whether every subset is a strictly increasing tuple inside range(total).
+
+    Types, range and order are each one pass of builtins over all subsets.
+    """
+    if not set(map(type, subsets)) <= {tuple}:
+        return False
+    tails = map(itemgetter(slice(1, None)), subsets)
+    return are_indices([*chain.from_iterable(subsets)], total) and all(
+        map(all, map(map, repeat(lt), subsets, tails))
     )
 
 
@@ -293,10 +339,12 @@ def verify_witness(
     params = WitnessParams(m, alpha)
     n = params.n
     fwd = build_witness(m, alpha, state_cap=state_cap)
+    forward_states, forward_finals = fwd.num_states, len(fwd.finals)
     rev, subsets, certificate = certify_reversal(fwd)
+    del fwd  # the forward table and labels need not outlive the reversal
     classification = classify_reverse_states(params, rev, subsets)
 
-    expected_centers = tuple(itertools.combinations(params.q_init, alpha - 1))
+    expected_centers = tuple(combinations(params.q_init, alpha - 1))
     accepting_ok = (
         classification.all_stars
         and classification.accepting_centers == expected_centers
@@ -306,8 +354,8 @@ def verify_witness(
     )
 
     checks = (
-        ("forward_states", fwd.num_states == math.comb(n, alpha)),
-        ("forward_finals", len(fwd.finals) == m),
+        ("forward_states", forward_states == math.comb(n, alpha)),
+        ("forward_finals", forward_finals == m),
         ("forward_minimal", certificate.forward_minimal),
         ("reverse_states", rev.num_states == math.comb(n, alpha - 1)),
         ("stars_match", classification.ok),
@@ -321,8 +369,8 @@ def verify_witness(
 
     return WitnessReport(
         params=params,
-        forward_states=fwd.num_states,
-        forward_finals=len(fwd.finals),
+        forward_states=forward_states,
+        forward_finals=forward_finals,
         forward_minimal=certificate.forward_minimal,
         reverse_states=rev.num_states,
         reverse_finals=len(rev.finals),

@@ -5,12 +5,14 @@ the marking minimizer never calls the partition-refinement one, the
 word-formula reversal recomputes every subset from scratch by running
 reversed words forward instead of folding letter preimages, the star
 oracle lists every star explicitly instead of reading a state's center off
-its members, and the witness oracle moves point tuples instead of bit masks.
+its members, the witness oracle moves point tuples instead of bit masks,
+and the BFS order comes from an explicit queue.
 """
 
 from __future__ import annotations
 
 import random
+from collections import deque
 from itertools import combinations, product
 
 from permrev.dfa import Dfa, apply_word
@@ -37,6 +39,21 @@ def _reachable(dfa: Dfa) -> list[int]:
                 seen.add(t)
                 stack.append(t)
     return sorted(seen)
+
+
+def bfs_order_by_queue(dfa: Dfa) -> list[int]:
+    """Reachable states in the order a FIFO queue discovers them, trying the
+    letters of each state in index order."""
+    order = [dfa.start]
+    queue = deque(order)
+    while queue:
+        q = queue.popleft()
+        for c in range(dfa.alphabet_size):
+            t = dfa.delta[q][c]
+            if t not in order:
+                order.append(t)
+                queue.append(t)
+    return order
 
 
 def nerode_classes_by_marking(dfa: Dfa) -> list[set[int]]:

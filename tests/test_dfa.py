@@ -13,6 +13,7 @@ from permrev.textio import word_from_str
 from permrev.witness import build_witness
 
 from conftest import dfa_with_word, dfas, pfas
+from oracles import bfs_order_by_queue
 
 TWO_CYCLE = Dfa(2, 1, ((1,), (0,)), 0, frozenset({0}))
 
@@ -202,6 +203,11 @@ def test_bfs_order_breaks_ties_by_letter():
     # from "12" letter a reaches "23" before b's self-loop; then "13"
     dfa = build_witness(2, 2)
     assert reachable_states(dfa) == [0, 2, 1]
+
+
+@given(dfas(max_states=8))
+def test_reachable_order_matches_queue_bfs(dfa):
+    assert reachable_states(dfa) == bfs_order_by_queue(dfa)
 
 
 @given(dfas())

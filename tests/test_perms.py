@@ -133,6 +133,24 @@ def test_unrank_out_of_range():
         colex_unrank(math.comb(5, 2), 5, 2)
 
 
+@pytest.mark.parametrize("call, message", [
+    # colex_unrank(1.5, 5, 2) used to return (0, 2)
+    (lambda: colex_unrank(1.5, 5, 2), "rank must be an int >= 0 (got 1.5)"),
+    (lambda: colex_unrank(True, 5, 2), "rank must be an int >= 0 (got True)"),
+    (lambda: colex_unrank(0, 5.0, 2), "n must be an int >= 0 (got 5.0)"),
+    # the rest used to raise TypeError
+    (lambda: ksubsets(5, 2.0), "k must be an int >= 0 (got 2.0)"),
+    (lambda: ksubsets("5", 2), "n must be an int >= 0 (got '5')"),
+    (lambda: cycle_perm(2.0), "n must be an int >= 1 (got 2.0)"),
+    (lambda: cycle_perm(0), "n must be an int >= 1 (got 0)"),
+    (lambda: transposition_perm(None), "n must be an int >= 2 (got None)"),
+])
+def test_sizes_must_be_ints(call, message):
+    with pytest.raises(ValueError) as info:
+        call()
+    assert str(info.value) == message
+
+
 # ---------------------------------------------------------------------
 # orbits
 # ---------------------------------------------------------------------

@@ -87,6 +87,13 @@ def test_random_pfa_is_seeded_and_permutation():
 def test_random_pfa_validates_size():
     with pytest.raises(ValueError):
         random_pfa(random.Random(0), 0)
+    # a float size used to raise TypeError
+    with pytest.raises(ValueError) as info:
+        random_pfa(random.Random(0), 2.5)
+    assert str(info.value) == "num_states must be an int >= 1 (got 2.5)"
+    with pytest.raises(ValueError) as info:
+        random_pfa(random.Random(0), 3, alphabet_size=0)
+    assert str(info.value) == "alphabet_size must be an int >= 1 (got 0)"
 
 
 # ---------------------------------------------------------------------

@@ -78,14 +78,26 @@ def test_witness_5_2_final_count():
 
 
 def test_witness_matches_itertools_oracle():
-    # the 2..6 grid, where n reaches 11, and one cell with n = 12
-    cells = [(m, alpha) for m in range(2, 7) for alpha in range(2, 7)] + [(9, 4)]
+    # The 2..6 grid, where n reaches 11 and (6, 5) is the first cell with
+    # dotted labels. Then n = 12 at (9, 4), n = 13 with every label dotted
+    # (alpha = 12) or all but the first C(9, 2) (alpha = 2), and n = 19.
+    cells = [(m, alpha) for m in range(2, 7) for alpha in range(2, 7)]
+    cells += [(9, 4), (2, 12), (12, 2), (10, 10)]
     for m, alpha in cells:
-        dfa, oracle = build_witness(m, alpha), witness_by_itertools(m, alpha)
+        dfa = build_witness(m, alpha, state_cap=100_000)
+        oracle = witness_by_itertools(m, alpha)
         assert (dfa.delta, dfa.finals, dfa.start, dfa.labels) == (
             oracle.delta, oracle.finals, oracle.start, oracle.labels
         ), (m, alpha)
-    assert "1.2.3.12" in dfa.labels and "1234" in dfa.labels
+    assert dfa.labels[0] == "1.2.3.4.5.6.7.8.9.10"
+    assert dfa.labels[-1] == "10.11.12.13.14.15.16.17.18.19"
+
+
+def test_colex_masks_match_combinations():
+    for n in range(13):
+        for k in range(n + 1):
+            masks = sorted(sum(1 << i for i in x) for x in combinations(range(n), k))
+            assert witness._colex_masks(n, k) == masks, (n, k)
 
 
 def test_witness_rejects_bad_params():
