@@ -28,7 +28,6 @@ from .perms import (
     perm_compose,
     perm_from_word,
     perm_inverse,
-    perm_order,
     synthesize_word,
     transposition_perm,
 )

@@ -66,27 +66,6 @@ def perm_inverse(p: Perm) -> Perm:
     return tuple(inverse)
 
 
-def perm_order(p: Perm) -> int:
-    """Least d >= 1 with p^d = identity (the lcm of the cycle lengths).
-
-    Raises ValueError unless p permutes range(len(p)).
-    """
-    _check_generators((p,))
-    seen = [False] * len(p)
-    order = 1
-    for i in range(len(p)):
-        if seen[i]:
-            continue
-        length = 0
-        j = i
-        while not seen[j]:
-            seen[j] = True
-            j = p[j]
-            length += 1
-        order = math.lcm(order, length)
-    return order
-
-
 def perm_from_word(generators: Sequence[Perm], word: Sequence[int]) -> Perm:
     """Compose the generators named by ``word``, left to right."""
     acc = identity_perm(_check_generators(generators))

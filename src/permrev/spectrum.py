@@ -138,13 +138,10 @@ def magic_one_probe(
     with asc >= 2 have been checked; that needs ``n_max >= 3``, because on
     at most 2 states two final states accept the same words.
     """
-    for name, value in (("n_max", n_max), ("samples", samples)):
-        if type(value) is not int:
-            raise ValueError(f"{name} must be an int (got {value!r})")
-    if not 1 <= n_max <= MAX_PROBE_STATES:
+    check_int("n_max", n_max, 1)
+    check_int("samples", samples, 0)
+    if n_max > MAX_PROBE_STATES:
         raise ValueError(f"n_max must be between 1 and {MAX_PROBE_STATES}")
-    if samples < 0:
-        raise ValueError(f"samples must be >= 0 (got {samples})")
     if count_checked_only and n_max < 3:
         raise ValueError("no automaton on fewer than 3 states has asc >= 2")
     rng = random.Random(seed)

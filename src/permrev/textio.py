@@ -25,6 +25,7 @@ import re
 from itertools import islice
 
 from .dfa import Dfa, Word
+from .errors import check_int
 from .spectrum import MagicProbeReport, SpectrumReport
 from .witness import Star, WitnessReport, subset_label
 
@@ -50,10 +51,7 @@ def letter_name(c: int) -> str:
 
     ``ValueError`` unless ``c`` is an int >= 0 (a bool is not).
     """
-    if type(c) is not int:
-        raise ValueError(f"letter {c!r} is not an int")
-    if c < 0:
-        raise ValueError(f"letter {c} is negative")
+    check_int("letter", c, 0)
     return _LETTERS[c] if c < len(_LETTERS) else f"c{c}"
 
 
@@ -112,15 +110,15 @@ def _indices(
 ) -> tuple[int, ...]:
     """``tokens[k:]`` as ints in ``range(bound)``.
 
-    On failure the tokens are walked one by one, so the error names the
-    first token that is not an int or is out of range.
+    The fast path reads a line whose tokens are all ASCII digits. Otherwise
+    the tokens are walked one by one, so the error names the first token
+    that is not a number or is out of range; a line that passes the walk,
+    such as an empty one or one with a "-0", is read then.
     """
-    try:
+    digits = "".join(tokens[k:])
+    if digits.isdigit() and digits.isascii():
         values = tuple(map(int, tokens[k:]))
-    except ValueError:
-        pass
-    else:
-        if not values or (min(values) >= 0 and max(values) < bound):
+        if max(values) < bound:
             return values
     for i in range(k, len(tokens)):
         value = _int_token(line_no, line, i, tokens[i], "a state index")
@@ -128,16 +126,16 @@ def _indices(
             raise ParseError(
                 line_no, _column(line, i), f"{what} {value} is out of range"
             )
-    raise AssertionError("a token failed the bulk check but not the walk")
+    return tuple(map(int, tokens[k:]))
 
 
 def _int_token(line_no: int, line: str, k: int, token: str, what: str) -> int:
-    try:
-        return int(token)
-    except ValueError:
-        raise ParseError(
-            line_no, _column(line, k), f"expected {what}, got {token!r}"
-        ) from None
+    """A number token: ASCII digits after an optional minus. int() alone
+    would also read "1_0", "+0" and other scripts' digits such as "\u0663"."""
+    digits = token.removeprefix("-")
+    if not (digits.isdigit() and digits.isascii()):
+        raise ParseError(line_no, _column(line, k), f"expected {what}, got {token!r}")
+    return int(token)
 
 
 def parse_dfa(text: str) -> Dfa:

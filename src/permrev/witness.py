@@ -16,13 +16,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import reduce
-from itertools import chain, combinations, compress, islice, repeat
+from itertools import chain, combinations, islice, repeat
 from operator import and_, eq, itemgetter, lt, xor
 from typing import Iterable
 
 from .dfa import Dfa
 from .errors import CapacityError, are_indices, check_int
-from .perms import KSubset, ksubsets
+from .perms import KSubset
 from .reversal import SubsetState, certify_reversal
 
 # Unused here: perfbench/tracing.py wraps these names on this module by attribute.
@@ -32,6 +32,7 @@ from .perms import (  # noqa: F401
     colex_rank,
     colex_unrank,
     cycle_perm,
+    ksubsets,
     perm_inverse,
     transposition_perm,
 )
@@ -231,17 +232,17 @@ def classify_reverse_states(
     common part of its members, the AND of their n-bit point-sets. m
     alpha-subsets whose common part has alpha - 1 points are the whole
     star around it, since that star has exactly m members; any other state
-    gets center None. A star's center tuple is its first member's point
-    tuple, from ``ksubsets``, without the one point outside the common
-    part; no star is built per center.
+    gets center None. A star's center tuple is looked up from its common
+    part in one table of all (alpha-1)-point masks; no star is built per
+    center.
     Besides the per-state star test, this checks the bijection with all
     (alpha-1)-subset centers and the single-letter law on center masks:
     reading letter c maps the star around T to the star around the preimage
     of T under c, a right rotation by one bit for a and the swap of bits 0
     and 1 for b.
-    The subset checks, the AND of the members, the star test and the
-    letter law each run as builtins over a whole column; only cutting each
-    center out of its first member is a comprehension.
+    The subset checks, the AND of the members, the center table and the
+    letter law each run as builtins over a whole column; only the star test
+    is a comprehension.
     Raises ValueError when the subsets do not fit ``rev`` or the witness
     for ``params``.
     """
@@ -254,27 +255,21 @@ def classify_reverse_states(
     points = _colex_masks(n, alpha)
     members = map(map, repeat(points.__getitem__), subsets)
     commons = [*map(reduce, repeat(and_), members, repeat((1 << n) - 1))]
-    stars = [
-        *map(and_, map(params.m.__eq__, map(len, subsets)),
-             map((alpha - 1).__eq__, map(int.bit_count, commons)))
+    # Each (alpha-1)-point mask and its center tuple, both in colex order;
+    # see _labels for the reversed combinations.
+    center_of = dict(zip(
+        reversed(_colex_masks(n, alpha - 1)),
+        map(tuple, map(reversed, combinations(range(n - 1, -1, -1), alpha - 1))),
+    ))
+    centers = [
+        center_of.get(common) if len(subset) == params.m else None
+        for subset, common in zip(subsets, commons)
     ]
-    all_stars = all(stars)
-    # A star's first member is its center plus the least point u outside
-    # it. The points below u are all in the center, so u is at index u of
-    # the member's point tuple, and dropping that index leaves the center.
-    # The member's point-set XOR the center is the bit of u: u + 1 bits long.
-    tuples = [*ksubsets(n, alpha)]
-    firsts = [*map(itemgetter(0), compress(subsets, stars))]
-    outside = map(xor, map(points.__getitem__, firsts), compress(commons, stars))
-    ends = map(int.bit_length, outside)
-    centers = [x[:e - 1] + x[e:] for x, e in zip(map(tuples.__getitem__, firsts), ends)]
-    if not all_stars:
-        found = iter(centers)
-        centers = [next(found) if star else None for star in stars]
+    all_stars = None not in centers
     accepting = sorted(centers[i] for i in rev.finals if centers[i] is not None)
 
     # Distinct centers have distinct members, so no two states share a center.
-    covers = all_stars and len(commons) == math.comb(n, alpha - 1)
+    covers = all_stars and len(commons) == len(center_of)
     # Reading a reverse letter applies its inverse to the center: a^-1 is a
     # right rotation by one bit and b is its own inverse.
     to_a = map(commons.__getitem__, map(itemgetter(0), rev.delta))

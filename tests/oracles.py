@@ -172,17 +172,6 @@ def enumerate_binary_dfas(max_states: int):
                     yield Dfa(n, 2, delta, start, finals)
 
 
-def perm_order_by_powers(p: tuple[int, ...]) -> int:
-    """Order of a permutation by direct power iteration."""
-    ident = tuple(range(len(p)))
-    power = p
-    d = 1
-    while power != ident:
-        power = tuple(p[i] for i in power)
-        d += 1
-    return d
-
-
 def _colex_subsets(n: int, k: int) -> list[tuple[int, ...]]:
     """The k-subsets of range(n), sorted colexicographically."""
     return sorted(combinations(range(n), k), key=lambda x: x[::-1])

@@ -17,13 +17,11 @@ from permrev.perms import (
     perm_compose,
     perm_from_word,
     perm_inverse,
-    perm_order,
     synthesize_word,
     transposition_perm,
 )
 
 from conftest import perms
-from oracles import perm_order_by_powers
 
 
 def test_cycle_perm_examples():
@@ -73,17 +71,6 @@ def test_inverse_examples():
 @given(perms())
 def test_inverse_cancels(p):
     assert perm_compose(p, perm_inverse(p)) == identity_perm(len(p))
-
-
-def test_order_examples():
-    assert perm_order(identity_perm(4)) == 1
-    assert perm_order(cycle_perm(6)) == 6
-    assert perm_order(transposition_perm(6)) == 2
-
-
-@given(perms())
-def test_order_matches_power_iteration(p):
-    assert perm_order(p) == perm_order_by_powers(p)
 
 
 def test_act_on_subset_examples():
@@ -225,14 +212,13 @@ NOT_A_PERMUTATION = [(3, 0, 1)]  # point 3 is outside [3]; point 2 has no preima
         lambda: synthesize_word(NOT_A_PERMUTATION, identity_perm(3)),
         lambda: orbit([cycle_perm(3), (0, 0, 1)], (0,)),
         lambda: perm_inverse((0, 0)),
-        lambda: perm_order((1, 1)),
     ],
     ids=["perm_from_word", "orbit", "synthesize_word", "orbit-second-generator",
-         "perm_inverse", "perm_order"],
+         "perm_inverse"],
 )
 def test_non_permutation_generators_rejected(call):
     # perm_from_word used to raise IndexError on the first of these;
-    # perm_inverse((0, 0)) returned (1, 0) and perm_order((1, 1)) returned 2
+    # perm_inverse((0, 0)) returned (1, 0)
     with pytest.raises(ValueError):
         call()
 

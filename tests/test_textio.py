@@ -191,18 +191,22 @@ HEAD2 = "dfa 2 2\nstart 0\nfinals 1\n"
     ("dfa 2\n", 1, 5, "expected 'dfa <num_states> <alphabet_size>'"),
     ("dfa two 1\n", 1, 5, "expected a state count, got 'two'"),
     ("dfa 2 b\n", 1, 7, "expected an alphabet size, got 'b'"),
+    ("dfa 1_0 1\n", 1, 5, "expected a state count, got '1_0'"),
     ("dfa 0 1\n", 1, 5, "state count must be >= 1"),
     ("dfa 2 -1\n", 1, 7, "alphabet size must be >= 1"),
     ("dfa 2 1\n\n\n", 1, 1, "expected 'start' line"),
     ("dfa 2 1\n  begin 0\n", 2, 3, "expected 'start <index>'"),
     ("dfa 2 1\nstart 0 1\n", 2, 1, "expected 'start <index>'"),
     ("dfa 2 1\nstart x\n", 2, 7, "expected a state index, got 'x'"),
+    ("dfa 2 1\nstart +0\n", 2, 7, "expected a state index, got '+0'"),
     ("dfa 2 1\nstart\t2\n", 2, 7, "start state 2 is out of range"),
     ("dfa 2 1\r\nstart 5\r\n", 2, 7, "start state 5 is out of range"),
     ("dfa 2 1\x1cstart 9\n", 2, 7, "start state 9 is out of range"),
     ("dfa 2 1\nstart 0\n", 2, 1, "expected 'finals' line"),
     ("dfa 2 1\nstart 0\nfinal 1\n", 3, 1, "expected 'finals' line"),
     ("dfa 2 1\nstart 0\nfinals 1 y\n", 3, 10, "expected a state index, got 'y'"),
+    ("dfa 2 1\nstart 0\nfinals \u0663\n", 3, 8,
+     "expected a state index, got '\u0663'"),
     ("dfa 2 1\nstart 0\nfinals 0  5\n", 3, 11, "final state 5 is out of range"),
     ("dfa 2 1\nstart 0\nfinals 7 y\n", 3, 8, "final state 7 is out of range"),
     (HEAD + "stat 0 : 1\n", 4, 1, "expected 'state' line"),
@@ -236,10 +240,11 @@ HEAD2 = "dfa 2 2\nstart 0\nfinals 1\n"
      "missing 'state 1' line"),
 ], ids=[
     "empty", "blank", "header", "header_long", "header_short", "state_count",
-    "alphabet_size", "state_count_zero", "alphabet_size_negative",
-    "start_missing", "start_keyword", "start_long", "start_index",
-    "start_range", "start_range_crlf", "start_range_file_separator",
-    "finals_missing", "finals_keyword", "finals_index", "finals_range",
+    "alphabet_size", "state_count_underscore", "state_count_zero",
+    "alphabet_size_negative", "start_missing", "start_keyword", "start_long",
+    "start_index", "start_plus", "start_range", "start_range_crlf",
+    "start_range_file_separator", "finals_missing", "finals_keyword",
+    "finals_index", "finals_digit_other_script", "finals_range",
     "finals_range_first", "state_keyword", "state_short", "state_index",
     "state_range", "state_duplicate", "label_trailing", "label_open",
     "label_nested", "labels_dropped", "labels_added", "colon_other",
