@@ -278,6 +278,22 @@ def test_certificate_of_trivial_languages():
     assert certified(SIGMA_STAR) == (1, 1, True, True)
 
 
+def test_certificate_when_the_partition_never_turns_discrete():
+    # States 2 and 3 are unreachable, so no subset cut to the reachable
+    # part separates them and the refinement runs over every subset.
+    fwd = Dfa(4, 1, ((1,), (0,), (3,), (2,)), 0, frozenset({1, 2}))
+    assert reverse_construction(fwd)[1] == [(1, 2), (0, 3)]
+    assert certified(fwd) == (1, 1, False, True)
+
+
+def test_certificate_when_the_first_subset_makes_the_partition_discrete():
+    # The first subset {1} splits the two states; a swaps them and b sends
+    # both to 0. The refinement may stop before the subsets () and {0, 1}.
+    fwd = Dfa(2, 2, ((1, 0), (0, 0)), 0, frozenset({1}))
+    assert reverse_construction(fwd)[1] == [(1,), (0,), (), (0, 1)]
+    assert certified(fwd) == (1, 2, True, True)
+
+
 def test_certificate_cuts_subsets_to_reachable_states():
     # State 0 loops and accepts; 1 -> 2 -> 2 with 2 final is unreachable.
     # The subsets {0, 2} and {0, 1, 2} differ only off the reachable part,

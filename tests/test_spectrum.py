@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 
 from permrev import spectrum
-from permrev.dfa import Dfa, is_permutation_automaton
+from permrev.dfa import Dfa, is_permutation_automaton, reachable_states
 from permrev.minimize import asc
 from permrev.reversal import certify_reversal, reverse_dfa
 from permrev.spectrum import (
@@ -84,6 +84,14 @@ def test_random_pfa_is_seeded_and_permutation():
     assert is_permutation_automaton(a)
 
 
+def test_random_pfa_consumes_the_rng_as_pinned():
+    # the exact automaton pins how many values each part of a draw takes
+    assert random_pfa(random.Random(4), 6) == Dfa(
+        6, 2, ((3, 4), (5, 2), (4, 5), (0, 0), (2, 1), (1, 3)), 3,
+        frozenset({1, 3, 5}),
+    )
+
+
 def test_random_pfa_validates_size():
     with pytest.raises(ValueError):
         random_pfa(random.Random(0), 0)
@@ -151,6 +159,22 @@ def test_probe_golden_counts_every_draw():
     )
 
 
+def test_benchmark_probe_job_is_pinned():
+    # the probe job of perfbench/workloads.py, at its default seed
+    report = magic_one_probe(8, 2000, 1009, count_checked_only=True)
+    assert (report.drawn, report.checked) == (3899, 2000)
+    assert report.counterexamples == ()
+    assert report.histogram == (
+        ((2, 2), 203), ((2, 3), 126), ((2, 4), 171), ((2, 5), 99), ((2, 6), 80),
+        ((2, 7), 45), ((3, 2), 1), ((3, 3), 116), ((3, 4), 1), ((3, 5), 4),
+        ((3, 6), 117), ((3, 9), 15), ((3, 10), 112), ((3, 12), 2), ((3, 15), 119),
+        ((3, 18), 1), ((3, 21), 92), ((4, 4), 76), ((4, 6), 4), ((4, 7), 1),
+        ((4, 8), 7), ((4, 10), 88), ((4, 16), 4), ((4, 20), 118), ((4, 21), 1),
+        ((4, 28), 2), ((4, 35), 106), ((5, 5), 38), ((5, 15), 66), ((5, 20), 1),
+        ((5, 30), 3), ((5, 35), 91), ((6, 6), 22), ((6, 21), 49), ((7, 7), 19),
+    )
+
+
 @given(dfas())
 def test_asc_never_exceeds_final_count(dfa):
     # the premise of the probe's skip, on arbitrary DFAs
@@ -162,6 +186,16 @@ def test_asc_never_exceeds_final_count(dfa):
 def test_asc_pair_below_two_without_two_finals(pfa):
     forward, _ = asc_pair(pfa)
     assert forward < 2 or len(pfa.finals) >= 2
+
+
+@given(pfas())
+def test_asc_pair_below_two_without_two_reachable_finals_and_a_non_final(pfa):
+    # the premise of the probe's second skip: asc counts the classes of the
+    # reachable finals, and an all-final reachable part accepts every word
+    reach = reachable_states(pfa)
+    finals = [q for q in reach if q in pfa.finals]
+    if len(finals) < 2 or len(finals) == len(reach):
+        assert asc_pair(pfa)[0] < 2
 
 
 def test_probe_validates_arguments():
