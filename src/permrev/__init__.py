@@ -36,6 +36,7 @@ from .reversal import (
     SubsetState,
     certify_reversal,
     mask_states,
+    reversal_certificate,
     reverse_dfa,
     reverse_step,
     reverse_subsets,

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from itertools import chain, repeat
 from typing import Sequence
 
-from .errors import are_indices, check_int
+from .errors import are_indices, check_int, check_points
 
 Word = Sequence[int]
 
@@ -90,7 +90,7 @@ def _check_state(dfa: Dfa, q: int) -> None:
 def apply_word(dfa: Dfa, q: int, word: Word) -> int:
     """Run ``word`` from state ``q``, one letter at a time, left to right."""
     _check_state(dfa, q)
-    for c in word:
+    for c in check_points("word", word):
         if not 0 <= c < dfa.alphabet_size:
             raise ValueError(f"letter {c} is out of range")
         q = dfa.delta[q][c]

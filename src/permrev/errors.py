@@ -10,13 +10,30 @@ from __future__ import annotations
 from typing import Collection
 
 
-def check_int(name: str, value: object, minimum: int) -> None:
-    """Raise ValueError unless ``value`` is an int >= ``minimum``.
+def check_int(name: str, value: object, minimum: int | None = None) -> None:
+    """Raise ValueError unless ``value`` is an int, and >= ``minimum`` when
+    that is given.
 
     A bool is not an int here, and neither is a float with an integral value.
     """
-    if type(value) is not int or value < minimum:
-        raise ValueError(f"{name} must be an int >= {minimum} (got {value!r})")
+    if type(value) is not int or minimum is not None and value < minimum:
+        bound = "" if minimum is None else f" >= {minimum}"
+        raise ValueError(f"{name} must be an int{bound} (got {value!r})")
+
+
+def check_points(name: str, values: object) -> tuple[int, ...]:
+    """``values`` as a tuple; ValueError unless it is an iterable of ints.
+
+    A bool is not an int here. Ranges are left to the caller, whose message
+    names the bound.
+    """
+    try:
+        points = tuple(values)
+    except TypeError:
+        points = None
+    if points is None or not set(map(type, points)) <= {int}:
+        raise ValueError(f"{name} must be a sequence of ints (got {values!r})")
+    return points
 
 
 def are_indices(values: Collection, stop: int) -> bool:

@@ -7,9 +7,9 @@ canonical form: two DFAs accept the same language iff their minimized
 tables are identical, which is how ``are_equivalent`` decides.
 
 The verification pipeline (``verify_witness``, the spectrum grid and the
-magic-value probe) does not minimize: one ``reversal.certify_reversal``
-call reverses each automaton and reads asc and minimality of both sides off
-the reverse subsets. The minimizer serves ``permrev minimize`` and
+magic-value probe) does not minimize: one ``reversal.certify_reversal`` or
+``reversal.reversal_certificate`` call explores each automaton's reverse
+subsets once and reads asc and minimality of both sides off them. The minimizer serves ``permrev minimize`` and
 ``permrev asc``, ``are_equivalent``, and the tests, where table filling
 checks it and it checks the certificate.
 """

@@ -14,7 +14,7 @@ from collections import deque
 from itertools import combinations
 from typing import Iterator, Sequence
 
-from .errors import CapacityError, NotInGroupError, check_int
+from .errors import CapacityError, NotInGroupError, check_int, check_points
 
 Perm = tuple[int, ...]
 KSubset = tuple[int, ...]
@@ -148,7 +148,7 @@ def orbit(generators: Sequence[Perm], seed: KSubset) -> list[KSubset]:
     generator order, so the discovery order is deterministic.
     """
     n = _check_generators(generators)
-    seed = tuple(sorted(seed))
+    seed = tuple(sorted(check_points("seed", seed)))
     if len(set(seed)) != len(seed):
         raise ValueError(f"seed {seed} has repeated points")
     for i in seed:

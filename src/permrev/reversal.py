@@ -13,18 +13,20 @@ and sorted: |S| lookups and one sort. Any other letter unions the
 predecessor lists of the members of S, about |S| + |preimage| list
 operations plus one sort. Each letter takes its path from the input.
 
-``certify_reversal`` runs the construction and reads the accepting-state
-complexity and minimality of both sides off its subsets, without
-minimizing either automaton.
+``reversal_certificate`` reads the accepting-state complexity and
+minimality of both sides off the subsets, without minimizing either
+automaton and without building the reverse one. ``certify_reversal``
+returns the reverse automaton and its subsets as well, from the same
+exploration.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import partial
-from itertools import chain
-from operator import itemgetter, lt
-from typing import Callable, Iterable
+from itertools import chain, compress, count, repeat
+from operator import contains, itemgetter, lt
+from typing import Callable, Iterable, Iterator
 
 from .dfa import Dfa, reachable_states
 from .errors import CapacityError, check_int
@@ -55,8 +57,8 @@ def _check_subset(dfa: Dfa, s: SubsetState) -> None:
 
 
 def _check_letter(dfa: Dfa, letter: int) -> None:
-    if not 0 <= letter < dfa.alphabet_size:
-        raise ValueError(f"letter {letter} is out of range")
+    if type(letter) is not int or not 0 <= letter < dfa.alphabet_size:
+        raise ValueError(f"letter {letter!r} is out of range")
 
 
 def _predecessors(fwd: Dfa, letter: int) -> list[list[int]]:
@@ -96,32 +98,31 @@ def reverse_step(fwd: Dfa, s: SubsetState, letter: int) -> SubsetState:
     return tuple(sorted(_preimage_map(fwd, letter)(s)))
 
 
-def reverse_construction(
-    fwd: Dfa, max_states: int = DEFAULT_MAX_STATES
-) -> tuple[Dfa, list[SubsetState]]:
-    """Reachable part of the automaton accepting the reversed language, and
-    the subset-state behind each of its states.
+def _explore(
+    fwd: Dfa, max_states: int
+) -> tuple[list[tuple[int, ...]], list[SubsetState]]:
+    """The reverse BFS: each subset-state's row of successor indices, and
+    the subset-states in intern order.
 
     Exploration starts from the forward final set and follows letter
-    preimages; a subset-state is final iff it contains the forward start
-    state. Each letter's preimage goes through its inverse map when the
+    preimages. Each letter's preimage goes through its inverse map when the
     letter permutes the forward states, and through the union of its
-    predecessor lists otherwise; one BFS serves both. The reverse DFA is
-    unlabeled (``labels=None``): the subsets name its states, and
-    ``reverse_dfa`` renders them as labels for text output.
+    predecessor lists otherwise; one BFS serves both.
     """
-    check_int("max_states", max_states, 1)
+    if not isinstance(fwd, Dfa):
+        raise ValueError(f"expected a Dfa (got {type(fwd).__name__})")
     preimages = [_preimage_map(fwd, c) for c in range(fwd.alphabet_size)]
     subsets = [tuple(sorted(fwd.finals))]
     index = {subsets[0]: 0}
     intern = index.setdefault
+    fresh = 1  # the id of the next new subset-state, len(subsets)
     rows: list[tuple[int, ...]] = []
     for s in subsets:  # grows while it is walked: BFS order
         row = []
         for preimage in preimages:
             t = tuple(sorted(preimage(s)))
-            j = intern(t, len(subsets))
-            if j == len(subsets):
+            j = intern(t, fresh)
+            if j == fresh:
                 if j >= max_states:
                     raise CapacityError(
                         f"reverse construction exceeded {max_states} states",
@@ -129,14 +130,36 @@ def reverse_construction(
                         stage="reverse_construction",
                     )
                 subsets.append(t)
+                fresh += 1
             row.append(j)
         rows.append(tuple(row))
+    return rows, subsets
+
+
+def _final_indices(fwd: Dfa, subsets: list[SubsetState]) -> Iterator[int]:
+    """The indices of the subset-states that hold the forward start state."""
+    return compress(count(), map(contains, subsets, repeat(fwd.start)))
+
+
+def reverse_construction(
+    fwd: Dfa, max_states: int = DEFAULT_MAX_STATES
+) -> tuple[Dfa, list[SubsetState]]:
+    """Reachable part of the automaton accepting the reversed language, and
+    the subset-state behind each of its states.
+
+    ``_explore`` interns the subset-states; one is final iff it contains
+    the forward start state. The reverse DFA is unlabeled
+    (``labels=None``): the subsets name its states, and ``reverse_dfa``
+    renders them as labels for text output.
+    """
+    check_int("max_states", max_states, 1)
+    rows, subsets = _explore(fwd, max_states)
     rev = Dfa(
         num_states=len(subsets),
         alphabet_size=fwd.alphabet_size,
         delta=tuple(rows),
         start=0,
-        finals=frozenset(i for i, s in enumerate(subsets) if fwd.start in s),
+        finals=frozenset(_final_indices(fwd, subsets)),
     )
     return rev, subsets
 
@@ -176,20 +199,47 @@ class ReversalCertificate:
 def certify_reversal(
     fwd: Dfa,
 ) -> tuple[Dfa, list[SubsetState], ReversalCertificate]:
-    """``reverse_construction(fwd)`` and the certificate read off its subsets.
+    """``reverse_construction(fwd)`` and ``reversal_certificate(fwd)``,
+    from one exploration.
 
     The construction runs with its default cap; its CapacityError
-    propagates. The subsets are exactly the sets ``{p : delta(p, w) in F}``,
-    one for each word w, so two forward states are Myhill-Nerode
-    equivalent iff every subset holds both or neither, and two reverse
-    states are equivalent iff their subsets agree on the reachable forward
-    states (Brzozowski's double-reversal argument). The forward classes
-    come from refining one partition by membership in each subset; the
-    cost is about the total size of the subsets, with no Moore refinement.
+    propagates.
     """
     rev, subsets = reverse_construction(fwd)
+    return rev, subsets, _certificate(fwd, subsets, rev.finals)
+
+
+def reversal_certificate(fwd: Dfa) -> ReversalCertificate:
+    """The certificate of ``fwd``, read off its reverse subsets without
+    building the reverse automaton.
+
+    Raises ValueError unless ``fwd`` is a Dfa, and CapacityError when the
+    reverse construction would pass its default cap.
+    """
+    subsets = _explore(fwd, DEFAULT_MAX_STATES)[1]
+    return _certificate(fwd, subsets, _final_indices(fwd, subsets))
+
+
+def _certificate(
+    fwd: Dfa, subsets: list[SubsetState], finals: Iterable[int]
+) -> ReversalCertificate:
+    """The certificate read off the reverse subsets and the indices of the
+    final ones.
+
+    The subsets are exactly the sets ``{p : delta(p, w) in F}``, one for
+    each word w, so two forward states are Myhill-Nerode equivalent iff
+    every subset holds both or neither, and two reverse states are
+    equivalent iff their subsets agree on the reachable forward states
+    (Brzozowski's double-reversal argument). The forward classes come from
+    refining one partition by membership in each subset; the cost is about
+    the total size of the subsets, with no Moore refinement. A partition
+    with one state per block cannot split further, so the refinement stops
+    there. It looks for that only after n new block ids since its last
+    look, so the looks cost O(ids issued).
+    """
+    n = fwd.num_states
     reach = reachable_states(fwd)
-    accessible = len(reach) == fwd.num_states
+    accessible = len(reach) == n
     # Unreachable states take no part in either language's quotient.
     if accessible:
         cut = subsets
@@ -197,8 +247,9 @@ def certify_reversal(
         live = set(reach)
         cut = [tuple(p for p in s if p in live) for s in subsets]
 
-    block = [0] * fwd.num_states
+    block = [0] * n
     fresh = 1
+    look = 1 + n  # the value of fresh at the next look
     for s in cut:
         # Members of s leave their block for a fresh one, shared only with
         # the members of s from the same old block.
@@ -206,9 +257,13 @@ def certify_reversal(
         for p in s:
             block[p] = moved.setdefault(block[p], fresh + len(moved))
         fresh += len(moved)
-    return rev, subsets, ReversalCertificate(
+        if fresh >= look:
+            if len(set(block)) == n:
+                break
+            look = fresh + n
+    return ReversalCertificate(
         asc_forward=len({block[q] for q in reach if q in fwd.finals}),
-        asc_reverse=len({cut[i] for i in rev.finals}),
-        forward_minimal=accessible and len(set(block)) == fwd.num_states,
+        asc_reverse=len(set(map(cut.__getitem__, finals))),
+        forward_minimal=accessible and len(set(block)) == n,
         reverse_minimal=len(set(cut)) == len(cut),
     )

@@ -4,9 +4,9 @@ The grid rows check that the (m, alpha) witness really has asc pair
 (m, alpha); the trivial rows pin the m = 0 and m = 1 cases on their
 one-state automata; and the magic-value probe samples random permutation
 automata looking for a reversal with asc 1 (none is expected: 1 is the one
-unattainable value once asc >= 2). Every asc pair here comes from one
-``certify_reversal`` call, which runs the reverse subset construction and
-reads both complexities off its subsets; nothing is minimized.
+unattainable value once asc >= 2). Every asc pair here is read off the
+reverse subsets by ``reversal_certificate``; no reverse automaton is built
+and nothing is minimized.
 """
 
 from __future__ import annotations
@@ -14,10 +14,11 @@ from __future__ import annotations
 import random
 from collections import Counter
 from dataclasses import dataclass
+from itertools import compress
 
-from .dfa import Dfa, is_permutation_automaton
+from .dfa import Dfa, is_permutation_automaton, reachable_states
 from .errors import CapacityError, check_int
-from .reversal import certify_reversal
+from .reversal import reversal_certificate
 from .witness import DEFAULT_STATE_CAP, build_witness
 
 # Unused here: perfbench/tracing.py wraps these names on this module by attribute.
@@ -37,9 +38,9 @@ _NOTES = (
 
 def asc_pair(pfa: Dfa) -> tuple[int, int]:
     """(asc of the language, asc of its reversal) for a permutation automaton."""
-    if not is_permutation_automaton(pfa):
+    if not isinstance(pfa, Dfa) or not is_permutation_automaton(pfa):
         raise ValueError("asc_pair requires a permutation automaton")
-    certificate = certify_reversal(pfa)[2]
+    certificate = reversal_certificate(pfa)
     return certificate.asc_forward, certificate.asc_reverse
 
 
@@ -78,25 +79,36 @@ def trivial_rows() -> tuple[SpectrumRow, SpectrumRow]:
     return tuple(rows)
 
 
+def _draw(
+    rng: random.Random, n: int, k: int
+) -> tuple[tuple[tuple[int, ...], ...], int, frozenset[int]]:
+    """The table, start and finals of a random permutation automaton on n
+    states and k letters.
+
+    The RNG shuffles one column per letter, picks the start, then flips one
+    coin per state in state order.
+    """
+    columns = []
+    for _ in range(k):
+        column = list(range(n))
+        rng.shuffle(column)
+        columns.append(column)
+    start = rng.randrange(n)
+    flips = [rng.random() < 0.5 for _ in range(n)]
+    return tuple(zip(*columns)), start, frozenset(compress(range(n), flips))
+
+
 def random_pfa(rng: random.Random, num_states: int, alphabet_size: int = 2) -> Dfa:
     """Uniform random permutation per letter, uniform start, fair-coin finals.
 
-    Raises ValueError unless ``num_states`` and ``alphabet_size`` are
-    ints >= 1.
+    Raises ValueError unless ``rng`` is a ``random.Random`` and
+    ``num_states`` and ``alphabet_size`` are ints >= 1.
     """
+    if not isinstance(rng, random.Random):
+        raise ValueError(f"rng must be a random.Random (got {type(rng).__name__})")
     check_int("num_states", num_states, 1)
     check_int("alphabet_size", alphabet_size, 1)
-    columns = []
-    for _ in range(alphabet_size):
-        column = list(range(num_states))
-        rng.shuffle(column)
-        columns.append(column)
-    delta = tuple(
-        tuple(column[q] for column in columns) for q in range(num_states)
-    )
-    start = rng.randrange(num_states)
-    finals = frozenset(q for q in range(num_states) if rng.random() < 0.5)
-    return Dfa(num_states, alphabet_size, delta, start, finals)
+    return Dfa(num_states, alphabet_size, *_draw(rng, num_states, alphabet_size))
 
 
 @dataclass(frozen=True)
@@ -104,9 +116,12 @@ class MagicProbeReport:
     """Result of the empirical search for a reversal with asc 1.
 
     ``drawn`` counts all sampled automata, ``checked`` the ones with
-    asc >= 2 whose reversal was actually tested. ``histogram`` counts the
-    checked automata per ``(asc, asc_reverse)`` pair, sorted by pair; its
-    counts sum to ``checked``. A counterexample is a finding (recorded with
+    asc >= 2 whose reversal was actually tested. A draw is reversed only
+    when it has at least two finals and its reachable states hold at least
+    two finals and at least one non-final; every other draw has asc <= 1
+    and is counted in ``drawn`` only. ``histogram`` counts the checked
+    automata per ``(asc, asc_reverse)`` pair, sorted by pair; its counts
+    sum to ``checked``. A counterexample is a finding (recorded with
     its asc pair), never an exception.
     """
 
@@ -132,14 +147,20 @@ def magic_one_probe(
     """Sample random binary permutation automata and test their reversals.
 
     By default ``samples`` counts draws, and only draws with asc >= 2 are
-    checked (a run can be vacuous, e.g. on one state); a draw with fewer
-    than two final states is counted without being reversed. With
+    checked (a run can be vacuous, e.g. on one state). Two skips count a
+    draw without reversing it, because its asc is at most 1: asc counts the
+    Nerode classes of the reachable finals, so a draw with fewer than two
+    finals is skipped before its Dfa is built; and a draw is skipped when
+    its reachable states hold fewer than two finals or no non-final, since
+    a reachable part that is all final accepts every word. With
     ``count_checked_only`` the sampler rejects until ``samples`` automata
     with asc >= 2 have been checked; that needs ``n_max >= 3``, because on
-    at most 2 states two final states accept the same words.
+    at most 2 states two final states accept the same words. ``seed`` may
+    be any int, and a bool is not one.
     """
     check_int("n_max", n_max, 1)
     check_int("samples", samples, 0)
+    check_int("seed", seed)
     if n_max > MAX_PROBE_STATES:
         raise ValueError(f"n_max must be between 1 and {MAX_PROBE_STATES}")
     if count_checked_only and n_max < 3:
@@ -150,10 +171,15 @@ def magic_one_probe(
     hits: list[tuple[Dfa, int, int]] = []
     pairs: Counter[tuple[int, int]] = Counter()
     while (checked if count_checked_only else drawn) < samples:
-        dfa = random_pfa(rng, rng.randint(1, n_max))
+        n = rng.randint(1, n_max)
+        delta, start, finals = _draw(rng, n, 2)
         drawn += 1
-        if len(dfa.finals) < 2:
+        if len(finals) < 2:
             continue  # asc never exceeds the number of final states
+        dfa = Dfa(n, 2, delta, start, finals)
+        reach = reachable_states(dfa)
+        if not 2 <= len(finals.intersection(reach)) < len(reach):
+            continue  # fewer than two reachable finals, or all of them final
         forward, reverse = asc_pair(dfa)
         if forward < 2:
             continue
@@ -206,9 +232,8 @@ def spectrum_table(
     ``m_max`` or ``alpha_max`` is not an int, or ``state_cap`` is not an
     int >= 1.
     """
-    for name, value in (("m_max", m_max), ("alpha_max", alpha_max)):
-        if type(value) is not int:
-            raise ValueError(f"{name} must be an int (got {value!r})")
+    check_int("m_max", m_max)
+    check_int("alpha_max", alpha_max)
     check_int("state_cap", state_cap, 1)
     rows = list(trivial_rows())
     for m in range(2, m_max + 1):

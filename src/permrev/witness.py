@@ -21,7 +21,7 @@ from operator import and_, eq, itemgetter, lt, xor
 from typing import Iterable
 
 from .dfa import Dfa
-from .errors import CapacityError, are_indices, check_int
+from .errors import CapacityError, are_indices, check_int, check_points
 from .perms import KSubset
 from .reversal import SubsetState, certify_reversal
 
@@ -69,7 +69,7 @@ class WitnessParams:
 
 def subset_label(subset: KSubset) -> str:
     """Render a subset 1-based; compact digits while every point fits one."""
-    points = [i + 1 for i in subset]
+    points = [i + 1 for i in check_points("subset", subset)]
     if points and points[-1] > 9:
         return ".".join(str(p) for p in points)
     return "".join(str(p) for p in points)
@@ -89,7 +89,7 @@ class Star:
 
 def star_members(params: WitnessParams, center: KSubset) -> Star:
     """The star around ``center``; it always has exactly m members."""
-    center = tuple(sorted(center))
+    center = tuple(sorted(check_points("center", center)))
     if len(center) != params.alpha - 1:
         raise ValueError(
             f"center must have {params.alpha - 1} points (got {len(center)})"

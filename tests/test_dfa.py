@@ -139,6 +139,13 @@ def test_apply_word_rejects_bad_inputs():
         apply_word(TWO_CYCLE, 0, (3,))
 
 
+@pytest.mark.filterwarnings("error")
+def test_accepts_rejects_a_word_of_non_ints(witness_3_4):
+    with pytest.raises(ValueError) as info:
+        accepts(witness_3_4, "ab")
+    assert str(info.value) == "word must be a sequence of ints (got 'ab')"
+
+
 def test_accepts_empty_word_iff_start_final():
     assert accepts(TWO_CYCLE, ())
     assert not accepts(TWO_CYCLE, (0,))

@@ -169,6 +169,13 @@ def test_orbit_validates_points():
         orbit([cycle_perm(3), transposition_perm(3)], (1, 1))
 
 
+@pytest.mark.filterwarnings("error")
+def test_orbit_rejects_a_seed_of_non_ints():
+    with pytest.raises(ValueError) as info:
+        orbit([cycle_perm(4), transposition_perm(4)], (0.5,))
+    assert str(info.value) == "seed must be a sequence of ints (got (0.5,))"
+
+
 @pytest.mark.parametrize("n", range(2, 7))
 def test_orbit_sizes_are_binomials(n):
     gens = [cycle_perm(n), transposition_perm(n)]

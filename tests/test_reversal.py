@@ -14,6 +14,7 @@ from permrev.perms import colex_rank
 from permrev.reversal import (
     certify_reversal,
     mask_states,
+    reversal_certificate,
     reverse_construction,
     reverse_dfa,
     reverse_step,
@@ -90,6 +91,13 @@ def test_reverse_step_validates_inputs(witness_3_4):
             reverse_step(witness_3_4, bad, 0)
     with pytest.raises(ValueError):
         reverse_step(witness_3_4, (1,), 2)
+
+
+@pytest.mark.filterwarnings("error")
+def test_reverse_step_rejects_a_letter_that_is_not_an_int(witness_3_4):
+    with pytest.raises(ValueError) as info:
+        reverse_step(witness_3_4, (0,), "a")
+    assert str(info.value) == "letter 'a' is out of range"
 
 
 def test_reverse_word_empty_is_identity(witness_3_4):
@@ -234,12 +242,27 @@ def test_reversed_language_on_exhaustive_words():
 def certified(fwd):
     """(asc_forward, asc_reverse, forward_minimal, reverse_minimal)."""
     c = certify_reversal(fwd)[2]
+    assert reversal_certificate(fwd) == c
     return c.asc_forward, c.asc_reverse, c.forward_minimal, c.reverse_minimal
 
 
 @given(dfas())
 def test_certify_reversal_returns_its_construction(fwd):
     assert certify_reversal(fwd)[:2] == reverse_construction(fwd)
+
+
+@given(dfas())
+def test_reversal_certificate_matches_certify_reversal(fwd):
+    assert reversal_certificate(fwd) == certify_reversal(fwd)[2]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("call", [certify_reversal, reversal_certificate])
+@pytest.mark.parametrize("fwd", [None, "dfa 1 1", ((0,),)], ids=["none", "str", "table"])
+def test_certificates_require_a_dfa(call, fwd):
+    with pytest.raises(ValueError) as info:
+        call(fwd)
+    assert str(info.value) == f"expected a Dfa (got {type(fwd).__name__})"
 
 
 @given(dfas())

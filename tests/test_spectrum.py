@@ -4,7 +4,7 @@ from collections import Counter
 import pytest
 from hypothesis import given
 
-from permrev import spectrum
+from permrev import reversal, spectrum
 from permrev.dfa import Dfa, is_permutation_automaton, reachable_states
 from permrev.minimize import asc
 from permrev.reversal import certify_reversal, reverse_dfa
@@ -90,6 +90,14 @@ def test_random_pfa_consumes_the_rng_as_pinned():
         6, 2, ((3, 4), (5, 2), (4, 5), (0, 0), (2, 1), (1, 3)), 3,
         frozenset({1, 3, 5}),
     )
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("rng", [None, 4, random])
+def test_random_pfa_requires_a_random_instance(rng):
+    with pytest.raises(ValueError) as info:
+        random_pfa(rng, 3)
+    assert str(info.value) == f"rng must be a random.Random (got {type(rng).__name__})"
 
 
 def test_random_pfa_validates_size():
@@ -207,6 +215,27 @@ def test_probe_validates_arguments():
         magic_one_probe(1, 10, count_checked_only=True)
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("seed", [[1], True, 1.0, "7", None])
+def test_probe_seed_must_be_an_int(seed):
+    with pytest.raises(ValueError) as info:
+        magic_one_probe(3, 2, seed=seed)
+    assert str(info.value) == f"seed must be an int (got {seed!r})"
+
+
+@pytest.mark.parametrize("seed", [0, -5, 2**70])
+def test_probe_accepts_every_int_seed(seed):
+    assert magic_one_probe(3, 2, seed=seed).seed == seed
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("pfa", [None, "dfa 1 1", ((0,),)], ids=["none", "str", "table"])
+def test_asc_pair_requires_a_dfa(pfa):
+    with pytest.raises(ValueError) as info:
+        asc_pair(pfa)
+    assert str(info.value) == "asc_pair requires a permutation automaton"
+
+
 def test_probe_rejects_asc2_count_on_two_states():
     # no automaton on at most 2 states has asc >= 2, so this would never end
     with pytest.raises(ValueError):
@@ -289,32 +318,87 @@ def count_calls(monkeypatch, names):
     return calls
 
 
+def forbid_full_reversal(monkeypatch):
+    """Count the calls that build a reverse Dfa: ``certify_reversal`` and
+    the construction, looked up on the reversal module."""
+    calls = {"certify_reversal": 0, "reverse_construction": 0}
+
+    def counted(name):
+        original = getattr(reversal, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(reversal, name, counted(name))
+    return calls
+
+
 def test_grid_explores_each_automaton_once_and_never_minimizes(monkeypatch):
     calls = count_calls(
-        monkeypatch, ("build_witness", "certify_reversal", "reverse_dfa", "asc")
+        monkeypatch, ("build_witness", "reversal_certificate", "reverse_dfa", "asc")
     )
+    full = forbid_full_reversal(monkeypatch)
     assert spectrum_table(3, 3).passed
     # four witnesses plus the two one-state automata of the trivial rows
     assert calls == {
-        "build_witness": 4, "certify_reversal": 6, "reverse_dfa": 0, "asc": 0,
+        "build_witness": 4, "reversal_certificate": 6, "reverse_dfa": 0, "asc": 0,
     }
+    assert full == {"certify_reversal": 0, "reverse_construction": 0}
+    assert not hasattr(spectrum, "certify_reversal")
 
 
-def test_probe_explores_each_draw_once_and_never_minimizes(monkeypatch):
+def record_draws(monkeypatch):
     draws = []
-    original = spectrum.random_pfa
+    original = spectrum._draw
 
     def recorded(*args):
         draws.append(original(*args))
         return draws[-1]
 
-    monkeypatch.setattr(spectrum, "random_pfa", recorded)
-    calls = count_calls(monkeypatch, ("certify_reversal", "reverse_dfa", "asc"))
+    monkeypatch.setattr(spectrum, "_draw", recorded)
+    return draws
+
+
+def passes_both_skips(draw):
+    delta, start, finals = draw
+    if len(finals) < 2:
+        return False
+    reach = reachable_states(Dfa(len(delta), 2, delta, start, finals))
+    return 2 <= len(finals.intersection(reach)) < len(reach)
+
+
+def test_probe_explores_each_draw_once_and_never_minimizes(monkeypatch):
+    draws = record_draws(monkeypatch)
+    calls = count_calls(monkeypatch, ("reversal_certificate", "reverse_dfa", "asc"))
+    full = forbid_full_reversal(monkeypatch)
     report = magic_one_probe(6, 50, count_checked_only=True)
     assert report.checked == 50
     assert len(draws) == report.drawn
-    # a draw with fewer than two finals has asc <= 1 and is never reversed
-    assert calls == {
-        "certify_reversal": sum(len(dfa.finals) >= 2 for dfa in draws),
-        "reverse_dfa": 0, "asc": 0,
-    }
+    # a draw without two reachable finals and a reachable non-final has
+    # asc <= 1 and is never reversed
+    certified = sum(map(passes_both_skips, draws))
+    assert calls == {"reversal_certificate": certified, "reverse_dfa": 0, "asc": 0}
+    assert certified < sum(len(finals) >= 2 for _, _, finals in draws)
+    assert full == {"certify_reversal": 0, "reverse_construction": 0}
+
+
+def test_probe_validates_a_dfa_only_for_draws_with_two_finals(monkeypatch):
+    draws = record_draws(monkeypatch)
+    built = []
+    original = Dfa.__post_init__
+
+    def recorded(self):
+        original(self)
+        built.append(self)
+
+    monkeypatch.setattr(Dfa, "__post_init__", recorded)
+    report = magic_one_probe(8, 200, count_checked_only=True)
+    assert len(draws) == report.drawn
+    # one Dfa per draw with at least two finals, and no reverse automaton
+    assert [(dfa.delta, dfa.start, dfa.finals) for dfa in built] == [
+        draw for draw in draws if len(draw[2]) >= 2
+    ]

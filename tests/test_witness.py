@@ -142,6 +142,20 @@ def test_star_center_size_checked():
         star_members(WitnessParams(3, 4), (0, 0, 1))
 
 
+@pytest.mark.filterwarnings("error")
+def test_star_center_of_non_ints_rejected():
+    with pytest.raises(ValueError) as info:
+        star_members(WitnessParams(3, 4), "abc")
+    assert str(info.value) == "center must be a sequence of ints (got 'abc')"
+
+
+@pytest.mark.filterwarnings("error")
+def test_subset_label_rejects_a_non_subset():
+    with pytest.raises(ValueError) as info:
+        subset_label(None)
+    assert str(info.value) == "subset must be a sequence of ints (got None)"
+
+
 def test_star_always_has_m_members():
     for m, alpha in [(2, 2), (3, 4), (4, 3), (5, 2)]:
         params = WitnessParams(m, alpha)
