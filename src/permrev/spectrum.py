@@ -180,7 +180,9 @@ def magic_one_probe(
         reach = reachable_states(dfa)
         if not 2 <= len(finals.intersection(reach)) < len(reach):
             continue  # fewer than two reachable finals, or all of them final
-        forward, reverse = asc_pair(dfa)
+        # _draw permutes by construction, so asc_pair's check is skipped
+        certificate = reversal_certificate(dfa)
+        forward, reverse = certificate.asc_forward, certificate.asc_reverse
         if forward < 2:
             continue
         checked += 1

@@ -30,12 +30,12 @@ def dfas(draw, max_states=5, max_alphabet=3):
 
 
 @st.composite
-def pfas(draw, max_states=6, alphabet_size=2):
-    n = draw(st.integers(1, max_states))
+def pfas(draw, max_states=6, alphabet_size=2, min_states=1, max_finals=None):
+    n = draw(st.integers(min_states, max_states))
     columns = [draw(st.permutations(tuple(range(n)))) for _ in range(alphabet_size)]
     delta = tuple(tuple(col[q] for col in columns) for q in range(n))
     start = draw(st.integers(0, n - 1))
-    finals = frozenset(draw(st.sets(st.integers(0, n - 1))))
+    finals = frozenset(draw(st.sets(st.integers(0, n - 1), max_size=max_finals)))
     return Dfa(n, alphabet_size, delta, start, finals)
 
 

@@ -7,11 +7,13 @@ import pytest
 from hypothesis import given
 import hypothesis.strategies as st
 
+from permrev import reversal
 from permrev.dfa import Dfa, accepts, apply_word, is_permutation_automaton
 from permrev.errors import CapacityError
 from permrev.minimize import minimize
 from permrev.perms import colex_rank
 from permrev.reversal import (
+    MASK_STATES,
     certify_reversal,
     mask_states,
     reversal_certificate,
@@ -251,9 +253,50 @@ def test_certify_reversal_returns_its_construction(fwd):
     assert certify_reversal(fwd)[:2] == reverse_construction(fwd)
 
 
-@given(dfas())
+@given(dfas(max_states=MASK_STATES))
 def test_reversal_certificate_matches_certify_reversal(fwd):
+    # every size here takes the mask path, and certify_reversal the tuple path
     assert reversal_certificate(fwd) == certify_reversal(fwd)[2]
+
+
+def forbid(patch, name):
+    """Make ``reversal.<name>`` fail the test when it is called."""
+
+    def forbidden(*args):
+        raise AssertionError(f"{name} called")
+
+    patch.setattr(reversal, name, forbidden)
+
+
+@given(pfas(min_states=MASK_STATES, max_states=MASK_STATES + 1, max_finals=2))
+def test_certificate_paths_meet_at_the_mask_bound(fwd):
+    # masks at MASK_STATES states, tuples one above; with at most two
+    # finals each orbit of subsets stays small
+    expected = certify_reversal(fwd)[2]
+    masks = fwd.num_states == MASK_STATES
+    with pytest.MonkeyPatch.context() as patch:
+        forbid(patch, "_explore" if masks else "_mask_certificate")
+        assert reversal_certificate(fwd) == expected
+
+
+@pytest.mark.parametrize(
+    "m,alpha,other", [(2, 4, "_explore"), (3, 4, "_mask_certificate")],
+    ids=["masks", "tuples"],
+)
+def test_certificate_capacity_error_is_the_same_on_both_paths(
+    monkeypatch, m, alpha, other
+):
+    # 5 and 15 forward states, 10 and 20 reverse subsets; the cap is read
+    # at call time
+    fwd = build_witness(m, alpha)
+    assert (fwd.num_states <= MASK_STATES) == (m == 2)
+    forbid(monkeypatch, other)
+    monkeypatch.setattr(reversal, "DEFAULT_MAX_STATES", 2)
+    with pytest.raises(CapacityError) as info:
+        reversal_certificate(fwd)
+    assert (str(info.value), info.value.count, info.value.stage) == (
+        "reverse construction exceeded 2 states", 2, "reverse_construction"
+    )
 
 
 @pytest.mark.filterwarnings("error")

@@ -373,15 +373,22 @@ def passes_both_skips(draw):
 
 def test_probe_explores_each_draw_once_and_never_minimizes(monkeypatch):
     draws = record_draws(monkeypatch)
-    calls = count_calls(monkeypatch, ("reversal_certificate", "reverse_dfa", "asc"))
+    calls = count_calls(
+        monkeypatch,
+        ("reversal_certificate", "reverse_dfa", "asc", "is_permutation_automaton"),
+    )
     full = forbid_full_reversal(monkeypatch)
     report = magic_one_probe(6, 50, count_checked_only=True)
     assert report.checked == 50
     assert len(draws) == report.drawn
     # a draw without two reachable finals and a reachable non-final has
-    # asc <= 1 and is never reversed
+    # asc <= 1 and is never reversed; _draw permutes by construction, so
+    # no draw is checked for it
     certified = sum(map(passes_both_skips, draws))
-    assert calls == {"reversal_certificate": certified, "reverse_dfa": 0, "asc": 0}
+    assert calls == {
+        "reversal_certificate": certified, "reverse_dfa": 0, "asc": 0,
+        "is_permutation_automaton": 0,
+    }
     assert certified < sum(len(finals) >= 2 for _, _, finals in draws)
     assert full == {"certify_reversal": 0, "reverse_construction": 0}
 
