@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from itertools import chain, repeat
 from typing import Sequence
 
-from .errors import are_indices, check_int, check_points
+from .errors import are_indices, check_index, check_int, check_points
 
 Word = Sequence[int]
 
@@ -82,23 +82,25 @@ class Dfa:
         return self.labels[q] if self.labels is not None else str(q)
 
 
-def _check_state(dfa: Dfa, q: int) -> None:
-    if not 0 <= q < dfa.num_states:
-        raise ValueError(f"state {q} is out of range")
+def check_dfa(dfa: object) -> None:
+    """Raise ValueError unless ``dfa`` is a Dfa."""
+    if not isinstance(dfa, Dfa):
+        raise ValueError(f"expected a Dfa (got {type(dfa).__name__})")
 
 
 def apply_word(dfa: Dfa, q: int, word: Word) -> int:
     """Run ``word`` from state ``q``, one letter at a time, left to right."""
-    _check_state(dfa, q)
+    check_dfa(dfa)
+    check_index("state", q, dfa.num_states)
     for c in check_points("word", word):
-        if not 0 <= c < dfa.alphabet_size:
-            raise ValueError(f"letter {c} is out of range")
+        check_index("letter", c, dfa.alphabet_size)
         q = dfa.delta[q][c]
     return q
 
 
 def accepts(dfa: Dfa, word: Word) -> bool:
     """True iff running ``word`` from the start state ends in a final state."""
+    check_dfa(dfa)
     return apply_word(dfa, dfa.start, word) in dfa.finals
 
 

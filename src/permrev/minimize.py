@@ -19,7 +19,8 @@ from __future__ import annotations
 
 from collections import deque
 
-from .dfa import Dfa, reachable_states
+from .dfa import Dfa, check_dfa, reachable_states
+from .errors import check_index
 
 
 def minimize(dfa: Dfa) -> Dfa:
@@ -88,9 +89,9 @@ def distinguishing_word(dfa: Dfa, p: int, q: int) -> tuple[int, ...] | None:
     reachable. BFS runs over unordered state pairs with letter-index
     tie-break, so the word returned is deterministic.
     """
-    for s in (p, q):
-        if not 0 <= s < dfa.num_states:
-            raise ValueError(f"state {s} is out of range")
+    check_dfa(dfa)
+    check_index("state", p, dfa.num_states)
+    check_index("state", q, dfa.num_states)
     reach = set(reachable_states(dfa))
     if p not in reach or q not in reach:
         raise ValueError("states must be reachable")

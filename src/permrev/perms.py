@@ -14,7 +14,9 @@ from collections import deque
 from itertools import combinations
 from typing import Iterator, Sequence
 
-from .errors import CapacityError, NotInGroupError, check_int, check_points
+from .errors import (
+    CapacityError, NotInGroupError, check_index, check_int, check_points, check_subset
+)
 
 Perm = tuple[int, ...]
 KSubset = tuple[int, ...]
@@ -59,29 +61,22 @@ def perm_compose(p: Perm, q: Perm) -> Perm:
 
 def perm_inverse(p: Perm) -> Perm:
     """The permutation undoing p; ValueError unless p permutes range(len(p))."""
-    _check_generators((p,))
-    inverse = [0] * len(p)
-    for i, image in enumerate(p):
-        inverse[image] = i
-    return tuple(inverse)
+    return tuple(sorted(range(_check_generators((p,))), key=p.__getitem__))
 
 
 def perm_from_word(generators: Sequence[Perm], word: Sequence[int]) -> Perm:
     """Compose the generators named by ``word``, left to right."""
     acc = identity_perm(_check_generators(generators))
-    for c in word:
-        if not 0 <= c < len(generators):
-            raise ValueError(f"letter {c} does not name a generator")
+    for c in check_points("word", word):
+        check_index("letter", c, len(generators))
         acc = perm_compose(acc, generators[c])
     return acc
 
 
 def act_on_subset(p: Perm, subset: KSubset) -> KSubset:
     """Image of a subset under p, re-sorted."""
-    for i in subset:
-        if not 0 <= i < len(p):
-            raise ValueError(f"point {i} is out of range for n={len(p)}")
-    return tuple(sorted(p[i] for i in subset))
+    points = check_subset("subset", subset, _check_generators((p,)))
+    return tuple(sorted(map(p.__getitem__, points)))
 
 
 def colex_rank(subset: KSubset) -> int:
@@ -129,14 +124,11 @@ def ksubsets(n: int, k: int) -> Iterator[KSubset]:
 
 def _check_generators(generators: Sequence[Perm]) -> int:
     """The common point count n; each generator must permute range(n)."""
-    if not generators:
-        raise ValueError("generators must be nonempty")
-    n = len(generators[0])
-    points = set(range(n))
+    if not isinstance(generators, (list, tuple)) or not generators:
+        raise ValueError("generators must be a nonempty list or tuple")
+    n = len(check_points("generator", generators[0]))
     for g in generators:
-        if len(g) != n:
-            raise ValueError("generators must act on the same points")
-        if set(g) != points:
+        if sorted(check_points("generator", g)) != [*range(n)]:
             raise ValueError(f"{g} is not a permutation of [{n}]")
     return n
 
@@ -144,28 +136,19 @@ def _check_generators(generators: Sequence[Perm]) -> int:
 def orbit(generators: Sequence[Perm], seed: KSubset) -> list[KSubset]:
     """BFS closure of ``seed`` under the generators, in discovery order.
 
-    Subsets are deduplicated by colexicographic rank; neighbors expand in
-    generator order, so the discovery order is deterministic.
+    A subset has one form, its sorted tuple, so subsets are deduplicated by
+    hashing; neighbors expand in generator order, so the discovery order is
+    deterministic.
     """
-    n = _check_generators(generators)
-    seed = tuple(sorted(check_points("seed", seed)))
-    if len(set(seed)) != len(seed):
-        raise ValueError(f"seed {seed} has repeated points")
-    for i in seed:
-        if not 0 <= i < n:
-            raise ValueError(f"point {i} is out of range for n={n}")
-    seen = {colex_rank(seed)}
+    seed = check_subset("seed", seed, _check_generators(generators))
+    seen = {seed}
     order = [seed]
-    queue = deque(order)
-    while queue:
-        x = queue.popleft()
+    for x in order:  # grows while it is walked: BFS order
         for g in generators:
-            y = act_on_subset(g, x)
-            r = colex_rank(y)
-            if r not in seen:
-                seen.add(r)
+            y = tuple(sorted(map(g.__getitem__, x)))
+            if y not in seen:
+                seen.add(y)
                 order.append(y)
-                queue.append(y)
     return order
 
 

@@ -41,11 +41,11 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from functools import partial
 from itertools import chain, compress, count, repeat
-from operator import contains, itemgetter, lt
+from operator import contains, itemgetter
 from typing import Callable, Iterable, Iterator, NoReturn
 
-from .dfa import Dfa, reachable_states
-from .errors import CapacityError, check_int
+from .dfa import Dfa, check_dfa, reachable_states
+from .errors import CapacityError, are_subset_states, check_index, check_int
 
 SubsetState = tuple[int, ...]
 
@@ -67,19 +67,6 @@ def mask_states(mask: int) -> list[int]:
         out.append(low.bit_length() - 1)
         mask ^= low
     return out
-
-
-def _check_subset(dfa: Dfa, s: SubsetState) -> None:
-    """Reject anything but a strictly increasing tuple of forward states."""
-    if not isinstance(s, tuple) or s and (
-        s[0] < 0 or s[-1] >= dfa.num_states or not all(map(lt, s, s[1:]))
-    ):
-        raise ValueError("subset-state does not fit the forward automaton")
-
-
-def _check_letter(dfa: Dfa, letter: int) -> None:
-    if type(letter) is not int or not 0 <= letter < dfa.alphabet_size:
-        raise ValueError(f"letter {letter!r} is out of range")
 
 
 def _predecessors(fwd: Dfa, letter: int) -> list[list[int]]:
@@ -114,8 +101,10 @@ def reverse_step(fwd: Dfa, s: SubsetState, letter: int) -> SubsetState:
     When ``fwd`` is a permutation automaton this is a bijection on subsets
     and preserves cardinality.
     """
-    _check_subset(fwd, s)
-    _check_letter(fwd, letter)
+    check_dfa(fwd)
+    if not are_subset_states((s,), fwd.num_states):
+        raise ValueError("subset-state does not fit the forward automaton")
+    check_index("letter", letter, fwd.alphabet_size)
     return tuple(sorted(_preimage_map(fwd, letter)(s)))
 
 
@@ -156,11 +145,6 @@ def _overflow(max_states: int, count: int) -> NoReturn:
     )
 
 
-def _check_dfa(fwd: object) -> None:
-    if not isinstance(fwd, Dfa):
-        raise ValueError(f"expected a Dfa (got {type(fwd).__name__})")
-
-
 def _final_indices(fwd: Dfa, subsets: list[SubsetState]) -> Iterator[int]:
     """The indices of the subset-states that hold the forward start state."""
     return compress(count(), map(contains, subsets, repeat(fwd.start)))
@@ -178,7 +162,7 @@ def reverse_construction(
     renders them as labels for text output.
     """
     check_int("max_states", max_states, 1)
-    _check_dfa(fwd)
+    check_dfa(fwd)
     targets, subsets = _explore(fwd, max_states)
     rev = Dfa(
         num_states=len(subsets),
@@ -244,7 +228,7 @@ def reversal_certificate(fwd: Dfa) -> ReversalCertificate:
     most ``MASK_STATES`` states is certified on int-mask subsets, any other
     on the tuple subsets of ``_explore``; both give the same certificate.
     """
-    _check_dfa(fwd)
+    check_dfa(fwd)
     if fwd.num_states <= MASK_STATES:
         return _mask_certificate(fwd)
     subsets = _explore(fwd, DEFAULT_MAX_STATES)[1]

@@ -12,10 +12,10 @@ Tokens are separated by whitespace, which means exactly what
 ``\xa0`` and the other Unicode spaces and line separators. Lines are
 those of ``str.splitlines()``. The ``finals`` line may list no indices.
 The bracketed label is optional but must appear on every state line or on
-none; a label cannot contain whitespace, ``[`` or ``]``.
-``parse_dfa``/``emit_dfa`` round-trip exactly, labels included. Parse
-errors carry a 1-based line and column; the column is computed only when
-an error is raised.
+none; a label cannot contain whitespace, ``[`` or ``]``. A number is ``0``
+or ``-?[1-9][0-9]*``, the one form ``emit_dfa`` writes, so ``parse_dfa``
+and ``emit_dfa`` round-trip exactly, labels included. Parse errors carry a
+1-based line and column; the column is computed only when one is raised.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ import re
 from itertools import islice
 
 from .dfa import Dfa, Word
-from .errors import check_int
+from .errors import check_index, check_int, check_points
 from .spectrum import MagicProbeReport, SpectrumReport
 from .witness import Star, WitnessReport, subset_label
 
@@ -68,10 +68,10 @@ def word_from_str(text: str) -> tuple[int, ...]:
 
 def word_to_str(word: Word) -> str:
     """Inverse of ``word_from_str``; only letters 0..25 have a name there."""
+    word = check_points("word", word)
     for c in word:
-        if not 0 <= c < len(_LETTERS):
-            raise ValueError(f"letter {c} has no single-character name")
-    return "".join(_LETTERS[c] for c in word)
+        check_index("letter", c, len(_LETTERS))
+    return "".join(map(_LETTERS.__getitem__, word))
 
 
 def emit_dfa(dfa: Dfa) -> str:
@@ -110,14 +110,17 @@ def _indices(
 ) -> tuple[int, ...]:
     """``tokens[k:]`` as ints in ``range(bound)``.
 
-    The fast path reads a line whose tokens are all ASCII digits. Otherwise
-    the tokens are walked one by one, so the error names the first token
-    that is not a number or is out of range; a line that passes the walk,
-    such as an empty one or one with a "-0", is read then.
+    The fast path reads a line of ASCII digit tokens none of which starts
+    with "0" (no digit 0, or a least token of at least "1"). Otherwise the
+    tokens are walked one by one, so the error names the first token that
+    is not a number or is out of range; a line that passes the walk, such
+    as an empty one or one with a 0, is read then.
     """
-    digits = "".join(tokens[k:])
-    if digits.isdigit() and digits.isascii():
-        values = tuple(map(int, tokens[k:]))
+    numbers = tokens[k:]
+    digits = "".join(numbers)
+    canonical = "0" not in digits or min(numbers) >= "1"
+    if digits.isdigit() and digits.isascii() and canonical:
+        values = tuple(map(int, numbers))
         if max(values) < bound:
             return values
     for i in range(k, len(tokens)):
@@ -130,15 +133,17 @@ def _indices(
 
 
 def _int_token(line_no: int, line: str, k: int, token: str, what: str) -> int:
-    """A number token: ASCII digits after an optional minus. int() alone
-    would also read "1_0", "+0" and other scripts' digits such as "\u0663"."""
+    """A number token, ``0`` or ``-?[1-9][0-9]*``: int() alone would also
+    read "1_0", "+0", "-0", "007" and other scripts' digits."""
     digits = token.removeprefix("-")
-    if not (digits.isdigit() and digits.isascii()):
-        raise ParseError(line_no, _column(line, k), f"expected {what}, got {token!r}")
-    return int(token)
+    if digits.isdigit() and digits.isascii() and (digits[0] != "0" or token == "0"):
+        return int(token)
+    raise ParseError(line_no, _column(line, k), f"expected {what}, got {token!r}")
 
 
 def parse_dfa(text: str) -> Dfa:
+    if not isinstance(text, str):
+        raise ValueError(f"expected a str (got {type(text).__name__})")
     rows = []
     for line_no, line in enumerate(text.splitlines(), start=1):
         tokens = line.split()
@@ -170,11 +175,7 @@ def parse_dfa(text: str) -> Dfa:
     line_no, line, tokens = need_row(1, "'start' line")
     if tokens[0] != "start" or len(tokens) != 2:
         raise ParseError(line_no, _column(line, 0), "expected 'start <index>'")
-    start = _int_token(line_no, line, 1, tokens[1], "a state index")
-    if not 0 <= start < num_states:
-        raise ParseError(
-            line_no, _column(line, 1), f"start state {start} is out of range"
-        )
+    (start,) = _indices(line_no, line, tokens, 1, num_states, "start state")
 
     line_no, line, tokens = need_row(2, "'finals' line")
     if tokens[0] != "finals":

@@ -16,12 +16,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import reduce
-from itertools import chain, combinations, islice, repeat
-from operator import and_, eq, itemgetter, lt, xor
+from itertools import combinations, islice, repeat
+from operator import and_, eq, itemgetter, xor
 from typing import Iterable
 
-from .dfa import Dfa
-from .errors import CapacityError, are_indices, check_int, check_points
+from .dfa import Dfa, check_dfa
+from .errors import (
+    CapacityError, are_subset_states, check_int, check_points, check_subset
+)
 from .perms import KSubset
 from .reversal import SubsetState, certify_reversal
 
@@ -67,6 +69,11 @@ class WitnessParams:
         return tuple(range(self.alpha - 1))
 
 
+def _check_params(params: object) -> None:
+    if not isinstance(params, WitnessParams):
+        raise ValueError(f"expected WitnessParams (got {type(params).__name__})")
+
+
 def subset_label(subset: KSubset) -> str:
     """Render a subset 1-based; compact digits while every point fits one."""
     points = [i + 1 for i in check_points("subset", subset)]
@@ -89,16 +96,12 @@ class Star:
 
 def star_members(params: WitnessParams, center: KSubset) -> Star:
     """The star around ``center``; it always has exactly m members."""
-    center = tuple(sorted(check_points("center", center)))
+    _check_params(params)
+    center = check_subset("center", center, params.n)
     if len(center) != params.alpha - 1:
         raise ValueError(
             f"center must have {params.alpha - 1} points (got {len(center)})"
         )
-    if len(set(center)) != len(center):
-        raise ValueError(f"center {center} has repeated points")
-    for i in center:
-        if not 0 <= i < params.n:
-            raise ValueError(f"point {i} is out of range for n={params.n}")
     members = tuple(
         sorted(
             tuple(sorted(center + (u,)))
@@ -240,14 +243,15 @@ def classify_reverse_states(
     reading letter c maps the star around T to the star around the preimage
     of T under c, a right rotation by one bit for a and the swap of bits 0
     and 1 for b.
-    The subset checks, the AND of the members, the center table and the
-    letter law each run as builtins over a whole column; only the star test
-    is a comprehension.
-    Raises ValueError when the subsets do not fit ``rev`` or the witness
-    for ``params``.
+    The AND of the members, the center table and the letter law each run
+    as builtins over a whole column; only the star test is a comprehension.
+    Raises ValueError unless ``params`` is a WitnessParams, ``rev`` a Dfa
+    and ``subsets`` subset-states of the witness that match ``rev``.
     """
+    _check_params(params)
+    check_dfa(rev)
     n, alpha = params.n, params.alpha
-    if not _fit_witness(subsets, math.comb(n, alpha)):
+    if not are_subset_states(subsets, math.comb(n, alpha)):
         raise ValueError("a subset does not fit the witness for these parameters")
     if rev.alphabet_size != 2 or not len(set(subsets)) == len(subsets) == rev.num_states:
         raise ValueError("subsets do not match the states of rev")
@@ -280,19 +284,6 @@ def classify_reverse_states(
         and all(map(eq, to_b, _swaps(commons)))
     )
     return StarClassification(tuple(centers), tuple(accepting), covers, letter_law)
-
-
-def _fit_witness(subsets: list[SubsetState], total: int) -> bool:
-    """Whether every subset is a strictly increasing tuple inside range(total).
-
-    Types, range and order are each one pass of builtins over all subsets.
-    """
-    if not set(map(type, subsets)) <= {tuple}:
-        return False
-    tails = map(itemgetter(slice(1, None)), subsets)
-    return are_indices([*chain.from_iterable(subsets)], total) and all(
-        map(all, map(map, repeat(lt), subsets, tails))
-    )
 
 
 @dataclass(frozen=True)

@@ -238,6 +238,17 @@ HEAD2 = "dfa 2 2\nstart 0\nfinals 1\n"
     (HEAD + "state 1 : 0\n\n", 4, 1, "missing 'state 0' line"),
     ("dfa 3 1\nstart 0\nfinals\nstate 0 : 0\nstate 2 : 2\n", 5, 1,
      "missing 'state 1' line"),
+    # a number is 0 or -?[1-9][0-9]*, the one form emit_dfa writes
+    ("dfa 02 1\n", 1, 5, "expected a state count, got '02'"),
+    ("dfa 2 -0\n", 1, 7, "expected an alphabet size, got '-0'"),
+    ("dfa 2 1\nstart -0\n", 2, 7, "expected a state index, got '-0'"),
+    ("dfa 2 1\nstart -1\n", 2, 7, "start state -1 is out of range"),
+    ("dfa 2 1\nstart 0\nfinals 007\n", 3, 8, "expected a state index, got '007'"),
+    ("dfa 2 1\nstart 0\nfinals 0 01\n", 3, 10, "expected a state index, got '01'"),
+    (HEAD + "state 01 : 0\n", 4, 7, "expected a state index, got '01'"),
+    (HEAD + "state -0 : 0\n", 4, 7, "expected a state index, got '-0'"),
+    (HEAD + "state 0 : 00\n", 4, 11, "expected a state index, got '00'"),
+    (HEAD2 + "state 0 : 0 -0\n", 4, 13, "expected a state index, got '-0'"),
 ], ids=[
     "empty", "blank", "header", "header_long", "header_short", "state_count",
     "alphabet_size", "state_count_underscore", "state_count_zero",
@@ -252,7 +263,11 @@ HEAD2 = "dfa 2 2\nstart 0\nfinals 1\n"
     "images_none", "images_none_labeled", "image_index", "image_range",
     "image_negative", "image_range_first", "image_index_first",
     "image_index_second", "image_range_second", "unicode_whitespace",
-    "state_missing", "state_gap",
+    "state_missing", "state_gap", "state_count_leading_zero",
+    "alphabet_size_minus_zero", "start_minus_zero", "start_negative",
+    "finals_leading_zeros", "finals_zero_then_leading_zero",
+    "state_leading_zero", "state_minus_zero", "image_leading_zero",
+    "image_minus_zero",
 ])
 def test_parse_error_positions_are_pinned(text, line, column, message):
     with pytest.raises(ParseError) as info:
