@@ -106,6 +106,7 @@ def accepts(dfa: Dfa, word: Word) -> bool:
 
 def is_permutation_automaton(dfa: Dfa) -> bool:
     """True iff every letter permutes the state set."""
+    check_dfa(dfa)
     for c in range(dfa.alphabet_size):
         images = {row[c] for row in dfa.delta}
         if len(images) != dfa.num_states:
@@ -119,6 +120,7 @@ def reachable_states(dfa: Dfa) -> list[int]:
     Ties break by letter index, so the order is reproducible; the canonical
     renumbering in minimization reuses it.
     """
+    check_dfa(dfa)
     delta = dfa.delta
     seen = [False] * dfa.num_states
     seen[dfa.start] = True

@@ -66,6 +66,8 @@ def minimize(dfa: Dfa) -> Dfa:
 
 def are_equivalent(d1: Dfa, d2: Dfa) -> bool:
     """Language equality, decided by comparing canonical minimal forms."""
+    check_dfa(d1)
+    check_dfa(d2)
     if d1.alphabet_size != d2.alphabet_size:
         raise ValueError("alphabet sizes differ")
     m1 = minimize(d1)

@@ -53,10 +53,15 @@ def perm_compose(p: Perm, q: Perm) -> Perm:
 
     Folding a word's letters through this operator left to right gives the
     permutation the word induces, matching how words act on states.
+    ValueError unless p and q permute the same points.
     """
-    if len(p) != len(q):
-        raise ValueError(f"size mismatch: {len(p)} vs {len(q)}")
-    return tuple(q[i] for i in p)
+    _check_generators((p, q))
+    return _compose(p, q)
+
+
+def _compose(p: Perm, q: Perm) -> Perm:
+    """``perm_compose`` of two checked permutations."""
+    return tuple(map(q.__getitem__, p))
 
 
 def perm_inverse(p: Perm) -> Perm:
@@ -69,7 +74,7 @@ def perm_from_word(generators: Sequence[Perm], word: Sequence[int]) -> Perm:
     acc = identity_perm(_check_generators(generators))
     for c in check_points("word", word):
         check_index("letter", c, len(generators))
-        acc = perm_compose(acc, generators[c])
+        acc = _compose(acc, generators[c])
     return acc
 
 
@@ -81,6 +86,7 @@ def act_on_subset(p: Perm, subset: KSubset) -> KSubset:
 
 def colex_rank(subset: KSubset) -> int:
     """Colexicographic rank of a sorted k-subset of {0..n-1}."""
+    subset = check_points("subset", subset)
     return sum(math.comb(c, j + 1) for j, c in enumerate(subset))
 
 
@@ -164,6 +170,7 @@ def synthesize_word(
     and CapacityError if the closure grows past ``max_group_size``.
     """
     n = _check_generators(generators)
+    target = check_points("target", target)
     if len(target) != n:
         raise ValueError(f"size mismatch: target on {len(target)} points, n={n}")
     ident = identity_perm(n)
@@ -179,7 +186,7 @@ def synthesize_word(
                 word.append(letter)
             return tuple(reversed(word))
         for idx, g in enumerate(generators):
-            nxt = perm_compose(cur, g)
+            nxt = _compose(cur, g)
             if nxt not in parent:
                 if len(parent) >= max_group_size:
                     raise CapacityError(

@@ -19,19 +19,18 @@ automaton and without building the reverse one. ``certify_reversal``
 returns the reverse automaton and its subsets as well, from the same
 exploration.
 
-On at most ``MASK_STATES`` forward states, ``reversal_certificate`` takes
-a second, private path where a subset-state is an int bitmask. A preimage
-is the OR of the members' predecessor masks, the subsets are interned in a
-set, and the forward classes are block masks split by ``b & S``. On at
-most 30 states every mask is one CPython digit (30 bits), so each step is
-a few single-digit int operations. But each step runs in the interpreter,
-where the tuple path's sort and inverse map run in C. Per automaton (2 vCPUs, Python 3.11), the mask
-path took 0.63-0.85 of the tuple path's time on random binary permutation
-automata of 4 to 8 states and at most 1.05 up to 30; on the paper's
-witnesses it took 0.57-0.94 up to 8 states, 0.98-1.27 at 10 and 1.08-1.6
-at 15 to 28. A witness has few subsets for its size, so the mask path's
-per-state set-up and per-block splits dominate. Hence ``MASK_STATES`` is
-8, the largest size at which no measured input was slower.
+On at most ``MASK_STATES`` = 8 forward states, ``reversal_certificate``
+takes a second, private path where a subset-state is a byte: bit p stands
+for forward state p, so every subset is a mask in 0..255. Each letter's
+preimage map is then one 256-byte table, built from ints whose byte lanes
+hold one mask each, and the BFS maps a whole level per letter with one
+``bytes.translate`` in C. The forward classes and both asc values are read
+off the bytes of all subsets with more translates, with no block splits.
+The bound is the width of a byte, not a tuning knob. On the 2019 automata
+that the benchmark's probe certifies (seed 1009, at most 8 states, 2 vCPUs,
+Python 3.11), the byte path took 0.034-0.052 s in all, the earlier int-mask
+path, which walked each subset's bits in the interpreter, 0.063-0.107 s, and
+the tuple path 0.10-0.15 s.
 ``certify_reversal`` and ``reverse_construction`` keep the tuple subsets,
 which the star classification reads.
 """
@@ -51,10 +50,19 @@ SubsetState = tuple[int, ...]
 
 DEFAULT_MAX_STATES = 1_000_000
 
-# reversal_certificate runs on int-mask subsets up to this many forward
-# states and on tuple subsets above: the measured crossover of the module
-# docstring. It must stay at most 30, so that every mask is one CPython digit.
+# reversal_certificate runs on byte-mask subsets up to this many forward
+# states and on tuple subsets above: one bit per state in a byte.
 MASK_STATES = 8
+
+# Lane s (byte s) of _BIT[q] is 1 iff the mask s holds state q. _HOLDS[p][q]
+# is _BIT[q] as one little-endian int shifted by p: lane s is 1 << p iff s
+# holds q.
+_BIT = [
+    (b"\0" * (1 << q) + b"\1" * (1 << q)) * (128 >> q) for q in range(MASK_STATES)
+]
+_HOLDS = [
+    [int.from_bytes(lanes, "little") << p for lanes in _BIT] for p in range(MASK_STATES)
+]
 
 
 def mask_states(mask: int) -> list[int]:
@@ -216,7 +224,7 @@ def certify_reversal(
     propagates.
     """
     rev, subsets = reverse_construction(fwd)
-    return rev, subsets, _certificate(fwd, subsets, rev.finals)
+    return rev, subsets, _certificate(fwd, subsets, rev.finals, reachable_states(fwd))
 
 
 def reversal_certificate(fwd: Dfa) -> ReversalCertificate:
@@ -225,21 +233,22 @@ def reversal_certificate(fwd: Dfa) -> ReversalCertificate:
 
     Raises ValueError unless ``fwd`` is a Dfa, and CapacityError when the
     reverse construction would pass its default cap. An automaton on at
-    most ``MASK_STATES`` states is certified on int-mask subsets, any other
+    most ``MASK_STATES`` states is certified on byte-mask subsets, any other
     on the tuple subsets of ``_explore``; both give the same certificate.
     """
     check_dfa(fwd)
+    reach = reachable_states(fwd)
     if fwd.num_states <= MASK_STATES:
-        return _mask_certificate(fwd)
+        return _mask_certificate(fwd, reach)
     subsets = _explore(fwd, DEFAULT_MAX_STATES)[1]
-    return _certificate(fwd, subsets, _final_indices(fwd, subsets))
+    return _certificate(fwd, subsets, _final_indices(fwd, subsets), reach)
 
 
 def _certificate(
-    fwd: Dfa, subsets: list[SubsetState], finals: Iterable[int]
+    fwd: Dfa, subsets: list[SubsetState], finals: Iterable[int], reach: list[int]
 ) -> ReversalCertificate:
-    """The certificate read off the reverse subsets and the indices of the
-    final ones.
+    """The certificate read off the reverse subsets, the indices of the
+    final ones and the reachable forward states.
 
     The subsets are exactly the sets ``{p : delta(p, w) in F}``, one for
     each word w, so two forward states are Myhill-Nerode equivalent iff
@@ -253,7 +262,6 @@ def _certificate(
     look, so the looks cost O(ids issued).
     """
     n = fwd.num_states
-    reach = reachable_states(fwd)
     accessible = len(reach) == n
     # Unreachable states take no part in either language's quotient.
     if accessible:
@@ -284,54 +292,59 @@ def _certificate(
     )
 
 
-def _mask_certificate(fwd: Dfa) -> ReversalCertificate:
-    """``_certificate`` for an automaton on at most ``MASK_STATES`` states,
-    with each subset-state an int whose bit ``1 << p`` stands for forward
-    state p.
+def _lane_table(rows: Iterable[list[int]], sources: Iterable[int]) -> bytes:
+    """The sum of ``row[q]`` over the pairs (row, q) of ``rows`` and
+    ``sources``, as a 256-byte translate table.
 
-    Each letter maps the bit of q to the mask of q's predecessors, so a
-    preimage is the OR of those masks over the set bits of S, for any
-    letter. The subsets are interned in a set in the BFS order of
-    ``_explore``, under the same cap. The forward classes are block masks,
-    split by ``b & S`` for each subset S cut to the reachable states, until
-    there is one block per reachable state.
+    Each row is ``_HOLDS[p]`` for a distinct p, so the ints' lanes never
+    share a bit, the sum is their OR, and lane s is the OR of ``1 << p``
+    over the pairs whose q is in the mask s.
+    """
+    return sum(map(list.__getitem__, rows, sources)).to_bytes(256, "little")
+
+
+def _mask_certificate(fwd: Dfa, reach: list[int]) -> ReversalCertificate:
+    """``_certificate`` for an automaton on at most ``MASK_STATES`` states,
+    given its reachable states, with each subset-state a byte whose bit
+    ``1 << p`` stands for forward state p.
+
+    Each letter's preimage map is one 256-byte table, so the BFS maps a
+    whole level per letter with ``bytes.translate``, and deleting the seen
+    masks from the result leaves the next level. The cap is the same as
+    ``_explore``'s. The seen masks are then one bytes object, and the
+    certificate is read off it with ``translate``: forward state q's
+    signature marks the subsets that hold q, and reachable states are
+    equivalent iff their signatures are equal.
     """
     max_states = DEFAULT_MAX_STATES
-    bits = [1 << q for q in range(fwd.num_states)]
-    preimages = [dict.fromkeys(bits, 0) for _ in range(fwd.alphabet_size)]
-    for bit, row in zip(bits, fwd.delta):
-        for pre, q in zip(preimages, row):
-            pre[bits[q]] |= bit
-    finals = sum(map(bits.__getitem__, fwd.finals))
-    subsets = [finals]
-    seen = {finals}
-    for s in subsets:  # grows while it is walked: BFS order
-        for pre in preimages:
-            t, rest = 0, s
-            while rest:
-                low = rest & -rest
-                t |= pre[low]
-                rest ^= low
-            if t not in seen:
-                if len(subsets) >= max_states:
-                    _overflow(max_states, len(subsets))
-                seen.add(t)
-                subsets.append(t)
+    n = fwd.num_states
+    # the preimage of s under a letter holds p iff s holds p's successor
+    tables = [_lane_table(_HOLDS, column) for column in zip(*fwd.delta)]
+    subsets = level = bytes((sum(map((1).__lshift__, fwd.finals)),))
+    while level:
+        preimages = b"".join(map(level.translate, tables))
+        level = bytes(set(preimages.translate(None, subsets)))
+        subsets += level
+        if len(subsets) > max_states:
+            _overflow(max_states, max_states)
 
-    reach = reachable_states(fwd)
-    live = sum(map(bits.__getitem__, reach))
-    cut = [s & live for s in subsets]
-    blocks = [live]
-    for s in cut:
-        if len(blocks) == len(reach):
-            break
-        blocks = [part for b in blocks for part in (b & s, b & ~s) if part]
-    # The first subset is the final set, so each block is all final or all
-    # non-final: one reachable state, or split by that subset.
-    start = bits[fwd.start]
+    signature = {q: subsets.translate(_BIT[q]) for q in reach}
+    asc_forward = len({signature[q] for q in reach if q in fwd.finals})
+    start = _BIT[fwd.start]
+    if len(reach) == n:
+        return ReversalCertificate(
+            asc_forward=asc_forward,
+            asc_reverse=subsets.translate(start).count(1),
+            forward_minimal=len(set(signature.values())) == n,
+            reverse_minimal=True,
+        )
+    # Unreachable states take no part in either language's quotient. The
+    # start is reachable, so a subset holds it iff its cut does.
+    live = _lane_table(map(_HOLDS.__getitem__, reach), reach)
+    cut = bytes(set(subsets.translate(live)))
     return ReversalCertificate(
-        asc_forward=sum(1 for b in blocks if b & finals),
-        asc_reverse=len({c for s, c in zip(subsets, cut) if s & start}),
-        forward_minimal=len(blocks) == fwd.num_states,
-        reverse_minimal=len(set(cut)) == len(cut),
+        asc_forward=asc_forward,
+        asc_reverse=cut.translate(start).count(1),
+        forward_minimal=False,
+        reverse_minimal=len(cut) == len(subsets),
     )

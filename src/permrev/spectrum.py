@@ -18,7 +18,7 @@ from itertools import compress
 
 from .dfa import Dfa, is_permutation_automaton, reachable_states
 from .errors import CapacityError, check_int
-from .reversal import reversal_certificate
+from .reversal import MASK_STATES, _mask_certificate, reversal_certificate
 from .witness import DEFAULT_STATE_CAP, build_witness
 
 # Unused here: perfbench/tracing.py wraps these names on this module by attribute.
@@ -26,7 +26,7 @@ from .minimize import asc  # noqa: F401
 from .reversal import reverse_dfa  # noqa: F401
 
 DEFAULT_SEED = 1009
-MAX_PROBE_STATES = 8
+MAX_PROBE_STATES = MASK_STATES  # every draw is certified on byte masks
 
 _NOTES = (
     "rows m=0 and m=1 are pinned by their one-state automata; that no other "
@@ -180,8 +180,9 @@ def magic_one_probe(
         reach = reachable_states(dfa)
         if not 2 <= len(finals.intersection(reach)) < len(reach):
             continue  # fewer than two reachable finals, or all of them final
-        # _draw permutes by construction, so asc_pair's check is skipped
-        certificate = reversal_certificate(dfa)
+        # _draw permutes by construction, so asc_pair's check is skipped, and
+        # the kernel of reversal_certificate takes the reachable states as is
+        certificate = _mask_certificate(dfa, reach)
         forward, reverse = certificate.asc_forward, certificate.asc_reverse
         if forward < 2:
             continue

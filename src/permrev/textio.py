@@ -24,7 +24,7 @@ import json
 import re
 from itertools import islice
 
-from .dfa import Dfa, Word
+from .dfa import Dfa, Word, check_dfa
 from .errors import check_index, check_int, check_points
 from .spectrum import MagicProbeReport, SpectrumReport
 from .witness import Star, WitnessReport, subset_label
@@ -55,8 +55,14 @@ def letter_name(c: int) -> str:
     return _LETTERS[c] if c < len(_LETTERS) else f"c{c}"
 
 
+def _check_str(text: object) -> None:
+    if not isinstance(text, str):
+        raise ValueError(f"expected a str (got {type(text).__name__})")
+
+
 def word_from_str(text: str) -> tuple[int, ...]:
     """Letters 'a', 'b', ... to indices 0, 1, ..."""
+    _check_str(text)
     word = []
     for ch in text:
         idx = _LETTERS.find(ch)
@@ -76,6 +82,7 @@ def word_to_str(word: Word) -> str:
 
 def emit_dfa(dfa: Dfa) -> str:
     """Write a DFA document; parsing it back gives a table-identical DFA."""
+    check_dfa(dfa)
     lines = [
         f"dfa {dfa.num_states} {dfa.alphabet_size}",
         f"start {dfa.start}",
@@ -142,8 +149,7 @@ def _int_token(line_no: int, line: str, k: int, token: str, what: str) -> int:
 
 
 def parse_dfa(text: str) -> Dfa:
-    if not isinstance(text, str):
-        raise ValueError(f"expected a str (got {type(text).__name__})")
+    _check_str(text)
     rows = []
     for line_no, line in enumerate(text.splitlines(), start=1):
         tokens = line.split()
@@ -250,6 +256,7 @@ def emit_dot(dfa: Dfa) -> str:
     One node per state and one labeled edge per (state, letter), both in
     index order.
     """
+    check_dfa(dfa)
     out = [
         "digraph dfa {",
         "  rankdir=LR;",

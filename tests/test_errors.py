@@ -1,9 +1,10 @@
 """The shared argument checkers and the entry points that call them.
 
 Each argument rule has one checker in ``permrev.errors``: ``check_index``
-for a state or a letter, ``check_subset`` for a set of points of [n] and
-``are_subset_states`` for the subset-states of a reverse construction. The
-table pins the error of each entry point on inputs that a looser check
+for a state or a letter, ``check_points`` for a sequence of ints,
+``check_subset`` for a set of points of [n] and ``are_subset_states`` for
+the subset-states of a reverse construction; ``permrev.dfa.check_dfa``
+checks a Dfa argument. The table pins the error of each entry point on inputs that a looser check
 would read as an index or a point; the property puts ints, bools, floats,
 None, strings and tuples in every argument slot of those entry points.
 """
@@ -12,7 +13,9 @@ import pytest
 from hypothesis import given
 import hypothesis.strategies as st
 
-from permrev.dfa import accepts, apply_word
+from permrev.dfa import (
+    accepts, apply_word, is_permutation_automaton, reachable_states
+)
 from permrev.errors import (
     CapacityError,
     NotInGroupError,
@@ -20,16 +23,21 @@ from permrev.errors import (
     check_index,
     check_subset,
 )
-from permrev.minimize import distinguishing_word
+from permrev.minimize import are_equivalent, asc, distinguishing_word, minimize
 from permrev.perms import (
     act_on_subset,
+    colex_rank,
     cycle_perm,
     orbit,
+    perm_compose,
     perm_from_word,
+    synthesize_word,
     transposition_perm,
 )
 from permrev.reversal import reverse_construction, reverse_step
-from permrev.textio import ParseError, parse_dfa, word_to_str
+from permrev.textio import (
+    ParseError, emit_dfa, emit_dot, parse_dfa, word_from_str, word_to_str
+)
 from permrev.witness import (
     WitnessParams,
     build_witness,
@@ -104,6 +112,7 @@ def test_are_subset_states_rejects_a_non_collection(subsets):
 
 NOT_FIT = "subset-state does not fit the forward automaton"
 NOT_WITNESS = "a subset does not fit the witness for these parameters"
+NOT_DFA = "expected a Dfa (got NoneType)"
 
 
 @pytest.mark.parametrize("call,args,message", [
@@ -150,6 +159,25 @@ NOT_WITNESS = "a subset does not fit the witness for these parameters"
     (classify_reverse_states, ((3, 4), REV, SUBSETS),
      "expected WitnessParams (got tuple)"),
     (parse_dfa, (None,), "expected a str (got NoneType)"),
+    (minimize, (None,), NOT_DFA),
+    (asc, (None,), NOT_DFA),
+    (are_equivalent, (None, W), NOT_DFA),
+    (are_equivalent, (W, None), NOT_DFA),
+    (reachable_states, (None,), NOT_DFA),
+    (is_permutation_automaton, (None,), NOT_DFA),
+    (emit_dfa, (None,), NOT_DFA),
+    (emit_dot, (None,), NOT_DFA),
+    (word_from_str, (None,), "expected a str (got NoneType)"),
+    (word_from_str, ((0, 1),), "expected a str (got tuple)"),
+    (synthesize_word, (GENS, None), "target must be a sequence of ints (got None)"),
+    (synthesize_word, (GENS, (0.0, 1, 2, 3)),
+     "target must be a sequence of ints (got (0.0, 1, 2, 3))"),
+    (perm_compose, (None, (0,)), "generator must be a sequence of ints (got None)"),
+    (perm_compose, ((0,), None), "generator must be a sequence of ints (got None)"),
+    (perm_compose, ((5,), (0,)), "(5,) is not a permutation of [1]"),
+    (perm_compose, ((0, 1, 2), P), "(1, 2, 3, 0) is not a permutation of [3]"),
+    (colex_rank, (None,), "subset must be a sequence of ints (got None)"),
+    (colex_rank, ((0, True),), "subset must be a sequence of ints (got (0, True))"),
 ], ids=[
     "apply_word_float_state", "apply_word_bool_state", "apply_word_none_state",
     "apply_word_bool_letter", "apply_word_letter_range", "apply_word_none_dfa",
@@ -164,6 +192,12 @@ NOT_WITNESS = "a subset does not fit the witness for these parameters"
     "orbit_none_seed", "star_bool_point", "star_point_range", "star_none_params",
     "classify_bool_member", "classify_float_member", "classify_none_subsets",
     "classify_none_rev", "classify_tuple_params", "parse_none",
+    "minimize_none_dfa", "asc_none_dfa", "equivalent_none_first",
+    "equivalent_none_second", "reachable_none_dfa", "permutation_none_dfa",
+    "emit_none_dfa", "dot_none_dfa", "word_from_none", "word_from_tuple",
+    "synthesize_none_target", "synthesize_float_target", "compose_none_first",
+    "compose_none_second", "compose_out_of_range", "compose_size_mismatch",
+    "colex_none", "colex_bool_point",
 ])
 @pytest.mark.filterwarnings("error")
 def test_argument_errors_are_pinned(call, args, message):
@@ -206,6 +240,21 @@ ENTRY_POINTS = {
         classify_reverse_states, WITNESS_PARAMS, DFAS, SUBSET_LISTS
     ),
     "parse_dfa": (parse_dfa, st.one_of(VALUES, st.text())),
+    "minimize": (minimize, DFAS),
+    "asc": (asc, DFAS),
+    "are_equivalent": (are_equivalent, DFAS, DFAS),
+    "reachable_states": (reachable_states, DFAS),
+    "is_permutation_automaton": (is_permutation_automaton, DFAS),
+    "emit_dfa": (emit_dfa, DFAS),
+    "emit_dot": (emit_dot, DFAS),
+    "word_from_str": (word_from_str, st.one_of(VALUES, st.text(max_size=4))),
+    "synthesize_word": (
+        synthesize_word, GENERATORS, st.one_of(VALUES, perms(max_n=4))
+    ),
+    "perm_compose": (
+        perm_compose, st.one_of(VALUES, perms(max_n=3)), st.one_of(VALUES, perms(max_n=3))
+    ),
+    "colex_rank": (colex_rank, VALUES),
 }
 
 DOCUMENTED = (ValueError, ParseError, CapacityError, NotInGroupError)

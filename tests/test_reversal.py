@@ -259,6 +259,33 @@ def test_reversal_certificate_matches_certify_reversal(fwd):
     assert reversal_certificate(fwd) == certify_reversal(fwd)[2]
 
 
+def every_dfa(num_states, alphabet_size):
+    """Every DFA on these sizes, over every table, start and final set."""
+    states = range(num_states)
+    rows = [*product(states, repeat=alphabet_size)]
+    final_sets = [
+        frozenset(q for q in states if bits >> q & 1) for bits in range(1 << num_states)
+    ]
+    for delta in product(rows, repeat=num_states):
+        for start in states:
+            for finals in final_sets:
+                yield Dfa(num_states, alphabet_size, delta, start, finals)
+
+
+@pytest.mark.parametrize("num_states,alphabet_size", [
+    (1, 2), (2, 2), (3, 2), (1, 1), (2, 1), (3, 1), (4, 1),
+])
+def test_certificate_paths_agree_on_every_small_dfa(num_states, alphabet_size):
+    # the byte-mask kernel against the tuple path, exhaustively: permuting
+    # and merging letters, unreachable states, empty and full final sets
+    seen = 0
+    for fwd in every_dfa(num_states, alphabet_size):
+        assert reversal_certificate(fwd) == certify_reversal(fwd)[2], fwd
+        seen += 1
+    n = num_states
+    assert seen == n ** (n * alphabet_size) * n * 2**n
+
+
 def forbid(patch, name):
     """Make ``reversal.<name>`` fail the test when it is called."""
 
@@ -297,6 +324,23 @@ def test_certificate_capacity_error_is_the_same_on_both_paths(
     assert (str(info.value), info.value.count, info.value.stage) == (
         "reverse construction exceeded 2 states", 2, "reverse_construction"
     )
+
+
+@pytest.mark.parametrize(
+    "m,alpha,other", [(2, 4, "_explore"), (3, 4, "_mask_certificate")],
+    ids=["masks", "tuples"],
+)
+def test_certificate_cap_admits_exactly_its_count(monkeypatch, m, alpha, other):
+    fwd = build_witness(m, alpha)
+    _, subsets, expected = certify_reversal(fwd)
+    size = len(subsets)
+    forbid(monkeypatch, other)
+    monkeypatch.setattr(reversal, "DEFAULT_MAX_STATES", size)
+    assert reversal_certificate(fwd) == expected
+    monkeypatch.setattr(reversal, "DEFAULT_MAX_STATES", size - 1)
+    with pytest.raises(CapacityError) as info:
+        reversal_certificate(fwd)
+    assert info.value.count == size - 1
 
 
 @pytest.mark.filterwarnings("error")

@@ -1,4 +1,5 @@
 import random
+import sys
 from collections import Counter
 
 import pytest
@@ -375,7 +376,8 @@ def test_probe_explores_each_draw_once_and_never_minimizes(monkeypatch):
     draws = record_draws(monkeypatch)
     calls = count_calls(
         monkeypatch,
-        ("reversal_certificate", "reverse_dfa", "asc", "is_permutation_automaton"),
+        ("_mask_certificate", "reversal_certificate", "reverse_dfa", "asc",
+         "is_permutation_automaton"),
     )
     full = forbid_full_reversal(monkeypatch)
     report = magic_one_probe(6, 50, count_checked_only=True)
@@ -383,18 +385,19 @@ def test_probe_explores_each_draw_once_and_never_minimizes(monkeypatch):
     assert len(draws) == report.drawn
     # a draw without two reachable finals and a reachable non-final has
     # asc <= 1 and is never reversed; _draw permutes by construction, so
-    # no draw is checked for it
+    # no draw is checked for it, and every draw fits the byte-mask kernel
+    # of reversal_certificate, which takes the probe's reachable states
     certified = sum(map(passes_both_skips, draws))
     assert calls == {
-        "reversal_certificate": certified, "reverse_dfa": 0, "asc": 0,
-        "is_permutation_automaton": 0,
+        "_mask_certificate": certified, "reversal_certificate": 0, "reverse_dfa": 0,
+        "asc": 0, "is_permutation_automaton": 0,
     }
     assert certified < sum(len(finals) >= 2 for _, _, finals in draws)
     assert full == {"certify_reversal": 0, "reverse_construction": 0}
 
 
-def test_probe_validates_a_dfa_only_for_draws_with_two_finals(monkeypatch):
-    draws = record_draws(monkeypatch)
+def record_built(monkeypatch):
+    """The Dfas constructed from here on, in order."""
     built = []
     original = Dfa.__post_init__
 
@@ -403,9 +406,34 @@ def test_probe_validates_a_dfa_only_for_draws_with_two_finals(monkeypatch):
         built.append(self)
 
     monkeypatch.setattr(Dfa, "__post_init__", recorded)
+    return built
+
+
+def test_probe_validates_a_dfa_only_for_draws_with_two_finals(monkeypatch):
+    draws = record_draws(monkeypatch)
+    built = record_built(monkeypatch)
     report = magic_one_probe(8, 200, count_checked_only=True)
     assert len(draws) == report.drawn
     # one Dfa per draw with at least two finals, and no reverse automaton
     assert [(dfa.delta, dfa.start, dfa.finals) for dfa in built] == [
         draw for draw in draws if len(draw[2]) >= 2
     ]
+
+
+def test_probe_searches_each_built_dfa_once_for_reachable_states(monkeypatch):
+    built = record_built(monkeypatch)
+    searched = []
+
+    def counted(dfa):
+        searched.append(dfa)
+        return reachable_states(dfa)
+
+    for name, module in [*sys.modules.items()]:
+        if name.startswith("permrev") and getattr(
+            module, "reachable_states", None
+        ) is reachable_states:
+            monkeypatch.setattr(module, "reachable_states", counted)
+    report = magic_one_probe(8, 200, count_checked_only=True)
+    assert report.checked == 200
+    # the probe's own skip and the certificate share one search per Dfa
+    assert [*map(id, searched)] == [*map(id, built)]
