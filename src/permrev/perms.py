@@ -85,8 +85,16 @@ def act_on_subset(p: Perm, subset: KSubset) -> KSubset:
 
 
 def colex_rank(subset: KSubset) -> int:
-    """Colexicographic rank of a sorted k-subset of {0..n-1}."""
+    """Colexicographic rank of a sorted k-subset of {0..n-1}.
+
+    Raises ValueError unless ``subset`` is a strictly increasing sequence of
+    ints >= 0, so that no other input aliases a subset's rank.
+    """
     subset = check_points("subset", subset)
+    if list(subset) != sorted(set(subset)) or min(subset, default=0) < 0:
+        raise ValueError(
+            f"subset {subset} is not a strictly increasing tuple of points >= 0"
+        )
     return sum(math.comb(c, j + 1) for j, c in enumerate(subset))
 
 
@@ -134,9 +142,14 @@ def _check_generators(generators: Sequence[Perm]) -> int:
         raise ValueError("generators must be a nonempty list or tuple")
     n = len(check_points("generator", generators[0]))
     for g in generators:
-        if sorted(check_points("generator", g)) != [*range(n)]:
-            raise ValueError(f"{g} is not a permutation of [{n}]")
+        _check_perm(check_points("generator", g), n)
     return n
+
+
+def _check_perm(p: tuple[int, ...], n: int) -> None:
+    """ValueError unless the ints ``p`` permute range(n)."""
+    if sorted(p) != [*range(n)]:
+        raise ValueError(f"{p} is not a permutation of [{n}]")
 
 
 def orbit(generators: Sequence[Perm], seed: KSubset) -> list[KSubset]:
@@ -166,13 +179,13 @@ def synthesize_word(
     """A shortest word over the generators whose composition equals ``target``.
 
     BFS over the generated group with generator-index tie-break. Raises
+    ValueError at once unless ``target`` permutes the generators' points,
     NotInGroupError once the closure is exhausted without hitting the target,
     and CapacityError if the closure grows past ``max_group_size``.
     """
     n = _check_generators(generators)
     target = check_points("target", target)
-    if len(target) != n:
-        raise ValueError(f"size mismatch: target on {len(target)} points, n={n}")
+    _check_perm(target, n)
     ident = identity_perm(n)
     parent: dict[Perm, tuple[Perm, int] | None] = {ident: None}
     queue = deque([ident])

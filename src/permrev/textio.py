@@ -14,15 +14,23 @@ those of ``str.splitlines()``. The ``finals`` line may list no indices.
 The bracketed label is optional but must appear on every state line or on
 none; a label cannot contain whitespace, ``[`` or ``]``. A number is ``0``
 or ``-?[1-9][0-9]*``, the one form ``emit_dfa`` writes, so ``parse_dfa``
-and ``emit_dfa`` round-trip exactly, labels included. Parse errors carry a
-1-based line and column; the column is computed only when one is raised.
+and ``emit_dfa`` round-trip exactly, labels included. State lines may come
+in any order.
+
+``parse_dfa`` reads the whole block of state lines in one pass of builtins
+over its token columns. Only when that pass rejects the block are the
+lines walked one by one, to raise a ``ParseError`` for the first bad token.
+Parse errors carry a 1-based line and column; the column is computed only
+when one is raised.
 """
 
 from __future__ import annotations
 
 import json
 import re
-from itertools import islice
+from itertools import chain, compress, count, islice
+from operator import itemgetter
+from typing import NoReturn
 
 from .dfa import Dfa, Word, check_dfa
 from .errors import check_index, check_int, check_points
@@ -112,31 +120,55 @@ def _column(line: str, k: int) -> int:
     return next(islice(_TOKEN.finditer(line), k, None)).start() + 1
 
 
-def _indices(
-    line_no: int, line: str, tokens: list[str], k: int, bound: int, what: str
-) -> tuple[int, ...]:
-    """``tokens[k:]`` as ints in ``range(bound)``.
+def _are_numbers(tokens: list[str]) -> bool:
+    """Whether every token is a number without a sign, ``0`` or
+    ``[1-9][0-9]*``: the tokens hold only ASCII digits, and a token that
+    starts with "0" is "0" itself. Builtins over the joined tokens only."""
+    digits = "".join(tokens)
+    return not tokens or (
+        digits.isdigit()
+        and digits.isascii()
+        and tokens.count("0") == f" {' '.join(tokens)}".count(" 0")
+    )
 
-    The fast path reads a line of ASCII digit tokens none of which starts
-    with "0" (no digit 0, or a least token of at least "1"). Otherwise the
-    tokens are walked one by one, so the error names the first token that
-    is not a number or is out of range; a line that passes the walk, such
-    as an empty one or one with a 0, is read then.
-    """
-    numbers = tokens[k:]
-    digits = "".join(numbers)
-    canonical = "0" not in digits or min(numbers) >= "1"
-    if digits.isdigit() and digits.isascii() and canonical:
-        values = tuple(map(int, numbers))
-        if max(values) < bound:
-            return values
+
+def _are_labels(tokens: list[str]) -> bool:
+    """Whether every token is a label, ``[`` then ``]`` with no bracket
+    between: each starts with "[" and ends with "]", and the tokens hold
+    no more brackets than that. Builtins over the joined tokens only."""
+    spaced = f" {' '.join(tokens)} "
+    n = len(tokens)
+    return (
+        spaced.count(" [") == spaced.count("[") == n
+        and spaced.count("] ") == spaced.count("]") == n
+    )
+
+
+def _check_numbers(
+    line_no: int, line: str, tokens: list[str], k: int, bound: int, what: str
+) -> None:
+    """Raise a ParseError naming the first of ``tokens[k:]`` that is not a
+    number in ``range(bound)``."""
     for i in range(k, len(tokens)):
         value = _int_token(line_no, line, i, tokens[i], "a state index")
         if not 0 <= value < bound:
             raise ParseError(
                 line_no, _column(line, i), f"{what} {value} is out of range"
             )
-    return tuple(map(int, tokens[k:]))
+
+
+def _indices(
+    line_no: int, line: str, tokens: list[str], k: int, bound: int, what: str
+) -> tuple[int, ...]:
+    """``tokens[k:]`` as ints in ``range(bound)``; the tokens are walked one
+    by one only to name the first bad one."""
+    numbers = tokens[k:]
+    if _are_numbers(numbers):
+        values = tuple(map(int, numbers))
+        if max(values, default=-1) < bound:
+            return values
+    _check_numbers(line_no, line, tokens, k, bound, what)
+    raise AssertionError("the walk accepted numbers that the pass rejected")
 
 
 def _int_token(line_no: int, line: str, k: int, token: str, what: str) -> int:
@@ -148,13 +180,121 @@ def _int_token(line_no: int, line: str, k: int, token: str, what: str) -> int:
     raise ParseError(line_no, _column(line, k), f"expected {what}, got {token!r}")
 
 
+def _state_block(
+    rows: list[list[str]], num_states: int, alphabet_size: int
+) -> tuple[list[tuple[int, ...]], list[str] | None] | None:
+    """The transition rows and labels, in state order, of the state lines
+    whose token lists are ``rows``; None if some line is bad.
+
+    One pass of builtins over whole token columns. It accepts exactly the
+    lines that ``_reject_state_lines`` accepts: consistent labeling makes
+    every line as wide, a line of width k + 4 must be labeled, and n
+    distinct indices below n are ``range(n)``. So when it returns None, the
+    walk raises. The line count is checked first, so nothing is allocated
+    from the header's count.
+    """
+    n, k = num_states, alphabet_size
+    widths = set(map(len, rows))
+    if len(rows) != n or len(widths) != 1:
+        return None
+    (width,) = widths
+    labeled = width == k + 4
+    if width != k + 3 and not labeled:
+        return None
+    flat = [*chain.from_iterable(rows)]
+    colon = 2 + labeled
+    if flat[::width].count("state") != n or flat[colon::width].count(":") != n:
+        return None
+    labels = None
+    if labeled:
+        labels = flat[2::width]
+        if not _are_labels(labels):
+            return None
+        labels = [*map(itemgetter(slice(1, -1)), labels)]
+    columns = [flat[i::width] for i in (1, *range(colon + 1, width))]
+    del flat  # it would double the token pointers held while ints are made
+    if not _are_numbers([*chain.from_iterable(columns)]):
+        return None
+    columns = [[*map(int, column)] for column in columns]
+    if max(map(max, columns)) >= n:
+        return None
+    indices, *images = columns
+    states = [*range(n)]
+    # n indices below n are the n states iff they are distinct
+    if indices != states and sorted(indices) != states:
+        return None
+    delta = [*zip(*images)]
+    if indices != states:
+        order = sorted(states, key=indices.__getitem__)
+        delta = [*map(delta.__getitem__, order)]
+        if labels is not None:
+            labels = [*map(labels.__getitem__, order)]
+    return delta, labels
+
+
+def _reject_state_lines(
+    rows: list[tuple[int, str, list[str]]],
+    num_states: int,
+    alphabet_size: int,
+    last_line: int,
+) -> NoReturn:
+    """Raise the ParseError of the first bad state line, in line order.
+
+    Called only when ``_state_block`` returned None, so some line is bad.
+    """
+    seen: set[int] = set()
+    labeled: bool | None = None
+    for line_no, line, tokens in rows:
+        if tokens[0] != "state":
+            raise ParseError(line_no, _column(line, 0), "expected 'state' line")
+        if len(tokens) < 2:
+            raise ParseError(line_no, _column(line, 0), "expected 'state <index>'")
+        q = _int_token(line_no, line, 1, tokens[1], "a state index")
+        if not 0 <= q < num_states:
+            raise ParseError(line_no, _column(line, 1), f"state {q} is out of range")
+        if q in seen:
+            raise ParseError(
+                line_no, _column(line, 1), f"duplicate line for state {q}"
+            )
+        seen.add(q)
+        k = 2
+        if len(tokens) > 2 and tokens[2].startswith("["):
+            token = tokens[2]
+            if not token.endswith("]") or "[" in token[1:] or "]" in token[:-1]:
+                raise ParseError(line_no, _column(line, 2), "expected '[<label>]'")
+            k = 3
+        if labeled is None:
+            labeled = k == 3
+        elif labeled != (k == 3):
+            raise ParseError(
+                line_no, _column(line, 0),
+                "state lines must be labeled consistently",
+            )
+        if k >= len(tokens) or tokens[k] != ":":
+            raise ParseError(
+                line_no,
+                _column(line, min(k, len(tokens) - 1)),
+                "expected ':' before the transition images",
+            )
+        k += 1
+        if len(tokens) - k != alphabet_size:
+            raise ParseError(
+                line_no,
+                _column(line, len(tokens) - 1),
+                f"expected {alphabet_size} transition images, got {len(tokens) - k}",
+            )
+        _check_numbers(line_no, line, tokens, k, num_states, "image")
+    if len(seen) != num_states:
+        missing = next(q for q in range(num_states) if q not in seen)
+        raise ParseError(last_line, 1, f"missing 'state {missing}' line")
+    raise AssertionError("the walk accepted state lines that the pass rejected")
+
+
 def parse_dfa(text: str) -> Dfa:
     _check_str(text)
-    rows = []
-    for line_no, line in enumerate(text.splitlines(), start=1):
-        tokens = line.split()
-        if tokens:
-            rows.append((line_no, line, tokens))
+    lines = text.splitlines()
+    split = [*map(str.split, lines)]
+    rows = [*compress(zip(count(1), lines, split), split)]
     last_line = rows[-1][0] if rows else 1
 
     def need_row(i: int, what: str) -> tuple[int, str, list[str]]:
@@ -188,65 +328,19 @@ def parse_dfa(text: str) -> Dfa:
         raise ParseError(line_no, _column(line, 0), "expected 'finals' line")
     finals = _indices(line_no, line, tokens, 1, num_states, "final state")
 
-    # Keyed by state index, so nothing is allocated from the header's count.
-    delta: dict[int, tuple[int, ...]] = {}
-    labels: dict[int, str | None] = {}
-    labeled: bool | None = None
-    for line_no, line, tokens in rows[3:]:
-        if tokens[0] != "state":
-            raise ParseError(line_no, _column(line, 0), "expected 'state' line")
-        if len(tokens) < 2:
-            raise ParseError(line_no, _column(line, 0), "expected 'state <index>'")
-        q = _int_token(line_no, line, 1, tokens[1], "a state index")
-        if not 0 <= q < num_states:
-            raise ParseError(line_no, _column(line, 1), f"state {q} is out of range")
-        if q in delta:
-            raise ParseError(
-                line_no, _column(line, 1), f"duplicate line for state {q}"
-            )
-        k = 2
-        label: str | None = None
-        if len(tokens) > 2 and tokens[2].startswith("["):
-            token = tokens[2]
-            if not token.endswith("]") or "[" in token[1:] or "]" in token[:-1]:
-                raise ParseError(line_no, _column(line, 2), "expected '[<label>]'")
-            label = token[1:-1]
-            k = 3
-        if labeled is None:
-            labeled = label is not None
-        elif labeled != (label is not None):
-            raise ParseError(
-                line_no, _column(line, 0),
-                "state lines must be labeled consistently",
-            )
-        if k >= len(tokens) or tokens[k] != ":":
-            raise ParseError(
-                line_no,
-                _column(line, min(k, len(tokens) - 1)),
-                "expected ':' before the transition images",
-            )
-        k += 1
-        if len(tokens) - k != alphabet_size:
-            raise ParseError(
-                line_no,
-                _column(line, len(tokens) - 1),
-                f"expected {alphabet_size} transition images, got {len(tokens) - k}",
-            )
-        delta[q] = _indices(line_no, line, tokens, k, num_states, "image")
-        labels[q] = label
-
-    if len(delta) != num_states:
-        missing = next(q for q in range(num_states) if q not in delta)
-        raise ParseError(last_line, 1, f"missing 'state {missing}' line")
-
-    states = range(num_states)
+    table = _state_block(
+        [*map(itemgetter(2), rows[3:])], num_states, alphabet_size
+    )
+    if table is None:
+        _reject_state_lines(rows[3:], num_states, alphabet_size, last_line)
+    delta, labels = table
     return Dfa(
         num_states=num_states,
         alphabet_size=alphabet_size,
-        delta=tuple(map(delta.__getitem__, states)),
+        delta=delta,
         start=start,
         finals=frozenset(finals),
-        labels=tuple(map(labels.__getitem__, states)) if labeled else None,
+        labels=labels,
     )
 
 

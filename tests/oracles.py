@@ -6,12 +6,14 @@ word-formula reversal recomputes every subset from scratch by running
 reversed words forward instead of folding letter preimages, the star
 oracle lists every star explicitly instead of reading a state's center off
 its members, the witness oracle moves point tuples instead of bit masks,
-and the BFS order comes from an explicit queue.
+the BFS order comes from an explicit queue, and the DFA document reader
+takes one line at a time, with a regular expression per token.
 """
 
 from __future__ import annotations
 
 import random
+import re
 from collections import deque
 from itertools import combinations, product
 
@@ -225,3 +227,77 @@ def star_centers_by_enumeration(n: int, alpha: int, subsets) -> list:
         for center in combinations(range(n), alpha - 1)
     }
     return [stars.get(tuple(s)) for s in subsets]
+
+
+_NUMBER = re.compile(r"0|-?[1-9][0-9]*")
+_LABEL = re.compile(r"\[([^\[\]]*)\]")
+
+
+def parse_dfa_by_lines(text: str) -> Dfa | None:
+    """The Dfa that a DFA document describes, or None if it is malformed.
+
+    Written from the format grammar of ``permrev.textio``, one line at a
+    time: lines are those of ``str.splitlines()`` and tokens those of
+    ``str.split()``; blank lines are skipped; the lines are ``dfa <n> <k>``
+    with n, k >= 1, ``start <index>``, ``finals <index>...`` and then one
+    ``state <index> [<label>] : <k images>`` line per state, in any order.
+    A number is 0 or -?[1-9][0-9]* in ASCII digits, an index or image is a
+    number in range(n), and the label, which holds no bracket, is on every
+    state line or on none.
+    """
+    lines = [tokens for tokens in map(str.split, text.splitlines()) if tokens]
+    if len(lines) < 3:
+        return None
+    header, start_line, finals_line, *state_lines = lines
+    if len(header) != 3 or header[0] != "dfa":
+        return None
+    if not all(_NUMBER.fullmatch(token) for token in header[1:]):
+        return None
+    n, k = int(header[1]), int(header[2])
+    if n < 1 or k < 1:
+        return None
+
+    def index(token: str) -> int | None:
+        if _NUMBER.fullmatch(token) and 0 <= int(token) < n:
+            return int(token)
+        return None
+
+    if len(start_line) != 2 or start_line[0] != "start":
+        return None
+    start = index(start_line[1])
+    finals = [index(token) for token in finals_line[1:]]
+    if start is None or finals_line[0] != "finals" or None in finals:
+        return None
+    rows: dict[int, tuple[int, ...]] = {}
+    labels: dict[int, str | None] = {}
+    for tokens in state_lines:
+        if tokens[0] != "state" or len(tokens) < 2:
+            return None
+        q = index(tokens[1])
+        if q is None or q in rows:
+            return None
+        rest = tokens[2:]
+        label = None
+        if rest and rest[0].startswith("["):
+            match = _LABEL.fullmatch(rest[0])
+            if match is None:
+                return None
+            label = match.group(1)
+            rest = rest[1:]
+        images = [index(token) for token in rest[1:]]
+        if rest[:1] != [":"] or len(images) != k or None in images:
+            return None
+        rows[q] = tuple(images)
+        labels[q] = label
+    if sorted(rows) != list(range(n)):
+        return None
+    if len({label is None for label in labels.values()}) != 1:
+        return None
+    return Dfa(
+        n,
+        k,
+        tuple(rows[q] for q in range(n)),
+        start,
+        frozenset(finals),
+        None if labels[0] is None else tuple(labels[q] for q in range(n)),
+    )

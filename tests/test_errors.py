@@ -178,6 +178,14 @@ NOT_DFA = "expected a Dfa (got NoneType)"
     (perm_compose, ((0, 1, 2), P), "(1, 2, 3, 0) is not a permutation of [3]"),
     (colex_rank, (None,), "subset must be a sequence of ints (got None)"),
     (colex_rank, ((0, True),), "subset must be a sequence of ints (got (0, True))"),
+    (colex_rank, ((1, 1),),
+     "subset (1, 1) is not a strictly increasing tuple of points >= 0"),
+    (colex_rank, ((2, 0),),
+     "subset (2, 0) is not a strictly increasing tuple of points >= 0"),
+    (colex_rank, ((-1, 2),),
+     "subset (-1, 2) is not a strictly increasing tuple of points >= 0"),
+    (synthesize_word, (GENS, (0, 0, 0, 0)), "(0, 0, 0, 0) is not a permutation of [4]"),
+    (synthesize_word, (GENS, (0, 1, 2)), "(0, 1, 2) is not a permutation of [4]"),
 ], ids=[
     "apply_word_float_state", "apply_word_bool_state", "apply_word_none_state",
     "apply_word_bool_letter", "apply_word_letter_range", "apply_word_none_dfa",
@@ -197,7 +205,8 @@ NOT_DFA = "expected a Dfa (got NoneType)"
     "emit_none_dfa", "dot_none_dfa", "word_from_none", "word_from_tuple",
     "synthesize_none_target", "synthesize_float_target", "compose_none_first",
     "compose_none_second", "compose_out_of_range", "compose_size_mismatch",
-    "colex_none", "colex_bool_point",
+    "colex_none", "colex_bool_point", "colex_repeated", "colex_unsorted",
+    "colex_negative", "synthesize_not_a_permutation", "synthesize_size_mismatch",
 ])
 @pytest.mark.filterwarnings("error")
 def test_argument_errors_are_pinned(call, args, message):

@@ -243,6 +243,20 @@ def test_synthesize_size_mismatch():
         synthesize_word([cycle_perm(4)], cycle_perm(5))
 
 
+def test_synthesize_rejects_a_non_permutation_target_before_searching(monkeypatch):
+    # the target used to be checked only for its length, so (0,) * 8 walked
+    # all of S8 before NotInGroupError
+    def searched(*args):
+        raise AssertionError("the group search was entered")
+
+    monkeypatch.setattr("permrev.perms.identity_perm", searched)
+    monkeypatch.setattr("permrev.perms._compose", searched)
+    gens = [cycle_perm(8), transposition_perm(8)]
+    with pytest.raises(ValueError) as info:
+        synthesize_word(gens, (0,) * 8)
+    assert type(info.value) is ValueError
+
+
 def test_synthesized_words_recompose():
     rng = random.Random(7)
     for n in range(2, 6):

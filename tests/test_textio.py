@@ -30,7 +30,7 @@ from permrev.witness import (
 )
 
 from conftest import dfas
-from oracles import random_dfa
+from oracles import parse_dfa_by_lines, random_dfa
 
 SIGMA_STAR = Dfa(1, 2, ((0, 0),), 0, frozenset({0}))
 
@@ -347,10 +347,14 @@ def test_parse_error_column_starts_a_token(text):
 
 
 def check_parse_roundtrips_or_raises(text):
+    # parse_dfa accepts what the line-by-line oracle accepts, with its Dfa
+    expected = parse_dfa_by_lines(text)
     try:
         dfa = parse_dfa(text)
     except ParseError:
+        assert expected is None
         return
+    assert dfa == expected
     assert parse_dfa(emit_dfa(dfa)) == dfa
 
 
@@ -400,6 +404,125 @@ def value_mutated_documents(draw):
 @given(value_mutated_documents())
 def test_parse_value_mutated_document_roundtrips_or_raises(text):
     check_parse_roundtrips_or_raises(text)
+
+
+# ---------------------------------------------------------------------
+# documents aimed at the state-block pass
+# ---------------------------------------------------------------------
+
+# The SPLIT_TEXT whitespace that does not end a line, and the line ends
+LINE_SPACE = " \t\x1f\xa0\u1680\u2000\u202f\u3000"
+LINE_ENDS = ("\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85",
+             "\u2028", "\u2029")
+LABELS = ("", "1.2.3.4.10", 'a"b\\c', "S(123)", ":", "state", "0", "\u0663")
+
+
+def random_document_lines(rng, labeled):
+    """The token lists of an emitted random DFA, labeled or not."""
+    dfa = random_dfa(rng, max_states=5, alphabet_size=rng.randint(1, 3))
+    if labeled:
+        labels = tuple(rng.choice(LABELS + (f"s{q}",)) for q in range(dfa.num_states))
+        dfa = dataclasses.replace(dfa, labels=labels)
+    return [line.split() for line in emit_dfa(dfa).splitlines()]
+
+
+@st.composite
+def spaced_documents(draw):
+    """An emitted random DFA with its state lines shuffled, blank lines
+    added, and runs of whitespace between and around the tokens."""
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    lines = random_document_lines(rng, draw(st.booleans()))
+    states = lines[3:]
+    rng.shuffle(states)
+    lines = lines[:3] + states
+    for _ in range(rng.randrange(4)):
+        lines.insert(rng.randrange(len(lines) + 1), [])
+
+    def space():
+        return "".join(rng.choices(LINE_SPACE, k=rng.randint(1, 3)))
+
+    texts = [
+        rng.choice(("", space())) + space().join(tokens) + rng.choice(("", space()))
+        for tokens in lines
+    ]
+    return "".join(text + rng.choice(LINE_ENDS) for text in texts)
+
+
+@given(spaced_documents())
+def test_parse_spaced_shuffled_document_matches_oracle(text):
+    assert parse_dfa_by_lines(text) is not None
+    check_parse_roundtrips_or_raises(text)
+
+
+BAD_NUMBERS = ("00", "07", "-0", "-1", "\u0663", "n", "state", ":", "[x]")
+BAD_LABELS = ("[a]b]", "[a[b]", "[]]", "[[]", "[", "]", "a]", ":")
+BAD_COLONS = ("state", "n", "0", "[x]", "::")
+BAD_KEYWORDS = ("stat", ":", "0", "[x]")
+
+
+@st.composite
+def same_width_documents(draw):
+    """An emitted random DFA with one change to its state lines that keeps
+    every line's token count: two tokens swapped, in one line or between
+    two, or one token replaced or given a leading zero."""
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    labeled = draw(st.booleans())
+    lines = random_document_lines(rng, labeled)
+    n = len(lines) - 3
+    states = lines[3:]
+    line = rng.choice(states)
+    colon = line.index(":")
+    action = rng.choice(
+        ("swap_within", "swap_across", "index", "image", "label", "colon",
+         "keyword", "zero")
+    )
+    if action == "swap_within":
+        i, j = rng.randrange(len(line)), rng.randrange(len(line))
+        line[i], line[j] = line[j], line[i]
+    elif action == "swap_across":
+        other = rng.choice(states)
+        i, j = rng.randrange(len(line)), rng.randrange(len(other))
+        line[i], other[j] = other[j], line[i]
+    elif action in ("index", "image"):
+        j = 1 if action == "index" else rng.randrange(colon + 1, len(line))
+        line[j] = rng.choice((str(rng.randrange(n)), str(n), rng.choice(BAD_NUMBERS)))
+    elif action == "label" and labeled:
+        line[2] = rng.choice(BAD_LABELS)
+    elif action == "colon":
+        line[colon] = rng.choice(BAD_COLONS)
+    elif action == "keyword":
+        line[0] = rng.choice(BAD_KEYWORDS)
+    else:  # "zero", and "label" on an unlabeled document
+        j = rng.choice([1, *range(colon + 1, len(line))])
+        line[j] = "0" + line[j]
+    return "\n".join(" ".join(line) for line in lines) + "\n"
+
+
+@settings(max_examples=300)
+@given(same_width_documents())
+def test_parse_same_width_mutation_matches_oracle(text):
+    check_parse_roundtrips_or_raises(text)
+
+
+WITNESS_7_7 = emit_dfa(build_witness(7, 7)).splitlines()
+
+
+@pytest.mark.parametrize("old,new,token,message", [
+    (" : ", " ", 3, "expected ':' before the transition images"),
+    (" 1715\n", " 1716\n", 5, "image 1716 is out of range"),
+    ("state 1715 ", "state 42 ", 1, "duplicate line for state 42"),
+    ("] : ", " : ", 2, "expected '[<label>]'"),
+], ids=["colon_missing", "image_range", "state_duplicate", "label_open"])
+def test_late_error_in_a_large_document_is_positioned(old, new, token, message):
+    # only the last of 1716 state lines is bad; the error names it
+    lines = WITNESS_7_7[:]
+    assert lines[-1].startswith("state 1715 [") and lines[-1].endswith(" 1715")
+    lines[-1] = (lines[-1] + "\n").replace(old, new).rstrip("\n")
+    column = len(lines[-1]) - len(lines[-1].split(None, token)[-1]) + 1
+    with pytest.raises(ParseError) as info:
+        parse_dfa("\n".join(lines) + "\n")
+    assert (info.value.line, info.value.column) == (len(lines), column)
+    assert str(info.value) == f"line {len(lines)}, column {column}: {message}"
 
 
 # ---------------------------------------------------------------------
