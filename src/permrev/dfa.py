@@ -121,12 +121,19 @@ def reachable_states(dfa: Dfa) -> list[int]:
     renumbering in minimization reuses it.
     """
     check_dfa(dfa)
-    delta = dfa.delta
-    seen = [False] * dfa.num_states
-    seen[dfa.start] = True
-    order = [dfa.start]
+    return _reachable([*zip(*dfa.delta)], dfa.start)
+
+
+def _reachable(columns: Sequence[Sequence[int]], start: int) -> list[int]:
+    """``reachable_states`` of the table given as one column per letter,
+    ``columns[c][q]`` the successor of q on letter c; the columns are not
+    checked."""
+    seen = [False] * len(columns[0])
+    seen[start] = True
+    order = [start]
     for q in order:  # grows while it is walked: BFS order
-        for t in delta[q]:
+        for column in columns:
+            t = column[q]
             if not seen[t]:
                 seen[t] = True
                 order.append(t)

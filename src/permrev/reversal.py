@@ -41,9 +41,9 @@ from dataclasses import dataclass, replace
 from functools import partial
 from itertools import chain, compress, count, repeat
 from operator import contains, itemgetter
-from typing import Callable, Iterable, Iterator, NoReturn
+from typing import AbstractSet, Callable, Iterable, Iterator, NoReturn, Sequence
 
-from .dfa import Dfa, check_dfa, reachable_states
+from .dfa import Dfa, _reachable, check_dfa, reachable_states
 from .errors import CapacityError, are_subset_states, check_index, check_int
 
 SubsetState = tuple[int, ...]
@@ -237,11 +237,14 @@ def reversal_certificate(fwd: Dfa) -> ReversalCertificate:
     on the tuple subsets of ``_explore``; both give the same certificate.
     """
     check_dfa(fwd)
-    reach = reachable_states(fwd)
     if fwd.num_states <= MASK_STATES:
-        return _mask_certificate(fwd, reach)
+        columns = [*zip(*fwd.delta)]
+        reach = _reachable(columns, fwd.start)
+        return _mask_certificate(columns, fwd.start, fwd.finals, reach)
     subsets = _explore(fwd, DEFAULT_MAX_STATES)[1]
-    return _certificate(fwd, subsets, _final_indices(fwd, subsets), reach)
+    return _certificate(
+        fwd, subsets, _final_indices(fwd, subsets), reachable_states(fwd)
+    )
 
 
 def _certificate(
@@ -303,10 +306,21 @@ def _lane_table(rows: Iterable[list[int]], sources: Iterable[int]) -> bytes:
     return sum(map(list.__getitem__, rows, sources)).to_bytes(256, "little")
 
 
-def _mask_certificate(fwd: Dfa, reach: list[int]) -> ReversalCertificate:
+def _mask_certificate(
+    columns: Sequence[Sequence[int]],
+    start: int,
+    finals: AbstractSet[int],
+    reach: list[int],
+) -> ReversalCertificate:
     """``_certificate`` for an automaton on at most ``MASK_STATES`` states,
-    given its reachable states, with each subset-state a byte whose bit
-    ``1 << p`` stands for forward state p.
+    given as its letter columns (``columns[c][q]`` the successor of q on
+    letter c), start, finals and reachable states, with each subset-state a
+    byte whose bit ``1 << p`` stands for forward state p.
+
+    Nothing is checked and no ``Dfa`` is needed: ``reversal_certificate``
+    passes the transpose of a validated table, and the magic-value probe
+    passes the columns that ``spectrum._draw`` shuffled, so a probe draw
+    becomes a ``Dfa`` only when it is a counterexample.
 
     Each letter's preimage map is one 256-byte table, so the BFS maps a
     whole level per letter with ``bytes.translate``, and deleting the seen
@@ -317,10 +331,10 @@ def _mask_certificate(fwd: Dfa, reach: list[int]) -> ReversalCertificate:
     equivalent iff their signatures are equal.
     """
     max_states = DEFAULT_MAX_STATES
-    n = fwd.num_states
+    n = len(columns[0])
     # the preimage of s under a letter holds p iff s holds p's successor
-    tables = [_lane_table(_HOLDS, column) for column in zip(*fwd.delta)]
-    subsets = level = bytes((sum(map((1).__lshift__, fwd.finals)),))
+    tables = [_lane_table(_HOLDS, column) for column in columns]
+    subsets = level = bytes((sum(map((1).__lshift__, finals)),))
     while level:
         preimages = b"".join(map(level.translate, tables))
         level = bytes(set(preimages.translate(None, subsets)))
@@ -329,12 +343,12 @@ def _mask_certificate(fwd: Dfa, reach: list[int]) -> ReversalCertificate:
             _overflow(max_states, max_states)
 
     signature = {q: subsets.translate(_BIT[q]) for q in reach}
-    asc_forward = len({signature[q] for q in reach if q in fwd.finals})
-    start = _BIT[fwd.start]
+    asc_forward = len({signature[q] for q in reach if q in finals})
+    holds_start = _BIT[start]
     if len(reach) == n:
         return ReversalCertificate(
             asc_forward=asc_forward,
-            asc_reverse=subsets.translate(start).count(1),
+            asc_reverse=subsets.translate(holds_start).count(1),
             forward_minimal=len(set(signature.values())) == n,
             reverse_minimal=True,
         )
@@ -344,7 +358,7 @@ def _mask_certificate(fwd: Dfa, reach: list[int]) -> ReversalCertificate:
     cut = bytes(set(subsets.translate(live)))
     return ReversalCertificate(
         asc_forward=asc_forward,
-        asc_reverse=cut.translate(start).count(1),
+        asc_reverse=cut.translate(holds_start).count(1),
         forward_minimal=False,
         reverse_minimal=len(cut) == len(subsets),
     )

@@ -5,8 +5,10 @@ The grid rows check that the (m, alpha) witness really has asc pair
 one-state automata; and the magic-value probe samples random permutation
 automata looking for a reversal with asc 1 (none is expected: 1 is the one
 unattainable value once asc >= 2). Every asc pair here is read off the
-reverse subsets by ``reversal_certificate``; no reverse automaton is built
-and nothing is minimized.
+reverse subsets by ``reversal_certificate``, or for a probe draw by its
+byte-mask kernel on the draw's letter columns; no reverse automaton is
+built, nothing is minimized, and a draw becomes a ``Dfa`` only when it is a
+counterexample.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from collections import Counter
 from dataclasses import dataclass
 from itertools import compress
 
-from .dfa import Dfa, is_permutation_automaton, reachable_states
+from .dfa import Dfa, _reachable, is_permutation_automaton
 from .errors import CapacityError, check_int
 from .reversal import MASK_STATES, _mask_certificate, reversal_certificate
 from .witness import DEFAULT_STATE_CAP, build_witness
@@ -27,6 +29,9 @@ from .reversal import reverse_dfa  # noqa: F401
 
 DEFAULT_SEED = 1009
 MAX_PROBE_STATES = MASK_STATES  # every draw is certified on byte masks
+# Witness cells of one spectrum_table call: the 2..101 square fits. A skipped
+# row still costs about 175 B, so the cap bounds the report at about 2 MB.
+MAX_GRID_CELLS = 10_000
 
 _NOTES = (
     "rows m=0 and m=1 are pinned by their one-state automata; that no other "
@@ -81,9 +86,10 @@ def trivial_rows() -> tuple[SpectrumRow, SpectrumRow]:
 
 def _draw(
     rng: random.Random, n: int, k: int
-) -> tuple[tuple[tuple[int, ...], ...], int, frozenset[int]]:
-    """The table, start and finals of a random permutation automaton on n
-    states and k letters.
+) -> tuple[list[list[int]], int, frozenset[int]]:
+    """The letter columns, start and finals of a random permutation
+    automaton on n states and k letters; ``columns[c][q]`` is the successor
+    of q on letter c.
 
     The RNG shuffles one column per letter, picks the start, then flips one
     coin per state in state order.
@@ -95,7 +101,12 @@ def _draw(
         columns.append(column)
     start = rng.randrange(n)
     flips = [rng.random() < 0.5 for _ in range(n)]
-    return tuple(zip(*columns)), start, frozenset(compress(range(n), flips))
+    return columns, start, frozenset(compress(range(n), flips))
+
+
+def _draw_dfa(columns: list[list[int]], start: int, finals: frozenset[int]) -> Dfa:
+    """The validated ``Dfa`` of a draw, its rows the transposed columns."""
+    return Dfa(len(columns[0]), len(columns), [*zip(*columns)], start, finals)
 
 
 def random_pfa(rng: random.Random, num_states: int, alphabet_size: int = 2) -> Dfa:
@@ -108,7 +119,7 @@ def random_pfa(rng: random.Random, num_states: int, alphabet_size: int = 2) -> D
         raise ValueError(f"rng must be a random.Random (got {type(rng).__name__})")
     check_int("num_states", num_states, 1)
     check_int("alphabet_size", alphabet_size, 1)
-    return Dfa(num_states, alphabet_size, *_draw(rng, num_states, alphabet_size))
+    return _draw_dfa(*_draw(rng, num_states, alphabet_size))
 
 
 @dataclass(frozen=True)
@@ -157,6 +168,11 @@ def magic_one_probe(
     with asc >= 2 have been checked; that needs ``n_max >= 3``, because on
     at most 2 states two final states accept the same words. ``seed`` may
     be any int, and a bool is not one.
+
+    A draw stays as the letter columns that ``_draw`` shuffled: the skips
+    search them for reachable states and ``_mask_certificate`` reads them.
+    Only a counterexample is built into a (validated) ``Dfa``, so a run
+    without one builds none.
     """
     check_int("n_max", n_max, 1)
     check_int("samples", samples, 0)
@@ -172,24 +188,23 @@ def magic_one_probe(
     pairs: Counter[tuple[int, int]] = Counter()
     while (checked if count_checked_only else drawn) < samples:
         n = rng.randint(1, n_max)
-        delta, start, finals = _draw(rng, n, 2)
+        columns, start, finals = _draw(rng, n, 2)
         drawn += 1
         if len(finals) < 2:
             continue  # asc never exceeds the number of final states
-        dfa = Dfa(n, 2, delta, start, finals)
-        reach = reachable_states(dfa)
+        reach = _reachable(columns, start)
         if not 2 <= len(finals.intersection(reach)) < len(reach):
             continue  # fewer than two reachable finals, or all of them final
         # _draw permutes by construction, so asc_pair's check is skipped, and
-        # the kernel of reversal_certificate takes the reachable states as is
-        certificate = _mask_certificate(dfa, reach)
+        # the kernel of reversal_certificate takes the draw as it is
+        certificate = _mask_certificate(columns, start, finals, reach)
         forward, reverse = certificate.asc_forward, certificate.asc_reverse
         if forward < 2:
             continue
         checked += 1
         pairs[forward, reverse] += 1
         if reverse == 1:
-            hits.append((dfa, forward, reverse))
+            hits.append((_draw_dfa(columns, start, finals), forward, reverse))
     return MagicProbeReport(
         n_max=n_max,
         samples=samples,
@@ -233,11 +248,19 @@ def spectrum_table(
     Rows whose witness would blow the state cap are recorded as skipped,
     not failed; the overall verdict ignores them. Raises ValueError when
     ``m_max`` or ``alpha_max`` is not an int, or ``state_cap`` is not an
-    int >= 1.
+    int >= 1, and CapacityError, before any row is built, when the grid
+    has more than ``MAX_GRID_CELLS`` witness cells.
     """
     check_int("m_max", m_max)
     check_int("alpha_max", alpha_max)
     check_int("state_cap", state_cap, 1)
+    cells = max(m_max - 1, 0) * max(alpha_max - 1, 0)
+    if cells > MAX_GRID_CELLS:
+        raise CapacityError(
+            f"spectrum grid of {cells} cells exceeds {MAX_GRID_CELLS}",
+            count=cells,
+            stage="spectrum_table",
+        )
     rows = list(trivial_rows())
     for m in range(2, m_max + 1):
         for alpha in range(2, alpha_max + 1):

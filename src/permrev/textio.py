@@ -164,7 +164,10 @@ def _indices(
     by one only to name the first bad one."""
     numbers = tokens[k:]
     if _are_numbers(numbers):
-        values = tuple(map(int, numbers))
+        try:
+            values = tuple(map(int, numbers))
+        except ValueError:  # more digits than int() converts
+            values = (bound,)  # out of range, so the walk names the token
         if max(values, default=-1) < bound:
             return values
     _check_numbers(line_no, line, tokens, k, bound, what)
@@ -176,7 +179,14 @@ def _int_token(line_no: int, line: str, k: int, token: str, what: str) -> int:
     read "1_0", "+0", "-0", "007" and other scripts' digits."""
     digits = token.removeprefix("-")
     if digits.isdigit() and digits.isascii() and (digits[0] != "0" or token == "0"):
-        return int(token)
+        try:
+            return int(token)
+        except ValueError:  # more digits than int() converts
+            raise ParseError(
+                line_no,
+                _column(line, k),
+                f"expected {what}, got a number of {len(digits)} digits",
+            ) from None
     raise ParseError(line_no, _column(line, k), f"expected {what}, got {token!r}")
 
 
@@ -215,7 +225,10 @@ def _state_block(
     del flat  # it would double the token pointers held while ints are made
     if not _are_numbers([*chain.from_iterable(columns)]):
         return None
-    columns = [[*map(int, column)] for column in columns]
+    try:
+        columns = [[*map(int, column)] for column in columns]
+    except ValueError:  # more digits than int() converts; the walk says so
+        return None
     if max(map(max, columns)) >= n:
         return None
     indices, *images = columns

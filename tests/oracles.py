@@ -174,6 +174,39 @@ def enumerate_binary_dfas(max_states: int):
                     yield Dfa(n, 2, delta, start, finals)
 
 
+def canonical_permutation_pairs(n: int) -> list[tuple[tuple[int, ...], ...]]:
+    """Every pair (a, b) of permutations of range(n) whose BFS from state 0,
+    letter a before letter b, discovers the states in the order 0..n-1.
+
+    That is one binary permutation automaton per isomorphism class of
+    accessible ones with start 0, finals aside. The tables are filled one
+    transition at a time in BFS order: each image is a state already
+    discovered that the letter does not yet hit, or the next new state; a
+    state reached in the walk before it is discovered ends the branch.
+    Uses no library code.
+    """
+    images = [[0] * n, [0] * n]
+    hit = [[False] * n, [False] * n]
+    pairs = []
+
+    def fill(slot: int, found: int) -> None:
+        q, c = divmod(slot, 2)
+        if q == n:
+            pairs.append((tuple(images[0]), tuple(images[1])))
+            return
+        if q >= found:
+            return  # state q is not reachable
+        for t in range(min(found + 1, n)):
+            if not hit[c][t]:
+                hit[c][t] = True
+                images[c][q] = t
+                fill(slot + 1, found + (t == found))
+                hit[c][t] = False
+
+    fill(0, 1)
+    return pairs
+
+
 def _colex_subsets(n: int, k: int) -> list[tuple[int, ...]]:
     """The k-subsets of range(n), sorted colexicographically."""
     return sorted(combinations(range(n), k), key=lambda x: x[::-1])

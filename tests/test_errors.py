@@ -7,12 +7,15 @@ the subset-states of a reverse construction; ``permrev.dfa.check_dfa``
 checks a Dfa argument. The table pins the error of each entry point on inputs that a looser check
 would read as an index or a point; the property puts ints, bools, floats,
 None, strings and tuples in every argument slot of those entry points.
+The last tests pin the cap on the cells of a spectrum grid, which is
+checked before any row is built.
 """
 
 import pytest
 from hypothesis import given
 import hypothesis.strategies as st
 
+from permrev import spectrum
 from permrev.dfa import (
     accepts, apply_word, is_permutation_automaton, reachable_states
 )
@@ -35,6 +38,7 @@ from permrev.perms import (
     transposition_perm,
 )
 from permrev.reversal import reverse_construction, reverse_step
+from permrev.spectrum import MAX_GRID_CELLS, spectrum_table
 from permrev.textio import (
     ParseError, emit_dfa, emit_dot, parse_dfa, word_from_str, word_to_str
 )
@@ -279,3 +283,33 @@ def test_entry_points_return_or_raise_a_documented_error(name, data):
         call(*args)
     except DOCUMENTED:
         pass
+
+
+def forbidden(*args, **kwargs):
+    raise AssertionError("a grid row was built")
+
+
+@pytest.mark.parametrize("m_max,alpha_max,cells", [
+    (200_000, 2, 199_999),
+    (100_000_000, 2, 99_999_999),
+    (10_002, 2, 10_001),
+    (102, 101, 10_100),
+])
+def test_spectrum_grid_cap_is_pinned(monkeypatch, m_max, alpha_max, cells):
+    # the cell count is checked before the trivial rows or any witness row
+    monkeypatch.setattr(spectrum, "trivial_rows", forbidden)
+    monkeypatch.setattr(spectrum, "spectrum_point", forbidden)
+    with pytest.raises(CapacityError) as info:
+        spectrum_table(m_max, alpha_max, state_cap=1)
+    assert (str(info.value), info.value.count, info.value.stage) == (
+        f"spectrum grid of {cells} cells exceeds 10000", cells, "spectrum_table"
+    )
+
+
+@pytest.mark.parametrize("m_max,alpha_max", [(101, 101), (10_001, 2), (-5, -5)])
+def test_spectrum_grid_cap_admits_its_bound(m_max, alpha_max):
+    cells = max(m_max - 1, 0) * max(alpha_max - 1, 0)
+    assert cells <= MAX_GRID_CELLS == 10_000
+    report = spectrum_table(m_max, alpha_max, state_cap=1)
+    assert len(report.rows) == 2 + cells
+    assert len(report.skipped) == cells

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 import sys
 from collections import Counter
@@ -5,12 +6,14 @@ from collections import Counter
 import pytest
 from hypothesis import given
 
+from permrev import dfa as dfa_module
 from permrev import reversal, spectrum
 from permrev.dfa import Dfa, is_permutation_automaton, reachable_states
 from permrev.minimize import asc
 from permrev.reversal import certify_reversal, reverse_dfa
 from permrev.spectrum import (
     DEFAULT_SEED,
+    MAX_PROBE_STATES,
     asc_pair,
     magic_one_probe,
     random_pfa,
@@ -364,11 +367,17 @@ def record_draws(monkeypatch):
     return draws
 
 
+def draw_dfa(draw):
+    """The Dfa of a recorded draw, its rows transposed from its columns."""
+    columns, start, finals = draw
+    return Dfa(len(columns[0]), len(columns), tuple(zip(*columns)), start, finals)
+
+
 def passes_both_skips(draw):
-    delta, start, finals = draw
+    finals = draw[2]
     if len(finals) < 2:
         return False
-    reach = reachable_states(Dfa(len(delta), 2, delta, start, finals))
+    reach = reachable_states(draw_dfa(draw))
     return 2 <= len(finals.intersection(reach)) < len(reach)
 
 
@@ -396,6 +405,29 @@ def test_probe_explores_each_draw_once_and_never_minimizes(monkeypatch):
     assert full == {"certify_reversal": 0, "reverse_construction": 0}
 
 
+def test_probe_certifies_each_draw_from_its_own_columns(monkeypatch):
+    draws = record_draws(monkeypatch)
+    kernel_args = []
+    original = spectrum._mask_certificate
+
+    def recorded(*args):
+        kernel_args.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(spectrum, "_mask_certificate", recorded)
+    magic_one_probe(8, 200, count_checked_only=True)
+    # one kernel call per draw that passes both skips, on the very columns,
+    # start and finals that _draw returned, with the BFS order of the Dfa
+    assert [args[:3] for args in kernel_args] == [
+        draw for draw in draws if passes_both_skips(draw)
+    ]
+    for (columns, start, finals, reach), draw in zip(
+        kernel_args, filter(passes_both_skips, draws)
+    ):
+        assert columns is draw[0]
+        assert reach == reachable_states(draw_dfa(draw))
+
+
 def record_built(monkeypatch):
     """The Dfas constructed from here on, in order."""
     built = []
@@ -409,31 +441,91 @@ def record_built(monkeypatch):
     return built
 
 
-def test_probe_validates_a_dfa_only_for_draws_with_two_finals(monkeypatch):
+def test_probe_builds_no_dfa_without_a_counterexample(monkeypatch):
     draws = record_draws(monkeypatch)
     built = record_built(monkeypatch)
     report = magic_one_probe(8, 200, count_checked_only=True)
     assert len(draws) == report.drawn
-    # one Dfa per draw with at least two finals, and no reverse automaton
-    assert [(dfa.delta, dfa.start, dfa.finals) for dfa in built] == [
-        draw for draw in draws if len(draw[2]) >= 2
-    ]
+    assert report.counterexamples == ()
+    # the draws stay as columns: no forward Dfa and no reverse automaton
+    assert built == []
 
 
-def test_probe_searches_each_built_dfa_once_for_reachable_states(monkeypatch):
-    built = record_built(monkeypatch)
+def test_probe_searches_each_draw_with_two_finals_once_for_reachable_states(
+    monkeypatch,
+):
+    draws = record_draws(monkeypatch)
     searched = []
+    original = dfa_module._reachable
 
-    def counted(dfa):
-        searched.append(dfa)
-        return reachable_states(dfa)
+    def counted(columns, start):
+        searched.append((columns, start))
+        return original(columns, start)
 
     for name, module in [*sys.modules.items()]:
         if name.startswith("permrev") and getattr(
-            module, "reachable_states", None
-        ) is reachable_states:
-            monkeypatch.setattr(module, "reachable_states", counted)
+            module, "_reachable", None
+        ) is original:
+            monkeypatch.setattr(module, "_reachable", counted)
     report = magic_one_probe(8, 200, count_checked_only=True)
     assert report.checked == 200
-    # the probe's own skip and the certificate share one search per Dfa
-    assert [*map(id, searched)] == [*map(id, built)]
+    # the probe's own skip and the kernel share one search per draw with
+    # two finals, on the draw's own columns
+    two_finals = [draw for draw in draws if len(draw[2]) >= 2]
+    assert len(searched) == len(two_finals)
+    for (columns, start), draw in zip(searched, two_finals):
+        assert columns is draw[0] and start == draw[1]
+
+
+def fake_one_counterexample(monkeypatch, which):
+    """Make the kernel report asc_reverse 1 for the ``which``-th certified
+    draw with asc >= 2; return the arguments and forward asc of that call."""
+    faked = []
+    certified = []
+    original = spectrum._mask_certificate
+
+    def kernel(*args):
+        certificate = original(*args)
+        if certificate.asc_forward >= 2:
+            certified.append(args)
+            if len(certified) == which:
+                faked.append((args, certificate.asc_forward))
+                return dataclasses.replace(certificate, asc_reverse=1)
+        return certificate
+
+    monkeypatch.setattr(spectrum, "_mask_certificate", kernel)
+    return faked
+
+
+def test_probe_records_a_counterexample_as_its_dfa(monkeypatch):
+    faked = fake_one_counterexample(monkeypatch, which=7)
+    built = record_built(monkeypatch)
+    report = magic_one_probe(8, 200, seed=DEFAULT_SEED, count_checked_only=True)
+    ((args, forward),) = faked
+    columns, start, finals, _ = args
+    assert len(report.counterexamples) == 1
+    (dfa, hit_forward, hit_reverse) = report.counterexamples[0]
+    assert (hit_forward, hit_reverse) == (forward, 1)
+    # the one Dfa of the run, validated by its constructor
+    assert built == [dfa]
+    assert dfa == draw_dfa((columns, start, finals))
+    assert is_permutation_automaton(dfa)
+    assert asc(dfa) == forward
+    assert dict(report.histogram)[forward, 1] == 1
+    assert report.checked == 200
+    assert not report.passed
+    assert not spectrum_table(2, 2, probe=report).passed
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_draws_are_permutation_automata(k):
+    # the probe builds no Dfa for a draw, so its validity is checked here
+    for n in range(1, MAX_PROBE_STATES + 1):
+        for seed in range(150):
+            columns, start, finals = spectrum._draw(random.Random(seed), n, k)
+            assert len(columns) == k
+            assert all(sorted(column) == [*range(n)] for column in columns)
+            assert type(start) is int and 0 <= start < n
+            assert type(finals) is frozenset and finals <= set(range(n))
+            dfa = Dfa(n, k, tuple(zip(*columns)), start, finals)
+            assert is_permutation_automaton(dfa)

@@ -181,6 +181,9 @@ def test_parse_empty_document():
 
 HEAD = "dfa 2 1\nstart 0\nfinals 1\n"
 HEAD2 = "dfa 2 2\nstart 0\nfinals 1\n"
+# more digits than int() converts by default (4300)
+BIG = "1" * 5000
+TOO_LONG = "expected {}, got a number of 5000 digits"
 
 
 @pytest.mark.parametrize("text,line,column,message", [
@@ -249,6 +252,15 @@ HEAD2 = "dfa 2 2\nstart 0\nfinals 1\n"
     (HEAD + "state -0 : 0\n", 4, 7, "expected a state index, got '-0'"),
     (HEAD + "state 0 : 00\n", 4, 11, "expected a state index, got '00'"),
     (HEAD2 + "state 0 : 0 -0\n", 4, 13, "expected a state index, got '-0'"),
+    (f"dfa {BIG} 1\n", 1, 5, TOO_LONG.format("a state count")),
+    (f"dfa 2 {BIG}\n", 1, 7, TOO_LONG.format("an alphabet size")),
+    (f"dfa 2 1\nstart {BIG}\n", 2, 7, TOO_LONG.format("a state index")),
+    (f"dfa 2 1\nstart 0\nfinals 1 {BIG}\n", 3, 10, TOO_LONG.format("a state index")),
+    (HEAD + f"state {BIG} : 0\nstate 1 : 0\n", 4, 7, TOO_LONG.format("a state index")),
+    (HEAD + f"state 0 : 1\nstate 1 [x] : {BIG}\n", 5, 1,
+     "state lines must be labeled consistently"),
+    (HEAD2 + f"state 0 : 0 {BIG}\nstate 1 : 0 0\n", 4, 13,
+     TOO_LONG.format("a state index")),
 ], ids=[
     "empty", "blank", "header", "header_long", "header_short", "state_count",
     "alphabet_size", "state_count_underscore", "state_count_zero",
@@ -267,7 +279,9 @@ HEAD2 = "dfa 2 2\nstart 0\nfinals 1\n"
     "alphabet_size_minus_zero", "start_minus_zero", "start_negative",
     "finals_leading_zeros", "finals_zero_then_leading_zero",
     "state_leading_zero", "state_minus_zero", "image_leading_zero",
-    "image_minus_zero",
+    "image_minus_zero", "state_count_too_long", "alphabet_size_too_long",
+    "start_too_long", "finals_too_long", "state_too_long",
+    "too_long_after_labels_added", "image_too_long",
 ])
 def test_parse_error_positions_are_pinned(text, line, column, message):
     with pytest.raises(ParseError) as info:
