@@ -30,6 +30,7 @@ from .textio import (
     word_from_str,
 )
 from .witness import (
+    DEFAULT_STATE_CAP,
     Star,
     WitnessParams,
     WitnessReport,
@@ -144,9 +145,16 @@ def _format_witness_report(report: WitnessReport) -> str:
 @click.argument("m", type=int)
 @click.argument("alpha", type=int)
 @click.option("--json", "json_path", default=None, help="Also write the report as JSON.")
-def verify(m: int, alpha: int, json_path: str | None) -> None:
+@click.option(
+    "--state-cap",
+    default=DEFAULT_STATE_CAP,
+    show_default=True,
+    type=int,
+    help="Exit 3 if the witness has more states than this.",
+)
+def verify(m: int, alpha: int, json_path: str | None, state_cap: int) -> None:
     """Machine-check the witness for (M, ALPHA); exit 2 when a check fails."""
-    report = verify_witness(m, alpha)
+    report = verify_witness(m, alpha, state_cap=state_cap)
     click.echo(_format_witness_report(report))
     if json_path is not None:
         _write_text(json_path, report_to_json(report))
@@ -182,8 +190,19 @@ def _format_probe_report(report: MagicProbeReport) -> str:
     " until this many automata with asc >= 2 are checked.",
 )
 @click.option("--json", "json_path", default=None, help="Also write the report as JSON.")
+@click.option(
+    "--state-cap",
+    default=DEFAULT_STATE_CAP,
+    show_default=True,
+    type=int,
+    help="Skip the grid cells whose witness has more states than this.",
+)
 def spectrum(
-    m_max: int, alpha_max: int, probe_samples: int, json_path: str | None
+    m_max: int,
+    alpha_max: int,
+    probe_samples: int,
+    json_path: str | None,
+    state_cap: int,
 ) -> None:
     """Verify the asc pairs across the witness grid plus the trivial rows."""
     probe = None
@@ -191,7 +210,7 @@ def spectrum(
         probe = magic_one_probe(
             PROBE_N_MAX, probe_samples, DEFAULT_SEED, count_checked_only=True
         )
-    report = spectrum_table(m_max, alpha_max, probe=probe)
+    report = spectrum_table(m_max, alpha_max, state_cap=state_cap, probe=probe)
     for row in report.rows:
         pair = (
             "skipped"

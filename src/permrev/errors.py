@@ -11,6 +11,22 @@ from itertools import chain, repeat
 from operator import itemgetter, lt
 from typing import Collection
 
+# An int with more digits is named by its digit count in messages: str()
+# refuses ints of more than 4300 digits, and such a number reads as noise.
+SHOWN_DIGITS = 100
+
+
+def int_text(value: object) -> str:
+    """``repr(value)``, but "<N digits>" for an int of more than
+    ``SHOWN_DIGITS`` digits, counted without converting it to decimal."""
+    if type(value) is not int or abs(value) < 10**SHOWN_DIGITS:
+        return repr(value)
+    size = abs(value)
+    digits = int(size.bit_length() * 0.30102999566398120)  # log10(2)
+    while size >= 10**digits:
+        digits += 1
+    return f"<{digits} digits>"
+
 
 def check_int(name: str, value: object, minimum: int | None = None) -> None:
     """Raise ValueError unless ``value`` is an int, and >= ``minimum`` when
@@ -20,7 +36,7 @@ def check_int(name: str, value: object, minimum: int | None = None) -> None:
     """
     if type(value) is not int or minimum is not None and value < minimum:
         bound = "" if minimum is None else f" >= {minimum}"
-        raise ValueError(f"{name} must be an int{bound} (got {value!r})")
+        raise ValueError(f"{name} must be an int{bound} (got {int_text(value)})")
 
 
 def check_points(name: str, values: object) -> tuple[int, ...]:
@@ -42,7 +58,7 @@ def check_index(name: str, value: object, stop: int) -> None:
     """ValueError unless ``value``, a state or a letter, is an int in
     ``range(stop)``; a bool is not an int here."""
     if type(value) is not int or not 0 <= value < stop:
-        raise ValueError(f"{name} {value!r} is out of range")
+        raise ValueError(f"{name} {int_text(value)} is out of range")
 
 
 def check_subset(name: str, values: object, n: int) -> tuple[int, ...]:
@@ -53,7 +69,7 @@ def check_subset(name: str, values: object, n: int) -> tuple[int, ...]:
         raise ValueError(f"{name} {points} has repeated points")
     for i in points:
         if not 0 <= i < n:
-            raise ValueError(f"point {i} is out of range for n={n}")
+            raise ValueError(f"point {int_text(i)} is out of range for n={n}")
     return points
 
 

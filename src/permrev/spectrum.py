@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from itertools import compress
 
 from .dfa import Dfa, _reachable, is_permutation_automaton
-from .errors import CapacityError, check_int
+from .errors import CapacityError, check_int, int_text
 from .reversal import MASK_STATES, _mask_certificate, reversal_certificate
 from .witness import DEFAULT_STATE_CAP, build_witness
 
@@ -257,7 +257,7 @@ def spectrum_table(
     cells = max(m_max - 1, 0) * max(alpha_max - 1, 0)
     if cells > MAX_GRID_CELLS:
         raise CapacityError(
-            f"spectrum grid of {cells} cells exceeds {MAX_GRID_CELLS}",
+            f"spectrum grid of {int_text(cells)} cells exceeds {MAX_GRID_CELLS}",
             count=cells,
             stage="spectrum_table",
         )

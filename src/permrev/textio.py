@@ -17,25 +17,27 @@ or ``-?[1-9][0-9]*``, the one form ``emit_dfa`` writes, so ``parse_dfa``
 and ``emit_dfa`` round-trip exactly, labels included. State lines may come
 in any order.
 
-``parse_dfa`` reads the whole block of state lines in one pass of builtins
-over its token columns. Only when that pass rejects the block are the
-lines walked one by one, to raise a ``ParseError`` for the first bad token.
-Parse errors carry a 1-based line and column; the column is computed only
-when one is raised.
+The emitters work on columns: each state's number becomes a string once,
+one transpose of the table gives each letter's images, and a document is
+one join, as adding joined blocks would copy it each time. ``parse_dfa``
+reads the state lines in one pass of builtins over their token columns.
+Only when that pass fails are the lines walked one by one, to raise a
+``ParseError`` at the first bad token, with its 1-based line and column;
+the column is computed only then.
 """
 
 from __future__ import annotations
 
 import json
 import re
-from itertools import chain, compress, count, islice
-from operator import itemgetter
-from typing import NoReturn
+from itertools import chain, compress, count, islice, repeat
+from operator import itemgetter, not_
+from typing import Iterable, Iterator, NoReturn
 
 from .dfa import Dfa, Word, check_dfa
 from .errors import check_index, check_int, check_points
 from .spectrum import MagicProbeReport, SpectrumReport
-from .witness import Star, WitnessReport, subset_label
+from .witness import WitnessReport, subset_label
 
 FORMAT_VERSION = "1"
 
@@ -71,13 +73,10 @@ def _check_str(text: object) -> None:
 def word_from_str(text: str) -> tuple[int, ...]:
     """Letters 'a', 'b', ... to indices 0, 1, ..."""
     _check_str(text)
-    word = []
-    for ch in text:
-        idx = _LETTERS.find(ch)
-        if idx < 0:
-            raise ValueError(f"unknown letter {ch!r}")
-        word.append(idx)
-    return tuple(word)
+    word = tuple(map(_LETTERS.find, text))
+    if -1 in word:
+        raise ValueError(f"unknown letter {text[word.index(-1)]!r}")
+    return word
 
 
 def word_to_str(word: Word) -> str:
@@ -88,31 +87,30 @@ def word_to_str(word: Word) -> str:
     return "".join(map(_LETTERS.__getitem__, word))
 
 
+def _lines(*pieces: Iterable[str]) -> Iterator[str]:
+    """The i-th piece of every column, for each i in turn."""
+    return chain.from_iterable(zip(*pieces))
+
+
 def emit_dfa(dfa: Dfa) -> str:
     """Write a DFA document; parsing it back gives a table-identical DFA."""
     check_dfa(dfa)
-    lines = [
-        f"dfa {dfa.num_states} {dfa.alphabet_size}",
-        f"start {dfa.start}",
-        " ".join(["finals", *map(str, sorted(dfa.finals))]),
-    ]
-    if dfa.labels is None:
-        lines += [
-            f"state {q} : {' '.join(map(str, row))}"
-            for q, row in enumerate(dfa.delta)
-        ]
-    else:
-        # One pass over all labels at C speed; the pattern names the first
-        # bad label only when that pass fails.
+    names = [*map(str, range(dfa.num_states))]
+    head = " ".join([
+        f"dfa {dfa.num_states} {dfa.alphabet_size}\nstart {dfa.start}\nfinals",
+        *map(str, sorted(dfa.finals)),
+    ])
+    pieces = [repeat("\nstate "), names, repeat(" :")]
+    if dfa.labels is not None:
+        # a C-speed pass; the pattern names the bad label only if it fails
         joined = "".join(dfa.labels)
         if joined and (joined.split() != [joined] or "[" in joined or "]" in joined):
             bad = next(filter(_UNWRITABLE.search, dfa.labels))
             raise ValueError(f"label {bad!r} cannot be written to the text format")
-        lines += [
-            f"state {q} [{label}] : {' '.join(map(str, row))}"
-            for q, (label, row) in enumerate(zip(dfa.labels, dfa.delta))
-        ]
-    return "\n".join(lines) + "\n"
+        pieces[2:] = repeat(" ["), dfa.labels, repeat("] :")
+    for column in zip(*dfa.delta):
+        pieces += repeat(" "), map(names.__getitem__, column)
+    return "".join(chain([head], _lines(*pieces), ["\n"]))
 
 
 def _column(line: str, k: int) -> int:
@@ -123,7 +121,7 @@ def _column(line: str, k: int) -> int:
 def _are_numbers(tokens: list[str]) -> bool:
     """Whether every token is a number without a sign, ``0`` or
     ``[1-9][0-9]*``: the tokens hold only ASCII digits, and a token that
-    starts with "0" is "0" itself. Builtins over the joined tokens only."""
+    starts with "0" is "0" itself."""
     digits = "".join(tokens)
     return not tokens or (
         digits.isdigit()
@@ -135,7 +133,7 @@ def _are_numbers(tokens: list[str]) -> bool:
 def _are_labels(tokens: list[str]) -> bool:
     """Whether every token is a label, ``[`` then ``]`` with no bracket
     between: each starts with "[" and ends with "]", and the tokens hold
-    no more brackets than that. Builtins over the joined tokens only."""
+    no more brackets than that."""
     spaced = f" {' '.join(tokens)} "
     n = len(tokens)
     return (
@@ -266,9 +264,7 @@ def _reject_state_lines(
         if not 0 <= q < num_states:
             raise ParseError(line_no, _column(line, 1), f"state {q} is out of range")
         if q in seen:
-            raise ParseError(
-                line_no, _column(line, 1), f"duplicate line for state {q}"
-            )
+            raise ParseError(line_no, _column(line, 1), f"duplicate line for state {q}")
         seen.add(q)
         k = 2
         if len(tokens) > 2 and tokens[2].startswith("["):
@@ -364,33 +360,24 @@ def emit_dot(dfa: Dfa) -> str:
     index order.
     """
     check_dfa(dfa)
-    out = [
-        "digraph dfa {",
-        "  rankdir=LR;",
-        "  __start [shape=point];",
-        f"  __start -> q{dfa.start};",
-    ]
-    labels = dfa.labels if dfa.labels is not None else map(str, range(dfa.num_states))
-    finals = dfa.finals
-    for q, label in enumerate(labels):
-        shape = "doublecircle" if q in finals else "circle"
-        label = (label or str(q)).replace("\\", "\\\\").replace('"', '\\"')
-        out.append(f'  q{q} [label="{label}", shape={shape}];')
-    ends = [f' [label="{letter_name(c)}"];' for c in range(dfa.alphabet_size)]
-    out += [
-        f"  q{q} -> q{t}{end}"
-        for q, row in enumerate(dfa.delta)
-        for t, end in zip(row, ends)
-    ]
-    out.append("}")
-    return "\n".join(out) + "\n"
-
-
-def _star_dict(star: Star) -> dict:
-    return {
-        "center": subset_label(star.center),
-        "members": [subset_label(member) for member in star.members],
-    }
+    names = [*map(str, range(dfa.num_states))]
+    labels = names
+    if dfa.labels is not None:
+        escaped = map(str.replace, dfa.labels, repeat("\\"), repeat("\\\\"))
+        labels = [*map(str.replace, escaped, repeat('"'), repeat('\\"'))]
+        for q in compress(range(dfa.num_states), map(not_, labels)):
+            labels[q] = names[q]
+    shapes = ['", shape=circle];\n'] * dfa.num_states
+    for q in dfa.finals:
+        shapes[q] = '", shape=doublecircle];\n'
+    edges = []
+    for c, column in enumerate(zip(*dfa.delta)):
+        end = repeat(f' [label="{letter_name(c)}"];\n')
+        images = map(names.__getitem__, column)
+        edges += repeat("  q"), names, repeat(" -> q"), images, end
+    head = "digraph dfa {\n  rankdir=LR;\n  __start [shape=point];\n  __start -> q"
+    nodes = _lines(repeat("  q"), names, repeat(' [label="'), labels, shapes)
+    return "".join(chain([head, f"{dfa.start};\n"], nodes, _lines(*edges), ["}\n"]))
 
 
 def witness_report_dict(report: WitnessReport) -> dict:
@@ -410,7 +397,13 @@ def witness_report_dict(report: WitnessReport) -> dict:
         "accepting_centers_match": report.accepting_centers_match,
         "asc_forward": report.asc_forward,
         "asc_reverse": report.asc_reverse,
-        "accepting_stars": [_star_dict(star) for star in report.accepting_stars],
+        "accepting_stars": [
+            {
+                "center": subset_label(star.center),
+                "members": [*map(subset_label, star.members)],
+            }
+            for star in report.accepting_stars
+        ],
         "passed": report.passed,
         "first_failure": report.first_failure,
     }
@@ -443,16 +436,7 @@ def spectrum_report_dict(report: SpectrumReport) -> dict:
         "kind": "spectrum_report",
         "m_max": report.m_max,
         "alpha_max": report.alpha_max,
-        "rows": [
-            {
-                "m": row.m,
-                "alpha": row.alpha,
-                "asc_forward": row.asc_forward,
-                "asc_reverse": row.asc_reverse,
-                "verdict": row.verdict,
-            }
-            for row in report.rows
-        ],
+        "rows": [*map(vars, report.rows)],
         "notes": list(report.notes),
         "magic_probe": (
             probe_report_dict(report.magic_probe) if report.magic_probe else None
@@ -463,12 +447,11 @@ def spectrum_report_dict(report: SpectrumReport) -> dict:
 
 def report_to_json(report: WitnessReport | SpectrumReport | MagicProbeReport) -> str:
     """The report as indented JSON; ``ValueError`` for any other object."""
-    if isinstance(report, WitnessReport):
-        payload = witness_report_dict(report)
-    elif isinstance(report, SpectrumReport):
-        payload = spectrum_report_dict(report)
-    elif isinstance(report, MagicProbeReport):
-        payload = probe_report_dict(report)
-    else:
-        raise ValueError(f"no JSON form for {type(report).__name__}")
-    return json.dumps(payload, indent=2) + "\n"
+    for kind, to_dict in (
+        (WitnessReport, witness_report_dict),
+        (SpectrumReport, spectrum_report_dict),
+        (MagicProbeReport, probe_report_dict),
+    ):
+        if isinstance(report, kind):
+            return json.dumps(to_dict(report), indent=2) + "\n"
+    raise ValueError(f"no JSON form for {type(report).__name__}")

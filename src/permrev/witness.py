@@ -22,7 +22,7 @@ from typing import Iterable
 
 from .dfa import Dfa, check_dfa
 from .errors import (
-    CapacityError, are_subset_states, check_int, check_points, check_subset
+    CapacityError, are_subset_states, check_int, check_points, check_subset, int_text
 )
 from .perms import KSubset
 from .reversal import SubsetState, certify_reversal
@@ -148,10 +148,10 @@ def build_witness(m: int, alpha: int, state_cap: int = DEFAULT_STATE_CAP) -> Dfa
     n = params.n
     total = math.comb(n, alpha)
     if total > state_cap:
-        # C(n, alpha) can have more digits than str(int) accepts.
+        m, alpha, n, cap = map(int_text, (m, alpha, n, state_cap))
         raise CapacityError(
             f"witness for (m={m}, alpha={alpha}) needs C({n}, {alpha}) states, "
-            f"more than the cap of {state_cap}",
+            f"more than the cap of {cap}",
             count=total,
             stage="build_witness",
         )

@@ -6,8 +6,9 @@ word-formula reversal recomputes every subset from scratch by running
 reversed words forward instead of folding letter preimages, the star
 oracle lists every star explicitly instead of reading a state's center off
 its members, the witness oracle moves point tuples instead of bit masks,
-the BFS order comes from an explicit queue, and the DFA document reader
-takes one line at a time, with a regular expression per token.
+the BFS order comes from an explicit queue, the DFA document reader
+takes one line at a time, with a regular expression per token, and the
+DFA document and DOT writers format one line per state or edge.
 """
 
 from __future__ import annotations
@@ -334,3 +335,54 @@ def parse_dfa_by_lines(text: str) -> Dfa | None:
         frozenset(finals),
         None if labels[0] is None else tuple(labels[q] for q in range(n)),
     )
+
+
+def emit_dfa_by_lines(dfa: Dfa) -> str:
+    """The DFA document of ``dfa``, written one line at a time from the
+    format grammar of ``permrev.textio``.
+
+    ``ValueError`` naming the first label, in state order, that holds a
+    whitespace character, "[" or "]", which would not read back.
+    """
+    lines = [
+        f"dfa {dfa.num_states} {dfa.alphabet_size}",
+        f"start {dfa.start}",
+        " ".join(["finals"] + [str(q) for q in sorted(dfa.finals)]),
+    ]
+    for q, row in enumerate(dfa.delta):
+        label = ""
+        if dfa.labels is not None:
+            text = dfa.labels[q]
+            if any(ch.isspace() or ch in "[]" for ch in text):
+                raise ValueError(
+                    f"label {text!r} cannot be written to the text format"
+                )
+            label = f" [{text}]"
+        images = " ".join(str(t) for t in row)
+        lines.append(f"state {q}{label} : {images}")
+    return "".join(line + "\n" for line in lines)
+
+
+def emit_dot_by_lines(dfa: Dfa) -> str:
+    """The Graphviz digraph of ``dfa``, one line at a time: a point node
+    with an arrow into the start, one node per state, labeled with its
+    label (its number when the label is empty or missing) with ``\\`` and
+    ``"`` escaped by a backslash and double-circled when final, then one
+    edge per (state, letter) named 'a'..'z', 'c26', 'c27', ..."""
+    lines = [
+        "digraph dfa {",
+        "  rankdir=LR;",
+        "  __start [shape=point];",
+        f"  __start -> q{dfa.start};",
+    ]
+    for q in range(dfa.num_states):
+        label = (dfa.labels[q] if dfa.labels is not None else "") or str(q)
+        escaped = "".join("\\" + ch if ch in '\\"' else ch for ch in label)
+        shape = "doublecircle" if q in dfa.finals else "circle"
+        lines.append(f'  q{q} [label="{escaped}", shape={shape}];')
+    for q, row in enumerate(dfa.delta):
+        for c, t in enumerate(row):
+            letter = chr(ord("a") + c) if c < 26 else f"c{c}"
+            lines.append(f'  q{q} -> q{t} [label="{letter}"];')
+    lines.append("}")
+    return "".join(line + "\n" for line in lines)

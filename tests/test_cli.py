@@ -122,11 +122,43 @@ def test_verify_failure_maps_to_exit_2(capsys, monkeypatch):
         accepting_stars=(),
         first_failure="forward_minimal",
     )
-    monkeypatch.setattr("permrev.cli.verify_witness", lambda m, alpha: failing)
+    monkeypatch.setattr(
+        "permrev.cli.verify_witness", lambda m, alpha, state_cap: failing
+    )
     code, out, err = run(capsys, "verify", "2", "2")
     assert code == 2
     assert "result: FAIL (forward_minimal)" in out
     assert "verification failed" in err
+
+
+def test_verify_state_cap(capsys):
+    # C(9, 5) = 126 states
+    code, _, err = run(capsys, "verify", "5", "5", "--state-cap", "125")
+    assert code == 3
+    assert err == (
+        "capacity exceeded: build_witness: witness for (m=5, alpha=5) needs"
+        " C(9, 5) states, more than the cap of 125\n"
+    )
+    code, out, _ = run(capsys, "verify", "5", "5", "--state-cap", "126")
+    assert code == 0
+    assert "forward: states=126 " in out
+    code, _, err = run(capsys, "verify", "5", "5", "--state-cap", "0")
+    assert code == 1
+    assert err == "error: state_cap must be an int >= 1 (got 0)\n"
+
+
+def test_spectrum_state_cap_skips_cells(capsys):
+    # the (3, 3) witness has C(5, 3) = 10 states, the (2, 3) witness 4
+    args = ["spectrum", "--m-max", "3", "--alpha-max", "3"]
+    code, default, _ = run(capsys, *args)
+    assert (code, "skipped" in default) == (0, False)
+    code, same, _ = run(capsys, *args, "--state-cap", "10000")
+    assert (code, same) == (0, default)
+    code, capped, _ = run(capsys, *args, "--state-cap", "9")
+    assert code == 0
+    assert [line for line in capped.splitlines() if "skipped" in line] == [
+        "m=3 alpha=3 asc=skipped skipped"
+    ]
 
 
 def test_spectrum_command(capsys):

@@ -8,7 +8,8 @@ checks a Dfa argument. The table pins the error of each entry point on inputs th
 would read as an index or a point; the property puts ints, bools, floats,
 None, strings and tuples in every argument slot of those entry points.
 The last tests pin the cap on the cells of a spectrum grid, which is
-checked before any row is built.
+checked before any row is built, and the capacity messages that name an
+int too long for ``str()``.
 """
 
 import pytest
@@ -24,7 +25,9 @@ from permrev.errors import (
     NotInGroupError,
     are_subset_states,
     check_index,
+    check_int,
     check_subset,
+    int_text,
 )
 from permrev.minimize import are_equivalent, asc, distinguishing_word, minimize
 from permrev.perms import (
@@ -47,6 +50,7 @@ from permrev.witness import (
     build_witness,
     classify_reverse_states,
     star_members,
+    verify_witness,
 )
 
 from conftest import dfas, perms
@@ -313,3 +317,49 @@ def test_spectrum_grid_cap_admits_its_bound(m_max, alpha_max):
     report = spectrum_table(m_max, alpha_max, state_cap=1)
     assert len(report.rows) == 2 + cells
     assert len(report.skipped) == cells
+
+
+HUGE = 10**5000  # 5001 digits; str() refuses more than 4300
+
+
+@pytest.mark.parametrize("call,stage,count,message", [
+    (lambda: spectrum_table(HUGE, 2), "spectrum_table", HUGE - 1,
+     "spectrum grid of <5000 digits> cells exceeds 10000"),
+    (lambda: build_witness(HUGE, 2), "build_witness", (HUGE + 1) * HUGE // 2,
+     "witness for (m=<5001 digits>, alpha=2) needs C(<5001 digits>, 2) states,"
+     " more than the cap of 10000"),
+    (lambda: verify_witness(2, HUGE), "build_witness", HUGE + 1,
+     "witness for (m=2, alpha=<5001 digits>) needs C(<5001 digits>,"
+     " <5001 digits>) states, more than the cap of 10000"),
+], ids=["spectrum_table", "build_witness", "verify_witness"])
+def test_capacity_message_names_a_huge_int_by_its_digits(call, stage, count, message):
+    with pytest.raises(CapacityError) as info:
+        call()
+    assert (str(info.value), info.value.stage, info.value.count) == (
+        message, stage, count
+    )
+
+
+@pytest.mark.parametrize("digits", [101, 102, 309, 1000, 4300, 4301, 5001, 20_000])
+def test_int_text_counts_digits_at_powers_of_ten(digits):
+    # 10**(d-1) is the least and 10**d - 1 the greatest int of d digits
+    for value in (10 ** (digits - 1), 10**digits - 1):
+        assert int_text(value) == int_text(-value) == f"<{digits} digits>"
+    assert int_text(10**digits) == f"<{digits + 1} digits>"
+
+
+def test_int_text_is_repr_up_to_100_digits():
+    assert int_text(10**100 - 1) == "9" * 100
+    assert int_text(10**100) == "<101 digits>"
+    assert [int_text(v) for v in (0, -7, True, "x", 2.5)] == [
+        "0", "-7", "True", "'x'", "2.5"
+    ]
+
+
+def test_argument_checks_name_a_huge_int_by_its_digits():
+    with pytest.raises(ValueError, match=r"^m must be an int >= 2 \(got <5001 digits>\)$"):
+        check_int("m", -HUGE, 2)
+    with pytest.raises(ValueError, match=r"^letter <5001 digits> is out of range$"):
+        check_index("letter", HUGE, 26)
+    with pytest.raises(ValueError, match=r"^point <5001 digits> is out of range for n=4$"):
+        check_subset("subset", (1, HUGE), 4)

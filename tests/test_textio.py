@@ -30,7 +30,9 @@ from permrev.witness import (
 )
 
 from conftest import dfas
-from oracles import parse_dfa_by_lines, random_dfa
+from oracles import (
+    emit_dfa_by_lines, emit_dot_by_lines, parse_dfa_by_lines, random_dfa
+)
 
 SIGMA_STAR = Dfa(1, 2, ((0, 0),), 0, frozenset({0}))
 
@@ -597,6 +599,75 @@ def test_emitters_are_pinned():
     assert digest.hexdigest() == (
         "375ec026b6c8dfb4096d82c37a4d542a559b94e9716c3fd0bc3604b8d58b772a"
     )
+
+
+def test_emitters_are_pinned_on_unlabeled_dfas():
+    # the reverse automata of the 2..7 grid as the pipeline builds them
+    digest = hashlib.sha256()
+    for m in range(2, 8):
+        for alpha in range(2, 8):
+            rev, _ = reverse_construction(build_witness(m, alpha))
+            assert rev.labels is None
+            digest.update(emit_dfa(rev).encode())
+            digest.update(emit_dot(rev).encode())
+    assert digest.hexdigest() == (
+        "504d6215c19a36334d866763c5a6c1c0ca29e56dad5ab09432a86a8f2d9702e3"
+    )
+
+
+# empty labels, DOT's escaped characters, braces and non-ASCII text, and
+# any text at all, which may not be writable to a DFA document
+ANY_LABELS = st.one_of(
+    st.just(""),
+    st.text(st.sampled_from('a1.,"\\{}\xe9\u2713\U0001d4b3'), max_size=5),
+    st.text(max_size=4),
+)
+UNWRITABLE_CHARS = st.sampled_from(" \t\n\x1f\x85\xa0\u2028\u3000[]")
+
+
+@st.composite
+def emitter_dfas(draw, labeled=None):
+    """DFAs of 1 to 12 states on 1 to 30 letters, labeled or not."""
+    n = draw(st.integers(1, 12))
+    k = draw(st.integers(1, 30))
+    image = st.integers(0, n - 1)
+    delta = draw(st.lists(st.tuples(*[image] * k), min_size=n, max_size=n))
+    if labeled is None:
+        labeled = draw(st.booleans())
+    labels = draw(st.lists(ANY_LABELS, min_size=n, max_size=n)) if labeled else None
+    finals = frozenset(draw(st.sets(image)))
+    return Dfa(n, k, tuple(delta), draw(image), finals, labels)
+
+
+def assert_emitters_match_oracles(dfa):
+    assert emit_dot(dfa) == emit_dot_by_lines(dfa)
+    try:
+        expected = emit_dfa_by_lines(dfa)
+    except ValueError as error:
+        with pytest.raises(ValueError) as info:
+            emit_dfa(dfa)
+        assert str(info.value) == str(error)
+    else:
+        assert emit_dfa(dfa) == expected
+
+
+@settings(max_examples=300)
+@given(emitter_dfas())
+def test_emitters_match_line_by_line_oracles(dfa):
+    assert_emitters_match_oracles(dfa)
+
+
+@given(emitter_dfas(labeled=True), st.data())
+def test_emit_dfa_refuses_an_unwritable_label_as_the_oracle_does(dfa, data):
+    q = data.draw(st.integers(0, dfa.num_states - 1))
+    label = data.draw(ANY_LABELS)
+    cut = data.draw(st.integers(0, len(label)))
+    labels = list(dfa.labels)
+    labels[q] = label[:cut] + data.draw(UNWRITABLE_CHARS) + label[cut:]
+    dfa = dataclasses.replace(dfa, labels=tuple(labels))
+    with pytest.raises(ValueError):
+        emit_dfa_by_lines(dfa)
+    assert_emitters_match_oracles(dfa)
 
 
 # ---------------------------------------------------------------------
