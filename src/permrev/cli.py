@@ -261,10 +261,10 @@ def example() -> None:
     state = rev.start
     chain = [names[state]]
     for _ in range(5):
-        state = rev.delta[state][0]
+        state = rev.columns[0][state]
         chain.append(names[state])
     click.echo("a-chain: " + " -a-> ".join(chain))
-    click.echo(f"b-step: {names[state]} -b-> {names[rev.delta[state][1]]}")
+    click.echo(f"b-step: {names[state]} -b-> {names[rev.columns[1][state]]}")
     state = apply_word(rev, rev.start, word_from_str("aabaaaa"))
     click.echo(f"word a2ba4: {names[rev.start]} -a2ba4-> {names[state]}")
 

@@ -2,7 +2,9 @@
 
 States are indices ``0..num_states-1`` and letters are indices
 ``0..alphabet_size-1``; semantic identities (subsets, star centers, ...)
-live only in the optional state labels. Words apply left to right:
+live only in the optional state labels. A table is one tuple of images per
+letter, the form in which every producer builds it and every reader reads
+it. Words apply left to right:
 ``q . (uv) = (q . u) . v``. Every value here is immutable after
 construction, so instances are safe to share between threads.
 """
@@ -10,73 +12,82 @@ construction, so instances are safe to share between threads.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, repeat
-from typing import Sequence
+from itertools import repeat
+from typing import Callable, Sequence
 
-from .errors import are_indices, check_index, check_int, check_points
+from .errors import are_indices, check_index, check_int, check_points, int_text
 
 Word = Sequence[int]
 
 
 @dataclass(frozen=True)
 class Dfa:
-    """A complete DFA given by its transition table.
+    """A complete DFA given by its transition table, one column per letter.
 
-    ``delta[q][c]`` is the successor of state ``q`` on letter ``c``; the
-    table is total by construction. ``labels``, when present, names every
-    state with a str. Construction raises ValueError for a bad size, row,
-    entry, start, final or label. The table is checked in one pass of
-    builtins over all its entries; only when that fails are the rows
-    walked, so that the message names the first bad row or entry in row
-    order.
+    ``columns[c][q]`` is the successor of state ``q`` on letter ``c``, so
+    each letter's column is its image array; the table is total by
+    construction. ``labels``, when present, names every state with a str.
+    Construction raises ValueError for a bad size, table, column, entry,
+    start, final or label. The table is checked in one pass of builtins
+    over its columns; only when that fails are the columns walked, so that
+    the message names the first bad column or entry in column order.
     """
 
     num_states: int
     alphabet_size: int
-    delta: tuple[tuple[int, ...], ...]
+    columns: tuple[tuple[int, ...], ...]
     start: int
     finals: frozenset[int]
     labels: tuple[str, ...] | None = None
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "delta", tuple(map(tuple, self.delta)))
-        object.__setattr__(self, "finals", frozenset(self.finals))
-        if self.labels is not None:
-            object.__setattr__(self, "labels", tuple(self.labels))
         check_int("num_states", self.num_states, 1)
         check_int("alphabet_size", self.alphabet_size, 1)
-        if len(self.delta) != self.num_states:
-            raise ValueError(
-                f"delta has {len(self.delta)} rows for {self.num_states} states"
-            )
-        if set(map(len, self.delta)) != {self.alphabet_size} or not are_indices(
-            [*chain.from_iterable(self.delta)], self.num_states
+        n, k = self.num_states, self.alphabet_size
+        table = "table must be a sequence of columns"
+        self._collect("columns", lambda t: tuple(map(tuple, t)), table)
+        self._collect("finals", frozenset, "finals must be a set of states")
+        if self.labels is not None:
+            self._collect("labels", tuple, "labels must be a sequence of str")
+        columns, finals = self.columns, self.finals
+        if len(columns) != k:
+            raise ValueError(f"table has {len(columns)} columns for an alphabet of {k}")
+        if set(map(len, columns)) != {n} or not all(
+            map(are_indices, columns, repeat(n))
         ):
             self._reject_table()
-        if type(self.start) is not int or not 0 <= self.start < self.num_states:
-            raise ValueError(f"start state {self.start!r} is not a state")
-        if not are_indices(self.finals, self.num_states):
-            for q in self.finals:
-                if type(q) is not int or not 0 <= q < self.num_states:
-                    raise ValueError(f"final state {q!r} is not a state")
+        if type(self.start) is not int or not 0 <= self.start < n:
+            raise ValueError(f"start state {int_text(self.start)} is not a state")
+        if not are_indices(finals, n):
+            q = next(q for q in finals if type(q) is not int or not 0 <= q < n)
+            raise ValueError(f"final state {int_text(q)} is not a state")
         if self.labels is not None:
-            if len(self.labels) != self.num_states:
+            if len(self.labels) != n:
                 raise ValueError("labels must name every state")
             if not all(map(isinstance, self.labels, repeat(str))):
                 label = next(x for x in self.labels if not isinstance(x, str))
                 raise ValueError(f"label {label!r} is not a str")
 
+    def _collect(self, name: str, kind: Callable, rule: str) -> None:
+        """Store field ``name`` as ``kind`` of its value; ValueError stating
+        ``rule`` when ``kind`` cannot take the value."""
+        value = getattr(self, name)
+        try:
+            object.__setattr__(self, name, kind(value))
+        except TypeError:
+            raise ValueError(f"{rule} (got {int_text(value)})") from None
+
     def _reject_table(self) -> None:
-        """Raise ValueError naming the first short or long row or bad entry."""
-        for q, row in enumerate(self.delta):
-            if len(row) != self.alphabet_size:
+        """Raise ValueError naming the first short or long column or bad entry."""
+        n = self.num_states
+        for c, column in enumerate(self.columns):
+            if len(column) != n:
                 raise ValueError(
-                    f"state {q}: row has {len(row)} entries for an alphabet "
-                    f"of {self.alphabet_size}"
+                    f"letter {c}: column has {len(column)} entries for {n} states"
                 )
-            for c, target in enumerate(row):
-                if type(target) is not int or not 0 <= target < self.num_states:
-                    raise ValueError(f"delta({q},{c}) = {target!r} is not a state")
+            for q, t in enumerate(column):
+                if type(t) is not int or not 0 <= t < n:
+                    raise ValueError(f"delta({q},{c}) = {int_text(t)} is not a state")
 
     def label(self, q: int) -> str:
         return self.labels[q] if self.labels is not None else str(q)
@@ -94,7 +105,7 @@ def apply_word(dfa: Dfa, q: int, word: Word) -> int:
     check_index("state", q, dfa.num_states)
     for c in check_points("word", word):
         check_index("letter", c, dfa.alphabet_size)
-        q = dfa.delta[q][c]
+        q = dfa.columns[c][q]
     return q
 
 
@@ -107,11 +118,7 @@ def accepts(dfa: Dfa, word: Word) -> bool:
 def is_permutation_automaton(dfa: Dfa) -> bool:
     """True iff every letter permutes the state set."""
     check_dfa(dfa)
-    for c in range(dfa.alphabet_size):
-        images = {row[c] for row in dfa.delta}
-        if len(images) != dfa.num_states:
-            return False
-    return True
+    return all(len(set(column)) == dfa.num_states for column in dfa.columns)
 
 
 def reachable_states(dfa: Dfa) -> list[int]:
@@ -121,13 +128,12 @@ def reachable_states(dfa: Dfa) -> list[int]:
     renumbering in minimization reuses it.
     """
     check_dfa(dfa)
-    return _reachable([*zip(*dfa.delta)], dfa.start)
+    return _reachable(dfa.columns, dfa.start)
 
 
 def _reachable(columns: Sequence[Sequence[int]], start: int) -> list[int]:
-    """``reachable_states`` of the table given as one column per letter,
-    ``columns[c][q]`` the successor of q on letter c; the columns are not
-    checked."""
+    """``reachable_states`` of the table given as its columns, which are
+    not checked."""
     seen = [False] * len(columns[0])
     seen[start] = True
     order = [start]

@@ -18,7 +18,17 @@ SHOWN_DIGITS = 100
 
 def int_text(value: object) -> str:
     """``repr(value)``, but "<N digits>" for an int of more than
-    ``SHOWN_DIGITS`` digits, counted without converting it to decimal."""
+    ``SHOWN_DIGITS`` digits, counted without converting it to decimal, also
+    as an item of a tuple or a list."""
+    if type(value) in (tuple, list):
+        items = ", ".join(map(_item_text, value))
+        if type(value) is list:
+            return f"[{items}]"
+        return f"({items},)" if len(value) == 1 else f"({items})"
+    return _item_text(value)
+
+
+def _item_text(value: object) -> str:
     if type(value) is not int or abs(value) < 10**SHOWN_DIGITS:
         return repr(value)
     size = abs(value)
@@ -50,7 +60,7 @@ def check_points(name: str, values: object) -> tuple[int, ...]:
     except TypeError:
         points = None
     if points is None or not set(map(type, points)) <= {int}:
-        raise ValueError(f"{name} must be a sequence of ints (got {values!r})")
+        raise ValueError(f"{name} must be a sequence of ints (got {int_text(values)})")
     return points
 
 
@@ -66,7 +76,7 @@ def check_subset(name: str, values: object, n: int) -> tuple[int, ...]:
     of [n], in any order and with no point repeated."""
     points = tuple(sorted(check_points(name, values)))
     if len(set(points)) != len(points):
-        raise ValueError(f"{name} {points} has repeated points")
+        raise ValueError(f"{name} {int_text(points)} has repeated points")
     for i in points:
         if not 0 <= i < n:
             raise ValueError(f"point {int_text(i)} is out of range for n={n}")

@@ -26,16 +26,14 @@ from .errors import check_index
 def minimize(dfa: Dfa) -> Dfa:
     """The canonical minimal DFA accepting the same language."""
     reach = reachable_states(dfa)
+    columns = dfa.columns
     block = {q: (1 if q in dfa.finals else 0) for q in reach}
     nblocks = len(set(block.values()))
     while True:
         ids: dict[tuple, int] = {}
         refined: dict[int, int] = {}
         for q in reach:
-            sig = (
-                block[q],
-                tuple(block[dfa.delta[q][c]] for c in range(dfa.alphabet_size)),
-            )
+            sig = (block[q], tuple(block[column[q]] for column in columns))
             if sig not in ids:
                 ids[sig] = len(ids)
             refined[q] = ids[sig]
@@ -53,15 +51,14 @@ def minimize(dfa: Dfa) -> Dfa:
     order = list(rep)
     number = {b: i for i, b in enumerate(order)}
 
-    delta = tuple(
-        tuple(number[block[dfa.delta[rep[b]][c]]] for c in range(dfa.alphabet_size))
-        for b in order
+    quotient = tuple(
+        tuple(number[block[column[rep[b]]]] for b in order) for column in columns
     )
     finals = frozenset(number[b] for b in order if rep[b] in dfa.finals)
     labels = None
     if dfa.labels is not None:
         labels = tuple(dfa.labels[rep[b]] for b in order)
-    return Dfa(len(order), dfa.alphabet_size, delta, 0, finals, labels)
+    return Dfa(len(order), dfa.alphabet_size, quotient, 0, finals, labels)
 
 
 def are_equivalent(d1: Dfa, d2: Dfa) -> bool:
@@ -74,7 +71,7 @@ def are_equivalent(d1: Dfa, d2: Dfa) -> bool:
     m2 = minimize(d2)
     return (
         m1.num_states == m2.num_states
-        and m1.delta == m2.delta
+        and m1.columns == m2.columns
         and m1.finals == m2.finals
     )
 
@@ -114,8 +111,8 @@ def distinguishing_word(dfa: Dfa, p: int, q: int) -> tuple[int, ...] | None:
                 node, letter = parent[node]
                 word.append(letter)
             return tuple(reversed(word))
-        for c in range(dfa.alphabet_size):
-            nxt = key(dfa.delta[a][c], dfa.delta[b][c])
+        for c, column in enumerate(dfa.columns):
+            nxt = key(column[a], column[b])
             if nxt not in parent:
                 parent[nxt] = (pair, c)
                 queue.append(nxt)

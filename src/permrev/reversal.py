@@ -40,10 +40,10 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from functools import partial
 from itertools import chain, compress, count, repeat
-from operator import contains, itemgetter
+from operator import contains
 from typing import AbstractSet, Callable, Iterable, Iterator, NoReturn, Sequence
 
-from .dfa import Dfa, _reachable, check_dfa, reachable_states
+from .dfa import Dfa, check_dfa, reachable_states
 from .errors import CapacityError, are_subset_states, check_index, check_int
 
 SubsetState = tuple[int, ...]
@@ -77,11 +77,11 @@ def mask_states(mask: int) -> list[int]:
     return out
 
 
-def _predecessors(fwd: Dfa, letter: int) -> list[list[int]]:
-    """``pre[q]`` lists the forward states ``p`` with ``delta[p][letter] == q``."""
-    pre: list[list[int]] = [[] for _ in range(fwd.num_states)]
-    for p, row in enumerate(fwd.delta):
-        pre[row[letter]].append(p)
+def _predecessors(column: Sequence[int]) -> list[list[int]]:
+    """``pre[q]`` lists the forward states ``p`` with ``column[p] == q``."""
+    pre: list[list[int]] = [[] for _ in column]
+    for p, q in enumerate(column):
+        pre[q].append(p)
     return pre
 
 
@@ -95,11 +95,11 @@ def _preimage_map(fwd: Dfa, letter: int) -> Callable[[SubsetState], Iterable[int
     each state has one successor per letter, so distinct states have
     disjoint lists and the union has no repeats.
     """
-    column = [*map(itemgetter(letter), fwd.delta)]
+    column = fwd.columns[letter]
     if len(set(column)) == fwd.num_states:
         inverse = sorted(range(fwd.num_states), key=column.__getitem__)
         return partial(map, inverse.__getitem__)
-    pre = _predecessors(fwd, letter)
+    pre = _predecessors(column)
     return lambda s: chain.from_iterable(map(pre.__getitem__, s))
 
 
@@ -172,13 +172,9 @@ def reverse_construction(
     check_int("max_states", max_states, 1)
     check_dfa(fwd)
     targets, subsets = _explore(fwd, max_states)
-    rev = Dfa(
-        num_states=len(subsets),
-        alphabet_size=fwd.alphabet_size,
-        delta=tuple(zip(*[iter(targets)] * fwd.alphabet_size)),
-        start=0,
-        finals=frozenset(_final_indices(fwd, subsets)),
-    )
+    k = fwd.alphabet_size
+    columns = [targets[c::k] for c in range(k)]
+    rev = Dfa(len(subsets), k, columns, 0, frozenset(_final_indices(fwd, subsets)))
     return rev, subsets
 
 
@@ -236,15 +232,11 @@ def reversal_certificate(fwd: Dfa) -> ReversalCertificate:
     most ``MASK_STATES`` states is certified on byte-mask subsets, any other
     on the tuple subsets of ``_explore``; both give the same certificate.
     """
-    check_dfa(fwd)
+    reach = reachable_states(fwd)
     if fwd.num_states <= MASK_STATES:
-        columns = [*zip(*fwd.delta)]
-        reach = _reachable(columns, fwd.start)
-        return _mask_certificate(columns, fwd.start, fwd.finals, reach)
+        return _mask_certificate(fwd.columns, fwd.start, fwd.finals, reach)
     subsets = _explore(fwd, DEFAULT_MAX_STATES)[1]
-    return _certificate(
-        fwd, subsets, _final_indices(fwd, subsets), reachable_states(fwd)
-    )
+    return _certificate(fwd, subsets, _final_indices(fwd, subsets), reach)
 
 
 def _certificate(
@@ -253,7 +245,7 @@ def _certificate(
     """The certificate read off the reverse subsets, the indices of the
     final ones and the reachable forward states.
 
-    The subsets are exactly the sets ``{p : delta(p, w) in F}``, one for
+    The subsets are exactly the sets ``{p : p . w in F}``, one for
     each word w, so two forward states are Myhill-Nerode equivalent iff
     every subset holds both or neither, and two reverse states are
     equivalent iff their subsets agree on the reachable forward states
@@ -318,7 +310,7 @@ def _mask_certificate(
     byte whose bit ``1 << p`` stands for forward state p.
 
     Nothing is checked and no ``Dfa`` is needed: ``reversal_certificate``
-    passes the transpose of a validated table, and the magic-value probe
+    passes the columns of a validated ``Dfa``, and the magic-value probe
     passes the columns that ``spectrum._draw`` shuffled, so a probe draw
     becomes a ``Dfa`` only when it is a counterexample.
 

@@ -104,11 +104,6 @@ def _draw(
     return columns, start, frozenset(compress(range(n), flips))
 
 
-def _draw_dfa(columns: list[list[int]], start: int, finals: frozenset[int]) -> Dfa:
-    """The validated ``Dfa`` of a draw, its rows the transposed columns."""
-    return Dfa(len(columns[0]), len(columns), [*zip(*columns)], start, finals)
-
-
 def random_pfa(rng: random.Random, num_states: int, alphabet_size: int = 2) -> Dfa:
     """Uniform random permutation per letter, uniform start, fair-coin finals.
 
@@ -119,7 +114,7 @@ def random_pfa(rng: random.Random, num_states: int, alphabet_size: int = 2) -> D
         raise ValueError(f"rng must be a random.Random (got {type(rng).__name__})")
     check_int("num_states", num_states, 1)
     check_int("alphabet_size", alphabet_size, 1)
-    return _draw_dfa(*_draw(rng, num_states, alphabet_size))
+    return Dfa(num_states, alphabet_size, *_draw(rng, num_states, alphabet_size))
 
 
 @dataclass(frozen=True)
@@ -204,7 +199,7 @@ def magic_one_probe(
         checked += 1
         pairs[forward, reverse] += 1
         if reverse == 1:
-            hits.append((_draw_dfa(columns, start, finals), forward, reverse))
+            hits.append((Dfa(n, 2, columns, start, finals), forward, reverse))
     return MagicProbeReport(
         n_max=n_max,
         samples=samples,

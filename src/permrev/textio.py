@@ -17,13 +17,13 @@ or ``-?[1-9][0-9]*``, the one form ``emit_dfa`` writes, so ``parse_dfa``
 and ``emit_dfa`` round-trip exactly, labels included. State lines may come
 in any order.
 
-The emitters work on columns: each state's number becomes a string once,
-one transpose of the table gives each letter's images, and a document is
-one join, as adding joined blocks would copy it each time. ``parse_dfa``
-reads the state lines in one pass of builtins over their token columns.
-Only when that pass fails are the lines walked one by one, to raise a
-``ParseError`` at the first bad token, with its 1-based line and column;
-the column is computed only then.
+The emitters work on the table's columns: each state's number becomes a
+string once, each letter's images are picks from those strings, and a
+document is one join, as adding joined blocks would copy it each time.
+``parse_dfa`` reads the state lines in one pass of builtins over their
+token columns. Only when that pass fails are the lines walked one by one,
+to raise a ``ParseError`` at the first bad token, with its 1-based line
+and column; the column is computed only then.
 """
 
 from __future__ import annotations
@@ -108,7 +108,7 @@ def emit_dfa(dfa: Dfa) -> str:
             bad = next(filter(_UNWRITABLE.search, dfa.labels))
             raise ValueError(f"label {bad!r} cannot be written to the text format")
         pieces[2:] = repeat(" ["), dfa.labels, repeat("] :")
-    for column in zip(*dfa.delta):
+    for column in dfa.columns:
         pieces += repeat(" "), map(names.__getitem__, column)
     return "".join(chain([head], _lines(*pieces), ["\n"]))
 
@@ -190,8 +190,8 @@ def _int_token(line_no: int, line: str, k: int, token: str, what: str) -> int:
 
 def _state_block(
     rows: list[list[str]], num_states: int, alphabet_size: int
-) -> tuple[list[tuple[int, ...]], list[str] | None] | None:
-    """The transition rows and labels, in state order, of the state lines
+) -> tuple[list[list[int]], list[str] | None] | None:
+    """The letter columns and labels, in state order, of the state lines
     whose token lists are ``rows``; None if some line is bad.
 
     One pass of builtins over whole token columns. It accepts exactly the
@@ -234,13 +234,12 @@ def _state_block(
     # n indices below n are the n states iff they are distinct
     if indices != states and sorted(indices) != states:
         return None
-    delta = [*zip(*images)]
     if indices != states:
         order = sorted(states, key=indices.__getitem__)
-        delta = [*map(delta.__getitem__, order)]
+        images = [[*map(column.__getitem__, order)] for column in images]
         if labels is not None:
             labels = [*map(labels.__getitem__, order)]
-    return delta, labels
+    return images, labels
 
 
 def _reject_state_lines(
@@ -342,15 +341,8 @@ def parse_dfa(text: str) -> Dfa:
     )
     if table is None:
         _reject_state_lines(rows[3:], num_states, alphabet_size, last_line)
-    delta, labels = table
-    return Dfa(
-        num_states=num_states,
-        alphabet_size=alphabet_size,
-        delta=delta,
-        start=start,
-        finals=frozenset(finals),
-        labels=labels,
-    )
+    columns, labels = table
+    return Dfa(num_states, alphabet_size, columns, start, frozenset(finals), labels)
 
 
 def emit_dot(dfa: Dfa) -> str:
@@ -371,7 +363,7 @@ def emit_dot(dfa: Dfa) -> str:
     for q in dfa.finals:
         shapes[q] = '", shape=doublecircle];\n'
     edges = []
-    for c, column in enumerate(zip(*dfa.delta)):
+    for c, column in enumerate(dfa.columns):
         end = repeat(f' [label="{letter_name(c)}"];\n')
         images = map(names.__getitem__, column)
         edges += repeat("  q"), names, repeat(" -> q"), images, end

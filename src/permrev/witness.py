@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 from functools import reduce
 from itertools import combinations, islice, repeat
-from operator import and_, eq, itemgetter, xor
+from operator import and_, eq, xor
 from typing import Iterable
 
 from .dfa import Dfa, check_dfa
@@ -157,12 +157,12 @@ def build_witness(m: int, alpha: int, state_cap: int = DEFAULT_STATE_CAP) -> Dfa
         )
     points = _colex_masks(n, alpha)
     index = dict(zip(points, range(total)))
-    a_images = map(index.__getitem__, _rotations(points, n, n - 1))
-    b_images = map(index.__getitem__, _swaps(points))
+    a_images = [*map(index.__getitem__, _rotations(points, n, n - 1))]
+    b_images = [*map(index.__getitem__, _swaps(points))]
     # The final star: the first alpha - 1 points and any one other point.
     center0 = (1 << (alpha - 1)) - 1
     finals = frozenset(index[center0 | 1 << u] for u in range(alpha - 1, n))
-    return Dfa(total, 2, tuple(zip(a_images, b_images)), 0, finals, _labels(n, alpha))
+    return Dfa(total, 2, (a_images, b_images), 0, finals, _labels(n, alpha))
 
 
 def _rotations(masks: list[int], n: int, shift: int) -> Iterable[int]:
@@ -276,8 +276,7 @@ def classify_reverse_states(
     covers = all_stars and len(commons) == len(center_of)
     # Reading a reverse letter applies its inverse to the center: a^-1 is a
     # right rotation by one bit and b is its own inverse.
-    to_a = map(commons.__getitem__, map(itemgetter(0), rev.delta))
-    to_b = map(commons.__getitem__, map(itemgetter(1), rev.delta))
+    to_a, to_b = (map(commons.__getitem__, column) for column in rev.columns)
     letter_law = (
         all_stars
         and all(map(eq, to_a, _rotations(commons, n, 1)))

@@ -21,22 +21,21 @@ def pytest_collection_finish(session):
 def dfas(draw, max_states=5, max_alphabet=3):
     n = draw(st.integers(1, max_states))
     k = draw(st.integers(1, max_alphabet))
-    delta = tuple(
-        tuple(draw(st.integers(0, n - 1)) for _ in range(k)) for _ in range(n)
+    columns = tuple(
+        tuple(draw(st.integers(0, n - 1)) for _ in range(n)) for _ in range(k)
     )
     start = draw(st.integers(0, n - 1))
     finals = frozenset(draw(st.sets(st.integers(0, n - 1))))
-    return Dfa(n, k, delta, start, finals)
+    return Dfa(n, k, columns, start, finals)
 
 
 @st.composite
 def pfas(draw, max_states=6, alphabet_size=2, min_states=1, max_finals=None):
     n = draw(st.integers(min_states, max_states))
     columns = [draw(st.permutations(tuple(range(n)))) for _ in range(alphabet_size)]
-    delta = tuple(tuple(col[q] for col in columns) for q in range(n))
     start = draw(st.integers(0, n - 1))
     finals = frozenset(draw(st.sets(st.integers(0, n - 1), max_size=max_finals)))
-    return Dfa(n, alphabet_size, delta, start, finals)
+    return Dfa(n, alphabet_size, columns, start, finals)
 
 
 @st.composite
@@ -48,10 +47,9 @@ def mixed_dfas(draw, max_states=6):
     p, q = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
     merge[q] = merge[p]
     columns = (perm, merge) if draw(st.booleans()) else (merge, perm)
-    delta = tuple(tuple(col[r] for col in columns) for r in range(n))
     start = draw(st.integers(0, n - 1))
     finals = frozenset(draw(st.sets(st.integers(0, n - 1))))
-    return Dfa(n, 2, delta, start, finals)
+    return Dfa(n, 2, columns, start, finals)
 
 
 @st.composite

@@ -8,7 +8,9 @@ oracle lists every star explicitly instead of reading a state's center off
 its members, the witness oracle moves point tuples instead of bit masks,
 the BFS order comes from an explicit queue, the DFA document reader
 takes one line at a time, with a regular expression per token, and the
-DFA document and DOT writers format one line per state or edge.
+DFA document and DOT writers format one line per state or edge. Each
+oracle builds its own tables and runs its own words; none calls a helper
+of the library, which serves only as the ``Dfa`` record.
 """
 
 from __future__ import annotations
@@ -18,17 +20,17 @@ import re
 from collections import deque
 from itertools import combinations, product
 
-from permrev.dfa import Dfa, apply_word
+from permrev.dfa import Dfa
 
 
 def random_dfa(rng: random.Random, max_states: int, alphabet_size: int = 2) -> Dfa:
     n = rng.randint(1, max_states)
-    delta = tuple(
-        tuple(rng.randrange(n) for _ in range(alphabet_size)) for _ in range(n)
+    columns = tuple(
+        tuple(rng.randrange(n) for _ in range(n)) for _ in range(alphabet_size)
     )
     start = rng.randrange(n)
     finals = frozenset(q for q in range(n) if rng.random() < 0.5)
-    return Dfa(n, alphabet_size, delta, start, finals)
+    return Dfa(n, alphabet_size, columns, start, finals)
 
 
 def _reachable(dfa: Dfa) -> list[int]:
@@ -36,8 +38,8 @@ def _reachable(dfa: Dfa) -> list[int]:
     stack = [dfa.start]
     while stack:
         q = stack.pop()
-        for c in range(dfa.alphabet_size):
-            t = dfa.delta[q][c]
+        for column in dfa.columns:
+            t = column[q]
             if t not in seen:
                 seen.add(t)
                 stack.append(t)
@@ -51,8 +53,8 @@ def bfs_order_by_queue(dfa: Dfa) -> list[int]:
     queue = deque(order)
     while queue:
         q = queue.popleft()
-        for c in range(dfa.alphabet_size):
-            t = dfa.delta[q][c]
+        for column in dfa.columns:
+            t = column[q]
             if t not in order:
                 order.append(t)
                 queue.append(t)
@@ -73,8 +75,8 @@ def nerode_classes_by_marking(dfa: Dfa) -> list[set[int]]:
         for p, q in pairs:
             if (p, q) in marked:
                 continue
-            for c in range(dfa.alphabet_size):
-                a, b = dfa.delta[p][c], dfa.delta[q][c]
+            for column in dfa.columns:
+                a, b = column[p], column[q]
                 if a > b:
                     a, b = b, a
                 if a != b and (a, b) in marked:
@@ -118,20 +120,22 @@ def reverse_by_word_formula(fwd: Dfa) -> Dfa:
     """
     n = fwd.num_states
 
+    def run(q: int, word: tuple[int, ...]) -> int:
+        for c in word:
+            q = fwd.columns[c][q]
+        return q
+
     def state_for(word: tuple[int, ...]) -> frozenset[int]:
         reversed_word = tuple(reversed(word))
-        return frozenset(
-            q for q in range(n) if apply_word(fwd, q, reversed_word) in fwd.finals
-        )
+        return frozenset(q for q in range(n) if run(q, reversed_word) in fwd.finals)
 
     start = state_for(())
     index: dict[frozenset[int], int] = {start: 0}
     words: list[tuple[int, ...]] = [()]
-    rows: list[list[int]] = []
+    columns: list[list[int]] = [[] for _ in range(fwd.alphabet_size)]
     i = 0
     while i < len(words):
-        row = []
-        for c in range(fwd.alphabet_size):
+        for c, column in enumerate(columns):
             word = words[i] + (c,)
             target = state_for(word)
             j = index.get(target)
@@ -139,11 +143,10 @@ def reverse_by_word_formula(fwd: Dfa) -> Dfa:
                 j = len(words)
                 index[target] = j
                 words.append(word)
-            row.append(j)
-        rows.append(row)
+            column.append(j)
         i += 1
     finals = frozenset(j for subset, j in index.items() if fwd.start in subset)
-    return Dfa(len(words), fwd.alphabet_size, tuple(tuple(r) for r in rows), 0, finals)
+    return Dfa(len(words), fwd.alphabet_size, columns, 0, finals)
 
 
 def brute_reachable_subsets(fwd: Dfa) -> set[frozenset[int]]:
@@ -155,7 +158,7 @@ def brute_reachable_subsets(fwd: Dfa) -> set[frozenset[int]]:
         subset = stack.pop()
         for c in range(fwd.alphabet_size):
             pre = frozenset(
-                q for q in range(fwd.num_states) if fwd.delta[q][c] in subset
+                q for q in range(fwd.num_states) if fwd.columns[c][q] in subset
             )
             if pre not in seen:
                 seen.add(pre)
@@ -168,11 +171,11 @@ def enumerate_binary_dfas(max_states: int):
     for n in range(1, max_states + 1):
         state_range = range(n)
         for flat in product(state_range, repeat=2 * n):
-            delta = tuple((flat[2 * q], flat[2 * q + 1]) for q in state_range)
+            columns = (flat[:n], flat[n:])
             for start in state_range:
                 for bits in range(1 << n):
                     finals = frozenset(q for q in state_range if (bits >> q) & 1)
-                    yield Dfa(n, 2, delta, start, finals)
+                    yield Dfa(n, 2, columns, start, finals)
 
 
 def canonical_permutation_pairs(n: int) -> list[tuple[tuple[int, ...], ...]]:
@@ -241,7 +244,7 @@ def witness_by_itertools(m: int, alpha: int) -> Dfa:
     return Dfa(
         len(states),
         2,
-        tuple((image(x, a), image(x, b)) for x in states),
+        tuple(tuple(image(x, move) for x in states) for move in (a, b)),
         number[tuple(range(alpha))],
         frozenset(q for q, x in enumerate(states) if set(range(alpha - 1)) <= set(x)),
         tuple(label(x) for x in states),
@@ -330,7 +333,7 @@ def parse_dfa_by_lines(text: str) -> Dfa | None:
     return Dfa(
         n,
         k,
-        tuple(rows[q] for q in range(n)),
+        tuple(tuple(rows[q][c] for q in range(n)) for c in range(k)),
         start,
         frozenset(finals),
         None if labels[0] is None else tuple(labels[q] for q in range(n)),
@@ -349,7 +352,7 @@ def emit_dfa_by_lines(dfa: Dfa) -> str:
         f"start {dfa.start}",
         " ".join(["finals"] + [str(q) for q in sorted(dfa.finals)]),
     ]
-    for q, row in enumerate(dfa.delta):
+    for q in range(dfa.num_states):
         label = ""
         if dfa.labels is not None:
             text = dfa.labels[q]
@@ -358,7 +361,7 @@ def emit_dfa_by_lines(dfa: Dfa) -> str:
                     f"label {text!r} cannot be written to the text format"
                 )
             label = f" [{text}]"
-        images = " ".join(str(t) for t in row)
+        images = " ".join(str(column[q]) for column in dfa.columns)
         lines.append(f"state {q}{label} : {images}")
     return "".join(line + "\n" for line in lines)
 
@@ -380,8 +383,9 @@ def emit_dot_by_lines(dfa: Dfa) -> str:
         escaped = "".join("\\" + ch if ch in '\\"' else ch for ch in label)
         shape = "doublecircle" if q in dfa.finals else "circle"
         lines.append(f'  q{q} [label="{escaped}", shape={shape}];')
-    for q, row in enumerate(dfa.delta):
-        for c, t in enumerate(row):
+    for q in range(dfa.num_states):
+        for c, column in enumerate(dfa.columns):
+            t = column[q]
             letter = chr(ord("a") + c) if c < 26 else f"c{c}"
             lines.append(f'  q{q} -> q{t} [label="{letter}"];')
     lines.append("}")

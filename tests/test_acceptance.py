@@ -117,7 +117,7 @@ def test_criterion_5_minimizer_oracle_agreement(capsys):
     by_language: dict[tuple, list[int]] = {}
     for dfa in enumerate_binary_dfas(3):
         small = minimize(dfa)
-        key = (small.num_states, small.delta, tuple(sorted(small.finals)))
+        key = (small.num_states, small.columns, tuple(sorted(small.finals)))
         record = by_language.setdefault(key, [len(small.finals), len(dfa.finals)])
         assert record[0] == len(small.finals)
         record[1] = min(record[1], len(dfa.finals))

@@ -5,7 +5,7 @@ from permrev.dfa import Dfa
 from permrev.textio import emit_dfa, parse_dfa
 from permrev.witness import WitnessReport, WitnessParams
 
-EMPTY_LANG_DOC = emit_dfa(Dfa(1, 2, ((0, 0),), 0, frozenset()))
+EMPTY_LANG_DOC = emit_dfa(Dfa(1, 2, ((0,), (0,)), 0, frozenset()))
 
 
 def run(capsys, *args):

@@ -15,7 +15,7 @@ from permrev.witness import build_witness
 from conftest import dfa_with_word, dfas, pfas
 from oracles import bfs_order_by_queue
 
-TWO_CYCLE = Dfa(2, 1, ((1,), (0,)), 0, frozenset({0}))
+TWO_CYCLE = Dfa(2, 1, ((1, 0),), 0, frozenset({0}))
 
 
 def state_of(dfa, label):
@@ -27,51 +27,54 @@ def state_of(dfa, label):
 # ---------------------------------------------------------------------
 
 def test_rejects_missing_row():
+    # state 1 has no entry in the column of letter 0
     with pytest.raises(ValueError):
         Dfa(2, 1, ((0,),), 0, frozenset())
 
 
 def test_rejects_short_row():
+    # state 0 has no entry for letter 1: its column is missing
     with pytest.raises(ValueError):
         Dfa(1, 2, ((0,),), 0, frozenset())
 
 
 def test_rejects_out_of_range_target():
     with pytest.raises(ValueError):
-        Dfa(2, 1, ((1,), (2,)), 0, frozenset())
+        Dfa(2, 1, ((1, 2),), 0, frozenset())
 
 
 def test_rejects_bad_start_and_finals():
     with pytest.raises(ValueError):
-        Dfa(2, 1, ((0,), (1,)), 2, frozenset())
+        Dfa(2, 1, ((0, 1),), 2, frozenset())
     with pytest.raises(ValueError):
-        Dfa(2, 1, ((0,), (1,)), 0, frozenset({5}))
+        Dfa(2, 1, ((0, 1),), 0, frozenset({5}))
 
 
 def test_rejects_non_integer_target():
     # 0 <= 1.5 < 2 holds, so only the type test stops a float state
     with pytest.raises(ValueError, match="not a state"):
-        Dfa(2, 1, ((1.5,), (0,)), 0, frozenset())
+        Dfa(2, 1, ((1.5, 0),), 0, frozenset())
     for bad in ("1", True, None):
         with pytest.raises(ValueError):
-            Dfa(2, 1, ((bad,), (0,)), 0, frozenset())
+            Dfa(2, 1, ((bad, 0),), 0, frozenset())
 
 
 @pytest.mark.parametrize("delta, message", [
-    (((0, 1),), "delta has 1 rows for 2 states"),
-    (((0, 1), (1,)), "state 1: row has 1 entries for an alphabet of 2"),
-    (((0, 1, 0), (1, 0)), "state 0: row has 3 entries for an alphabet of 2"),
-    (((0, 1.5), (1, 0)), "delta(0,1) = 1.5 is not a state"),
-    (((0, 1), (None, 0)), "delta(1,0) = None is not a state"),
+    (((0, 1),), "table has 1 columns for an alphabet of 2"),
+    (((0, 1), (1,)), "letter 1: column has 1 entries for 2 states"),
+    (((0, 1, 0), (1, 0)), "letter 0: column has 3 entries for 2 states"),
+    (((0, 1), (1.5, 0)), "delta(0,1) = 1.5 is not a state"),
+    (((0, None), (1, 0)), "delta(1,0) = None is not a state"),
     (((True, 1), (1, 0)), "delta(0,0) = True is not a state"),
-    (((0, 1), ("1", 0)), "delta(1,0) = '1' is not a state"),
+    (((0, "1"), (1, 0)), "delta(1,0) = '1' is not a state"),
     (((0, 1), (1, -1)), "delta(1,1) = -1 is not a state"),
-    (((0, 2), (1, 0)), "delta(0,1) = 2 is not a state"),
-    # the first bad entry in row order is named, whatever its kind
-    (((0, 7), (-1, 0)), "delta(0,1) = 7 is not a state"),
-    (((0, 1), (None, 9)), "delta(1,0) = None is not a state"),
-    (((0, 9), (1,)), "delta(0,1) = 9 is not a state"),
-    (((0,), (1, 9)), "state 0: row has 1 entries for an alphabet of 2"),
+    (((0, 1), (2, 0)), "delta(0,1) = 2 is not a state"),
+    # the first bad entry in column order is named, whatever its kind; in
+    # the second table a walk in row order would name delta(0,1) = 9
+    (((0, 1), (7, -1)), "delta(0,1) = 7 is not a state"),
+    (((0, None), (9, 1)), "delta(1,0) = None is not a state"),
+    (((0, 9), (1,)), "delta(1,0) = 9 is not a state"),
+    (((0,), (1, 9)), "letter 0: column has 1 entries for 2 states"),
 ])
 def test_rejection_messages_are_pinned(delta, message):
     with pytest.raises(ValueError) as info:
@@ -82,25 +85,25 @@ def test_rejection_messages_are_pinned(delta, message):
 def test_rejects_non_integer_start_and_finals():
     # a string final used to escape as TypeError from the range comparison
     with pytest.raises(ValueError, match="not a state"):
-        Dfa(2, 1, ((0,), (1,)), 0, frozenset({"x"}))
+        Dfa(2, 1, ((0, 1),), 0, frozenset({"x"}))
     for finals in ({1.0}, {None}):
         with pytest.raises(ValueError):
-            Dfa(2, 1, ((0,), (1,)), 0, frozenset(finals))
+            Dfa(2, 1, ((0, 1),), 0, frozenset(finals))
     for start in (0.0, "0", None):
         with pytest.raises(ValueError):
-            Dfa(2, 1, ((0,), (1,)), start, frozenset())
+            Dfa(2, 1, ((0, 1),), start, frozenset())
 
 
 def test_rejects_non_integer_sizes():
     with pytest.raises(ValueError):
-        Dfa(2.0, 1, ((0,), (1,)), 0, frozenset())
+        Dfa(2.0, 1, ((0, 1),), 0, frozenset())
     with pytest.raises(ValueError):
         Dfa(1, "1", ((0,),), 0, frozenset())
 
 
 def test_rejects_label_length_mismatch():
     with pytest.raises(ValueError):
-        Dfa(2, 1, ((0,), (1,)), 0, frozenset(), labels=("only-one",))
+        Dfa(2, 1, ((0, 1),), 0, frozenset(), labels=("only-one",))
 
 
 def test_rejects_non_string_labels():
@@ -111,7 +114,7 @@ def test_rejects_non_string_labels():
 
 
 def test_empty_finals_allowed():
-    dfa = Dfa(1, 2, ((0, 0),), 0, frozenset())
+    dfa = Dfa(1, 2, ((0,), (0,)), 0, frozenset())
     assert not accepts(dfa, ())
 
 
@@ -174,12 +177,12 @@ def test_witness_is_permutation_automaton(witness_3_4):
 
 
 def test_non_injective_letter_detected():
-    dfa = Dfa(2, 1, ((0,), (0,)), 0, frozenset())
+    dfa = Dfa(2, 1, ((0, 0),), 0, frozenset())
     assert not is_permutation_automaton(dfa)
 
 
 def test_one_state_is_permutation_automaton():
-    assert is_permutation_automaton(Dfa(1, 2, ((0, 0),), 0, frozenset()))
+    assert is_permutation_automaton(Dfa(1, 2, ((0,), (0,)), 0, frozenset()))
 
 
 @given(pfas(), st.data())
@@ -202,7 +205,7 @@ def test_witness_fully_reachable(witness_3_4):
 
 
 def test_isolated_state_not_reached():
-    dfa = Dfa(2, 1, ((0,), (1,)), 0, frozenset())
+    dfa = Dfa(2, 1, ((0, 1),), 0, frozenset())
     assert reachable_states(dfa) == [0]
 
 
@@ -224,7 +227,7 @@ def test_reachable_contains_start_and_is_closed(dfa):
     assert dfa.start == reach[0]
     for q in reach_set:
         for c in range(dfa.alphabet_size):
-            assert dfa.delta[q][c] in reach_set
+            assert dfa.columns[c][q] in reach_set
 
 
 @given(dfas(), st.data())
@@ -235,7 +238,7 @@ def test_reachable_monotone_under_added_letter(dfa, data):
     wider = Dfa(
         dfa.num_states,
         dfa.alphabet_size + 1,
-        tuple(row + (extra[q],) for q, row in enumerate(dfa.delta)),
+        dfa.columns + (extra,),
         dfa.start,
         dfa.finals,
     )

@@ -18,7 +18,7 @@ import hypothesis.strategies as st
 
 from permrev import spectrum
 from permrev.dfa import (
-    accepts, apply_word, is_permutation_automaton, reachable_states
+    Dfa, accepts, apply_word, is_permutation_automaton, reachable_states
 )
 from permrev.errors import (
     CapacityError,
@@ -26,6 +26,7 @@ from permrev.errors import (
     are_subset_states,
     check_index,
     check_int,
+    check_points,
     check_subset,
     int_text,
 )
@@ -194,6 +195,11 @@ NOT_DFA = "expected a Dfa (got NoneType)"
      "subset (-1, 2) is not a strictly increasing tuple of points >= 0"),
     (synthesize_word, (GENS, (0, 0, 0, 0)), "(0, 0, 0, 0) is not a permutation of [4]"),
     (synthesize_word, (GENS, (0, 1, 2)), "(0, 1, 2) is not a permutation of [4]"),
+    (Dfa, (1, 1, None, 0, ()), "table must be a sequence of columns (got None)"),
+    (Dfa, (1, 1, (5,), 0, ()), "table must be a sequence of columns (got (5,))"),
+    (Dfa, (1, 1, ((0,),), 0, None), "finals must be a set of states (got None)"),
+    (Dfa, (1, 1, ((0,),), 0, [[0]]), "finals must be a set of states (got [[0]])"),
+    (Dfa, (1, 1, ((0,),), 0, (), 5), "labels must be a sequence of str (got 5)"),
 ], ids=[
     "apply_word_float_state", "apply_word_bool_state", "apply_word_none_state",
     "apply_word_bool_letter", "apply_word_letter_range", "apply_word_none_dfa",
@@ -215,6 +221,8 @@ NOT_DFA = "expected a Dfa (got NoneType)"
     "compose_none_second", "compose_out_of_range", "compose_size_mismatch",
     "colex_none", "colex_bool_point", "colex_repeated", "colex_unsorted",
     "colex_negative", "synthesize_not_a_permutation", "synthesize_size_mismatch",
+    "dfa_none_table", "dfa_int_column", "dfa_none_finals", "dfa_unhashable_finals",
+    "dfa_int_labels",
 ])
 @pytest.mark.filterwarnings("error")
 def test_argument_errors_are_pinned(call, args, message):
@@ -240,6 +248,20 @@ WITNESS_PARAMS = st.one_of(
     VALUES, st.builds(WitnessParams, st.integers(2, 3), st.integers(2, 4))
 )
 SUBSET_LISTS = st.one_of(VALUES, st.just(SUBSETS), st.lists(VALUES, max_size=4))
+# Dfa's slots: two states and two letters in some draws, so that a valid
+# table is followed by junk in the later slots
+SIZES = st.one_of(VALUES, st.just(2))
+TABLES = st.one_of(
+    VALUES,
+    st.just(((1, 0), (0, 0))),
+    st.lists(st.lists(st.one_of(SCALARS, st.integers(0, 1)), max_size=3), max_size=3),
+)
+FINALS = st.one_of(
+    VALUES,
+    st.frozensets(st.integers(-1, 2)),
+    st.lists(st.lists(SCALARS, max_size=2), max_size=2),
+)
+LABELS = st.one_of(st.none(), VALUES, st.lists(st.text(max_size=2), max_size=3))
 
 # Each entry point that applies a shared rule, and a strategy per argument:
 # junk in every slot, valid values in some so that later checks are reached.
@@ -272,6 +294,7 @@ ENTRY_POINTS = {
         perm_compose, st.one_of(VALUES, perms(max_n=3)), st.one_of(VALUES, perms(max_n=3))
     ),
     "colex_rank": (colex_rank, VALUES),
+    "Dfa": (Dfa, SIZES, SIZES, TABLES, VALUES, FINALS, LABELS),
 }
 
 DOCUMENTED = (ValueError, ParseError, CapacityError, NotInGroupError)
@@ -363,3 +386,11 @@ def test_argument_checks_name_a_huge_int_by_its_digits():
         check_index("letter", HUGE, 26)
     with pytest.raises(ValueError, match=r"^point <5001 digits> is out of range for n=4$"):
         check_subset("subset", (1, HUGE), 4)
+    with pytest.raises(ValueError, match=(
+        r"^word must be a sequence of ints \(got \(<5001 digits>, None\)\)$"
+    )):
+        check_points("word", (HUGE, None))
+    with pytest.raises(ValueError, match=(
+        r"^s \(<5001 digits>, <5001 digits>\) has repeated points$"
+    )):
+        check_subset("s", (HUGE, HUGE), 4)

@@ -27,8 +27,7 @@ from oracles import bfs_order_by_queue, canonical_permutation_pairs
 
 
 def pair_dfa(pair, finals):
-    a, b = pair
-    return Dfa(len(a), 2, tuple(zip(a, b)), 0, frozenset(finals))
+    return Dfa(len(pair[0]), 2, pair, 0, frozenset(finals))
 
 
 def census(n):

@@ -11,8 +11,8 @@ from permrev.reversal import reverse_dfa
 from conftest import dfas
 from oracles import minimize_counts_by_marking, random_dfa
 
-EMPTY_LANG = Dfa(1, 2, ((0, 0),), 0, frozenset())
-SIGMA_STAR = Dfa(1, 2, ((0, 0),), 0, frozenset({0}))
+EMPTY_LANG = Dfa(1, 2, ((0,), (0,)), 0, frozenset())
+SIGMA_STAR = Dfa(1, 2, ((0,), (0,)), 0, frozenset({0}))
 
 
 def test_collapses_all_final_pair():
@@ -37,7 +37,7 @@ def test_reverse_witness_is_already_minimal(witness_3_4):
 def test_minimize_is_idempotent(dfa):
     once = minimize(dfa)
     twice = minimize(once)
-    assert twice.delta == once.delta
+    assert twice.columns == once.columns
     assert twice.finals == once.finals
     assert twice.start == once.start
 
@@ -52,10 +52,11 @@ def test_minimized_table_ignores_state_names(dfa, data):
     # the canonical numbering is breadth-first from the start state with
     # letter tie-break, whatever the input's own state numbers are
     name = data.draw(st.permutations(range(dfa.num_states)))
-    delta = [None] * dfa.num_states
-    for q, row in enumerate(dfa.delta):
-        delta[name[q]] = tuple(name[t] for t in row)
-    renamed = Dfa(dfa.num_states, dfa.alphabet_size, tuple(delta),
+    columns = [[None] * dfa.num_states for _ in dfa.columns]
+    for renamed_column, column in zip(columns, dfa.columns):
+        for q, t in enumerate(column):
+            renamed_column[name[q]] = name[t]
+    renamed = Dfa(dfa.num_states, dfa.alphabet_size, columns,
                   name[dfa.start], frozenset(name[q] for q in dfa.finals))
     small = minimize(dfa)
     assert minimize(renamed) == small
@@ -135,15 +136,15 @@ def test_witness_neighbors_are_distinguishable(witness_3_4):
 
 
 def test_merged_equivalent_states_get_none():
-    # two states with identical rows and identical acceptance
-    dfa = Dfa(3, 2, ((1, 2), (1, 2), (1, 2)), 0, frozenset({1, 2}))
+    # two states with identical images and identical acceptance
+    dfa = Dfa(3, 2, ((1, 1, 1), (2, 2, 2)), 0, frozenset({1, 2}))
     assert distinguishing_word(dfa, 1, 2) is None
 
 
 def test_distinguishing_word_validates_states(witness_3_4):
     with pytest.raises(ValueError):
         distinguishing_word(witness_3_4, 0, 99)
-    unreachable = Dfa(2, 1, ((0,), (1,)), 0, frozenset({1}))
+    unreachable = Dfa(2, 1, ((0, 1),), 0, frozenset({1}))
     with pytest.raises(ValueError):
         distinguishing_word(unreachable, 0, 1)
 
@@ -159,7 +160,7 @@ def test_minimize_output_is_pairwise_distinguishable():
 
 def test_shortest_word_is_returned():
     # state 1 is final, state 0 is not: a one-letter word must do
-    dfa = Dfa(2, 2, ((1, 0), (1, 0)), 0, frozenset({1}))
+    dfa = Dfa(2, 2, ((1, 1), (0, 0)), 0, frozenset({1}))
     assert distinguishing_word(dfa, 0, 1) == ()
-    dfa2 = Dfa(3, 1, ((1,), (2,), (2,)), 0, frozenset({2}))
+    dfa2 = Dfa(3, 1, ((1, 2, 2),), 0, frozenset({2}))
     assert distinguishing_word(dfa2, 0, 1) == (0,)

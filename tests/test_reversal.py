@@ -33,7 +33,7 @@ from oracles import (
     reverse_by_word_formula,
 )
 
-SIGMA_STAR = Dfa(1, 2, ((0, 0),), 0, frozenset({0}))
+SIGMA_STAR = Dfa(1, 2, ((0,), (0,)), 0, frozenset({0}))
 
 
 def star_subset(params, center):
@@ -148,7 +148,7 @@ def test_all_words_language_is_reversal_invariant():
     rev = reverse_dfa(SIGMA_STAR)
     assert rev.num_states == 1
     assert rev.finals == frozenset({0})
-    assert rev.delta == ((0, 0),)
+    assert rev.columns == ((0,), (0,))
 
 
 def test_witness_reverse_counts(witness_3_4):
@@ -204,8 +204,8 @@ def test_construction_subsets_match_brute_force(dfa):
 def test_construction_matches_word_formula(dfa):
     # both explore in BFS order with letter tie-break, so the tables agree
     rev, oracle = reverse_dfa(dfa), reverse_by_word_formula(dfa)
-    assert (rev.num_states, rev.delta, rev.start, rev.finals) == (
-        oracle.num_states, oracle.delta, oracle.start, oracle.finals
+    assert (rev.num_states, rev.columns, rev.start, rev.finals) == (
+        oracle.num_states, oracle.columns, oracle.start, oracle.finals
     )
 
 
@@ -216,8 +216,8 @@ def test_construction_mixing_permuting_and_merging_letters(dfa):
     rev, subsets = reverse_construction(dfa)
     assert {frozenset(s) for s in subsets} == brute_reachable_subsets(dfa)
     oracle = reverse_by_word_formula(dfa)
-    assert (rev.num_states, rev.delta, rev.start, rev.finals) == (
-        oracle.num_states, oracle.delta, oracle.start, oracle.finals
+    assert (rev.num_states, rev.columns, rev.start, rev.finals) == (
+        oracle.num_states, oracle.columns, oracle.start, oracle.finals
     )
 
 
@@ -262,14 +262,14 @@ def test_reversal_certificate_matches_certify_reversal(fwd):
 def every_dfa(num_states, alphabet_size):
     """Every DFA on these sizes, over every table, start and final set."""
     states = range(num_states)
-    rows = [*product(states, repeat=alphabet_size)]
+    columns = [*product(states, repeat=num_states)]
     final_sets = [
         frozenset(q for q in states if bits >> q & 1) for bits in range(1 << num_states)
     ]
-    for delta in product(rows, repeat=num_states):
+    for table in product(columns, repeat=alphabet_size):
         for start in states:
             for finals in final_sets:
-                yield Dfa(num_states, alphabet_size, delta, start, finals)
+                yield Dfa(num_states, alphabet_size, table, start, finals)
 
 
 @pytest.mark.parametrize("num_states,alphabet_size", [
@@ -381,8 +381,8 @@ def test_certificate_matches_marking_oracle_on_witnesses():
 
 
 def test_certificate_of_trivial_languages():
-    assert certified(Dfa(1, 2, ((0, 0),), 0, frozenset())) == (0, 0, True, True)
-    assert certified(Dfa(3, 2, ((1, 2), (2, 0), (0, 1)), 0, frozenset())) == (
+    assert certified(Dfa(1, 2, ((0,), (0,)), 0, frozenset())) == (0, 0, True, True)
+    assert certified(Dfa(3, 2, ((1, 2, 0), (2, 0, 1)), 0, frozenset())) == (
         0, 0, False, True
     )
     assert certified(SIGMA_STAR) == (1, 1, True, True)
@@ -391,7 +391,7 @@ def test_certificate_of_trivial_languages():
 def test_certificate_when_the_partition_never_turns_discrete():
     # States 2 and 3 are unreachable, so no subset cut to the reachable
     # part separates them and the refinement runs over every subset.
-    fwd = Dfa(4, 1, ((1,), (0,), (3,), (2,)), 0, frozenset({1, 2}))
+    fwd = Dfa(4, 1, ((1, 0, 3, 2),), 0, frozenset({1, 2}))
     assert reverse_construction(fwd)[1] == [(1, 2), (0, 3)]
     assert certified(fwd) == (1, 1, False, True)
 
@@ -408,7 +408,7 @@ def test_certificate_cuts_subsets_to_reachable_states():
     # State 0 loops and accepts; 1 -> 2 -> 2 with 2 final is unreachable.
     # The subsets {0, 2} and {0, 1, 2} differ only off the reachable part,
     # so both sides accept a* with one final state and are not minimal.
-    fwd = Dfa(3, 1, ((0,), (2,), (2,)), 0, frozenset({0, 2}))
+    fwd = Dfa(3, 1, ((0, 2, 2),), 0, frozenset({0, 2}))
     _, subsets = reverse_construction(fwd)
     assert subsets == [(0, 2), (0, 1, 2)]
     assert certified(fwd) == (1, 1, False, False)

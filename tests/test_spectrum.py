@@ -91,7 +91,7 @@ def test_random_pfa_is_seeded_and_permutation():
 def test_random_pfa_consumes_the_rng_as_pinned():
     # the exact automaton pins how many values each part of a draw takes
     assert random_pfa(random.Random(4), 6) == Dfa(
-        6, 2, ((3, 4), (5, 2), (4, 5), (0, 0), (2, 1), (1, 3)), 3,
+        6, 2, ((3, 5, 4, 0, 2, 1), (4, 2, 5, 0, 1, 3)), 3,
         frozenset({1, 3, 5}),
     )
 
@@ -368,9 +368,9 @@ def record_draws(monkeypatch):
 
 
 def draw_dfa(draw):
-    """The Dfa of a recorded draw, its rows transposed from its columns."""
+    """The Dfa of a recorded draw."""
     columns, start, finals = draw
-    return Dfa(len(columns[0]), len(columns), tuple(zip(*columns)), start, finals)
+    return Dfa(len(columns[0]), len(columns), columns, start, finals)
 
 
 def passes_both_skips(draw):
@@ -527,5 +527,5 @@ def test_draws_are_permutation_automata(k):
             assert all(sorted(column) == [*range(n)] for column in columns)
             assert type(start) is int and 0 <= start < n
             assert type(finals) is frozenset and finals <= set(range(n))
-            dfa = Dfa(n, k, tuple(zip(*columns)), start, finals)
+            dfa = Dfa(n, k, columns, start, finals)
             assert is_permutation_automaton(dfa)

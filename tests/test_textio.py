@@ -34,7 +34,7 @@ from oracles import (
     emit_dfa_by_lines, emit_dot_by_lines, parse_dfa_by_lines, random_dfa
 )
 
-SIGMA_STAR = Dfa(1, 2, ((0, 0),), 0, frozenset({0}))
+SIGMA_STAR = Dfa(1, 2, ((0,), (0,)), 0, frozenset({0}))
 
 
 # ---------------------------------------------------------------------
@@ -62,7 +62,7 @@ def test_empty_finals_roundtrip():
 def test_empty_label_roundtrip():
     # the reverse of the empty language has one state: the empty subset,
     # whose comma-joined label is the empty string
-    rev = reverse_dfa(Dfa(1, 2, ((0, 0),), 0, frozenset()))
+    rev = reverse_dfa(Dfa(1, 2, ((0,), (0,)), 0, frozenset()))
     assert rev.labels == ("",)
     assert "[]" in emit_dfa(rev)
     assert parse_dfa(emit_dfa(rev)) == rev
@@ -78,7 +78,7 @@ def test_roundtrip_random_labeled(dfa):
     labeled = Dfa(
         dfa.num_states,
         dfa.alphabet_size,
-        dfa.delta,
+        dfa.columns,
         dfa.start,
         dfa.finals,
         labels=tuple(f"s{q}" for q in range(dfa.num_states)),
@@ -162,7 +162,7 @@ def test_unwritable_label():
 ])
 def test_unwritable_label_is_named(label):
     # whitespace is what str.split() splits on, so no label can break a line
-    dfa = Dfa(3, 1, ((0,), (1,), (2,)), 0, frozenset(), labels=("", label, "x y"))
+    dfa = Dfa(3, 1, ((0, 1, 2),), 0, frozenset(), labels=("", label, "x y"))
     with pytest.raises(ValueError) as info:
         emit_dfa(dfa)
     assert str(info.value) == (
@@ -172,7 +172,7 @@ def test_unwritable_label_is_named(label):
 
 def test_empty_and_punctuated_labels_are_writable():
     labels = ("", "1.2.3.4.10", 'a"b\\c', "S(123)", "")
-    dfa = Dfa(5, 1, tuple((q,) for q in range(5)), 0, frozenset(), labels=labels)
+    dfa = Dfa(5, 1, (tuple(range(5)),), 0, frozenset(), labels=labels)
     assert parse_dfa(emit_dfa(dfa)) == dfa
 
 
@@ -631,12 +631,12 @@ def emitter_dfas(draw, labeled=None):
     n = draw(st.integers(1, 12))
     k = draw(st.integers(1, 30))
     image = st.integers(0, n - 1)
-    delta = draw(st.lists(st.tuples(*[image] * k), min_size=n, max_size=n))
+    columns = draw(st.lists(st.tuples(*[image] * n), min_size=k, max_size=k))
     if labeled is None:
         labeled = draw(st.booleans())
     labels = draw(st.lists(ANY_LABELS, min_size=n, max_size=n)) if labeled else None
     finals = frozenset(draw(st.sets(image)))
-    return Dfa(n, k, tuple(delta), draw(image), finals, labels)
+    return Dfa(n, k, columns, draw(image), finals, labels)
 
 
 def assert_emitters_match_oracles(dfa):

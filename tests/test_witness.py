@@ -86,8 +86,8 @@ def test_witness_matches_itertools_oracle():
     for m, alpha in cells:
         dfa = build_witness(m, alpha, state_cap=100_000)
         oracle = witness_by_itertools(m, alpha)
-        assert (dfa.delta, dfa.finals, dfa.start, dfa.labels) == (
-            oracle.delta, oracle.finals, oracle.start, oracle.labels
+        assert (dfa.columns, dfa.finals, dfa.start, dfa.labels) == (
+            oracle.columns, oracle.finals, oracle.start, oracle.labels
         ), (m, alpha)
     assert dfa.labels[0] == "1.2.3.4.5.6.7.8.9.10"
     assert dfa.labels[-1] == "10.11.12.13.14.15.16.17.18.19"
@@ -186,7 +186,7 @@ def test_classification_of_worked_example(witness_3_4):
     assert cls.letter_law_holds
     assert len(set(cls.centers)) == math.comb(6, 3) == 20
     # the a-successor of the start star S(123) is S(126)
-    assert cls.centers[rev.delta[0][0]] == (0, 1, 5)
+    assert cls.centers[rev.columns[0][0]] == (0, 1, 5)
     assert cls.accepting_centers == ((0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3))
 
 
@@ -230,7 +230,7 @@ def test_classification_rejects_foreign_automata(witness_3_4):
         with pytest.raises(ValueError):
             classify_reverse_states(params, rev, [bad] + subsets[1:])
     # right state count and subsets, but a one-letter automaton
-    unary = Dfa(20, 1, tuple((q,) for q in range(20)), 0, frozenset())
+    unary = Dfa(20, 1, (tuple(range(20)),), 0, frozenset())
     with pytest.raises(ValueError):
         classify_reverse_states(params, unary, subsets)
     # right count, but one subset twice
