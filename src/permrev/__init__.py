@@ -14,7 +14,7 @@ from .dfa import (
     reachable_states,
 )
 from .errors import CapacityError, NotInGroupError
-from .minimize import are_equivalent, asc, distinguishing_word, minimize
+from .minimize import are_equivalent, asc, minimize
 from .perms import (
     KSubset,
     Perm,
@@ -25,7 +25,6 @@ from .perms import (
     identity_perm,
     ksubsets,
     orbit,
-    perm_compose,
     perm_from_word,
     perm_inverse,
     synthesize_word,
@@ -59,7 +58,6 @@ from .textio import (
     parse_dfa,
     report_to_json,
     word_from_str,
-    word_to_str,
 )
 from .witness import (
     Star,

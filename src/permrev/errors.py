@@ -112,8 +112,10 @@ class CapacityError(RuntimeError):
     """A configured size cap was exceeded before the computation finished.
 
     ``count`` records how far the computation got (states interned, group
-    elements visited, ...) when it gave up; ``stage`` names the function
-    whose cap it was, such as ``"reverse_construction"``.
+    elements visited, ...) when it gave up, or the size it refused, and is
+    None where that size was not computed (``build_witness`` refuses a huge
+    witness without computing its state count); ``stage`` names the
+    function whose cap it was, such as ``"reverse_construction"``.
     """
 
     def __init__(

@@ -17,10 +17,7 @@ checks the certificate.
 
 from __future__ import annotations
 
-from collections import deque
-
 from .dfa import Dfa, check_dfa, reachable_states
-from .errors import check_index
 
 
 def minimize(dfa: Dfa) -> Dfa:
@@ -80,40 +77,3 @@ def asc(dfa: Dfa) -> int:
     """Final-state count of the minimal DFA: the accepting-state complexity."""
     return len(minimize(dfa).finals)
 
-
-def distinguishing_word(dfa: Dfa, p: int, q: int) -> tuple[int, ...] | None:
-    """A shortest word accepted from exactly one of ``p``, ``q``.
-
-    Returns None when the states are equivalent. Both states must be
-    reachable. BFS runs over unordered state pairs with letter-index
-    tie-break, so the word returned is deterministic.
-    """
-    check_dfa(dfa)
-    check_index("state", p, dfa.num_states)
-    check_index("state", q, dfa.num_states)
-    reach = set(reachable_states(dfa))
-    if p not in reach or q not in reach:
-        raise ValueError("states must be reachable")
-
-    def key(a: int, b: int) -> tuple[int, int]:
-        return (a, b) if a <= b else (b, a)
-
-    first = key(p, q)
-    parent: dict[tuple[int, int], tuple[tuple[int, int], int] | None] = {first: None}
-    queue = deque([first])
-    while queue:
-        pair = queue.popleft()
-        a, b = pair
-        if (a in dfa.finals) != (b in dfa.finals):
-            word: list[int] = []
-            node = pair
-            while parent[node] is not None:
-                node, letter = parent[node]
-                word.append(letter)
-            return tuple(reversed(word))
-        for c, column in enumerate(dfa.columns):
-            nxt = key(column[a], column[b])
-            if nxt not in parent:
-                parent[nxt] = (pair, c)
-                queue.append(nxt)
-    return None

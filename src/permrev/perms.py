@@ -48,19 +48,12 @@ def transposition_perm(n: int) -> Perm:
     return (1, 0) + tuple(range(2, n))
 
 
-def perm_compose(p: Perm, q: Perm) -> Perm:
-    """"p then q": the result maps i to q(p(i)).
-
-    Folding a word's letters through this operator left to right gives the
-    permutation the word induces, matching how words act on states.
-    ValueError unless p and q permute the same points.
-    """
-    _check_generators((p, q))
-    return _compose(p, q)
-
-
 def _compose(p: Perm, q: Perm) -> Perm:
-    """``perm_compose`` of two checked permutations."""
+    """"p then q" for two checked permutations: i goes to q(p(i)).
+
+    Folding a word's letters through it left to right gives the permutation
+    the word induces, matching how words act on states.
+    """
     return tuple(map(q.__getitem__, p))
 
 
@@ -171,17 +164,14 @@ def orbit(generators: Sequence[Perm], seed: KSubset) -> list[KSubset]:
     return order
 
 
-def synthesize_word(
-    generators: Sequence[Perm],
-    target: Perm,
-    max_group_size: int = MAX_GROUP_ELEMENTS,
-) -> tuple[int, ...]:
+def synthesize_word(generators: Sequence[Perm], target: Perm) -> tuple[int, ...]:
     """A shortest word over the generators whose composition equals ``target``.
 
     BFS over the generated group with generator-index tie-break. Raises
     ValueError at once unless ``target`` permutes the generators' points,
     NotInGroupError once the closure is exhausted without hitting the target,
-    and CapacityError if the closure grows past ``max_group_size``.
+    and CapacityError if the closure grows past ``MAX_GROUP_ELEMENTS``,
+    which is read at call time.
     """
     n = _check_generators(generators)
     target = check_points("target", target)
@@ -201,9 +191,9 @@ def synthesize_word(
         for idx, g in enumerate(generators):
             nxt = _compose(cur, g)
             if nxt not in parent:
-                if len(parent) >= max_group_size:
+                if len(parent) >= MAX_GROUP_ELEMENTS:
                     raise CapacityError(
-                        f"group closure exceeded {max_group_size} elements",
+                        f"group closure exceeded {MAX_GROUP_ELEMENTS} elements",
                         count=len(parent),
                         stage="synthesize_word",
                     )

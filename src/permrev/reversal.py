@@ -19,20 +19,19 @@ automaton and without building the reverse one. ``certify_reversal``
 returns the reverse automaton and its subsets as well, from the same
 exploration.
 
-On at most ``MASK_STATES`` = 8 forward states, ``reversal_certificate``
-takes a second, private path where a subset-state is a byte: bit p stands
-for forward state p, so every subset is a mask in 0..255. Each letter's
-preimage map is then one 256-byte table, built from ints whose byte lanes
-hold one mask each, and the BFS maps a whole level per letter with one
-``bytes.translate`` in C. The forward classes and both asc values are read
-off the bytes of all subsets with more translates, with no block splits.
-The bound is the width of a byte, not a tuning knob. On the 2019 automata
-that the benchmark's probe certifies (seed 1009, at most 8 states, 2 vCPUs,
-Python 3.11), the byte path took 0.034-0.052 s in all, the earlier int-mask
-path, which walked each subset's bits in the interpreter, 0.063-0.107 s, and
-the tuple path 0.10-0.15 s.
-``certify_reversal`` and ``reverse_construction`` keep the tuple subsets,
-which the star classification reads.
+The magic-value probe certifies automata of at most ``MASK_STATES`` = 8
+states on a private byte kernel, ``_mask_certificate``, where a
+subset-state is a byte: bit p stands for forward state p, so every subset
+is a mask in 0..255. Each letter's preimage map is then one 256-byte
+table, built from ints whose byte lanes hold one mask each, and the BFS
+maps a whole level per letter with one ``bytes.translate`` in C. The
+forward classes and both asc values are read off the bytes of all subsets
+with more translates, with no block splits. The bound is the width of a
+byte, not a tuning knob. On the 2019 automata that the benchmark's probe
+certifies (seed 1009, at most 8 states, 2 vCPUs, Python 3.11), the byte
+kernel took 0.034-0.052 s in all and the tuple path 0.10-0.15 s.
+``reversal_certificate``, ``certify_reversal`` and ``reverse_construction``
+keep the tuple subsets, which the star classification reads.
 """
 
 from __future__ import annotations
@@ -41,7 +40,7 @@ from dataclasses import dataclass, replace
 from functools import partial
 from itertools import chain, compress, count, repeat
 from operator import contains
-from typing import AbstractSet, Callable, Iterable, Iterator, NoReturn, Sequence
+from typing import AbstractSet, Callable, Iterable, Iterator, Sequence
 
 from .dfa import Dfa, check_dfa, reachable_states
 from .errors import CapacityError, are_subset_states, check_index, check_int
@@ -50,8 +49,8 @@ SubsetState = tuple[int, ...]
 
 DEFAULT_MAX_STATES = 1_000_000
 
-# reversal_certificate runs on byte-mask subsets up to this many forward
-# states and on tuple subsets above: one bit per state in a byte.
+# _mask_certificate takes automata of up to this many states: one bit per
+# state in a byte.
 MASK_STATES = 8
 
 # Lane s (byte s) of _BIT[q] is 1 iff the mask s holds state q. _HOLDS[p][q]
@@ -66,9 +65,11 @@ _HOLDS = [
 
 
 def mask_states(mask: int) -> list[int]:
-    """The set bits of a non-negative int, ascending."""
-    if mask < 0:
-        raise ValueError("mask must be non-negative")
+    """The set bits of a non-negative int, ascending.
+
+    Raises ValueError unless ``mask`` is an int >= 0 (a bool is not).
+    """
+    check_int("mask", mask, 0)
     out = []
     while mask:
         low = mask & -mask
@@ -138,19 +139,15 @@ def _explore(fwd: Dfa, max_states: int) -> tuple[list[int], list[SubsetState]]:
             j = intern(t, fresh)
             if j == fresh:
                 if j >= max_states:
-                    _overflow(max_states, j)
+                    raise CapacityError(
+                        f"reverse construction exceeded {max_states} states",
+                        count=j,
+                        stage="reverse_construction",
+                    )
                 subsets.append(t)
                 fresh += 1
             targets.append(j)
     return targets, subsets
-
-
-def _overflow(max_states: int, count: int) -> NoReturn:
-    raise CapacityError(
-        f"reverse construction exceeded {max_states} states",
-        count=count,
-        stage="reverse_construction",
-    )
 
 
 def _final_indices(fwd: Dfa, subsets: list[SubsetState]) -> Iterator[int]:
@@ -228,13 +225,9 @@ def reversal_certificate(fwd: Dfa) -> ReversalCertificate:
     building the reverse automaton.
 
     Raises ValueError unless ``fwd`` is a Dfa, and CapacityError when the
-    reverse construction would pass its default cap. An automaton on at
-    most ``MASK_STATES`` states is certified on byte-mask subsets, any other
-    on the tuple subsets of ``_explore``; both give the same certificate.
+    reverse construction would pass its default cap.
     """
     reach = reachable_states(fwd)
-    if fwd.num_states <= MASK_STATES:
-        return _mask_certificate(fwd.columns, fwd.start, fwd.finals, reach)
     subsets = _explore(fwd, DEFAULT_MAX_STATES)[1]
     return _certificate(fwd, subsets, _final_indices(fwd, subsets), reach)
 
@@ -251,10 +244,7 @@ def _certificate(
     equivalent iff their subsets agree on the reachable forward states
     (Brzozowski's double-reversal argument). The forward classes come from
     refining one partition by membership in each subset; the cost is about
-    the total size of the subsets, with no Moore refinement. A partition
-    with one state per block cannot split further, so the refinement stops
-    there. It looks for that only after n new block ids since its last
-    look, so the looks cost O(ids issued).
+    the total size of the subsets, with no Moore refinement.
     """
     n = fwd.num_states
     accessible = len(reach) == n
@@ -267,7 +257,6 @@ def _certificate(
 
     block = [0] * n
     fresh = 1
-    look = 1 + n  # the value of fresh at the next look
     for s in cut:
         # Members of s leave their block for a fresh one, shared only with
         # the members of s from the same old block.
@@ -275,10 +264,6 @@ def _certificate(
         for p in s:
             block[p] = moved.setdefault(block[p], fresh + len(moved))
         fresh += len(moved)
-        if fresh >= look:
-            if len(set(block)) == n:
-                break
-            look = fresh + n
     return ReversalCertificate(
         asc_forward=len({block[q] for q in reach if q in fwd.finals}),
         asc_reverse=len(set(map(cut.__getitem__, finals))),
@@ -309,20 +294,18 @@ def _mask_certificate(
     letter c), start, finals and reachable states, with each subset-state a
     byte whose bit ``1 << p`` stands for forward state p.
 
-    Nothing is checked and no ``Dfa`` is needed: ``reversal_certificate``
-    passes the columns of a validated ``Dfa``, and the magic-value probe
+    Nothing is checked and no ``Dfa`` is needed: the magic-value probe
     passes the columns that ``spectrum._draw`` shuffled, so a probe draw
     becomes a ``Dfa`` only when it is a counterexample.
 
     Each letter's preimage map is one 256-byte table, so the BFS maps a
     whole level per letter with ``bytes.translate``, and deleting the seen
-    masks from the result leaves the next level. The cap is the same as
-    ``_explore``'s. The seen masks are then one bytes object, and the
+    masks from the result leaves the next level. There are at most 256
+    masks, so no cap applies. The seen masks are then one bytes object, and the
     certificate is read off it with ``translate``: forward state q's
     signature marks the subsets that hold q, and reachable states are
     equivalent iff their signatures are equal.
     """
-    max_states = DEFAULT_MAX_STATES
     n = len(columns[0])
     # the preimage of s under a letter holds p iff s holds p's successor
     tables = [_lane_table(_HOLDS, column) for column in columns]
@@ -331,8 +314,6 @@ def _mask_certificate(
         preimages = b"".join(map(level.translate, tables))
         level = bytes(set(preimages.translate(None, subsets)))
         subsets += level
-        if len(subsets) > max_states:
-            _overflow(max_states, max_states)
 
     signature = {q: subsets.translate(_BIT[q]) for q in reach}
     asc_forward = len({signature[q] for q in reach if q in finals})

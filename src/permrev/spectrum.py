@@ -5,10 +5,10 @@ The grid rows check that the (m, alpha) witness really has asc pair
 one-state automata; and the magic-value probe samples random permutation
 automata looking for a reversal with asc 1 (none is expected: 1 is the one
 unattainable value once asc >= 2). Every asc pair here is read off the
-reverse subsets by ``reversal_certificate``, or for a probe draw by its
-byte-mask kernel on the draw's letter columns; no reverse automaton is
-built, nothing is minimized, and a draw becomes a ``Dfa`` only when it is a
-counterexample.
+reverse subsets by ``reversal_certificate``, or for a probe draw by the
+byte-mask kernel ``_mask_certificate`` on the draw's letter columns; no
+reverse automaton is built, nothing is minimized, and a draw becomes a
+``Dfa`` only when it is a counterexample.
 """
 
 from __future__ import annotations
@@ -104,17 +104,17 @@ def _draw(
     return columns, start, frozenset(compress(range(n), flips))
 
 
-def random_pfa(rng: random.Random, num_states: int, alphabet_size: int = 2) -> Dfa:
-    """Uniform random permutation per letter, uniform start, fair-coin finals.
+def random_pfa(rng: random.Random, num_states: int) -> Dfa:
+    """A binary permutation automaton: a uniform random permutation per
+    letter, uniform start, fair-coin finals.
 
     Raises ValueError unless ``rng`` is a ``random.Random`` and
-    ``num_states`` and ``alphabet_size`` are ints >= 1.
+    ``num_states`` is an int >= 1.
     """
     if not isinstance(rng, random.Random):
         raise ValueError(f"rng must be a random.Random (got {type(rng).__name__})")
     check_int("num_states", num_states, 1)
-    check_int("alphabet_size", alphabet_size, 1)
-    return Dfa(num_states, alphabet_size, *_draw(rng, num_states, alphabet_size))
+    return Dfa(num_states, 2, *_draw(rng, num_states, 2))
 
 
 @dataclass(frozen=True)
@@ -191,7 +191,7 @@ def magic_one_probe(
         if not 2 <= len(finals.intersection(reach)) < len(reach):
             continue  # fewer than two reachable finals, or all of them final
         # _draw permutes by construction, so asc_pair's check is skipped, and
-        # the kernel of reversal_certificate takes the draw as it is
+        # the byte-mask kernel takes the draw as it is
         certificate = _mask_certificate(columns, start, finals, reach)
         forward, reverse = certificate.asc_forward, certificate.asc_reverse
         if forward < 2:

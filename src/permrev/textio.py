@@ -34,8 +34,8 @@ from itertools import chain, compress, count, islice, repeat
 from operator import itemgetter, not_
 from typing import Iterable, Iterator, NoReturn
 
-from .dfa import Dfa, Word, check_dfa
-from .errors import check_index, check_int, check_points
+from .dfa import Dfa, check_dfa
+from .errors import check_int
 from .spectrum import MagicProbeReport, SpectrumReport
 from .witness import WitnessReport, subset_label
 
@@ -77,14 +77,6 @@ def word_from_str(text: str) -> tuple[int, ...]:
     if -1 in word:
         raise ValueError(f"unknown letter {text[word.index(-1)]!r}")
     return word
-
-
-def word_to_str(word: Word) -> str:
-    """Inverse of ``word_from_str``; only letters 0..25 have a name there."""
-    word = check_points("word", word)
-    for c in word:
-        check_index("letter", c, len(_LETTERS))
-    return "".join(map(_LETTERS.__getitem__, word))
 
 
 def _lines(*pieces: Iterable[str]) -> Iterator[str]:

@@ -1,8 +1,23 @@
+import warnings
+
 import hypothesis.strategies as st
 import pytest
 
 from permrev.dfa import Dfa
 from permrev.witness import build_witness
+
+# Hypothesis imports its patch writer, and with it libcst where that is
+# installed, only when it reports a failing property. libcst's import warns
+# (mypy_extensions.TypedDict is deprecated), and under a "error" warning
+# filter that import then fails inside pytest's report hook, which crashes
+# the run with INTERNALERROR instead of printing the falsifying example.
+# Importing it once here, with the warning ignored, leaves nothing to warn.
+with warnings.catch_warnings():
+    warnings.simplefilter("ignore", DeprecationWarning)
+    try:
+        import hypothesis.extra._patching  # noqa: F401
+    except ImportError:  # libcst is not installed
+        pass
 
 def pytest_collection_finish(session):
     """Build the alphabet of ``st.text()`` before any test runs.

@@ -58,6 +58,10 @@ def test_verify_capacity_exit_code(capsys):
     code, _, err = run(capsys, "verify", "10000", "10000")
     assert code == 3
     assert "capacity exceeded: build_witness: " in err
+    # math.comb raises OverflowError on C(19999999999999999999, 10**19)
+    code, _, err = run(capsys, "verify", str(10**19), str(10**19))
+    assert code == 3
+    assert "capacity exceeded: build_witness: " in err
 
 
 def test_minimize_collapses(tmp_path, capsys):

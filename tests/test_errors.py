@@ -12,6 +12,8 @@ checked before any row is built, and the capacity messages that name an
 int too long for ``str()``.
 """
 
+import random
+
 import pytest
 from hypothesis import given
 import hypothesis.strategies as st
@@ -30,27 +32,35 @@ from permrev.errors import (
     check_subset,
     int_text,
 )
-from permrev.minimize import are_equivalent, asc, distinguishing_word, minimize
+from permrev.minimize import are_equivalent, asc, minimize
 from permrev.perms import (
     act_on_subset,
     colex_rank,
+    colex_unrank,
     cycle_perm,
+    identity_perm,
     orbit,
-    perm_compose,
     perm_from_word,
+    perm_inverse,
     synthesize_word,
     transposition_perm,
 )
-from permrev.reversal import reverse_construction, reverse_step
-from permrev.spectrum import MAX_GRID_CELLS, spectrum_table
+from permrev.reversal import (
+    mask_states, reverse_construction, reverse_dfa, reverse_step, reverse_subsets
+)
+from permrev.spectrum import (
+    MAX_GRID_CELLS, asc_pair, random_pfa, spectrum_point, spectrum_table
+)
 from permrev.textio import (
-    ParseError, emit_dfa, emit_dot, parse_dfa, word_from_str, word_to_str
+    ParseError, emit_dfa, emit_dot, letter_name, parse_dfa, report_to_json, word_from_str
 )
 from permrev.witness import (
     WitnessParams,
     build_witness,
     classify_reverse_states,
+    star_label,
     star_members,
+    subset_label,
     verify_witness,
 )
 
@@ -61,6 +71,7 @@ REV, SUBSETS = reverse_construction(W)
 PARAMS = WitnessParams(3, 4)
 P = cycle_perm(4)
 GENS = [cycle_perm(4), transposition_perm(4)]
+REPORT = verify_witness(2, 3)
 
 
 @pytest.mark.parametrize("value", [0, 14])
@@ -132,10 +143,6 @@ NOT_DFA = "expected a Dfa (got NoneType)"
     (apply_word, (W, 0, (2,)), "letter 2 is out of range"),
     (apply_word, (None, 0, ()), "expected a Dfa (got NoneType)"),
     (accepts, (None, ()), "expected a Dfa (got NoneType)"),
-    (distinguishing_word, (W, True, 1), "state True is out of range"),
-    (distinguishing_word, (W, 0, 1.0), "state 1.0 is out of range"),
-    (distinguishing_word, (W, None, 1), "state None is out of range"),
-    (distinguishing_word, (None, 0, 1), "expected a Dfa (got NoneType)"),
     (act_on_subset, (P, (1, 1)), "subset (1, 1) has repeated points"),
     (act_on_subset, (P, (True,)), "subset must be a sequence of ints (got (True,))"),
     (act_on_subset, (P, None), "subset must be a sequence of ints (got None)"),
@@ -151,10 +158,6 @@ NOT_DFA = "expected a Dfa (got NoneType)"
     (perm_from_word, (GENS, (True,)), "word must be a sequence of ints (got (True,))"),
     (perm_from_word, (GENS, None), "word must be a sequence of ints (got None)"),
     (perm_from_word, (GENS, (2,)), "letter 2 is out of range"),
-    (word_to_str, ((0.5,),), "word must be a sequence of ints (got (0.5,))"),
-    (word_to_str, ((True,),), "word must be a sequence of ints (got (True,))"),
-    (word_to_str, (None,), "word must be a sequence of ints (got None)"),
-    (word_to_str, ((26,),), "letter 26 is out of range"),
     (orbit, (GENS, (True,)), "seed must be a sequence of ints (got (True,))"),
     (orbit, (GENS, None), "seed must be a sequence of ints (got None)"),
     (star_members, (PARAMS, (0, True, 2)),
@@ -181,10 +184,12 @@ NOT_DFA = "expected a Dfa (got NoneType)"
     (synthesize_word, (GENS, None), "target must be a sequence of ints (got None)"),
     (synthesize_word, (GENS, (0.0, 1, 2, 3)),
      "target must be a sequence of ints (got (0.0, 1, 2, 3))"),
-    (perm_compose, (None, (0,)), "generator must be a sequence of ints (got None)"),
-    (perm_compose, ((0,), None), "generator must be a sequence of ints (got None)"),
-    (perm_compose, ((5,), (0,)), "(5,) is not a permutation of [1]"),
-    (perm_compose, ((0, 1, 2), P), "(1, 2, 3, 0) is not a permutation of [3]"),
+    (perm_from_word, ((None, (0,)), ()),
+     "generator must be a sequence of ints (got None)"),
+    (perm_from_word, (((0,), None), ()),
+     "generator must be a sequence of ints (got None)"),
+    (perm_from_word, (((5,), (0,)), ()), "(5,) is not a permutation of [1]"),
+    (perm_from_word, (((0, 1, 2), P), ()), "(1, 2, 3, 0) is not a permutation of [3]"),
     (colex_rank, (None,), "subset must be a sequence of ints (got None)"),
     (colex_rank, ((0, True),), "subset must be a sequence of ints (got (0, True))"),
     (colex_rank, ((1, 1),),
@@ -200,17 +205,18 @@ NOT_DFA = "expected a Dfa (got NoneType)"
     (Dfa, (1, 1, ((0,),), 0, None), "finals must be a set of states (got None)"),
     (Dfa, (1, 1, ((0,),), 0, [[0]]), "finals must be a set of states (got [[0]])"),
     (Dfa, (1, 1, ((0,),), 0, (), 5), "labels must be a sequence of str (got 5)"),
+    (mask_states, (None,), "mask must be an int >= 0 (got None)"),
+    (mask_states, ("x",), "mask must be an int >= 0 (got 'x')"),
+    (mask_states, (1.5,), "mask must be an int >= 0 (got 1.5)"),
 ], ids=[
     "apply_word_float_state", "apply_word_bool_state", "apply_word_none_state",
     "apply_word_bool_letter", "apply_word_letter_range", "apply_word_none_dfa",
-    "accepts_none_dfa", "distinguishing_bool_state", "distinguishing_float_state",
-    "distinguishing_none_state", "distinguishing_none_dfa", "act_repeated",
+    "accepts_none_dfa", "act_repeated",
     "act_bool_point", "act_none_subset", "act_point_range", "act_none_perm",
     "reverse_step_float_member", "reverse_step_bool_member",
     "reverse_step_none_subset", "reverse_step_bool_letter",
     "reverse_step_none_letter", "reverse_step_none_dfa", "perm_word_float",
-    "perm_word_bool", "perm_word_none", "perm_letter_range", "word_to_str_float",
-    "word_to_str_bool", "word_to_str_none", "word_to_str_range", "orbit_bool_seed",
+    "perm_word_bool", "perm_word_none", "perm_letter_range", "orbit_bool_seed",
     "orbit_none_seed", "star_bool_point", "star_point_range", "star_none_params",
     "classify_bool_member", "classify_float_member", "classify_none_subsets",
     "classify_none_rev", "classify_tuple_params", "parse_none",
@@ -222,7 +228,7 @@ NOT_DFA = "expected a Dfa (got NoneType)"
     "colex_none", "colex_bool_point", "colex_repeated", "colex_unsorted",
     "colex_negative", "synthesize_not_a_permutation", "synthesize_size_mismatch",
     "dfa_none_table", "dfa_int_column", "dfa_none_finals", "dfa_unhashable_finals",
-    "dfa_int_labels",
+    "dfa_int_labels", "mask_none", "mask_str", "mask_float",
 ])
 @pytest.mark.filterwarnings("error")
 def test_argument_errors_are_pinned(call, args, message):
@@ -268,12 +274,10 @@ LABELS = st.one_of(st.none(), VALUES, st.lists(st.text(max_size=2), max_size=3))
 ENTRY_POINTS = {
     "apply_word": (apply_word, DFAS, VALUES, VALUES),
     "accepts": (accepts, DFAS, VALUES),
-    "distinguishing_word": (distinguishing_word, DFAS, VALUES, VALUES),
     "reverse_step": (reverse_step, DFAS, VALUES, VALUES),
     "perm_from_word": (perm_from_word, GENERATORS, VALUES),
     "act_on_subset": (act_on_subset, st.one_of(VALUES, perms(max_n=5)), VALUES),
     "orbit": (orbit, GENERATORS, VALUES),
-    "word_to_str": (word_to_str, VALUES),
     "star_members": (star_members, WITNESS_PARAMS, VALUES),
     "classify_reverse_states": (
         classify_reverse_states, WITNESS_PARAMS, DFAS, SUBSET_LISTS
@@ -290,12 +294,31 @@ ENTRY_POINTS = {
     "synthesize_word": (
         synthesize_word, GENERATORS, st.one_of(VALUES, perms(max_n=4))
     ),
-    "perm_compose": (
-        perm_compose, st.one_of(VALUES, perms(max_n=3)), st.one_of(VALUES, perms(max_n=3))
-    ),
     "colex_rank": (colex_rank, VALUES),
     "Dfa": (Dfa, SIZES, SIZES, TABLES, VALUES, FINALS, LABELS),
+    "mask_states": (mask_states, VALUES),
+    "reverse_dfa": (reverse_dfa, DFAS, VALUES),
+    "reverse_subsets": (reverse_subsets, DFAS, VALUES),
+    "asc_pair": (asc_pair, DFAS),
+    "random_pfa": (random_pfa, st.one_of(VALUES, st.builds(random.Random)), VALUES),
+    "subset_label": (subset_label, VALUES),
+    "star_label": (star_label, VALUES),
+    "letter_name": (letter_name, VALUES),
+    "report_to_json": (report_to_json, st.one_of(VALUES, st.just(REPORT))),
+    "cycle_perm": (cycle_perm, VALUES),
+    "transposition_perm": (transposition_perm, VALUES),
+    "identity_perm": (identity_perm, VALUES),
+    "perm_inverse": (perm_inverse, st.one_of(VALUES, perms(max_n=4))),
+    "colex_unrank": (colex_unrank, VALUES, VALUES, VALUES),
+    # the int slots stay below 31, so a witness has at most 30 states
+    "build_witness": (build_witness, VALUES, VALUES, VALUES),
+    "verify_witness": (verify_witness, VALUES, VALUES, VALUES),
+    "spectrum_point": (spectrum_point, VALUES, VALUES, VALUES),
 }
+# Left out, as their cost grows with their int arguments: ksubsets, whose
+# (30, 15) case would list 155 M tuples, and spectrum_table and
+# magic_one_probe, which build one witness per grid cell or draw one
+# automaton per sample.
 
 DOCUMENTED = (ValueError, ParseError, CapacityError, NotInGroupError)
 

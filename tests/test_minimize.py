@@ -4,12 +4,12 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from permrev.dfa import Dfa, apply_word, reachable_states
-from permrev.minimize import are_equivalent, asc, distinguishing_word, minimize
+from permrev.dfa import Dfa, reachable_states
+from permrev.minimize import are_equivalent, asc, minimize
 from permrev.reversal import reverse_dfa
 
 from conftest import dfas
-from oracles import minimize_counts_by_marking, random_dfa
+from oracles import all_pairs_distinguishable, minimize_counts_by_marking, random_dfa
 
 EMPTY_LANG = Dfa(1, 2, ((0,), (0,)), 0, frozenset())
 SIGMA_STAR = Dfa(1, 2, ((0,), (0,)), 0, frozenset({0}))
@@ -115,52 +115,8 @@ def test_marking_oracle_agrees(dfa):
     assert minimize_counts_by_marking(dfa) == (small.num_states, len(small.finals))
 
 
-# ---------------------------------------------------------------------
-# distinguishing words
-# ---------------------------------------------------------------------
-
-def test_state_is_equivalent_to_itself(witness_3_4):
-    assert distinguishing_word(witness_3_4, 3, 3) is None
-
-
-def test_witness_neighbors_are_distinguishable(witness_3_4):
-    p = witness_3_4.labels.index("1234")
-    q = witness_3_4.labels.index("1235")
-    word = distinguishing_word(witness_3_4, p, q)
-    assert word is not None
-    ends = (
-        apply_word(witness_3_4, p, word) in witness_3_4.finals,
-        apply_word(witness_3_4, q, word) in witness_3_4.finals,
-    )
-    assert ends[0] != ends[1]
-
-
-def test_merged_equivalent_states_get_none():
-    # two states with identical images and identical acceptance
-    dfa = Dfa(3, 2, ((1, 1, 1), (2, 2, 2)), 0, frozenset({1, 2}))
-    assert distinguishing_word(dfa, 1, 2) is None
-
-
-def test_distinguishing_word_validates_states(witness_3_4):
-    with pytest.raises(ValueError):
-        distinguishing_word(witness_3_4, 0, 99)
-    unreachable = Dfa(2, 1, ((0, 1),), 0, frozenset({1}))
-    with pytest.raises(ValueError):
-        distinguishing_word(unreachable, 0, 1)
-
-
 def test_minimize_output_is_pairwise_distinguishable():
     rng = random.Random(5)
     for _ in range(20):
         small = minimize(random_dfa(rng, max_states=5))
-        for p in range(small.num_states):
-            for q in range(p + 1, small.num_states):
-                assert distinguishing_word(small, p, q) is not None
-
-
-def test_shortest_word_is_returned():
-    # state 1 is final, state 0 is not: a one-letter word must do
-    dfa = Dfa(2, 2, ((1, 1), (0, 0)), 0, frozenset({1}))
-    assert distinguishing_word(dfa, 0, 1) == ()
-    dfa2 = Dfa(3, 1, ((1, 2, 2),), 0, frozenset({2}))
-    assert distinguishing_word(dfa2, 0, 1) == (0,)
+        assert all_pairs_distinguishable(small)

@@ -14,7 +14,6 @@ from permrev.perms import (
     identity_perm,
     ksubsets,
     orbit,
-    perm_compose,
     perm_from_word,
     perm_inverse,
     synthesize_word,
@@ -35,31 +34,35 @@ def test_cycle_perm_examples():
 def test_transposition_perm_examples():
     assert transposition_perm(6) == (1, 0, 2, 3, 4, 5)
     assert transposition_perm(2) == cycle_perm(2)
-    two = transposition_perm(5)
-    assert perm_compose(two, two) == identity_perm(5)
+    assert perm_from_word([transposition_perm(5)], (0, 0)) == identity_perm(5)
     with pytest.raises(ValueError):
         transposition_perm(1)
 
 
+def compose(p, q):
+    """"p then q", as perm_from_word composes a word's letters."""
+    return perm_from_word([p, q], (0, 1))
+
+
 def test_compose_with_identity():
     p = cycle_perm(4)
-    assert perm_compose(p, identity_perm(4)) == p
-    assert perm_compose(identity_perm(4), p) == p
+    assert compose(p, identity_perm(4)) == p
+    assert compose(identity_perm(4), p) == p
 
 
 def test_compose_cycle_squared():
     # point 1 -> 3, 2 -> 1, 3 -> 2 in 1-based terms
-    assert perm_compose(cycle_perm(3), cycle_perm(3)) == (2, 0, 1)
+    assert compose(cycle_perm(3), cycle_perm(3)) == (2, 0, 1)
 
 
 def test_compose_is_p_then_q():
     # transposition then cycle sends point 1 to 3 (1 -> 2 -> 3)
-    assert perm_compose(transposition_perm(3), cycle_perm(3)) == (2, 1, 0)
+    assert compose(transposition_perm(3), cycle_perm(3)) == (2, 1, 0)
 
 
 def test_compose_size_mismatch():
     with pytest.raises(ValueError):
-        perm_compose(cycle_perm(3), cycle_perm(4))
+        compose(cycle_perm(3), cycle_perm(4))
 
 
 def test_inverse_examples():
@@ -70,7 +73,7 @@ def test_inverse_examples():
 
 @given(perms())
 def test_inverse_cancels(p):
-    assert perm_compose(p, perm_inverse(p)) == identity_perm(len(p))
+    assert compose(p, perm_inverse(p)) == identity_perm(len(p))
 
 
 def test_act_on_subset_examples():
@@ -88,7 +91,7 @@ def test_subset_action_is_group_action(p, data):
     q = tuple(data.draw(st.permutations(tuple(range(n)))))
     subset = tuple(sorted(data.draw(st.sets(st.integers(0, n - 1)))))
     assert act_on_subset(identity_perm(n), subset) == subset
-    assert act_on_subset(perm_compose(p, q), subset) == act_on_subset(
+    assert act_on_subset(compose(p, q), subset) == act_on_subset(
         q, act_on_subset(p, subset)
     )
 
@@ -230,12 +233,16 @@ def test_non_permutation_generators_rejected(call):
         call()
 
 
-def test_synthesize_respects_group_cap():
+def test_synthesize_respects_group_cap(monkeypatch):
+    # the cap is read at call time
+    monkeypatch.setattr("permrev.perms.MAX_GROUP_ELEMENTS", 3)
     gens = [cycle_perm(5), transposition_perm(5)]
     target = perm_inverse(cycle_perm(5))
     with pytest.raises(CapacityError) as info:
-        synthesize_word(gens, target, max_group_size=3)
-    assert info.value.stage == "synthesize_word"
+        synthesize_word(gens, target)
+    assert (str(info.value), info.value.count, info.value.stage) == (
+        "group closure exceeded 3 elements", 3, "synthesize_word"
+    )
 
 
 def test_synthesize_size_mismatch():

@@ -8,12 +8,15 @@ from hypothesis import given
 import hypothesis.strategies as st
 
 from permrev import reversal
-from permrev.dfa import Dfa, accepts, apply_word, is_permutation_automaton
+from permrev.dfa import (
+    Dfa, accepts, apply_word, is_permutation_automaton, reachable_states
+)
 from permrev.errors import CapacityError
 from permrev.minimize import minimize
 from permrev.perms import colex_rank
 from permrev.reversal import (
     MASK_STATES,
+    _mask_certificate,
     certify_reversal,
     mask_states,
     reversal_certificate,
@@ -255,8 +258,13 @@ def test_certify_reversal_returns_its_construction(fwd):
 
 @given(dfas(max_states=MASK_STATES))
 def test_reversal_certificate_matches_certify_reversal(fwd):
-    # every size here takes the mask path, and certify_reversal the tuple path
+    # the same subsets, with the finals found without a reverse Dfa
     assert reversal_certificate(fwd) == certify_reversal(fwd)[2]
+
+
+def mask_certificate(fwd):
+    """The byte-mask kernel on the letter columns of ``fwd``."""
+    return _mask_certificate(fwd.columns, fwd.start, fwd.finals, reachable_states(fwd))
 
 
 def every_dfa(num_states, alphabet_size):
@@ -280,7 +288,7 @@ def test_certificate_paths_agree_on_every_small_dfa(num_states, alphabet_size):
     # and merging letters, unreachable states, empty and full final sets
     seen = 0
     for fwd in every_dfa(num_states, alphabet_size):
-        assert reversal_certificate(fwd) == certify_reversal(fwd)[2], fwd
+        assert mask_certificate(fwd) == reversal_certificate(fwd), fwd
         seen += 1
     n = num_states
     assert seen == n ** (n * alphabet_size) * n * 2**n
@@ -295,29 +303,25 @@ def forbid(patch, name):
     patch.setattr(reversal, name, forbidden)
 
 
-@given(pfas(min_states=MASK_STATES, max_states=MASK_STATES + 1, max_finals=2))
+@given(pfas(min_states=MASK_STATES, max_states=MASK_STATES, max_finals=2))
 def test_certificate_paths_meet_at_the_mask_bound(fwd):
-    # masks at MASK_STATES states, tuples one above; with at most two
-    # finals each orbit of subsets stays small
-    expected = certify_reversal(fwd)[2]
-    masks = fwd.num_states == MASK_STATES
-    with pytest.MonkeyPatch.context() as patch:
-        forbid(patch, "_explore" if masks else "_mask_certificate")
-        assert reversal_certificate(fwd) == expected
+    # every bit of a byte holds a state; with at most two finals each orbit
+    # of subsets stays small
+    assert mask_certificate(fwd) == reversal_certificate(fwd)
 
 
-@pytest.mark.parametrize(
-    "m,alpha,other", [(2, 4, "_explore"), (3, 4, "_mask_certificate")],
-    ids=["masks", "tuples"],
-)
-def test_certificate_capacity_error_is_the_same_on_both_paths(
-    monkeypatch, m, alpha, other
-):
+# "masks" is a witness small enough for the byte-mask kernel, "tuples" one
+# that is not; reversal_certificate explores both on tuples.
+SIZES = pytest.mark.parametrize("m,alpha", [(2, 4), (3, 4)], ids=["masks", "tuples"])
+
+
+@SIZES
+def test_certificate_capacity_error_is_the_same_on_both_paths(monkeypatch, m, alpha):
     # 5 and 15 forward states, 10 and 20 reverse subsets; the cap is read
     # at call time
     fwd = build_witness(m, alpha)
     assert (fwd.num_states <= MASK_STATES) == (m == 2)
-    forbid(monkeypatch, other)
+    forbid(monkeypatch, "_mask_certificate")
     monkeypatch.setattr(reversal, "DEFAULT_MAX_STATES", 2)
     with pytest.raises(CapacityError) as info:
         reversal_certificate(fwd)
@@ -326,15 +330,12 @@ def test_certificate_capacity_error_is_the_same_on_both_paths(
     )
 
 
-@pytest.mark.parametrize(
-    "m,alpha,other", [(2, 4, "_explore"), (3, 4, "_mask_certificate")],
-    ids=["masks", "tuples"],
-)
-def test_certificate_cap_admits_exactly_its_count(monkeypatch, m, alpha, other):
+@SIZES
+def test_certificate_cap_admits_exactly_its_count(monkeypatch, m, alpha):
     fwd = build_witness(m, alpha)
     _, subsets, expected = certify_reversal(fwd)
     size = len(subsets)
-    forbid(monkeypatch, other)
+    forbid(monkeypatch, "_mask_certificate")
     monkeypatch.setattr(reversal, "DEFAULT_MAX_STATES", size)
     assert reversal_certificate(fwd) == expected
     monkeypatch.setattr(reversal, "DEFAULT_MAX_STATES", size - 1)
@@ -398,7 +399,7 @@ def test_certificate_when_the_partition_never_turns_discrete():
 
 def test_certificate_when_the_first_subset_makes_the_partition_discrete():
     # The first subset {1} splits the two states; a swaps them and b sends
-    # both to 0. The refinement may stop before the subsets () and {0, 1}.
+    # both to 0. The subsets () and {0, 1} split nothing further.
     fwd = Dfa(2, 2, ((1, 0), (0, 0)), 0, frozenset({1}))
     assert reverse_construction(fwd)[1] == [(1,), (0,), (), (0, 1)]
     assert certified(fwd) == (1, 2, True, True)

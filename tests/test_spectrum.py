@@ -111,9 +111,6 @@ def test_random_pfa_validates_size():
     with pytest.raises(ValueError) as info:
         random_pfa(random.Random(0), 2.5)
     assert str(info.value) == "num_states must be an int >= 1 (got 2.5)"
-    with pytest.raises(ValueError) as info:
-        random_pfa(random.Random(0), 3, alphabet_size=0)
-    assert str(info.value) == "alphabet_size must be an int >= 1 (got 0)"
 
 
 # ---------------------------------------------------------------------

@@ -6,7 +6,6 @@ import pytest
 from permrev import reversal, witness
 from permrev.dfa import Dfa, is_permutation_automaton
 from permrev.errors import CapacityError
-from permrev.minimize import distinguishing_word
 from permrev.reversal import reverse_construction
 from permrev.witness import (
     Star,
@@ -116,6 +115,28 @@ def test_witness_respects_state_cap():
     with pytest.raises(CapacityError, match=r"C\(19999, 10000\)") as info:
         build_witness(10000, 10000)
     assert info.value.count == math.comb(19999, 10000)
+
+
+@pytest.mark.parametrize("m,alpha", [(2**64, 2**64), (10**6, 10**6), (10**19, 10**19)])
+def test_witness_cap_refuses_a_huge_count_without_computing_it(m, alpha):
+    # math.comb takes tens of seconds on the second count and raises
+    # OverflowError on the others; no count is computed
+    with pytest.raises(CapacityError) as info:
+        build_witness(m, alpha)
+    assert (info.value.stage, info.value.count) == ("build_witness", None)
+    assert str(info.value) == (
+        f"witness for (m={m}, alpha={alpha}) needs C({m + alpha - 1}, {alpha})"
+        " states, more than the cap of 10000"
+    )
+
+
+@pytest.mark.parametrize("m,alpha", [(2, 2), (3, 4), (5, 5), (8, 7), (20, 2), (2, 20)])
+def test_witness_cap_admits_exactly_its_count(m, alpha):
+    total = math.comb(m + alpha - 1, alpha)
+    assert build_witness(m, alpha, state_cap=total).num_states == total
+    with pytest.raises(CapacityError) as info:
+        build_witness(m, alpha, state_cap=total - 1)
+    assert info.value.count == total
 
 
 # ---------------------------------------------------------------------
@@ -375,15 +396,9 @@ def test_accepting_star_count_is_alpha(m, alpha):
 
 
 def test_forward_minimality_certificates():
-    # all-pairs via the marking oracle, plus the BFS op on every pair of
-    # the small witnesses
+    # all pairs of states, via the marking oracle
     for m, alpha in [(2, 2), (3, 4), (4, 3), (5, 2), (2, 5)]:
-        fwd = build_witness(m, alpha)
-        assert all_pairs_distinguishable(fwd)
-        if fwd.num_states <= 21:
-            for p in range(fwd.num_states):
-                for q in range(p + 1, fwd.num_states):
-                    assert distinguishing_word(fwd, p, q) is not None
+        assert all_pairs_distinguishable(build_witness(m, alpha))
 
 
 def test_star_dataclass_is_frozen():
