@@ -6,6 +6,7 @@ failure, 3 capacity exceeded.
 
 from __future__ import annotations
 
+import dataclasses
 import sys
 from typing import Sequence
 
@@ -210,7 +211,9 @@ def spectrum(
         probe = magic_one_probe(
             PROBE_N_MAX, probe_samples, DEFAULT_SEED, count_checked_only=True
         )
-    report = spectrum_table(m_max, alpha_max, state_cap=state_cap, probe=probe)
+    report = dataclasses.replace(
+        spectrum_table(m_max, alpha_max, state_cap=state_cap), magic_probe=probe
+    )
     for row in report.rows:
         pair = (
             "skipped"

@@ -213,10 +213,10 @@ def certify_reversal(
     """``reverse_construction(fwd)`` and ``reversal_certificate(fwd)``,
     from one exploration.
 
-    The construction runs with its default cap; its CapacityError
-    propagates.
+    The construction runs with ``DEFAULT_MAX_STATES`` as it reads at call
+    time; its CapacityError propagates.
     """
-    rev, subsets = reverse_construction(fwd)
+    rev, subsets = reverse_construction(fwd, DEFAULT_MAX_STATES)
     return rev, subsets, _certificate(fwd, subsets, rev.finals, reachable_states(fwd))
 
 
@@ -244,7 +244,10 @@ def _certificate(
     equivalent iff their subsets agree on the reachable forward states
     (Brzozowski's double-reversal argument). The forward classes come from
     refining one partition by membership in each subset; the cost is about
-    the total size of the subsets, with no Moore refinement.
+    the total size of the subsets, with no Moore refinement. On an
+    accessible automaton the cut subsets are the interned ones, which are
+    distinct, so the reverse is minimal; ``_mask_certificate`` reads
+    reverse minimality by the same rule.
     """
     n = fwd.num_states
     accessible = len(reach) == n
@@ -268,7 +271,7 @@ def _certificate(
         asc_forward=len({block[q] for q in reach if q in fwd.finals}),
         asc_reverse=len(set(map(cut.__getitem__, finals))),
         forward_minimal=accessible and len(set(block)) == n,
-        reverse_minimal=len(set(cut)) == len(cut),
+        reverse_minimal=accessible or len(set(cut)) == len(cut),
     )
 
 

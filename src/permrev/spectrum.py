@@ -28,7 +28,6 @@ from .minimize import asc  # noqa: F401
 from .reversal import reverse_dfa  # noqa: F401
 
 DEFAULT_SEED = 1009
-MAX_PROBE_STATES = MASK_STATES  # every draw is certified on byte masks
 # Witness cells of one spectrum_table call: the 2..101 square fits. A skipped
 # row still costs about 175 B, so the cap bounds the report at about 2 MB.
 MAX_GRID_CELLS = 10_000
@@ -172,8 +171,8 @@ def magic_one_probe(
     check_int("n_max", n_max, 1)
     check_int("samples", samples, 0)
     check_int("seed", seed)
-    if n_max > MAX_PROBE_STATES:
-        raise ValueError(f"n_max must be between 1 and {MAX_PROBE_STATES}")
+    if n_max > MASK_STATES:  # every draw is certified on byte masks
+        raise ValueError(f"n_max must be between 1 and {MASK_STATES}")
     if count_checked_only and n_max < 3:
         raise ValueError("no automaton on fewer than 3 states has asc >= 2")
     rng = random.Random(seed)
@@ -227,18 +226,14 @@ class SpectrumReport:
             return False
         return self.magic_probe is None or self.magic_probe.passed
 
-    @property
-    def skipped(self) -> tuple[SpectrumRow, ...]:
-        return tuple(row for row in self.rows if row.verdict == "skipped")
-
 
 def spectrum_table(
     m_max: int,
     alpha_max: int,
     state_cap: int = DEFAULT_STATE_CAP,
-    probe: MagicProbeReport | None = None,
 ) -> SpectrumReport:
-    """Trivial rows plus the witness grid 2..m_max x 2..alpha_max.
+    """Trivial rows plus the witness grid 2..m_max x 2..alpha_max, with no
+    probe; ``dataclasses.replace(report, magic_probe=probe)`` attaches one.
 
     Rows whose witness would blow the state cap are recorded as skipped,
     not failed; the overall verdict ignores them. Raises ValueError when
@@ -266,6 +261,4 @@ def spectrum_table(
                 continue
             verdict = "pass" if (forward, reverse) == (m, alpha) else "fail"
             rows.append(SpectrumRow(m, alpha, forward, reverse, verdict))
-    return SpectrumReport(
-        m_max=m_max, alpha_max=alpha_max, rows=tuple(rows), magic_probe=probe
-    )
+    return SpectrumReport(m_max=m_max, alpha_max=alpha_max, rows=tuple(rows))

@@ -20,10 +20,11 @@ in any order.
 The emitters work on the table's columns: each state's number becomes a
 string once, each letter's images are picks from those strings, and a
 document is one join, as adding joined blocks would copy it each time.
-``parse_dfa`` reads the state lines in one pass of builtins over their
-token columns. Only when that pass fails are the lines walked one by one,
-to raise a ``ParseError`` at the first bad token, with its 1-based line
-and column; the column is computed only then.
+``parse_dfa`` walks the header lines token by token, and reads the state
+lines in one pass of builtins over their token columns. Only when that
+pass fails are the state lines walked one by one as well. A walk raises a
+``ParseError`` at the first bad token, with its 1-based line and column;
+the column is computed only then.
 """
 
 from __future__ import annotations
@@ -134,34 +135,20 @@ def _are_labels(tokens: list[str]) -> bool:
     )
 
 
-def _check_numbers(
+def _numbers(
     line_no: int, line: str, tokens: list[str], k: int, bound: int, what: str
-) -> None:
-    """Raise a ParseError naming the first of ``tokens[k:]`` that is not a
-    number in ``range(bound)``."""
+) -> tuple[int, ...]:
+    """``tokens[k:]`` as numbers in ``range(bound)``, walked one by one; a
+    ParseError names the first that is not one."""
+    values = []
     for i in range(k, len(tokens)):
         value = _int_token(line_no, line, i, tokens[i], "a state index")
         if not 0 <= value < bound:
             raise ParseError(
                 line_no, _column(line, i), f"{what} {value} is out of range"
             )
-
-
-def _indices(
-    line_no: int, line: str, tokens: list[str], k: int, bound: int, what: str
-) -> tuple[int, ...]:
-    """``tokens[k:]`` as ints in ``range(bound)``; the tokens are walked one
-    by one only to name the first bad one."""
-    numbers = tokens[k:]
-    if _are_numbers(numbers):
-        try:
-            values = tuple(map(int, numbers))
-        except ValueError:  # more digits than int() converts
-            values = (bound,)  # out of range, so the walk names the token
-        if max(values, default=-1) < bound:
-            return values
-    _check_numbers(line_no, line, tokens, k, bound, what)
-    raise AssertionError("the walk accepted numbers that the pass rejected")
+        values.append(value)
+    return tuple(values)
 
 
 def _int_token(line_no: int, line: str, k: int, token: str, what: str) -> int:
@@ -283,7 +270,7 @@ def _reject_state_lines(
                 _column(line, len(tokens) - 1),
                 f"expected {alphabet_size} transition images, got {len(tokens) - k}",
             )
-        _check_numbers(line_no, line, tokens, k, num_states, "image")
+        _numbers(line_no, line, tokens, k, num_states, "image")
     if len(seen) != num_states:
         missing = next(q for q in range(num_states) if q not in seen)
         raise ParseError(last_line, 1, f"missing 'state {missing}' line")
@@ -321,12 +308,12 @@ def parse_dfa(text: str) -> Dfa:
     line_no, line, tokens = need_row(1, "'start' line")
     if tokens[0] != "start" or len(tokens) != 2:
         raise ParseError(line_no, _column(line, 0), "expected 'start <index>'")
-    (start,) = _indices(line_no, line, tokens, 1, num_states, "start state")
+    (start,) = _numbers(line_no, line, tokens, 1, num_states, "start state")
 
     line_no, line, tokens = need_row(2, "'finals' line")
     if tokens[0] != "finals":
         raise ParseError(line_no, _column(line, 0), "expected 'finals' line")
-    finals = _indices(line_no, line, tokens, 1, num_states, "final state")
+    finals = _numbers(line_no, line, tokens, 1, num_states, "final state")
 
     table = _state_block(
         [*map(itemgetter(2), rows[3:])], num_states, alphabet_size

@@ -69,11 +69,6 @@ class WitnessParams:
         """The start state: the first alpha points."""
         return tuple(range(self.alpha))
 
-    @property
-    def center0(self) -> KSubset:
-        """Center of the final-state star: the first alpha - 1 points."""
-        return tuple(range(self.alpha - 1))
-
 
 def _check_params(params: object) -> None:
     if not isinstance(params, WitnessParams):

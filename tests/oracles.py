@@ -211,7 +211,7 @@ def canonical_permutation_pairs(n: int) -> list[tuple[tuple[int, ...], ...]]:
     return pairs
 
 
-def _colex_subsets(n: int, k: int) -> list[tuple[int, ...]]:
+def colex_subsets(n: int, k: int) -> list[tuple[int, ...]]:
     """The k-subsets of range(n), sorted colexicographically."""
     return sorted(combinations(range(n), k), key=lambda x: x[::-1])
 
@@ -225,7 +225,7 @@ def witness_by_itertools(m: int, alpha: int) -> Dfa:
     with dots between them once some point needs two digits.
     """
     n = m + alpha - 1
-    states = _colex_subsets(n, alpha)
+    states = colex_subsets(n, alpha)
     number = {x: q for q, x in enumerate(states)}
 
     def image(x, move):
@@ -258,7 +258,7 @@ def star_centers_by_enumeration(n: int, alpha: int, subsets) -> list:
     alpha-subsets; every star is listed by its member numbers and each
     subset is looked up among them.
     """
-    states = _colex_subsets(n, alpha)
+    states = colex_subsets(n, alpha)
     stars = {
         tuple(q for q, x in enumerate(states) if set(center) <= set(x)): center
         for center in combinations(range(n), alpha - 1)

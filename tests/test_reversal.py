@@ -13,7 +13,6 @@ from permrev.dfa import (
 )
 from permrev.errors import CapacityError
 from permrev.minimize import minimize
-from permrev.perms import colex_rank
 from permrev.reversal import (
     MASK_STATES,
     _mask_certificate,
@@ -31,6 +30,7 @@ from permrev.witness import WitnessParams, build_witness, star_members
 from conftest import dfa_with_word, dfas, mixed_dfas, pfas
 from oracles import (
     brute_reachable_subsets,
+    colex_subsets,
     minimize_counts_by_marking,
     random_dfa,
     reverse_by_word_formula,
@@ -40,8 +40,10 @@ SIGMA_STAR = Dfa(1, 2, ((0,), (0,)), 0, frozenset({0}))
 
 
 def star_subset(params, center):
+    """The witness states of a star, numbered by their colex position."""
+    number = {x: q for q, x in enumerate(colex_subsets(params.n, params.alpha))}
     return tuple(
-        sorted(colex_rank(member) for member in star_members(params, center).members)
+        sorted(number[member] for member in star_members(params, center).members)
     )
 
 
@@ -323,25 +325,28 @@ def test_certificate_capacity_error_is_the_same_on_both_paths(monkeypatch, m, al
     assert (fwd.num_states <= MASK_STATES) == (m == 2)
     forbid(monkeypatch, "_mask_certificate")
     monkeypatch.setattr(reversal, "DEFAULT_MAX_STATES", 2)
-    with pytest.raises(CapacityError) as info:
-        reversal_certificate(fwd)
-    assert (str(info.value), info.value.count, info.value.stage) == (
-        "reverse construction exceeded 2 states", 2, "reverse_construction"
-    )
+    for call in (reversal_certificate, certify_reversal):
+        with pytest.raises(CapacityError) as info:
+            call(fwd)
+        assert (str(info.value), info.value.count, info.value.stage) == (
+            "reverse construction exceeded 2 states", 2, "reverse_construction"
+        )
 
 
 @SIZES
 def test_certificate_cap_admits_exactly_its_count(monkeypatch, m, alpha):
     fwd = build_witness(m, alpha)
-    _, subsets, expected = certify_reversal(fwd)
+    rev, subsets, expected = certify_reversal(fwd)
     size = len(subsets)
     forbid(monkeypatch, "_mask_certificate")
     monkeypatch.setattr(reversal, "DEFAULT_MAX_STATES", size)
     assert reversal_certificate(fwd) == expected
+    assert certify_reversal(fwd) == (rev, subsets, expected)
     monkeypatch.setattr(reversal, "DEFAULT_MAX_STATES", size - 1)
-    with pytest.raises(CapacityError) as info:
-        reversal_certificate(fwd)
-    assert info.value.count == size - 1
+    for call in (reversal_certificate, certify_reversal):
+        with pytest.raises(CapacityError) as info:
+            call(fwd)
+        assert info.value.count == size - 1
 
 
 @pytest.mark.filterwarnings("error")

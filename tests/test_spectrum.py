@@ -10,10 +10,9 @@ from permrev import dfa as dfa_module
 from permrev import reversal, spectrum
 from permrev.dfa import Dfa, is_permutation_automaton, reachable_states
 from permrev.minimize import asc
-from permrev.reversal import certify_reversal, reverse_dfa
+from permrev.reversal import MASK_STATES, certify_reversal, reverse_dfa
 from permrev.spectrum import (
     DEFAULT_SEED,
-    MAX_PROBE_STATES,
     asc_pair,
     magic_one_probe,
     random_pfa,
@@ -285,7 +284,7 @@ def test_grid_2_to_8_reads_m_alpha():
 
 def test_capacity_rows_are_skipped_not_failed():
     report = spectrum_table(4, 4, state_cap=20)
-    skipped = {(r.m, r.alpha) for r in report.skipped}
+    skipped = {(r.m, r.alpha) for r in report.rows if r.verdict == "skipped"}
     assert (4, 4) in skipped  # comb(7, 4) = 35 > 20
     assert report.passed
     assert all(r.verdict in ("pass", "skipped") for r in report.rows)
@@ -293,7 +292,7 @@ def test_capacity_rows_are_skipped_not_failed():
 
 def test_probe_report_travels_with_table():
     probe = magic_one_probe(3, 20, seed=DEFAULT_SEED)
-    report = spectrum_table(2, 2, probe=probe)
+    report = dataclasses.replace(spectrum_table(2, 2), magic_probe=probe)
     assert report.magic_probe is probe
     assert report.passed
 
@@ -511,13 +510,13 @@ def test_probe_records_a_counterexample_as_its_dfa(monkeypatch):
     assert dict(report.histogram)[forward, 1] == 1
     assert report.checked == 200
     assert not report.passed
-    assert not spectrum_table(2, 2, probe=report).passed
+    assert not dataclasses.replace(spectrum_table(2, 2), magic_probe=report).passed
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_draws_are_permutation_automata(k):
     # the probe builds no Dfa for a draw, so its validity is checked here
-    for n in range(1, MAX_PROBE_STATES + 1):
+    for n in range(1, MASK_STATES + 1):
         for seed in range(150):
             columns, start, finals = spectrum._draw(random.Random(seed), n, k)
             assert len(columns) == k

@@ -721,7 +721,9 @@ def test_witness_report_json():
 
 
 def test_spectrum_report_json_with_probe():
-    report = spectrum_table(2, 2, probe=magic_one_probe(3, 10, seed=5))
+    report = dataclasses.replace(
+        spectrum_table(2, 2), magic_probe=magic_one_probe(3, 10, seed=5)
+    )
     payload = json.loads(report_to_json(report))
     assert payload["kind"] == "spectrum_report"
     assert payload["rows"][0] == {
@@ -742,9 +744,15 @@ def test_spectrum_report_json_with_probe():
      "e86d6961fa2c190d220092a48b2c5a45ad03540c29b943b413b1d273c11a1d54"),
     (lambda: spectrum_table(7, 7),
      "8c2e44bccc95c18a27801543b6c4d6f59eff903d07ec33798b7e09f494d3a0c1"),
-], ids=["verify_8_7", "spectrum_7_7"])
+    (lambda: dataclasses.replace(
+        spectrum_table(5, 5),
+        magic_probe=magic_one_probe(6, 1000, 1009, count_checked_only=True),
+    ),
+     "9c140ea3de8c14a73eb60574d4a6863b35a2ab089644dbd573a629bfd92c5193"),
+], ids=["verify_8_7", "spectrum_7_7", "spectrum_5_5_probe"])
 def test_report_json_is_pinned(make_report, digest):
-    # the benchmark's verify and grid reports, byte for byte
+    # the benchmark's verify and grid reports and the report of
+    # `permrev spectrum --m-max 5 --alpha-max 5 --probe-samples 1000`, byte for byte
     assert hashlib.sha256(report_to_json(make_report()).encode()).hexdigest() == digest
 
 

@@ -33,7 +33,6 @@ def test_params_derivations():
     params = WitnessParams(3, 4)
     assert params.n == 6
     assert params.q_init == (0, 1, 2, 3)
-    assert params.center0 == (0, 1, 2)
 
 
 def test_params_validation():
