@@ -6,7 +6,6 @@ failure, 3 capacity exceeded.
 
 from __future__ import annotations
 
-import dataclasses
 import sys
 from typing import Sequence
 
@@ -16,6 +15,7 @@ from .dfa import apply_word
 from .errors import CapacityError
 from .minimize import asc as _asc
 from .minimize import minimize as _minimize
+from .records import replace
 from .reversal import DEFAULT_MAX_STATES, certify_reversal, reverse_dfa
 from .spectrum import (
     DEFAULT_SEED,
@@ -73,14 +73,26 @@ def cli() -> None:
     """Permutation-automaton reversal toolkit."""
 
 
+_witness_state_cap = click.option(
+    "--state-cap",
+    default=DEFAULT_STATE_CAP,
+    show_default=True,
+    type=int,
+    help="Exit 3 if the witness has more states than this.",
+)
+
+
 @cli.command()
 @click.argument("m", type=int)
 @click.argument("alpha", type=int)
 @click.option("--out", default=None, help="Write the DFA document here ('-' = stdout).")
 @click.option("--dot", default=None, help="Also write a Graphviz rendering here.")
-def witness(m: int, alpha: int, out: str | None, dot: str | None) -> None:
+@_witness_state_cap
+def witness(
+    m: int, alpha: int, out: str | None, dot: str | None, state_cap: int
+) -> None:
     """Build the witness automaton for (M, ALPHA) and emit it."""
-    dfa = build_witness(m, alpha)
+    dfa = build_witness(m, alpha, state_cap=state_cap)
     _write_text(out, emit_dfa(dfa))
     if dot is not None:
         _write_text(dot, emit_dot(dfa))
@@ -146,13 +158,7 @@ def _format_witness_report(report: WitnessReport) -> str:
 @click.argument("m", type=int)
 @click.argument("alpha", type=int)
 @click.option("--json", "json_path", default=None, help="Also write the report as JSON.")
-@click.option(
-    "--state-cap",
-    default=DEFAULT_STATE_CAP,
-    show_default=True,
-    type=int,
-    help="Exit 3 if the witness has more states than this.",
-)
+@_witness_state_cap
 def verify(m: int, alpha: int, json_path: str | None, state_cap: int) -> None:
     """Machine-check the witness for (M, ALPHA); exit 2 when a check fails."""
     report = verify_witness(m, alpha, state_cap=state_cap)
@@ -211,7 +217,7 @@ def spectrum(
         probe = magic_one_probe(
             PROBE_N_MAX, probe_samples, DEFAULT_SEED, count_checked_only=True
         )
-    report = dataclasses.replace(
+    report = replace(
         spectrum_table(m_max, alpha_max, state_cap=state_cap), magic_probe=probe
     )
     for row in report.rows:

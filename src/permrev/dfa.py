@@ -11,17 +11,16 @@ construction, so instances are safe to share between threads.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import repeat
 from typing import Callable, Sequence
 
 from .errors import are_indices, check_index, check_int, check_points, int_text
+from .records import Record
 
 Word = Sequence[int]
 
 
-@dataclass(frozen=True)
-class Dfa:
+class Dfa(Record):
     """A complete DFA given by its transition table, one column per letter.
 
     ``columns[c][q]`` is the successor of state ``q`` on letter ``c``, so

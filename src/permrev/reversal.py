@@ -36,7 +36,6 @@ keep the tuple subsets, which the star classification reads.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from functools import partial
 from itertools import chain, compress, count, repeat
 from operator import contains
@@ -44,6 +43,7 @@ from typing import AbstractSet, Callable, Iterable, Iterator, Sequence
 
 from .dfa import Dfa, check_dfa, reachable_states
 from .errors import CapacityError, are_subset_states, check_index, check_int
+from .records import Record, replace
 
 SubsetState = tuple[int, ...]
 
@@ -192,8 +192,7 @@ def reverse_dfa(fwd: Dfa, max_states: int = DEFAULT_MAX_STATES) -> Dfa:
     )
 
 
-@dataclass(frozen=True)
-class ReversalCertificate:
+class ReversalCertificate(Record):
     """asc and minimality of a DFA and of its reverse, as read off the
     reverse subsets.
 

@@ -15,11 +15,11 @@ from __future__ import annotations
 
 import random
 from collections import Counter
-from dataclasses import dataclass
 from itertools import compress
 
 from .dfa import Dfa, _reachable, is_permutation_automaton
 from .errors import CapacityError, check_int, int_text
+from .records import Record
 from .reversal import MASK_STATES, _mask_certificate, reversal_certificate
 from .witness import DEFAULT_STATE_CAP, build_witness
 
@@ -55,8 +55,7 @@ def spectrum_point(
     return asc_pair(build_witness(m, alpha, state_cap=state_cap))
 
 
-@dataclass(frozen=True)
-class SpectrumRow:
+class SpectrumRow(Record):
     m: int
     alpha: int
     asc_forward: int | None
@@ -116,8 +115,7 @@ def random_pfa(rng: random.Random, num_states: int) -> Dfa:
     return Dfa(num_states, 2, *_draw(rng, num_states, 2))
 
 
-@dataclass(frozen=True)
-class MagicProbeReport:
+class MagicProbeReport(Record):
     """Result of the empirical search for a reversal with asc 1.
 
     ``drawn`` counts all sampled automata, ``checked`` the ones with
@@ -210,8 +208,7 @@ def magic_one_probe(
     )
 
 
-@dataclass(frozen=True)
-class SpectrumReport:
+class SpectrumReport(Record):
     """Grid plus trivial rows, in (m, alpha) order, with an overall verdict."""
 
     m_max: int
@@ -233,7 +230,8 @@ def spectrum_table(
     state_cap: int = DEFAULT_STATE_CAP,
 ) -> SpectrumReport:
     """Trivial rows plus the witness grid 2..m_max x 2..alpha_max, with no
-    probe; ``dataclasses.replace(report, magic_probe=probe)`` attaches one.
+    probe; ``permrev.records.replace(report, magic_probe=probe)`` attaches
+    one.
 
     Rows whose witness would blow the state cap are recorded as skipped,
     not failed; the overall verdict ignores them. Raises ValueError when

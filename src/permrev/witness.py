@@ -14,7 +14,6 @@ backward, and the accepting-state complexities.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import reduce
 from itertools import combinations, islice, repeat
 from operator import and_, eq, xor
@@ -25,6 +24,7 @@ from .errors import (
     CapacityError, are_subset_states, check_int, check_points, check_subset, int_text
 )
 from .perms import KSubset
+from .records import Record
 from .reversal import SubsetState, certify_reversal
 
 # Unused here: perfbench/tracing.py wraps these names on this module by attribute.
@@ -49,8 +49,7 @@ DEFAULT_STATE_CAP = 10_000
 EXACT_COUNT_BITS = 1 << 18
 
 
-@dataclass(frozen=True)
-class WitnessParams:
+class WitnessParams(Record):
     """The pair (m, alpha) with the derived ground-set size n = m + alpha - 1."""
 
     m: int
@@ -87,8 +86,7 @@ def star_label(center: KSubset) -> str:
     return f"S({subset_label(center)})"
 
 
-@dataclass(frozen=True)
-class Star:
+class Star(Record):
     """All alpha-subsets of [n] containing a fixed center of size alpha - 1."""
 
     center: KSubset
@@ -220,8 +218,7 @@ def _labels(n: int, alpha: int) -> list[str]:
     return labels
 
 
-@dataclass(frozen=True)
-class StarClassification:
+class StarClassification(Record):
     """Outcome of matching every reverse state against a star.
 
     ``centers[i]`` is the center of reverse state ``i`` or None when that
@@ -305,8 +302,7 @@ def classify_reverse_states(
     return StarClassification(tuple(centers), tuple(accepting), covers, letter_law)
 
 
-@dataclass(frozen=True)
-class WitnessReport:
+class WitnessReport(Record):
     """Verification record for one (m, alpha) witness.
 
     ``first_failure`` names the first check that came out false, or is None

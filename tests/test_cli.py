@@ -151,6 +151,20 @@ def test_verify_state_cap(capsys):
     assert err == "error: state_cap must be an int >= 1 (got 0)\n"
 
 
+def test_witness_state_cap(capsys):
+    # C(9, 5) = 126 states
+    code, out, err = run(capsys, "witness", "5", "5", "--state-cap", "100")
+    assert (code, out) == (3, "")
+    assert err == (
+        "capacity exceeded: build_witness: witness for (m=5, alpha=5) needs"
+        " C(9, 5) states, more than the cap of 100\n"
+    )
+    code, out, _ = run(capsys, "witness", "5", "5", "--state-cap", "126")
+    assert code == 0
+    assert sum(line.startswith("state ") for line in out.splitlines()) == 126
+    assert parse_dfa(out) == parse_dfa(run(capsys, "witness", "5", "5")[1])
+
+
 def test_spectrum_state_cap_skips_cells(capsys):
     # the (3, 3) witness has C(5, 3) = 10 states, the (2, 3) witness 4
     args = ["spectrum", "--m-max", "3", "--alpha-max", "3"]

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import random
 from itertools import product
@@ -13,6 +12,7 @@ from permrev.dfa import (
 )
 from permrev.errors import CapacityError
 from permrev.minimize import minimize
+from permrev.records import replace
 from permrev.reversal import (
     MASK_STATES,
     _mask_certificate,
@@ -172,7 +172,7 @@ def test_smallest_witness_reverse_against_brute_force(m, alpha):
     assert subsets == reverse_subsets(fwd)
     # the pipeline's reverse is unlabeled; reverse_dfa only adds labels
     assert rev.labels is None
-    assert dataclasses.replace(reverse_dfa(fwd), labels=None) == rev
+    assert replace(reverse_dfa(fwd), labels=None) == rev
     assert len(rev.finals) == alpha
 
 

@@ -1,4 +1,3 @@
-import dataclasses
 import random
 import sys
 from collections import Counter
@@ -10,6 +9,7 @@ from permrev import dfa as dfa_module
 from permrev import reversal, spectrum
 from permrev.dfa import Dfa, is_permutation_automaton, reachable_states
 from permrev.minimize import asc
+from permrev.records import replace
 from permrev.reversal import MASK_STATES, certify_reversal, reverse_dfa
 from permrev.spectrum import (
     DEFAULT_SEED,
@@ -292,7 +292,7 @@ def test_capacity_rows_are_skipped_not_failed():
 
 def test_probe_report_travels_with_table():
     probe = magic_one_probe(3, 20, seed=DEFAULT_SEED)
-    report = dataclasses.replace(spectrum_table(2, 2), magic_probe=probe)
+    report = replace(spectrum_table(2, 2), magic_probe=probe)
     assert report.magic_probe is probe
     assert report.passed
 
@@ -486,7 +486,7 @@ def fake_one_counterexample(monkeypatch, which):
             certified.append(args)
             if len(certified) == which:
                 faked.append((args, certificate.asc_forward))
-                return dataclasses.replace(certificate, asc_reverse=1)
+                return replace(certificate, asc_reverse=1)
         return certificate
 
     monkeypatch.setattr(spectrum, "_mask_certificate", kernel)
@@ -510,7 +510,7 @@ def test_probe_records_a_counterexample_as_its_dfa(monkeypatch):
     assert dict(report.histogram)[forward, 1] == 1
     assert report.checked == 200
     assert not report.passed
-    assert not dataclasses.replace(spectrum_table(2, 2), magic_probe=report).passed
+    assert not replace(spectrum_table(2, 2), magic_probe=report).passed
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])

@@ -1,4 +1,3 @@
-import dataclasses
 import hashlib
 import json
 import random
@@ -10,6 +9,7 @@ import hypothesis.strategies as st
 from permrev import textio
 from permrev.dfa import Dfa
 from permrev.reversal import reverse_construction, reverse_dfa
+from permrev.records import replace
 from permrev.spectrum import magic_one_probe, spectrum_table, trivial_rows
 from permrev.textio import (
     ParseError,
@@ -302,7 +302,7 @@ def mutated_documents(draw):
     dfa = random_dfa(rng, max_states=4, alphabet_size=draw(st.integers(1, 2)))
     if draw(st.booleans()):
         labels = tuple(f"s{q}" for q in range(dfa.num_states))
-        dfa = dataclasses.replace(dfa, labels=labels)
+        dfa = replace(dfa, labels=labels)
     lines = [line.split() for line in emit_dfa(dfa).splitlines()]
     # The position and the action come from the seeded rng, so that they
     # spread evenly over the document instead of clustering on the header.
@@ -396,7 +396,7 @@ def value_mutated_documents(draw):
     dfa = random_dfa(rng, max_states=4, alphabet_size=draw(st.integers(1, 2)))
     if draw(st.booleans()):
         labels = tuple(f"s{q}" for q in range(dfa.num_states))
-        dfa = dataclasses.replace(dfa, labels=labels)
+        dfa = replace(dfa, labels=labels)
     lines = [line.split() for line in emit_dfa(dfa).splitlines()]
     values = [
         (i, j)
@@ -437,7 +437,7 @@ def random_document_lines(rng, labeled):
     dfa = random_dfa(rng, max_states=5, alphabet_size=rng.randint(1, 3))
     if labeled:
         labels = tuple(rng.choice(LABELS + (f"s{q}",)) for q in range(dfa.num_states))
-        dfa = dataclasses.replace(dfa, labels=labels)
+        dfa = replace(dfa, labels=labels)
     return [line.split() for line in emit_dfa(dfa).splitlines()]
 
 
@@ -574,7 +574,7 @@ def test_dot_reverse_witness_has_star_labels(witness_3_4):
     rev, subsets = reverse_construction(witness_3_4)
     cls = classify_reverse_states(WitnessParams(3, 4), rev, subsets)
     dot = emit_dot(
-        dataclasses.replace(rev, labels=tuple(star_label(c) for c in cls.centers))
+        replace(rev, labels=tuple(star_label(c) for c in cls.centers))
     )
     assert 'label="S(123)"' in dot
     assert dot.count("shape=") == 20 + 1  # 20 states plus the start marker
@@ -663,7 +663,7 @@ def test_emit_dfa_refuses_an_unwritable_label_as_the_oracle_does(dfa, data):
     cut = data.draw(st.integers(0, len(label)))
     labels = list(dfa.labels)
     labels[q] = label[:cut] + data.draw(UNWRITABLE_CHARS) + label[cut:]
-    dfa = dataclasses.replace(dfa, labels=tuple(labels))
+    dfa = replace(dfa, labels=tuple(labels))
     with pytest.raises(ValueError):
         emit_dfa_by_lines(dfa)
     assert_emitters_match_oracles(dfa)
@@ -721,7 +721,7 @@ def test_witness_report_json():
 
 
 def test_spectrum_report_json_with_probe():
-    report = dataclasses.replace(
+    report = replace(
         spectrum_table(2, 2), magic_probe=magic_one_probe(3, 10, seed=5)
     )
     payload = json.loads(report_to_json(report))
@@ -744,7 +744,7 @@ def test_spectrum_report_json_with_probe():
      "e86d6961fa2c190d220092a48b2c5a45ad03540c29b943b413b1d273c11a1d54"),
     (lambda: spectrum_table(7, 7),
      "8c2e44bccc95c18a27801543b6c4d6f59eff903d07ec33798b7e09f494d3a0c1"),
-    (lambda: dataclasses.replace(
+    (lambda: replace(
         spectrum_table(5, 5),
         magic_probe=magic_one_probe(6, 1000, 1009, count_checked_only=True),
     ),

@@ -8,7 +8,6 @@ from permrev.dfa import Dfa, is_permutation_automaton
 from permrev.errors import CapacityError
 from permrev.reversal import reverse_construction
 from permrev.witness import (
-    Star,
     WitnessParams,
     build_witness,
     classify_reverse_states,
@@ -398,9 +397,3 @@ def test_forward_minimality_certificates():
     # all pairs of states, via the marking oracle
     for m, alpha in [(2, 2), (3, 4), (4, 3), (5, 2), (2, 5)]:
         assert all_pairs_distinguishable(build_witness(m, alpha))
-
-
-def test_star_dataclass_is_frozen():
-    star = Star((0,), ((0, 1),))
-    with pytest.raises(AttributeError):
-        star.center = (1,)
