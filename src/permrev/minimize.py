@@ -17,45 +17,52 @@ checks the certificate.
 
 from __future__ import annotations
 
+from itertools import compress, count
+
 from .dfa import Dfa, check_dfa, reachable_states
 
 
 def minimize(dfa: Dfa) -> Dfa:
-    """The canonical minimal DFA accepting the same language."""
+    """The canonical minimal DFA accepting the same language.
+
+    A partition is a list of block numbers by BFS position. Each Moore
+    round zips the blocks with each letter's column mapped through them,
+    and numbers the signatures in order of first appearance, in passes of
+    builtins with no per-state loop.
+    """
     reach = reachable_states(dfa)
-    columns = dfa.columns
-    block = {q: (1 if q in dfa.finals else 0) for q in reach}
-    nblocks = len(set(block.values()))
+    position = dict(zip(reach, count()))
+    columns = [
+        [*map(position.__getitem__, map(column.__getitem__, reach))]
+        for column in dfa.columns
+    ]
+    block = [*map(dfa.finals.__contains__, reach)]
+    nblocks = len(set(block))
     while True:
-        ids: dict[tuple, int] = {}
-        refined: dict[int, int] = {}
-        for q in reach:
-            sig = (block[q], tuple(block[column[q]] for column in columns))
-            if sig not in ids:
-                ids[sig] = len(ids)
-            refined[q] = ids[sig]
-        block = refined
-        if len(ids) == nblocks:
+        get = block.__getitem__
+        signatures = [*zip(block, *(map(get, column) for column in columns))]
+        number = dict(zip(dict.fromkeys(signatures), count()))
+        block = [*map(number.__getitem__, signatures)]
+        if len(number) == nblocks:
             break
-        nblocks = len(ids)
+        nblocks = len(number)
 
-    # Blocks in order of first appearance along the BFS order ``reach``.
-    # This is the quotient's own BFS order: a block's later states lead
-    # only to blocks its first state already led to.
-    rep: dict[int, int] = {}
-    for q in reach:
-        rep.setdefault(block[q], q)
-    order = list(rep)
-    number = {b: i for i, b in enumerate(order)}
-
+    # Blocks are numbered in order of first appearance along the BFS order
+    # ``reach``. This is the quotient's own BFS order: a block's later
+    # states lead only to blocks its first state already led to. Zipped
+    # backwards, each block keeps the position of its first state.
+    first = dict(zip(reversed(block), range(len(block) - 1, -1, -1)))
+    reps = [*map(first.__getitem__, range(nblocks))]
+    get = block.__getitem__
     quotient = tuple(
-        tuple(number[block[column[rep[b]]]] for b in order) for column in columns
+        tuple(map(get, map(column.__getitem__, reps))) for column in columns
     )
-    finals = frozenset(number[b] for b in order if rep[b] in dfa.finals)
+    states = [*map(reach.__getitem__, reps)]
+    finals = frozenset(compress(count(), map(dfa.finals.__contains__, states)))
     labels = None
     if dfa.labels is not None:
-        labels = tuple(dfa.labels[rep[b]] for b in order)
-    return Dfa(len(order), dfa.alphabet_size, quotient, 0, finals, labels)
+        labels = tuple(map(dfa.labels.__getitem__, states))
+    return Dfa(nblocks, dfa.alphabet_size, quotient, 0, finals, labels)
 
 
 def are_equivalent(d1: Dfa, d2: Dfa) -> bool:

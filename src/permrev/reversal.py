@@ -11,13 +11,17 @@ A letter that permutes the forward states gives each state exactly one
 predecessor, so the preimage of S is S mapped through the letter's inverse
 and sorted: |S| lookups and one sort. Any other letter unions the
 predecessor lists of the members of S, about |S| + |preimage| list
-operations plus one sort. Each letter takes its path from the input.
+operations plus one sort. Each letter takes its path from the input, and
+one ``itemgetter`` per subset serves every letter.
 
 ``reversal_certificate`` reads the accepting-state complexity and
 minimality of both sides off the subsets, without minimizing either
 automaton and without building the reverse one. ``certify_reversal``
 returns the reverse automaton and its subsets as well, from the same
-exploration.
+exploration. For a permutation automaton the forward side is read off the
+start's Nerode class, which one set intersection over the final reverse
+subsets gives, since the group that the letters generate makes every
+class the same size; any other DFA refines a partition by every subset.
 
 The magic-value probe certifies automata of at most ``MASK_STATES`` = 8
 states on a private byte kernel, ``_mask_certificate``, where a
@@ -36,12 +40,11 @@ keep the tuple subsets, which the star classification reads.
 
 from __future__ import annotations
 
-from functools import partial
 from itertools import chain, compress, count, repeat
-from operator import contains
-from typing import AbstractSet, Callable, Iterable, Iterator, Sequence
+from operator import contains, itemgetter
+from typing import AbstractSet, Iterable, Sequence
 
-from .dfa import Dfa, check_dfa, reachable_states
+from .dfa import Dfa, check_dfa, is_permutation_automaton, reachable_states
 from .errors import CapacityError, are_subset_states, check_index, check_int
 from .records import Record, replace
 
@@ -86,22 +89,20 @@ def _predecessors(column: Sequence[int]) -> list[list[int]]:
     return pre
 
 
-def _preimage_map(fwd: Dfa, letter: int) -> Callable[[SubsetState], Iterable[int]]:
-    """The map taking a subset-state to its preimage under ``letter``,
-    unsorted.
+def _preimage_table(fwd: Dfa, letter: int) -> tuple[list, bool]:
+    """The table that a subset-state's members pick their preimage from
+    under ``letter``, and whether the letter permutes the states.
 
     When the letter permutes the states, every state has exactly one
-    predecessor, and the preimage is the image under the inverse map.
-    Otherwise it is the union of the predecessor lists of the members;
-    each state has one successor per letter, so distinct states have
-    disjoint lists and the union has no repeats.
+    predecessor, and the table is the inverse map. Otherwise it holds the
+    predecessor list of each state, and the preimage is the union of the
+    members' lists; each state has one successor per letter, so distinct
+    states have disjoint lists and the union has no repeats.
     """
     column = fwd.columns[letter]
     if len(set(column)) == fwd.num_states:
-        inverse = sorted(range(fwd.num_states), key=column.__getitem__)
-        return partial(map, inverse.__getitem__)
-    pre = _predecessors(column)
-    return lambda s: chain.from_iterable(map(pre.__getitem__, s))
+        return sorted(range(fwd.num_states), key=column.__getitem__), True
+    return _predecessors(column), False
 
 
 def reverse_step(fwd: Dfa, s: SubsetState, letter: int) -> SubsetState:
@@ -114,7 +115,9 @@ def reverse_step(fwd: Dfa, s: SubsetState, letter: int) -> SubsetState:
     if not are_subset_states((s,), fwd.num_states):
         raise ValueError("subset-state does not fit the forward automaton")
     check_index("letter", letter, fwd.alphabet_size)
-    return tuple(sorted(_preimage_map(fwd, letter)(s)))
+    table, permutes = _preimage_table(fwd, letter)
+    image = map(table.__getitem__, s)
+    return tuple(sorted(image if permutes else chain.from_iterable(image)))
 
 
 def _explore(fwd: Dfa, max_states: int) -> tuple[list[int], list[SubsetState]]:
@@ -123,19 +126,23 @@ def _explore(fwd: Dfa, max_states: int) -> tuple[list[int], list[SubsetState]]:
     order.
 
     Exploration starts from the forward final set and follows letter
-    preimages. Each letter's preimage goes through its inverse map when the
-    letter permutes the forward states, and through the union of its
-    predecessor lists otherwise; one BFS serves both.
+    preimages. Each subset-state gets one ``itemgetter`` of its members,
+    which picks them from every letter's ``_preimage_table``: the picks
+    are the preimage for a letter that permutes the forward states, and
+    the predecessor lists to chain otherwise; one BFS serves both.
     """
-    preimages = [_preimage_map(fwd, c) for c in range(fwd.alphabet_size)]
+    tables = [_preimage_table(fwd, c) for c in range(fwd.alphabet_size)]
     subsets = [tuple(sorted(fwd.finals))]
     index = {subsets[0]: 0}
     intern = index.setdefault
     fresh = 1  # the id of the next new subset-state, len(subsets)
     targets: list[int] = []
     for s in subsets:  # grows while it is walked: BFS order
-        for preimage in preimages:
-            t = tuple(sorted(preimage(s)))
+        # itemgetter returns a tuple only for two or more items
+        get = itemgetter(*s) if len(s) > 1 else lambda seq: [*map(seq.__getitem__, s)]
+        for table, permutes in tables:
+            image = get(table)
+            t = tuple(sorted(image if permutes else chain.from_iterable(image)))
             j = intern(t, fresh)
             if j == fresh:
                 if j >= max_states:
@@ -148,11 +155,6 @@ def _explore(fwd: Dfa, max_states: int) -> tuple[list[int], list[SubsetState]]:
                 fresh += 1
             targets.append(j)
     return targets, subsets
-
-
-def _final_indices(fwd: Dfa, subsets: list[SubsetState]) -> Iterator[int]:
-    """The indices of the subset-states that hold the forward start state."""
-    return compress(count(), map(contains, subsets, repeat(fwd.start)))
 
 
 def reverse_construction(
@@ -171,7 +173,8 @@ def reverse_construction(
     targets, subsets = _explore(fwd, max_states)
     k = fwd.alphabet_size
     columns = [targets[c::k] for c in range(k)]
-    rev = Dfa(len(subsets), k, columns, 0, frozenset(_final_indices(fwd, subsets)))
+    finals = compress(count(), map(contains, subsets, repeat(fwd.start)))
+    rev = Dfa(len(subsets), k, columns, 0, frozenset(finals))
     return rev, subsets
 
 
@@ -187,9 +190,9 @@ def reverse_dfa(fwd: Dfa, max_states: int = DEFAULT_MAX_STATES) -> Dfa:
     with commas; this is the view that ``permrev reverse`` emits.
     """
     rev, subsets = reverse_construction(fwd, max_states)
-    return replace(
-        rev, labels=tuple(",".join(fwd.label(q) for q in s) for s in subsets)
-    )
+    names = fwd.labels or [*map(str, range(fwd.num_states))]
+    pick = names.__getitem__
+    return replace(rev, labels=tuple(",".join(map(pick, s)) for s in subsets))
 
 
 class ReversalCertificate(Record):
@@ -216,7 +219,7 @@ def certify_reversal(
     time; its CapacityError propagates.
     """
     rev, subsets = reverse_construction(fwd, DEFAULT_MAX_STATES)
-    return rev, subsets, _certificate(fwd, subsets, rev.finals, reachable_states(fwd))
+    return rev, subsets, _certificate(fwd, subsets, reachable_states(fwd))
 
 
 def reversal_certificate(fwd: Dfa) -> ReversalCertificate:
@@ -227,26 +230,26 @@ def reversal_certificate(fwd: Dfa) -> ReversalCertificate:
     reverse construction would pass its default cap.
     """
     reach = reachable_states(fwd)
-    subsets = _explore(fwd, DEFAULT_MAX_STATES)[1]
-    return _certificate(fwd, subsets, _final_indices(fwd, subsets), reach)
+    return _certificate(fwd, _explore(fwd, DEFAULT_MAX_STATES)[1], reach)
 
 
 def _certificate(
-    fwd: Dfa, subsets: list[SubsetState], finals: Iterable[int], reach: list[int]
+    fwd: Dfa, subsets: list[SubsetState], reach: list[int]
 ) -> ReversalCertificate:
-    """The certificate read off the reverse subsets, the indices of the
-    final ones and the reachable forward states.
+    """The certificate read off the reverse subsets and the reachable
+    forward states.
 
     The subsets are exactly the sets ``{p : p . w in F}``, one for
     each word w, so two forward states are Myhill-Nerode equivalent iff
     every subset holds both or neither, and two reverse states are
     equivalent iff their subsets agree on the reachable forward states
-    (Brzozowski's double-reversal argument). The forward classes come from
-    refining one partition by membership in each subset; the cost is about
-    the total size of the subsets, with no Moore refinement. On an
-    accessible automaton the cut subsets are the interned ones, which are
-    distinct, so the reverse is minimal; ``_mask_certificate`` reads
-    reverse minimality by the same rule.
+    (Brzozowski's double-reversal argument). The forward side is read by
+    ``_start_class`` when every letter permutes the states and by
+    ``_refined_classes`` otherwise. The final reverse states are the
+    subsets that hold the forward start. On an accessible automaton the cut
+    subsets are the interned ones, which are distinct, so the reverse is
+    minimal; ``_mask_certificate`` reads reverse minimality by the same
+    rule.
     """
     n = fwd.num_states
     accessible = len(reach) == n
@@ -256,8 +259,44 @@ def _certificate(
     else:
         live = set(reach)
         cut = [tuple(p for p in s if p in live) for s in subsets]
+    # The start is reachable, so a subset holds it iff its cut does.
+    holds = [*map(contains, cut, repeat(fwd.start))]
+    if is_permutation_automaton(fwd):
+        asc_forward, num_classes = _start_class(fwd, cut, holds, reach)
+    else:
+        asc_forward, num_classes = _refined_classes(fwd, cut, reach)
+    return ReversalCertificate(
+        asc_forward=asc_forward,
+        asc_reverse=len(set(compress(cut, holds))),
+        forward_minimal=accessible and num_classes == n,
+        reverse_minimal=accessible or len(set(cut)) == len(cut),
+    )
 
-    block = [0] * n
+
+def _start_class(
+    fwd: Dfa, cut: list[SubsetState], holds: list[bool], reach: list[int]
+) -> tuple[int, int]:
+    """The number of Nerode classes among the reachable finals and among
+    the reachable states of a permutation automaton; ``holds[i]`` tells
+    whether ``cut[i]`` holds the start.
+
+    The letters generate a group G, transitive on the reachable states,
+    that permutes the classes, so all have the size of the start's class
+    C. G permutes the subsets too, so every reachable state lies in
+    equally many of them, and one that lies in every subset holding the
+    start lies in no other: C is one intersection.
+    """
+    start_class = set(reach).intersection(*compress(cut, holds))
+    size = len(start_class)
+    return len(fwd.finals.intersection(reach)) // size, len(reach) // size
+
+
+def _refined_classes(
+    fwd: Dfa, cut: list[SubsetState], reach: list[int]
+) -> tuple[int, int]:
+    """``_start_class`` for any DFA, by refining one partition by
+    membership in each subset: about the total size of the subsets."""
+    block = [0] * fwd.num_states
     fresh = 1
     for s in cut:
         # Members of s leave their block for a fresh one, shared only with
@@ -266,12 +305,8 @@ def _certificate(
         for p in s:
             block[p] = moved.setdefault(block[p], fresh + len(moved))
         fresh += len(moved)
-    return ReversalCertificate(
-        asc_forward=len({block[q] for q in reach if q in fwd.finals}),
-        asc_reverse=len(set(map(cut.__getitem__, finals))),
-        forward_minimal=accessible and len(set(block)) == n,
-        reverse_minimal=accessible or len(set(cut)) == len(cut),
-    )
+    blocks = map(block.__getitem__, reach)
+    return len({block[q] for q in reach if q in fwd.finals}), len(set(blocks))
 
 
 def _lane_table(rows: Iterable[list[int]], sources: Iterable[int]) -> bytes:

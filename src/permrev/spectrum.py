@@ -21,11 +21,12 @@ from .dfa import Dfa, _reachable, is_permutation_automaton
 from .errors import CapacityError, check_int, int_text
 from .records import Record
 from .reversal import MASK_STATES, _mask_certificate, reversal_certificate
-from .witness import DEFAULT_STATE_CAP, build_witness
+from .witness import DEFAULT_STATE_CAP, _witness_core
 
 # Unused here: perfbench/tracing.py wraps these names on this module by attribute.
 from .minimize import asc  # noqa: F401
 from .reversal import reverse_dfa  # noqa: F401
+from .witness import build_witness  # noqa: F401
 
 DEFAULT_SEED = 1009
 # Witness cells of one spectrum_table call: the 2..101 square fits. A skipped
@@ -51,8 +52,12 @@ def asc_pair(pfa: Dfa) -> tuple[int, int]:
 def spectrum_point(
     m: int, alpha: int, state_cap: int = DEFAULT_STATE_CAP
 ) -> tuple[int, int]:
-    """asc pair of the (m, alpha) witness; the expected value is (m, alpha)."""
-    return asc_pair(build_witness(m, alpha, state_cap=state_cap))
+    """asc pair of the (m, alpha) witness; the expected value is (m, alpha).
+
+    The witness is built unlabeled: no label is read here.
+    """
+    columns, finals, points = _witness_core(m, alpha, state_cap)
+    return asc_pair(Dfa(len(points), 2, columns, 0, finals))
 
 
 class SpectrumRow(Record):

@@ -132,16 +132,30 @@ def build_witness(m: int, alpha: int, state_cap: int = DEFAULT_STATE_CAP) -> Dfa
     """The binary permutation automaton on the alpha-subsets of [n].
 
     States are numbered in colexicographic order and labeled 1-based, so the
-    start state {1..alpha} is state 0 with label like "1234". Each state is
-    an n-bit point-set, from ``_colex_masks``: letter a (i -> i+1 mod n)
-    rotates it left by one bit, letter b swaps bits 0 and 1, and a dict from
-    point-set to state number gives each image's index. Each letter's column
-    of images is one pass of builtins over all point-sets, and the labels
-    are joined from ``itertools.combinations`` of the digit strings. Raises
-    ValueError when ``state_cap`` is not an int >= 1 and CapacityError when
-    the witness would have more than ``state_cap`` states. That is decided
-    without computing C(n, alpha) in full; the error's ``count`` is the
-    exact count where ``EXACT_COUNT_BITS`` admits it, and None otherwise.
+    start state {1..alpha} is state 0 with label like "1234". The table
+    comes from ``_witness_core`` and the labels are joined from
+    ``itertools.combinations`` of the digit strings. Raises ValueError when
+    ``state_cap`` is not an int >= 1 and CapacityError when the witness
+    would have more than ``state_cap`` states. That is decided without
+    computing C(n, alpha) in full; the error's ``count`` is the exact count
+    where ``EXACT_COUNT_BITS`` admits it, and None otherwise.
+    """
+    columns, finals, points = _witness_core(m, alpha, state_cap)
+    n = m + alpha - 1
+    return Dfa(len(points), 2, columns, 0, finals, _labels(n, alpha))
+
+
+def _witness_core(
+    m: int, alpha: int, state_cap: int
+) -> tuple[tuple[tuple[int, ...], ...], frozenset[int], list[int]]:
+    """The unlabeled witness, checked against the cap as ``build_witness``
+    states: its letter columns, its finals and the n-bit point-set of each
+    state, from ``_colex_masks``.
+
+    Letter a (i -> i+1 mod n) rotates a point-set left by one bit, letter b
+    swaps bits 0 and 1, and a dict from point-set to state number gives
+    each image's index. Each letter's column is one pass of builtins, built
+    as the tuple that ``Dfa`` stores, so it is never copied.
     """
     params = WitnessParams(m, alpha)
     check_int("state_cap", state_cap, 1)
@@ -159,12 +173,12 @@ def build_witness(m: int, alpha: int, state_cap: int = DEFAULT_STATE_CAP) -> Dfa
         )
     points = _colex_masks(n, alpha)
     index = dict(zip(points, range(total)))
-    a_images = [*map(index.__getitem__, _rotations(points, n, n - 1))]
-    b_images = [*map(index.__getitem__, _swaps(points))]
+    a_images = tuple(map(index.__getitem__, _rotations(points, n, n - 1)))
+    b_images = tuple(map(index.__getitem__, _swaps(points)))
     # The final star: the first alpha - 1 points and any one other point.
     center0 = (1 << (alpha - 1)) - 1
     finals = frozenset(index[center0 | 1 << u] for u in range(alpha - 1, n))
-    return Dfa(total, 2, (a_images, b_images), 0, finals, _labels(n, alpha))
+    return (a_images, b_images), finals, points
 
 
 def _count_up_to(n: int, k: int, cap: int) -> int:
@@ -272,8 +286,15 @@ def classify_reverse_states(
         raise ValueError("a subset does not fit the witness for these parameters")
     if rev.alphabet_size != 2 or not len(set(subsets)) == len(subsets) == rev.num_states:
         raise ValueError("subsets do not match the states of rev")
+    return _classify(params, rev, subsets, _colex_masks(n, alpha))
 
-    points = _colex_masks(n, alpha)
+
+def _classify(
+    params: WitnessParams, rev: Dfa, subsets: list[SubsetState], points: list[int]
+) -> StarClassification:
+    """``classify_reverse_states`` unchecked, given the n-bit point-set
+    ``points[q]`` of each witness state q."""
+    n, alpha = params.n, params.alpha
     members = map(map, repeat(points.__getitem__), subsets)
     commons = [*map(reduce, repeat(and_), members, repeat((1 << n) - 1))]
     # Each (alpha-1)-point mask and its center tuple, both in colex order;
@@ -339,11 +360,12 @@ def verify_witness(
     """
     params = WitnessParams(m, alpha)
     n = params.n
-    fwd = build_witness(m, alpha, state_cap=state_cap)
+    columns, finals, points = _witness_core(m, alpha, state_cap)
+    fwd = Dfa(len(points), 2, columns, 0, finals)
     forward_states, forward_finals = fwd.num_states, len(fwd.finals)
     rev, subsets, certificate = certify_reversal(fwd)
-    del fwd  # the forward table and labels need not outlive the reversal
-    classification = classify_reverse_states(params, rev, subsets)
+    del fwd, columns  # the forward table need not outlive the reversal
+    classification = _classify(params, rev, subsets, points)
 
     expected_centers = tuple(combinations(params.q_init, alpha - 1))
     accepting_ok = (

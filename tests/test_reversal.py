@@ -418,3 +418,49 @@ def test_certificate_cuts_subsets_to_reachable_states():
     _, subsets = reverse_construction(fwd)
     assert subsets == [(0, 2), (0, 1, 2)]
     assert certified(fwd) == (1, 1, False, False)
+
+
+@st.composite
+def permutation_automata(draw, max_states=9):
+    """Permutation automata on 1 to 3 letters and up to ``max_states``
+    states. Every letter permutes the first r states among themselves and
+    the rest among themselves, so a start on one side leaves the other
+    unreachable whenever r < n. The finals are none, one, all or any of
+    the states."""
+    n = draw(st.integers(1, max_states))
+    k = draw(st.integers(1, 3))
+    r = draw(st.integers(1, n))
+    columns = [
+        draw(st.permutations(range(r))) + draw(st.permutations(range(r, n)))
+        for _ in range(k)
+    ]
+    start = draw(st.integers(0, n - 1))
+    finals = draw(st.one_of(
+        st.just(()),
+        st.tuples(st.integers(0, n - 1)),
+        st.just(range(n)),
+        st.sets(st.integers(0, n - 1)),
+    ))
+    return Dfa(n, k, columns, start, finals)
+
+
+@given(permutation_automata())
+def test_start_class_rule_matches_refinement_and_minimize(fwd):
+    reach = reachable_states(fwd)
+    live = set(reach)
+    cut = [tuple(p for p in s if p in live) for s in reverse_subsets(fwd)]
+    holds = [fwd.start in s for s in cut]
+    # the two rules for the forward side, on the same subsets
+    assert reversal._start_class(fwd, cut, holds, reach) == (
+        reversal._refined_classes(fwd, cut, reach)
+    )
+    certificate = reversal_certificate(fwd)
+    small_fwd = minimize(fwd)
+    assert (certificate.asc_forward, certificate.forward_minimal) == (
+        len(small_fwd.finals), small_fwd.num_states == fwd.num_states
+    )
+    rev = reverse_dfa(fwd)
+    small_rev = minimize(rev)
+    assert (certificate.asc_reverse, certificate.reverse_minimal) == (
+        len(small_rev.finals), small_rev.num_states == rev.num_states
+    )

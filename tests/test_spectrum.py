@@ -338,14 +338,14 @@ def forbid_full_reversal(monkeypatch):
 
 
 def test_grid_explores_each_automaton_once_and_never_minimizes(monkeypatch):
-    calls = count_calls(
-        monkeypatch, ("build_witness", "reversal_certificate", "reverse_dfa", "asc")
-    )
+    names = ("_witness_core", "build_witness", "reversal_certificate", "reverse_dfa", "asc")
+    calls = count_calls(monkeypatch, names)
     full = forbid_full_reversal(monkeypatch)
     assert spectrum_table(3, 3).passed
-    # four witnesses plus the two one-state automata of the trivial rows
+    # four unlabeled witnesses plus the two one-state automata of the trivial rows
     assert calls == {
-        "build_witness": 4, "reversal_certificate": 6, "reverse_dfa": 0, "asc": 0,
+        "_witness_core": 4, "build_witness": 0, "reversal_certificate": 6,
+        "reverse_dfa": 0, "asc": 0,
     }
     assert full == {"certify_reversal": 0, "reverse_construction": 0}
     assert not hasattr(spectrum, "certify_reversal")

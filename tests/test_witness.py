@@ -347,7 +347,9 @@ def test_verify_4_3():
 
 def test_verify_explores_once_and_never_minimizes(monkeypatch):
     names = ("certify_reversal", "reverse_dfa", "reverse_subsets", "minimize", "asc")
-    calls = dict.fromkeys(names + ("reverse_construction",), 0)
+    calls = dict.fromkeys(
+        names + ("reverse_construction", "_labels", "are_subset_states"), 0
+    )
 
     def counted(owner, name):
         original = getattr(owner, name)
@@ -364,10 +366,14 @@ def test_verify_explores_once_and_never_minimizes(monkeypatch):
     monkeypatch.setattr(
         reversal, "reverse_construction", counted(reversal, "reverse_construction")
     )
+    # verify builds its witness unlabeled and classifies without re-checking
+    for name in ("_labels", "are_subset_states"):
+        monkeypatch.setattr(witness, name, counted(witness, name))
     assert verify_witness(3, 4).passed
     assert calls == {
         "certify_reversal": 1, "reverse_construction": 1, "reverse_dfa": 0,
-        "reverse_subsets": 0, "minimize": 0, "asc": 0,
+        "reverse_subsets": 0, "minimize": 0, "asc": 0, "_labels": 0,
+        "are_subset_states": 0,
     }
 
 
