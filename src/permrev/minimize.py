@@ -8,8 +8,9 @@ tables are identical, which is how ``are_equivalent`` decides.
 
 The verification pipeline (``verify_witness``, the spectrum grid and the
 magic-value probe) does not minimize: one ``reversal.certify_reversal`` or
-``reversal.reversal_certificate`` call explores each automaton's reverse
-subsets once and reads asc and minimality of both sides off them. The
+``reversal.reversal_certificate`` call explores each permutation
+automaton's reverse subsets once and reads asc and minimality of both
+sides off them, and the probe reads asc on byte masks. The
 minimizer serves ``permrev minimize`` and ``permrev asc``,
 ``are_equivalent``, and the tests, where table filling checks it and it
 checks the certificate.

@@ -18,31 +18,36 @@ one ``itemgetter`` per subset serves every letter.
 minimality of both sides off the subsets, without minimizing either
 automaton and without building the reverse one. ``certify_reversal``
 returns the reverse automaton and its subsets as well, from the same
-exploration. For a permutation automaton the forward side is read off the
-start's Nerode class, which one set intersection over the final reverse
-subsets gives, since the group that the letters generate makes every
-class the same size; any other DFA refines a partition by every subset.
+exploration. Both take permutation automata only, the automata that the
+reversal spectrum is about, and refuse any other DFA before exploring: the
+letters generate a group, transitive on the reachable states, that
+permutes the Nerode classes and the reverse subsets, so the forward side
+is read off the start's Nerode class, which one set intersection over the
+reverse subsets that hold the start gives. The construction itself, and
+``reverse_dfa``, serve every DFA.
 
-The magic-value probe certifies automata of at most ``MASK_STATES`` = 8
-states on a private byte kernel, ``_mask_certificate``, where a
-subset-state is a byte: bit p stands for forward state p, so every subset
-is a mask in 0..255. Each letter's preimage map is then one 256-byte
-table, built from ints whose byte lanes hold one mask each, and the BFS
-maps a whole level per letter with one ``bytes.translate`` in C. The
-forward classes and both asc values are read off the bytes of all subsets
-with more translates, with no block splits. The bound is the width of a
-byte, not a tuning knob. On the 2019 automata that the benchmark's probe
-certifies (seed 1009, at most 8 states, 2 vCPUs, Python 3.11), the byte
-kernel took 0.034-0.052 s in all and the tuple path 0.10-0.15 s.
+The magic-value probe reads the asc pair of automata of at most
+``MASK_STATES`` = 8 states on a private byte kernel, ``_mask_asc_pair``,
+where a subset-state is a byte: bit p stands for forward state p, so every
+subset is a mask in 0..255. Each letter's preimage map is then one
+256-byte table, built from ints whose byte lanes hold one mask each, and
+the BFS maps a whole level per letter with one ``bytes.translate`` in C.
+The same start-class rule reads both asc values off the bytes of all
+subsets: one more translate and one AND over the subsets that hold the
+start. The bound is the width of a byte, not a tuning knob. On the 2019
+automata that the benchmark's probe certifies (seed 1009, at most 8
+states), the byte kernel took 0.023-0.040 s in all and the tuple path
+0.081-0.112 s (9 repetitions in each of 3 runs, 2 vCPUs, Python 3.11).
 ``reversal_certificate``, ``certify_reversal`` and ``reverse_construction``
 keep the tuple subsets, which the star classification reads.
 """
 
 from __future__ import annotations
 
+from functools import reduce
 from itertools import chain, compress, count, repeat
-from operator import contains, itemgetter
-from typing import AbstractSet, Iterable, Sequence
+from operator import and_, contains, itemgetter
+from typing import AbstractSet, Sequence
 
 from .dfa import Dfa, check_dfa, is_permutation_automaton, reachable_states
 from .errors import CapacityError, are_subset_states, check_index, check_int
@@ -52,7 +57,7 @@ SubsetState = tuple[int, ...]
 
 DEFAULT_MAX_STATES = 1_000_000
 
-# _mask_certificate takes automata of up to this many states: one bit per
+# _mask_asc_pair takes automata of up to this many states: one bit per
 # state in a byte.
 MASK_STATES = 8
 
@@ -196,8 +201,8 @@ def reverse_dfa(fwd: Dfa, max_states: int = DEFAULT_MAX_STATES) -> Dfa:
 
 
 class ReversalCertificate(Record):
-    """asc and minimality of a DFA and of its reverse, as read off the
-    reverse subsets.
+    """asc and minimality of a permutation automaton and of its reverse, as
+    read off the reverse subsets.
 
     ``forward_minimal`` and ``reverse_minimal`` mean that minimizing the
     automaton would keep every one of its states.
@@ -209,15 +214,23 @@ class ReversalCertificate(Record):
     reverse_minimal: bool
 
 
+def _check_permutation_automaton(fwd: Dfa) -> None:
+    """Raise ValueError unless every letter of the Dfa ``fwd`` permutes."""
+    if not is_permutation_automaton(fwd):
+        raise ValueError("expected a permutation automaton")
+
+
 def certify_reversal(
     fwd: Dfa,
 ) -> tuple[Dfa, list[SubsetState], ReversalCertificate]:
     """``reverse_construction(fwd)`` and ``reversal_certificate(fwd)``,
     from one exploration.
 
-    The construction runs with ``DEFAULT_MAX_STATES`` as it reads at call
-    time; its CapacityError propagates.
+    Raises ValueError, before exploring, unless ``fwd`` is a permutation
+    automaton. The construction runs with ``DEFAULT_MAX_STATES`` as it
+    reads at call time; its CapacityError propagates.
     """
+    _check_permutation_automaton(fwd)
     rev, subsets = reverse_construction(fwd, DEFAULT_MAX_STATES)
     return rev, subsets, _certificate(fwd, subsets, reachable_states(fwd))
 
@@ -226,30 +239,29 @@ def reversal_certificate(fwd: Dfa) -> ReversalCertificate:
     """The certificate of ``fwd``, read off its reverse subsets without
     building the reverse automaton.
 
-    Raises ValueError unless ``fwd`` is a Dfa, and CapacityError when the
-    reverse construction would pass its default cap.
+    Raises ValueError, before exploring, unless ``fwd`` is a permutation
+    automaton, and CapacityError when the reverse construction would pass
+    its default cap.
     """
-    reach = reachable_states(fwd)
-    return _certificate(fwd, _explore(fwd, DEFAULT_MAX_STATES)[1], reach)
+    _check_permutation_automaton(fwd)
+    subsets = _explore(fwd, DEFAULT_MAX_STATES)[1]
+    return _certificate(fwd, subsets, reachable_states(fwd))
 
 
 def _certificate(
     fwd: Dfa, subsets: list[SubsetState], reach: list[int]
 ) -> ReversalCertificate:
-    """The certificate read off the reverse subsets and the reachable
-    forward states.
+    """The certificate of a permutation automaton, read off its reverse
+    subsets and its reachable states.
 
     The subsets are exactly the sets ``{p : p . w in F}``, one for
     each word w, so two forward states are Myhill-Nerode equivalent iff
     every subset holds both or neither, and two reverse states are
     equivalent iff their subsets agree on the reachable forward states
-    (Brzozowski's double-reversal argument). The forward side is read by
-    ``_start_class`` when every letter permutes the states and by
-    ``_refined_classes`` otherwise. The final reverse states are the
-    subsets that hold the forward start. On an accessible automaton the cut
-    subsets are the interned ones, which are distinct, so the reverse is
-    minimal; ``_mask_certificate`` reads reverse minimality by the same
-    rule.
+    (Brzozowski's double-reversal argument). ``_start_class`` reads the
+    forward side. The final reverse states are the subsets that hold the
+    forward start. On an accessible automaton the cut subsets are the
+    interned ones, which are distinct, so the reverse is minimal.
     """
     n = fwd.num_states
     accessible = len(reach) == n
@@ -261,10 +273,7 @@ def _certificate(
         cut = [tuple(p for p in s if p in live) for s in subsets]
     # The start is reachable, so a subset holds it iff its cut does.
     holds = [*map(contains, cut, repeat(fwd.start))]
-    if is_permutation_automaton(fwd):
-        asc_forward, num_classes = _start_class(fwd, cut, holds, reach)
-    else:
-        asc_forward, num_classes = _refined_classes(fwd, cut, reach)
+    asc_forward, num_classes = _start_class(fwd, cut, holds, reach)
     return ReversalCertificate(
         asc_forward=asc_forward,
         asc_reverse=len(set(compress(cut, holds))),
@@ -291,45 +300,14 @@ def _start_class(
     return len(fwd.finals.intersection(reach)) // size, len(reach) // size
 
 
-def _refined_classes(
-    fwd: Dfa, cut: list[SubsetState], reach: list[int]
+def _mask_asc_pair(
+    columns: Sequence[Sequence[int]], start: int, live: AbstractSet[int]
 ) -> tuple[int, int]:
-    """``_start_class`` for any DFA, by refining one partition by
-    membership in each subset: about the total size of the subsets."""
-    block = [0] * fwd.num_states
-    fresh = 1
-    for s in cut:
-        # Members of s leave their block for a fresh one, shared only with
-        # the members of s from the same old block.
-        moved: dict[int, int] = {}
-        for p in s:
-            block[p] = moved.setdefault(block[p], fresh + len(moved))
-        fresh += len(moved)
-    blocks = map(block.__getitem__, reach)
-    return len({block[q] for q in reach if q in fwd.finals}), len(set(blocks))
-
-
-def _lane_table(rows: Iterable[list[int]], sources: Iterable[int]) -> bytes:
-    """The sum of ``row[q]`` over the pairs (row, q) of ``rows`` and
-    ``sources``, as a 256-byte translate table.
-
-    Each row is ``_HOLDS[p]`` for a distinct p, so the ints' lanes never
-    share a bit, the sum is their OR, and lane s is the OR of ``1 << p``
-    over the pairs whose q is in the mask s.
-    """
-    return sum(map(list.__getitem__, rows, sources)).to_bytes(256, "little")
-
-
-def _mask_certificate(
-    columns: Sequence[Sequence[int]],
-    start: int,
-    finals: AbstractSet[int],
-    reach: list[int],
-) -> ReversalCertificate:
-    """``_certificate`` for an automaton on at most ``MASK_STATES`` states,
-    given as its letter columns (``columns[c][q]`` the successor of q on
-    letter c), start, finals and reachable states, with each subset-state a
-    byte whose bit ``1 << p`` stands for forward state p.
+    """(asc, reverse asc) of a permutation automaton on at most
+    ``MASK_STATES`` states, given as its letter columns (``columns[c][q]``
+    the successor of q on letter c), its start and ``live``, its reachable
+    finals; each subset-state is a byte whose bit ``1 << p`` stands for
+    forward state p.
 
     Nothing is checked and no ``Dfa`` is needed: the magic-value probe
     passes the columns that ``spectrum._draw`` shuffled, so a probe draw
@@ -338,37 +316,25 @@ def _mask_certificate(
     Each letter's preimage map is one 256-byte table, so the BFS maps a
     whole level per letter with ``bytes.translate``, and deleting the seen
     masks from the result leaves the next level. There are at most 256
-    masks, so no cap applies. The seen masks are then one bytes object, and the
-    certificate is read off it with ``translate``: forward state q's
-    signature marks the subsets that hold q, and reachable states are
-    equivalent iff their signatures are equal.
+    masks, so no cap applies. The group that the letters generate keeps
+    the reachable states, so the BFS from ``live`` finds exactly the
+    reverse subsets cut to them. The reverse asc counts the subsets that
+    hold the start, and, as in ``_start_class``, the start's Nerode class
+    is their intersection and the forward asc is ``len(live)`` over its
+    size.
     """
-    n = len(columns[0])
-    # the preimage of s under a letter holds p iff s holds p's successor
-    tables = [_lane_table(_HOLDS, column) for column in columns]
-    subsets = level = bytes((sum(map((1).__lshift__, finals)),))
+    # the preimage of s under a letter holds p iff s holds p's successor;
+    # the rows _HOLDS[p] have disjoint lanes, so their sum is their OR
+    tables = [
+        sum(map(list.__getitem__, _HOLDS, column)).to_bytes(256, "little")
+        for column in columns
+    ]
+    subsets = level = bytes((sum(map((1).__lshift__, live)),))
     while level:
         preimages = b"".join(map(level.translate, tables))
         level = bytes(set(preimages.translate(None, subsets)))
         subsets += level
-
-    signature = {q: subsets.translate(_BIT[q]) for q in reach}
-    asc_forward = len({signature[q] for q in reach if q in finals})
-    holds_start = _BIT[start]
-    if len(reach) == n:
-        return ReversalCertificate(
-            asc_forward=asc_forward,
-            asc_reverse=subsets.translate(holds_start).count(1),
-            forward_minimal=len(set(signature.values())) == n,
-            reverse_minimal=True,
-        )
-    # Unreachable states take no part in either language's quotient. The
-    # start is reachable, so a subset holds it iff its cut does.
-    live = _lane_table(map(_HOLDS.__getitem__, reach), reach)
-    cut = bytes(set(subsets.translate(live)))
-    return ReversalCertificate(
-        asc_forward=asc_forward,
-        asc_reverse=cut.translate(holds_start).count(1),
-        forward_minimal=False,
-        reverse_minimal=len(cut) == len(subsets),
-    )
+    holds = subsets.translate(_BIT[start])
+    # with no live state no subset holds the start, and the asc is 0
+    start_class = reduce(and_, compress(subsets, holds), 255)
+    return len(live) // start_class.bit_count(), holds.count(1)

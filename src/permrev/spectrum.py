@@ -5,10 +5,11 @@ The grid rows check that the (m, alpha) witness really has asc pair
 one-state automata; and the magic-value probe samples random permutation
 automata looking for a reversal with asc 1 (none is expected: 1 is the one
 unattainable value once asc >= 2). Every asc pair here is read off the
-reverse subsets by ``reversal_certificate``, or for a probe draw by the
-byte-mask kernel ``_mask_certificate`` on the draw's letter columns; no
-reverse automaton is built, nothing is minimized, and a draw becomes a
-``Dfa`` only when it is a counterexample.
+reverse subsets by one start-class rule: by ``reversal_certificate``, or
+for a probe draw by the byte-mask kernel ``_mask_asc_pair`` on the draw's
+letter columns and reachable finals. No reverse automaton is built,
+nothing is minimized, and a draw becomes a ``Dfa`` only when it is a
+counterexample.
 """
 
 from __future__ import annotations
@@ -17,10 +18,10 @@ import random
 from collections import Counter
 from itertools import compress
 
-from .dfa import Dfa, _reachable, is_permutation_automaton
+from .dfa import Dfa, _reachable
 from .errors import CapacityError, check_int, int_text
 from .records import Record
-from .reversal import MASK_STATES, _mask_certificate, reversal_certificate
+from .reversal import MASK_STATES, _mask_asc_pair, reversal_certificate
 from .witness import DEFAULT_STATE_CAP, _witness_core
 
 # Unused here: perfbench/tracing.py wraps these names on this module by attribute.
@@ -43,8 +44,6 @@ _NOTES = (
 
 def asc_pair(pfa: Dfa) -> tuple[int, int]:
     """(asc of the language, asc of its reversal) for a permutation automaton."""
-    if not isinstance(pfa, Dfa) or not is_permutation_automaton(pfa):
-        raise ValueError("asc_pair requires a permutation automaton")
     certificate = reversal_certificate(pfa)
     return certificate.asc_forward, certificate.asc_reverse
 
@@ -167,7 +166,7 @@ def magic_one_probe(
     be any int, and a bool is not one.
 
     A draw stays as the letter columns that ``_draw`` shuffled: the skips
-    search them for reachable states and ``_mask_certificate`` reads them.
+    search them for reachable states and ``_mask_asc_pair`` reads them.
     Only a counterexample is built into a (validated) ``Dfa``, so a run
     without one builds none.
     """
@@ -190,12 +189,12 @@ def magic_one_probe(
         if len(finals) < 2:
             continue  # asc never exceeds the number of final states
         reach = _reachable(columns, start)
-        if not 2 <= len(finals.intersection(reach)) < len(reach):
+        live = finals.intersection(reach)
+        if not 2 <= len(live) < len(reach):
             continue  # fewer than two reachable finals, or all of them final
-        # _draw permutes by construction, so asc_pair's check is skipped, and
-        # the byte-mask kernel takes the draw as it is
-        certificate = _mask_certificate(columns, start, finals, reach)
-        forward, reverse = certificate.asc_forward, certificate.asc_reverse
+        # _draw permutes by construction, so the byte-mask kernel takes the
+        # draw as it is, unchecked
+        forward, reverse = _mask_asc_pair(columns, start, live)
         if forward < 2:
             continue
         checked += 1

@@ -54,6 +54,30 @@ def pfas(draw, max_states=6, alphabet_size=2, min_states=1, max_finals=None):
 
 
 @st.composite
+def permutation_automata(draw, max_states=9):
+    """Permutation automata on 1 to 3 letters and up to ``max_states``
+    states. Every letter permutes the first r states among themselves and
+    the rest among themselves, so a start on one side leaves the other
+    unreachable whenever r < n. The finals are none, one, all or any of
+    the states."""
+    n = draw(st.integers(1, max_states))
+    k = draw(st.integers(1, 3))
+    r = draw(st.integers(1, n))
+    columns = [
+        draw(st.permutations(range(r))) + draw(st.permutations(range(r, n)))
+        for _ in range(k)
+    ]
+    start = draw(st.integers(0, n - 1))
+    finals = draw(st.one_of(
+        st.just(()),
+        st.tuples(st.integers(0, n - 1)),
+        st.just(range(n)),
+        st.sets(st.integers(0, n - 1)),
+    ))
+    return Dfa(n, k, columns, start, finals)
+
+
+@st.composite
 def mixed_dfas(draw, max_states=6):
     """Binary DFAs with one permuting letter and one that merges two states."""
     n = draw(st.integers(2, max_states))

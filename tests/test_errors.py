@@ -39,6 +39,7 @@ from permrev.perms import (
     colex_unrank,
     cycle_perm,
     identity_perm,
+    ksubsets,
     orbit,
     perm_from_word,
     perm_inverse,
@@ -55,7 +56,12 @@ from permrev.reversal import (
     reverse_subsets,
 )
 from permrev.spectrum import (
-    MAX_GRID_CELLS, asc_pair, random_pfa, spectrum_point, spectrum_table
+    MAX_GRID_CELLS,
+    asc_pair,
+    magic_one_probe,
+    random_pfa,
+    spectrum_point,
+    spectrum_table,
 )
 from permrev.textio import (
     ParseError, emit_dfa, emit_dot, letter_name, parse_dfa, report_to_json, word_from_str
@@ -244,12 +250,23 @@ def test_argument_errors_are_pinned(call, args, message):
     assert str(info.value) == message
 
 
-SCALARS = st.one_of(
-    st.integers(-3, 30), st.booleans(), st.floats(), st.none(), st.text(max_size=3)
-)
-VALUES = st.recursive(
-    SCALARS, lambda inner: st.lists(inner, max_size=4).map(tuple), max_leaves=8
-)
+def scalars(max_int=30):
+    return st.one_of(
+        st.integers(-3, max_int), st.booleans(), st.floats(), st.none(),
+        st.text(max_size=3),
+    )
+
+
+def values(max_int=30):
+    """Scalars nested in tuples; no int is above ``max_int``."""
+    return st.recursive(
+        scalars(max_int), lambda inner: st.lists(inner, max_size=4).map(tuple),
+        max_leaves=8,
+    )
+
+
+SCALARS = scalars()
+VALUES = values()
 DFAS = st.one_of(VALUES, dfas(), st.just(W), st.just(REV))
 GENERATORS = st.one_of(
     VALUES,
@@ -322,11 +339,13 @@ ENTRY_POINTS = {
     "build_witness": (build_witness, VALUES, VALUES, VALUES),
     "verify_witness": (verify_witness, VALUES, VALUES, VALUES),
     "spectrum_point": (spectrum_point, VALUES, VALUES, VALUES),
+    # at most 29 x 29 grid cells, each witness of at most 30 states or skipped
+    "spectrum_table": (spectrum_table, VALUES, VALUES, VALUES),
+    # at most 30 samples, or 30 checked draws
+    "magic_one_probe": (magic_one_probe, VALUES, VALUES, VALUES, VALUES),
+    # ksubsets lists every subset at once: at most C(16, 8) = 12 870 here
+    "ksubsets": (ksubsets, values(16), values(16)),
 }
-# Left out, as their cost grows with their int arguments: ksubsets, whose
-# (30, 15) case would list 155 M tuples, and spectrum_table and
-# magic_one_probe, which build one witness per grid cell or draw one
-# automaton per sample.
 
 DOCUMENTED = (ValueError, ParseError, CapacityError, NotInGroupError)
 

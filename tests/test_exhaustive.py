@@ -5,7 +5,10 @@ asc >= 2. The probe samples that claim; here it is checked on one
 automaton per isomorphism class of accessible binary permutation automata
 (``oracles.canonical_permutation_pairs``, start 0) and every final set of
 2 to n - 1 states. Fewer than two finals give asc <= 1, and n finals accept
-every word.
+every word. The census reads each asc pair with the probe's byte kernel,
+``_mask_asc_pair``; every automaton here is accessible, so its reachable
+finals are its finals. A tier-1 test checks that kernel against
+``reversal_certificate`` on every final set up to five states.
 
 Run as a script, ``python tests/test_exhaustive.py N`` prints the census for
 N states: the pair count, the count with asc >= 2, the count with reverse
@@ -21,7 +24,7 @@ import pytest
 
 from permrev.dfa import Dfa
 from permrev.minimize import asc
-from permrev.reversal import reversal_certificate, reverse_dfa
+from permrev.reversal import _mask_asc_pair, reversal_certificate, reverse_dfa
 
 from oracles import bfs_order_by_queue, canonical_permutation_pairs
 
@@ -39,8 +42,7 @@ def census(n):
     for pair in pairs:
         for size in range(2, n):
             for finals in combinations(range(n), size):
-                certificate = reversal_certificate(pair_dfa(pair, finals))
-                forward, reverse = certificate.asc_forward, certificate.asc_reverse
+                forward, reverse = _mask_asc_pair(pair, 0, finals)
                 if forward >= 2:
                     histogram[forward, reverse] += 1
     return len(pairs), histogram
@@ -105,6 +107,18 @@ def test_no_reverse_asc_one_up_to_five_states():
     for n, (_, histogram) in enumerate(counts, 1):
         assert not any(reverse == 1 for _, reverse in histogram)
         assert dict(histogram) == HISTOGRAMS[n]
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_census_kernel_matches_the_certificate_up_to_five_states(n):
+    # every final set, empty and full included
+    for pair in canonical_permutation_pairs(n):
+        for size in range(n + 1):
+            for finals in combinations(range(n), size):
+                certificate = reversal_certificate(pair_dfa(pair, finals))
+                assert _mask_asc_pair(pair, 0, finals) == (
+                    certificate.asc_forward, certificate.asc_reverse
+                ), (pair, finals)
 
 
 @pytest.mark.parametrize("n", range(1, 5))

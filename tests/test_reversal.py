@@ -1,6 +1,6 @@
 import math
 import random
-from itertools import product
+from itertools import permutations, product
 
 import pytest
 from hypothesis import given
@@ -15,7 +15,7 @@ from permrev.minimize import minimize
 from permrev.records import replace
 from permrev.reversal import (
     MASK_STATES,
-    _mask_certificate,
+    _mask_asc_pair,
     certify_reversal,
     mask_states,
     reversal_certificate,
@@ -27,7 +27,7 @@ from permrev.reversal import (
 from permrev.textio import word_from_str
 from permrev.witness import WitnessParams, build_witness, star_members
 
-from conftest import dfa_with_word, dfas, mixed_dfas, pfas
+from conftest import dfa_with_word, dfas, mixed_dfas, permutation_automata, pfas
 from oracles import (
     brute_reachable_subsets,
     colex_subsets,
@@ -253,26 +253,33 @@ def certified(fwd):
     return c.asc_forward, c.asc_reverse, c.forward_minimal, c.reverse_minimal
 
 
-@given(dfas())
+@given(permutation_automata())
 def test_certify_reversal_returns_its_construction(fwd):
     assert certify_reversal(fwd)[:2] == reverse_construction(fwd)
 
 
-@given(dfas(max_states=MASK_STATES))
+@given(permutation_automata(max_states=MASK_STATES))
 def test_reversal_certificate_matches_certify_reversal(fwd):
     # the same subsets, with the finals found without a reverse Dfa
     assert reversal_certificate(fwd) == certify_reversal(fwd)[2]
 
 
-def mask_certificate(fwd):
-    """The byte-mask kernel on the letter columns of ``fwd``."""
-    return _mask_certificate(fwd.columns, fwd.start, fwd.finals, reachable_states(fwd))
+def mask_asc_pair(fwd):
+    """The byte-mask kernel on the letter columns and reachable finals of
+    ``fwd``."""
+    live = fwd.finals.intersection(reachable_states(fwd))
+    return _mask_asc_pair(fwd.columns, fwd.start, live)
 
 
-def every_dfa(num_states, alphabet_size):
-    """Every DFA on these sizes, over every table, start and final set."""
+def asc_pair_of(certificate):
+    return certificate.asc_forward, certificate.asc_reverse
+
+
+def every_permutation_automaton(num_states, alphabet_size):
+    """Every permutation automaton on these sizes, over every table, start
+    and final set."""
     states = range(num_states)
-    columns = [*product(states, repeat=num_states)]
+    columns = [*permutations(states)]
     final_sets = [
         frozenset(q for q in states if bits >> q & 1) for bits in range(1 << num_states)
     ]
@@ -286,14 +293,14 @@ def every_dfa(num_states, alphabet_size):
     (1, 2), (2, 2), (3, 2), (1, 1), (2, 1), (3, 1), (4, 1),
 ])
 def test_certificate_paths_agree_on_every_small_dfa(num_states, alphabet_size):
-    # the byte-mask kernel against the tuple path, exhaustively: permuting
-    # and merging letters, unreachable states, empty and full final sets
+    # the byte-mask kernel against the tuple path, exhaustively: unreachable
+    # states, empty and full final sets
     seen = 0
-    for fwd in every_dfa(num_states, alphabet_size):
-        assert mask_certificate(fwd) == reversal_certificate(fwd), fwd
+    for fwd in every_permutation_automaton(num_states, alphabet_size):
+        assert mask_asc_pair(fwd) == asc_pair_of(reversal_certificate(fwd)), fwd
         seen += 1
     n = num_states
-    assert seen == n ** (n * alphabet_size) * n * 2**n
+    assert seen == math.factorial(n) ** alphabet_size * n * 2**n
 
 
 def forbid(patch, name):
@@ -309,7 +316,7 @@ def forbid(patch, name):
 def test_certificate_paths_meet_at_the_mask_bound(fwd):
     # every bit of a byte holds a state; with at most two finals each orbit
     # of subsets stays small
-    assert mask_certificate(fwd) == reversal_certificate(fwd)
+    assert mask_asc_pair(fwd) == asc_pair_of(reversal_certificate(fwd))
 
 
 # "masks" is a witness small enough for the byte-mask kernel, "tuples" one
@@ -323,7 +330,7 @@ def test_certificate_capacity_error_is_the_same_on_both_paths(monkeypatch, m, al
     # at call time
     fwd = build_witness(m, alpha)
     assert (fwd.num_states <= MASK_STATES) == (m == 2)
-    forbid(monkeypatch, "_mask_certificate")
+    forbid(monkeypatch, "_mask_asc_pair")
     monkeypatch.setattr(reversal, "DEFAULT_MAX_STATES", 2)
     for call in (reversal_certificate, certify_reversal):
         with pytest.raises(CapacityError) as info:
@@ -338,7 +345,7 @@ def test_certificate_cap_admits_exactly_its_count(monkeypatch, m, alpha):
     fwd = build_witness(m, alpha)
     rev, subsets, expected = certify_reversal(fwd)
     size = len(subsets)
-    forbid(monkeypatch, "_mask_certificate")
+    forbid(monkeypatch, "_mask_asc_pair")
     monkeypatch.setattr(reversal, "DEFAULT_MAX_STATES", size)
     assert reversal_certificate(fwd) == expected
     assert certify_reversal(fwd) == (rev, subsets, expected)
@@ -358,9 +365,9 @@ def test_certificates_require_a_dfa(call, fwd):
     assert str(info.value) == f"expected a Dfa (got {type(fwd).__name__})"
 
 
-@given(dfas())
+@given(permutation_automata())
 def test_certificate_matches_minimize(fwd):
-    # dfas() draws many DFAs with unreachable states and 1-3 letters
+    # permutation_automata() draws many with unreachable states and 1-3 letters
     rev = reverse_dfa(fwd)
     small_fwd, small_rev = minimize(fwd), minimize(rev)
     assert certified(fwd) == (
@@ -396,71 +403,46 @@ def test_certificate_of_trivial_languages():
 
 def test_certificate_when_the_partition_never_turns_discrete():
     # States 2 and 3 are unreachable, so no subset cut to the reachable
-    # part separates them and the refinement runs over every subset.
+    # part separates them: the Nerode partition of all four states is
+    # never discrete. The cut subsets (1,) and (0,) are distinct.
     fwd = Dfa(4, 1, ((1, 0, 3, 2),), 0, frozenset({1, 2}))
     assert reverse_construction(fwd)[1] == [(1, 2), (0, 3)]
     assert certified(fwd) == (1, 1, False, True)
 
 
-def test_certificate_when_the_first_subset_makes_the_partition_discrete():
-    # The first subset {1} splits the two states; a swaps them and b sends
-    # both to 0. The subsets () and {0, 1} split nothing further.
+def test_certificates_refuse_a_merging_letter_before_exploring(monkeypatch):
+    # a swaps the two states and b sends both to 0; the construction and
+    # reverse_dfa still take it
     fwd = Dfa(2, 2, ((1, 0), (0, 0)), 0, frozenset({1}))
     assert reverse_construction(fwd)[1] == [(1,), (0,), (), (0, 1)]
-    assert certified(fwd) == (1, 2, True, True)
+    for name in ("_explore", "reachable_states", "reverse_construction"):
+        forbid(monkeypatch, name)
+    for call in (reversal_certificate, certify_reversal):
+        with pytest.raises(ValueError) as info:
+            call(fwd)
+        assert str(info.value) == "expected a permutation automaton"
 
 
 def test_certificate_cuts_subsets_to_reachable_states():
-    # State 0 loops and accepts; 1 -> 2 -> 2 with 2 final is unreachable.
-    # The subsets {0, 2} and {0, 1, 2} differ only off the reachable part,
-    # so both sides accept a* with one final state and are not minimal.
-    fwd = Dfa(3, 1, ((0, 2, 2),), 0, frozenset({0, 2}))
+    # State 0 loops and accepts; the unreachable states 1 and 2 swap, and
+    # 1 is final. The subsets {0, 1} and {0, 2} differ only off the
+    # reachable part, so both sides accept a* with one final state and are
+    # not minimal.
+    fwd = Dfa(3, 1, ((0, 2, 1),), 0, frozenset({0, 1}))
     _, subsets = reverse_construction(fwd)
-    assert subsets == [(0, 2), (0, 1, 2)]
+    assert subsets == [(0, 1), (0, 2)]
     assert certified(fwd) == (1, 1, False, False)
 
 
-@st.composite
-def permutation_automata(draw, max_states=9):
-    """Permutation automata on 1 to 3 letters and up to ``max_states``
-    states. Every letter permutes the first r states among themselves and
-    the rest among themselves, so a start on one side leaves the other
-    unreachable whenever r < n. The finals are none, one, all or any of
-    the states."""
-    n = draw(st.integers(1, max_states))
-    k = draw(st.integers(1, 3))
-    r = draw(st.integers(1, n))
-    columns = [
-        draw(st.permutations(range(r))) + draw(st.permutations(range(r, n)))
-        for _ in range(k)
-    ]
-    start = draw(st.integers(0, n - 1))
-    finals = draw(st.one_of(
-        st.just(()),
-        st.tuples(st.integers(0, n - 1)),
-        st.just(range(n)),
-        st.sets(st.integers(0, n - 1)),
-    ))
-    return Dfa(n, k, columns, start, finals)
-
-
 @given(permutation_automata())
-def test_start_class_rule_matches_refinement_and_minimize(fwd):
+def test_start_class_rule_matches_minimize(fwd):
+    # the forward rule on the cut subsets: the Nerode classes among the
+    # reachable finals and among the reachable states
     reach = reachable_states(fwd)
     live = set(reach)
     cut = [tuple(p for p in s if p in live) for s in reverse_subsets(fwd)]
     holds = [fwd.start in s for s in cut]
-    # the two rules for the forward side, on the same subsets
-    assert reversal._start_class(fwd, cut, holds, reach) == (
-        reversal._refined_classes(fwd, cut, reach)
-    )
-    certificate = reversal_certificate(fwd)
     small_fwd = minimize(fwd)
-    assert (certificate.asc_forward, certificate.forward_minimal) == (
-        len(small_fwd.finals), small_fwd.num_states == fwd.num_states
-    )
-    rev = reverse_dfa(fwd)
-    small_rev = minimize(rev)
-    assert (certificate.asc_reverse, certificate.reverse_minimal) == (
-        len(small_rev.finals), small_rev.num_states == rev.num_states
+    assert reversal._start_class(fwd, cut, holds, reach) == (
+        len(small_fwd.finals), small_fwd.num_states
     )

@@ -22,7 +22,7 @@ from permrev.spectrum import (
 )
 from permrev.witness import build_witness, verify_witness
 
-from conftest import dfas, pfas
+from conftest import permutation_automata, pfas
 
 
 @pytest.mark.parametrize("call", [
@@ -51,8 +51,9 @@ def test_witness_sizes_must_be_ints(call):
 def test_asc_pair_rejects_non_permutation_input():
     non_pfa = Dfa(2, 2, ((0, 0), (0, 1)), 0, frozenset({1}))
     assert not is_permutation_automaton(non_pfa)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError) as info:
         asc_pair(non_pfa)
+    assert str(info.value) == "expected a permutation automaton"
 
 
 def test_spectrum_points():
@@ -183,9 +184,9 @@ def test_benchmark_probe_job_is_pinned():
     )
 
 
-@given(dfas())
+@given(permutation_automata())
 def test_asc_never_exceeds_final_count(dfa):
-    # the premise of the probe's skip, on arbitrary DFAs
+    # the premise of the probe's skip, inaccessible automata included
     certificate = certify_reversal(dfa)[2]
     assert certificate.asc_forward <= len(dfa.finals)
 
@@ -233,7 +234,7 @@ def test_probe_accepts_every_int_seed(seed):
 def test_asc_pair_requires_a_dfa(pfa):
     with pytest.raises(ValueError) as info:
         asc_pair(pfa)
-    assert str(info.value) == "asc_pair requires a permutation automaton"
+    assert str(info.value) == f"expected a Dfa (got {type(pfa).__name__})"
 
 
 def test_probe_rejects_asc2_count_on_two_states():
@@ -380,9 +381,7 @@ def passes_both_skips(draw):
 def test_probe_explores_each_draw_once_and_never_minimizes(monkeypatch):
     draws = record_draws(monkeypatch)
     calls = count_calls(
-        monkeypatch,
-        ("_mask_certificate", "reversal_certificate", "reverse_dfa", "asc",
-         "is_permutation_automaton"),
+        monkeypatch, ("_mask_asc_pair", "reversal_certificate", "reverse_dfa", "asc")
     )
     full = forbid_full_reversal(monkeypatch)
     report = magic_one_probe(6, 50, count_checked_only=True)
@@ -390,13 +389,14 @@ def test_probe_explores_each_draw_once_and_never_minimizes(monkeypatch):
     assert len(draws) == report.drawn
     # a draw without two reachable finals and a reachable non-final has
     # asc <= 1 and is never reversed; _draw permutes by construction, so
-    # no draw is checked for it, and every draw fits the byte-mask kernel
-    # of reversal_certificate, which takes the probe's reachable states
+    # no draw is checked for it, and every draw fits the byte-mask kernel,
+    # which takes the probe's reachable finals
     certified = sum(map(passes_both_skips, draws))
     assert calls == {
-        "_mask_certificate": certified, "reversal_certificate": 0, "reverse_dfa": 0,
-        "asc": 0, "is_permutation_automaton": 0,
+        "_mask_asc_pair": certified, "reversal_certificate": 0, "reverse_dfa": 0,
+        "asc": 0,
     }
+    assert not hasattr(spectrum, "is_permutation_automaton")
     assert certified < sum(len(finals) >= 2 for _, _, finals in draws)
     assert full == {"certify_reversal": 0, "reverse_construction": 0}
 
@@ -404,24 +404,21 @@ def test_probe_explores_each_draw_once_and_never_minimizes(monkeypatch):
 def test_probe_certifies_each_draw_from_its_own_columns(monkeypatch):
     draws = record_draws(monkeypatch)
     kernel_args = []
-    original = spectrum._mask_certificate
+    original = spectrum._mask_asc_pair
 
     def recorded(*args):
         kernel_args.append(args)
         return original(*args)
 
-    monkeypatch.setattr(spectrum, "_mask_certificate", recorded)
+    monkeypatch.setattr(spectrum, "_mask_asc_pair", recorded)
     magic_one_probe(8, 200, count_checked_only=True)
-    # one kernel call per draw that passes both skips, on the very columns,
-    # start and finals that _draw returned, with the BFS order of the Dfa
-    assert [args[:3] for args in kernel_args] == [
-        draw for draw in draws if passes_both_skips(draw)
-    ]
-    for (columns, start, finals, reach), draw in zip(
-        kernel_args, filter(passes_both_skips, draws)
-    ):
-        assert columns is draw[0]
-        assert reach == reachable_states(draw_dfa(draw))
+    # one kernel call per draw that passes both skips, on the very columns
+    # and start that _draw returned, with the finals that the Dfa reaches
+    certified = [*filter(passes_both_skips, draws)]
+    assert len(kernel_args) == len(certified)
+    for (columns, start, live), draw in zip(kernel_args, certified):
+        assert columns is draw[0] and start == draw[1]
+        assert live == draw[2].intersection(reachable_states(draw_dfa(draw)))
 
 
 def record_built(monkeypatch):
@@ -474,31 +471,32 @@ def test_probe_searches_each_draw_with_two_finals_once_for_reachable_states(
 
 
 def fake_one_counterexample(monkeypatch, which):
-    """Make the kernel report asc_reverse 1 for the ``which``-th certified
+    """Make the kernel report reverse asc 1 for the ``which``-th certified
     draw with asc >= 2; return the arguments and forward asc of that call."""
     faked = []
     certified = []
-    original = spectrum._mask_certificate
+    original = spectrum._mask_asc_pair
 
     def kernel(*args):
-        certificate = original(*args)
-        if certificate.asc_forward >= 2:
+        forward, reverse = original(*args)
+        if forward >= 2:
             certified.append(args)
             if len(certified) == which:
-                faked.append((args, certificate.asc_forward))
-                return replace(certificate, asc_reverse=1)
-        return certificate
+                faked.append((args, forward))
+                return forward, 1
+        return forward, reverse
 
-    monkeypatch.setattr(spectrum, "_mask_certificate", kernel)
+    monkeypatch.setattr(spectrum, "_mask_asc_pair", kernel)
     return faked
 
 
 def test_probe_records_a_counterexample_as_its_dfa(monkeypatch):
+    draws = record_draws(monkeypatch)
     faked = fake_one_counterexample(monkeypatch, which=7)
     built = record_built(monkeypatch)
     report = magic_one_probe(8, 200, seed=DEFAULT_SEED, count_checked_only=True)
     ((args, forward),) = faked
-    columns, start, finals, _ = args
+    ((columns, start, finals),) = [draw for draw in draws if draw[0] is args[0]]
     assert len(report.counterexamples) == 1
     (dfa, hit_forward, hit_reverse) = report.counterexamples[0]
     assert (hit_forward, hit_reverse) == (forward, 1)
