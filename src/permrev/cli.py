@@ -16,7 +16,7 @@ from .errors import CapacityError
 from .minimize import asc as _asc
 from .minimize import minimize as _minimize
 from .records import replace
-from .reversal import DEFAULT_MAX_STATES, certify_reversal, reverse_dfa
+from .reversal import DEFAULT_MAX_STATES, certify_reversal, mask_states, reverse_dfa
 from .spectrum import (
     DEFAULT_SEED,
     MagicProbeReport,
@@ -261,7 +261,7 @@ def example() -> None:
     rev, subsets, certificate = certify_reversal(fwd)
     classification = classify_reverse_states(params, rev, subsets)
     names = [
-        star_label(center) if center is not None else str(i)
+        star_label(tuple(mask_states(center))) if center is not None else str(i)
         for i, center in enumerate(classification.centers)
     ]
 

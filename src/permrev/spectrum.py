@@ -254,7 +254,8 @@ def spectrum_table(
             stage="spectrum_table",
         )
     rows = list(trivial_rows())
-    for m in range(2, m_max + 1):
+    # An empty grid walks no m, since m_max alone is not bounded.
+    for m in range(2, m_max + 1 if cells else 2):
         for alpha in range(2, alpha_max + 1):
             try:
                 forward, reverse = spectrum_point(m, alpha, state_cap=state_cap)

@@ -25,7 +25,7 @@ from .errors import (
 )
 from .perms import KSubset
 from .records import Record
-from .reversal import SubsetState, certify_reversal
+from .reversal import SubsetState, certify_reversal, mask_states
 
 # Unused here: perfbench/tracing.py wraps these names on this module by attribute.
 from .minimize import asc, minimize  # noqa: F401
@@ -38,7 +38,7 @@ from .perms import (  # noqa: F401
     perm_inverse,
     transposition_perm,
 )
-from .reversal import mask_states, reverse_dfa, reverse_step, reverse_subsets  # noqa: F401
+from .reversal import reverse_dfa, reverse_step, reverse_subsets  # noqa: F401
 
 DEFAULT_STATE_CAP = 10_000
 # A witness count past the cap is computed exactly, for the CapacityError,
@@ -235,13 +235,13 @@ def _labels(n: int, alpha: int) -> list[str]:
 class StarClassification(Record):
     """Outcome of matching every reverse state against a star.
 
-    ``centers[i]`` is the center of reverse state ``i`` or None when that
-    state is not a star (which would falsify the construction).
-    ``accepting_centers`` are the centers of the accepting reverse states
-    that are stars, sorted.
+    ``centers[i]`` is the center of reverse state ``i`` as an n-bit point
+    mask, or None when that state is not a star (which would falsify the
+    construction). ``accepting_centers`` are the centers of the accepting
+    reverse states that are stars, as sorted point tuples.
     """
 
-    centers: tuple[KSubset | None, ...]
+    centers: tuple[int | None, ...]
     accepting_centers: tuple[KSubset, ...]
     covers_all_centers: bool
     letter_law_holds: bool
@@ -265,17 +265,16 @@ def classify_reverse_states(
     increasing tuples of witness state numbers. A state's center is the
     common part of its members, the AND of their n-bit point-sets. m
     alpha-subsets whose common part has alpha - 1 points are the whole
-    star around it, since that star has exactly m members; any other state
-    gets center None. A star's center tuple is looked up from its common
-    part in one table of all (alpha-1)-point masks; no star is built per
-    center.
+    star around it, since that star has exactly m members. That common
+    mask is the star's center, kept as a mask; any other state gets center
+    None. No star is built per center.
     Besides the per-state star test, this checks the bijection with all
     (alpha-1)-subset centers and the single-letter law on center masks:
     reading letter c maps the star around T to the star around the preimage
     of T under c, a right rotation by one bit for a and the swap of bits 0
     and 1 for b.
-    The AND of the members, the center table and the letter law each run
-    as builtins over a whole column; only the star test is a comprehension.
+    The AND of the members and the letter law each run as builtins over a
+    whole column; only the star test is a comprehension.
     Raises ValueError unless ``params`` is a WitnessParams, ``rev`` a Dfa
     and ``subsets`` subset-states of the witness that match ``rev``.
     """
@@ -297,21 +296,17 @@ def _classify(
     n, alpha = params.n, params.alpha
     members = map(map, repeat(points.__getitem__), subsets)
     commons = [*map(reduce, repeat(and_), members, repeat((1 << n) - 1))]
-    # Each (alpha-1)-point mask and its center tuple, both in colex order;
-    # see _labels for the reversed combinations.
-    center_of = dict(zip(
-        reversed(_colex_masks(n, alpha - 1)),
-        map(tuple, map(reversed, combinations(range(n - 1, -1, -1), alpha - 1))),
-    ))
     centers = [
-        center_of.get(common) if len(subset) == params.m else None
+        common if len(subset) == params.m and common.bit_count() == alpha - 1 else None
         for subset, common in zip(subsets, commons)
     ]
     all_stars = None not in centers
-    accepting = sorted(centers[i] for i in rev.finals if centers[i] is not None)
+    accepting = sorted(
+        tuple(mask_states(centers[i])) for i in rev.finals if centers[i] is not None
+    )
 
     # Distinct centers have distinct members, so no two states share a center.
-    covers = all_stars and len(commons) == len(center_of)
+    covers = all_stars and len(commons) == math.comb(n, alpha - 1)
     # Reading a reverse letter applies its inverse to the center: a^-1 is a
     # right rotation by one bit and b is its own inverse.
     to_a, to_b = (map(commons.__getitem__, column) for column in rev.columns)

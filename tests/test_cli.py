@@ -186,6 +186,16 @@ def test_spectrum_command(capsys):
     assert "result: PASS" in out
 
 
+def test_spectrum_command_on_an_empty_grid(capsys):
+    code, out, _ = run(
+        capsys, "spectrum", "--m-max", "100000000000", "--alpha-max", "1"
+    )
+    assert code == 0
+    assert out.splitlines() == [
+        "m=0 alpha=0 asc=(0,0) pass", "m=1 alpha=1 asc=(1,1) pass", "result: PASS",
+    ]
+
+
 def test_spectrum_command_with_probe(capsys):
     code, out, _ = run(
         capsys, "spectrum", "--m-max", "3", "--alpha-max", "3",

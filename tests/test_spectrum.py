@@ -291,6 +291,15 @@ def test_capacity_rows_are_skipped_not_failed():
     assert all(r.verdict in ("pass", "skipped") for r in report.rows)
 
 
+@pytest.mark.parametrize("alpha_max", [1, -5])
+def test_empty_grid_walks_no_m(alpha_max):
+    # no witness cell, so a huge m_max passes the cell cap and must not be
+    # walked row by row
+    report = spectrum_table(10**12, alpha_max)
+    assert report.rows == trivial_rows()
+    assert report.passed
+
+
 def test_probe_report_travels_with_table():
     probe = magic_one_probe(3, 20, seed=DEFAULT_SEED)
     report = replace(spectrum_table(2, 2), magic_probe=probe)

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import random
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -573,8 +574,10 @@ def test_dot_escapes_quotes_and_backslashes():
 def test_dot_reverse_witness_has_star_labels(witness_3_4):
     rev, subsets = reverse_construction(witness_3_4)
     cls = classify_reverse_states(WitnessParams(3, 4), rev, subsets)
+    # classify keeps each center as its point mask
+    center_of = {sum(1 << p for p in c): c for c in combinations(range(6), 3)}
     dot = emit_dot(
-        replace(rev, labels=tuple(star_label(c) for c in cls.centers))
+        replace(rev, labels=tuple(star_label(center_of[c]) for c in cls.centers))
     )
     assert 'label="S(123)"' in dot
     assert dot.count("shape=") == 20 + 1  # 20 states plus the start marker

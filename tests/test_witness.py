@@ -196,6 +196,15 @@ def test_stars_pairwise_distinct():
 # classification of the reverse reachable part
 # ---------------------------------------------------------------------
 
+def _mask(center):
+    """The n-bit point mask of a center tuple, as classify stores it."""
+    return sum(1 << p for p in center)
+
+
+def _masks(centers):
+    return [None if c is None else _mask(c) for c in centers]
+
+
 def test_classification_of_worked_example(witness_3_4):
     params = WitnessParams(3, 4)
     rev, subsets = reverse_construction(witness_3_4)
@@ -205,7 +214,7 @@ def test_classification_of_worked_example(witness_3_4):
     assert cls.letter_law_holds
     assert len(set(cls.centers)) == math.comb(6, 3) == 20
     # the a-successor of the start star S(123) is S(126)
-    assert cls.centers[rev.columns[0][0]] == (0, 1, 5)
+    assert cls.centers[rev.columns[0][0]] == _mask((0, 1, 5))
     assert cls.accepting_centers == ((0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3))
 
 
@@ -226,12 +235,23 @@ def test_classification_flags_a_non_star_state(witness_3_4):
     ]
 
 
+def test_classification_counts_the_centers(witness_3_4):
+    # 19 of the 20 stars, on a 19-state automaton: each is a star, but one
+    # center is missing
+    rev, subsets = reverse_construction(witness_3_4)
+    part = Dfa(19, 2, (tuple(range(19)),) * 2, 0, frozenset())
+    cls = classify_reverse_states(WitnessParams(3, 4), part, subsets[:19])
+    assert cls.all_stars
+    assert not cls.covers_all_centers
+    assert not cls.ok
+
+
 def test_classification_smallest_witness():
     params = WitnessParams(2, 2)
     fwd = build_witness(2, 2)
     cls = classify_reverse_states(params, *reverse_construction(fwd))
     assert cls.ok
-    assert sorted(cls.centers) == [(0,), (1,), (2,)]
+    assert sorted(cls.centers) == [_mask((0,)), _mask((1,)), _mask((2,))]
 
 
 def test_classification_rejects_foreign_automata(witness_3_4):
@@ -281,21 +301,21 @@ def _perturbed(subsets, total):
 
 def test_classification_matches_star_oracle():
     perturbed = 0
-    # (2, 12) and (12, 2) are the edges of the center table: 11-point and
-    # 1-point centers.
+    # (2, 12) and (12, 2) are the popcount edges: 11-bit and 1-bit centers.
     grid = [(m, alpha) for m in range(2, 6) for alpha in range(2, 6)]
     for m, alpha in grid + [(2, 12), (12, 2)]:
         params = WitnessParams(m, alpha)
         n, total = params.n, math.comb(params.n, alpha)
         rev, subsets = reverse_construction(build_witness(m, alpha))
         cls = classify_reverse_states(params, rev, subsets)
-        assert list(cls.centers) == star_centers_by_enumeration(n, alpha, subsets)
+        expected = _masks(star_centers_by_enumeration(n, alpha, subsets))
+        assert list(cls.centers) == expected
         assert cls.all_stars
         # every star is in the list, so a changed subset is no star
         for case in _perturbed(subsets, total):
             cls = classify_reverse_states(params, rev, case)
-            assert list(cls.centers) == star_centers_by_enumeration(
-                n, alpha, case
+            assert list(cls.centers) == _masks(
+                star_centers_by_enumeration(n, alpha, case)
             ), (m, alpha)
             assert cls.centers.count(None) == 1
             perturbed += 1
@@ -347,9 +367,8 @@ def test_verify_4_3():
 
 def test_verify_explores_once_and_never_minimizes(monkeypatch):
     names = ("certify_reversal", "reverse_dfa", "reverse_subsets", "minimize", "asc")
-    calls = dict.fromkeys(
-        names + ("reverse_construction", "_labels", "are_subset_states"), 0
-    )
+    private = ("_labels", "are_subset_states", "_colex_masks")
+    calls = dict.fromkeys(names + ("reverse_construction",) + private, 0)
 
     def counted(owner, name):
         original = getattr(owner, name)
@@ -366,14 +385,15 @@ def test_verify_explores_once_and_never_minimizes(monkeypatch):
     monkeypatch.setattr(
         reversal, "reverse_construction", counted(reversal, "reverse_construction")
     )
-    # verify builds its witness unlabeled and classifies without re-checking
-    for name in ("_labels", "are_subset_states"):
+    # verify builds its witness unlabeled, classifies without re-checking,
+    # and lists point masks once, for the forward states: centers stay masks
+    for name in private:
         monkeypatch.setattr(witness, name, counted(witness, name))
     assert verify_witness(3, 4).passed
     assert calls == {
         "certify_reversal": 1, "reverse_construction": 1, "reverse_dfa": 0,
         "reverse_subsets": 0, "minimize": 0, "asc": 0, "_labels": 0,
-        "are_subset_states": 0,
+        "are_subset_states": 0, "_colex_masks": 1,
     }
 
 
