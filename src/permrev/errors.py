@@ -73,7 +73,11 @@ def check_index(name: str, value: object, stop: int) -> None:
 
 def check_subset(name: str, values: object, n: int) -> tuple[int, ...]:
     """``values`` as a sorted tuple; ValueError unless it is a set of points
-    of [n], in any order and with no point repeated."""
+    of [n], in any order and with no point repeated.
+
+    ``witness.subset_label`` takes the same rule without the bound n, and
+    with the points in increasing order, since a label lists them so.
+    """
     points = tuple(sorted(check_points(name, values)))
     if len(set(points)) != len(points):
         raise ValueError(f"{name} {int_text(points)} has repeated points")

@@ -94,21 +94,38 @@ def _draw(
     of q on letter c.
 
     The RNG shuffles one column per letter, picks the start, then flips one
-    coin per state in state order.
+    coin per state in state order. A draw reads only ``rng.getrandbits``
+    and ``rng.random``: a value below s takes s.bit_length() bits and is
+    drawn again while it is s or more. That is the rule of
+    ``random.Random``'s own ``shuffle`` and ``randrange``, so the draw and
+    the state it leaves are theirs. A subclass that overrides only
+    ``random()`` still gets uniform permutations, but not the ones its
+    ``shuffle`` gives.
     """
+    getrandbits = rng.getrandbits
     columns = []
     for _ in range(k):
         column = list(range(n))
-        rng.shuffle(column)
+        for i in range(n - 1, 0, -1):  # Fisher-Yates: swap i with j <= i
+            width = (i + 1).bit_length()
+            j = getrandbits(width)
+            while j > i:
+                j = getrandbits(width)
+            column[i], column[j] = column[j], column[i]
         columns.append(column)
-    start = rng.randrange(n)
-    flips = [rng.random() < 0.5 for _ in range(n)]
+    width = n.bit_length()
+    start = getrandbits(width)
+    while start >= n:
+        start = getrandbits(width)
+    coin = rng.random
+    flips = [coin() < 0.5 for _ in range(n)]
     return columns, start, frozenset(compress(range(n), flips))
 
 
 def random_pfa(rng: random.Random, num_states: int) -> Dfa:
     """A binary permutation automaton: a uniform random permutation per
-    letter, uniform start, fair-coin finals.
+    letter, uniform start, fair-coin finals, of any size; the draw reads
+    only ``rng.getrandbits`` and ``rng.random`` (see ``_draw``).
 
     Raises ValueError unless ``rng`` is a ``random.Random`` and
     ``num_states`` is an int >= 1.
@@ -178,12 +195,18 @@ def magic_one_probe(
     if count_checked_only and n_max < 3:
         raise ValueError("no automaton on fewer than 3 states has asc >= 2")
     rng = random.Random(seed)
+    # the state count is rng.randint(1, n_max), drawn by _draw's rule
+    getrandbits = rng.getrandbits
+    width = n_max.bit_length()
     drawn = 0
     checked = 0
     hits: list[tuple[Dfa, int, int]] = []
     pairs: Counter[tuple[int, int]] = Counter()
     while (checked if count_checked_only else drawn) < samples:
-        n = rng.randint(1, n_max)
+        n = getrandbits(width)
+        while n >= n_max:
+            n = getrandbits(width)
+        n += 1
         columns, start, finals = _draw(rng, n, 2)
         drawn += 1
         if len(finals) < 2:

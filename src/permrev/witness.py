@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from functools import reduce
 from itertools import combinations, islice, repeat
-from operator import and_, eq, xor
+from operator import and_, eq, ge, xor
 from typing import Iterable
 
 from .dfa import Dfa, check_dfa
@@ -75,8 +75,17 @@ def _check_params(params: object) -> None:
 
 
 def subset_label(subset: KSubset) -> str:
-    """Render a subset 1-based; compact digits while every point fits one."""
-    points = [i + 1 for i in check_points("subset", subset)]
+    """Render a subset 1-based; compact digits while every point fits one.
+
+    Raises ValueError unless ``subset`` is a sequence of ints >= 0 in
+    strictly increasing order, so that every label names one subset.
+    """
+    points = check_points("subset", subset)
+    if points and points[0] < 0 or any(map(ge, points, points[1:])):
+        raise ValueError(
+            f"subset {int_text(points)} must list points >= 0 in increasing order"
+        )
+    points = [i + 1 for i in points]
     if points and points[-1] > 9:
         return ".".join(str(p) for p in points)
     return "".join(str(p) for p in points)
@@ -352,6 +361,17 @@ def verify_witness(
 
     Capacity overruns propagate as CapacityError; any falsified check
     produces a failing report naming the first broken clause.
+
+    A test breaks the witness five ways, which fail ``forward_finals``,
+    ``forward_minimal``, ``reverse_states`` and ``stars_match`` first. The
+    other checks follow from these, or from the construction:
+    - ``forward_states``: ``_witness_core`` numbers all C(n, alpha) states.
+    - ``reverse_finals``: by ``stars_match``; a star accepts iff the start holds
+      its center, and alpha centers lie in the start.
+    - ``accepting_centers``: by ``stars_match``, as ``reverse_finals``.
+    - ``reverse_minimal``: by ``forward_minimal``; an accessible DFA's reverse is.
+    - ``asc_forward``: by ``forward_finals`` and ``forward_minimal``.
+    - ``asc_reverse``: by ``reverse_finals`` and ``reverse_minimal``.
     """
     params = WitnessParams(m, alpha)
     n = params.n

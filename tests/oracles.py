@@ -8,19 +8,26 @@ oracle lists every star explicitly instead of reading a state's center off
 its members, the witness oracle moves point tuples instead of bit masks,
 the BFS order comes from an explicit queue, the DFA document reader
 takes one line at a time, with a regular expression per token, and the
-DFA document and DOT writers format one line per state or edge. Each
-oracle builds its own tables and runs its own words; none calls a helper
-of the library, which serves only as the ``Dfa`` record.
+DFA document and DOT writers format one line per state or edge, the
+random draws go through the stdlib's own ``shuffle``, ``randrange`` and
+``randint``, and the witness checks read stars and minimality off these
+oracles. Each oracle builds its own tables and runs its own words; none
+calls a helper of the library, which serves only as the ``Dfa`` record,
+except that the probe loop certifies its draws on ``reversal_certificate``:
+the tuple path, which shares no code with the probe's sampler or its byte
+kernel, and which the certificate tests check against minimization.
 """
 
 from __future__ import annotations
 
 import random
 import re
-from collections import deque
+from collections import Counter, deque
 from itertools import combinations, product
+from math import comb
 
 from permrev.dfa import Dfa
+from permrev.reversal import reversal_certificate
 
 
 def random_dfa(rng: random.Random, max_states: int, alphabet_size: int = 2) -> Dfa:
@@ -31,6 +38,43 @@ def random_dfa(rng: random.Random, max_states: int, alphabet_size: int = 2) -> D
     start = rng.randrange(n)
     finals = frozenset(q for q in range(n) if rng.random() < 0.5)
     return Dfa(n, alphabet_size, columns, start, finals)
+
+
+def draw_by_stdlib(
+    rng: random.Random, n: int, k: int
+) -> tuple[list[list[int]], int, frozenset[int]]:
+    """The probe's draw through the stdlib: ``rng.shuffle`` of each letter
+    column, ``rng.randrange(n)`` for the start, then one ``rng.random() <
+    0.5`` coin per state in state order."""
+    columns = []
+    for _ in range(k):
+        column = list(range(n))
+        rng.shuffle(column)
+        columns.append(column)
+    start = rng.randrange(n)
+    finals = frozenset(q for q in range(n) if rng.random() < 0.5)
+    return columns, start, finals
+
+
+def probe_by_stdlib(
+    n_max: int, samples: int, seed: int, count_checked_only: bool = False
+) -> tuple[int, int, tuple[tuple[tuple[int, int], int], ...]]:
+    """(drawn, checked, histogram) of the magic-value probe, by a loop of
+    its own: ``rng.randint(1, n_max)`` states, ``draw_by_stdlib`` on two
+    letters, and ``reversal_certificate`` of every draw's ``Dfa``, with no
+    skip. A draw is checked when its asc is at least 2."""
+    rng = random.Random(seed)
+    drawn = checked = 0
+    histogram: Counter[tuple[int, int]] = Counter()
+    while (checked if count_checked_only else drawn) < samples:
+        n = rng.randint(1, n_max)
+        columns, start, finals = draw_by_stdlib(rng, n, 2)
+        drawn += 1
+        certificate = reversal_certificate(Dfa(n, 2, columns, start, finals))
+        if certificate.asc_forward >= 2:
+            checked += 1
+            histogram[certificate.asc_forward, certificate.asc_reverse] += 1
+    return drawn, checked, tuple(sorted(histogram.items()))
 
 
 def _reachable(dfa: Dfa) -> list[int]:
@@ -390,3 +434,53 @@ def emit_dot_by_lines(dfa: Dfa) -> str:
             lines.append(f'  q{q} -> q{t} [label="{letter}"];')
     lines.append("}")
     return "".join(line + "\n" for line in lines)
+
+
+def witness_checks_by_oracle(m: int, alpha: int, fwd: Dfa) -> tuple:
+    """(first failing check, asc, reverse asc, reverse state count) of
+    ``fwd`` read as the (m, alpha) witness, with the checks of
+    ``verify_witness`` in its order, each recomputed by the oracles here.
+
+    The reverse states are the subsets that ``brute_reachable_subsets``
+    finds, their stars come from ``star_centers_by_enumeration``, and the
+    letter law asks that reading a reverse a (b) moves a star's center
+    back by one point (swaps points 0 and 1). Minimality and asc come from
+    ``minimize_counts_by_marking`` on ``fwd`` and on
+    ``reverse_by_word_formula(fwd)``.
+    """
+    n = m + alpha - 1
+    size = fwd.num_states
+    subsets = sorted(tuple(sorted(s)) for s in brute_reachable_subsets(fwd))
+    center_of = dict(zip(subsets, star_centers_by_enumeration(n, alpha, subsets)))
+    rev = reverse_by_word_formula(fwd)
+    fwd_classes, asc_forward = minimize_counts_by_marking(fwd)
+    rev_classes, asc_reverse = minimize_counts_by_marking(rev)
+
+    def preimage(subset, c):
+        return tuple(q for q in range(size) if fwd.columns[c][q] in subset)
+
+    def moved(center, c):
+        if c == 0:
+            return tuple(sorted((i - 1) % n for i in center))
+        return tuple(sorted({0: 1, 1: 0}.get(i, i) for i in center))
+
+    stars = None not in center_of.values()
+    accepting = [center_of[s] for s in subsets if fwd.start in s]
+    checks = (
+        ("forward_states", size == comb(n, alpha)),
+        ("forward_finals", len(fwd.finals) == m),
+        ("forward_minimal", fwd_classes == size),
+        ("reverse_states", len(subsets) == comb(n, alpha - 1)),
+        ("stars_match", stars
+         and len(set(center_of.values())) == comb(n, alpha - 1)
+         and all(center_of[preimage(s, c)] == moved(center_of[s], c)
+                 for s in subsets for c in (0, 1))),
+        ("reverse_finals", len(accepting) == alpha),
+        ("accepting_centers",
+         stars and sorted(accepting) == [*combinations(range(alpha), alpha - 1)]),
+        ("reverse_minimal", rev_classes == rev.num_states),
+        ("asc_forward", asc_forward == m),
+        ("asc_reverse", asc_reverse == alpha),
+    )
+    first_failure = next((name for name, ok in checks if not ok), None)
+    return first_failure, asc_forward, asc_reverse, len(subsets)

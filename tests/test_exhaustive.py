@@ -8,7 +8,8 @@ automaton per isomorphism class of accessible binary permutation automata
 every word. The census reads each asc pair with the probe's byte kernel,
 ``_mask_asc_pair``; every automaton here is accessible, so its reachable
 finals are its finals. A tier-1 test checks that kernel against
-``reversal_certificate`` on every final set up to five states.
+``reversal_certificate`` on every final set up to five states, and
+``tests/test_spectrum.py`` does on probe draws of six to eight states.
 
 Run as a script, ``python tests/test_exhaustive.py N`` prints the census for
 N states: the pair count, the count with asc >= 2, the count with reverse

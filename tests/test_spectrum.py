@@ -10,7 +10,9 @@ from permrev import reversal, spectrum
 from permrev.dfa import Dfa, is_permutation_automaton, reachable_states
 from permrev.minimize import asc
 from permrev.records import replace
-from permrev.reversal import MASK_STATES, certify_reversal, reverse_dfa
+from permrev.reversal import (
+    MASK_STATES, _mask_asc_pair, certify_reversal, reversal_certificate, reverse_dfa
+)
 from permrev.spectrum import (
     DEFAULT_SEED,
     asc_pair,
@@ -23,6 +25,7 @@ from permrev.spectrum import (
 from permrev.witness import build_witness, verify_witness
 
 from conftest import permutation_automata, pfas
+from oracles import draw_by_stdlib, probe_by_stdlib
 
 
 @pytest.mark.parametrize("call", [
@@ -94,6 +97,57 @@ def test_random_pfa_consumes_the_rng_as_pinned():
         6, 2, ((3, 5, 4, 0, 2, 1), (4, 2, 5, 0, 1, 3)), 3,
         frozenset({1, 3, 5}),
     )
+
+
+def test_draw_equals_the_stdlib_draw():
+    # sizes past MASK_STATES too: random_pfa takes any size
+    for seed in range(100):
+        for n in range(1, 13):
+            for k in range(1, 4):
+                rng, reference = random.Random(seed), random.Random(seed)
+                assert spectrum._draw(rng, n, k) == draw_by_stdlib(reference, n, k)
+                assert rng.getstate() == reference.getstate(), (seed, n, k)
+
+
+@pytest.mark.parametrize("n_max", range(1, MASK_STATES + 1))
+@pytest.mark.parametrize("seed", [3, DEFAULT_SEED])
+def test_probe_equals_the_stdlib_probe(n_max, seed):
+    report = magic_one_probe(n_max, 300, seed)
+    assert (report.drawn, report.checked, report.histogram) == probe_by_stdlib(
+        n_max, 300, seed
+    )
+    if n_max >= 3:
+        report = magic_one_probe(n_max, 100, seed, count_checked_only=True)
+        assert (report.drawn, report.checked, report.histogram) == probe_by_stdlib(
+            n_max, 100, seed, count_checked_only=True
+        )
+
+
+def test_random_pfa_takes_a_size_past_the_byte_kernel():
+    pfa = random_pfa(random.Random(0), 40)
+    assert pfa.num_states == 40
+    assert is_permutation_automaton(pfa)
+
+
+def test_mask_kernel_matches_the_certificate_at_the_probe_sizes():
+    # orbits of up to C(8, 4) = 70 masks, on draws of 6 to 8 states with
+    # any finals, inaccessible ones included, cut to their reachable finals
+    rng = random.Random(31)
+    inaccessible = 0
+    reverse_values = set()
+    for _ in range(1000):
+        n = rng.randint(6, 8)
+        columns, start, finals = spectrum._draw(rng, n, 2)
+        dfa = Dfa(n, 2, columns, start, finals)
+        reach = reachable_states(dfa)
+        inaccessible += len(reach) < n
+        certificate = reversal_certificate(dfa)
+        pair = (certificate.asc_forward, certificate.asc_reverse)
+        assert _mask_asc_pair(columns, start, finals.intersection(reach)) == pair
+        reverse_values.add(certificate.asc_reverse)
+    assert inaccessible >= 100
+    # a reverse asc above 10 needs an orbit above C(5, 2) = 10 masks
+    assert max(reverse_values) > 10
 
 
 @pytest.mark.filterwarnings("error")

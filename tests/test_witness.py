@@ -21,6 +21,7 @@ from oracles import (
     all_pairs_distinguishable,
     star_centers_by_enumeration,
     witness_by_itertools,
+    witness_checks_by_oracle,
 )
 
 
@@ -173,6 +174,24 @@ def test_subset_label_rejects_a_non_subset():
     with pytest.raises(ValueError) as info:
         subset_label(None)
     assert str(info.value) == "subset must be a sequence of ints (got None)"
+
+
+@pytest.mark.parametrize("label", [subset_label, star_label])
+@pytest.mark.parametrize("points", [(-5, 3), (-1,), (1, 1), (2, 1), (0, 3, 2)])
+def test_labels_refuse_negative_repeated_or_unsorted_points(label, points):
+    # such points used to give '-44', '22' or '32': no subset's label, or
+    # another subset's
+    with pytest.raises(ValueError) as info:
+        label(points)
+    assert str(info.value) == (
+        f"subset {points} must list points >= 0 in increasing order"
+    )
+
+
+def test_labels_of_the_edge_subsets():
+    assert subset_label(()) == ""
+    assert star_label((0,)) == "S(1)"
+    assert subset_label([8, 9]) == "9.10"
 
 
 def test_star_always_has_m_members():
@@ -405,6 +424,44 @@ def test_verify_passes_on_the_2_to_7_grid():
         if not verify_witness(m, alpha).passed
     ]
     assert failures == []
+
+
+def _mutations(columns, finals):
+    """Five broken (3, 4) witnesses as (name, columns, finals), and the
+    check of ``verify_witness`` that each should fail first."""
+    a, b = columns
+    others = sorted(set(range(len(a))) - finals)
+    return [
+        ("a final swapped for a non-final", (a, b),
+         finals - {max(finals)} | {others[0]}, "reverse_states"),
+        ("a non-final made final", (a, b), finals | {others[0]}, "forward_finals"),
+        ("b the identity", (a, tuple(range(len(a)))), finals, "forward_minimal"),
+        ("b equal to a", (a, a), finals, "forward_minimal"),
+        ("the letters swapped", (b, a), finals, "stars_match"),
+    ]
+
+
+def test_verify_fails_each_mutated_witness_at_the_oracles_check(monkeypatch):
+    oracle = witness_by_itertools(3, 4)
+    assert witness_checks_by_oracle(3, 4, oracle) == (None, 3, 4, 20)
+    core = witness._witness_core
+    for name, columns, finals, first in _mutations(oracle.columns, oracle.finals):
+
+        def mutated(m, alpha, state_cap, columns=columns, finals=finals):
+            points = core(m, alpha, state_cap)[2]
+            return columns, frozenset(finals), points
+
+        monkeypatch.setattr(witness, "_witness_core", mutated)
+        report = verify_witness(3, 4)
+        expected = witness_checks_by_oracle(
+            3, 4, Dfa(oracle.num_states, 2, columns, 0, finals)
+        )
+        assert expected[0] == first, name
+        assert (
+            report.first_failure, report.asc_forward, report.asc_reverse,
+            report.reverse_states,
+        ) == expected, name
+        assert not report.passed
 
 
 def test_verify_propagates_capacity():
