@@ -33,7 +33,6 @@ from .perms import (
 from .reversal import (
     ReversalCertificate,
     SubsetState,
-    certify_reversal,
     mask_states,
     reversal_certificate,
     reverse_dfa,

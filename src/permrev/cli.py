@@ -11,12 +11,12 @@ from typing import Sequence
 
 import click
 
-from .dfa import apply_word
+from .dfa import Dfa, apply_word
 from .errors import CapacityError
 from .minimize import asc as _asc
 from .minimize import minimize as _minimize
 from .records import replace
-from .reversal import DEFAULT_MAX_STATES, certify_reversal, mask_states, reverse_dfa
+from .reversal import DEFAULT_MAX_STATES, mask_states, reverse_dfa
 from .spectrum import (
     DEFAULT_SEED,
     MagicProbeReport,
@@ -35,8 +35,9 @@ from .witness import (
     Star,
     WitnessParams,
     WitnessReport,
+    _reverse_stars,
+    _star_checks,
     build_witness,
-    classify_reverse_states,
     star_label,
     star_members,
     subset_label,
@@ -257,12 +258,11 @@ def probe_magic_one(n_max: int, samples: int, seed: int, require_asc2: bool) -> 
 def example() -> None:
     """Reproduce the worked m=3, alpha=4 reversal computation."""
     params = WitnessParams(3, 4)
-    fwd = build_witness(3, 4)
-    rev, subsets, certificate = certify_reversal(fwd)
-    classification = classify_reverse_states(params, rev, subsets)
+    keys, columns, finals, certificate = _reverse_stars(params, DEFAULT_STATE_CAP)[2:]
+    rev = Dfa(len(keys), 2, columns, 0, finals)
     names = [
-        star_label(tuple(mask_states(center))) if center is not None else str(i)
-        for i, center in enumerate(classification.centers)
+        star_label(tuple(mask_states(key))) if isinstance(key, int) else str(i)
+        for i, key in enumerate(keys)
     ]
 
     click.echo(f"worked example: witness m=3 alpha=4 (n={params.n})")
@@ -277,7 +277,8 @@ def example() -> None:
     state = apply_word(rev, rev.start, word_from_str("aabaaaa"))
     click.echo(f"word a2ba4: {names[rev.start]} -a2ba4-> {names[state]}")
 
-    stars = [star_members(params, c) for c in classification.accepting_centers]
+    accepting_centers = _star_checks(params, keys, columns, finals)[1]
+    stars = [star_members(params, c) for c in accepting_centers]
     for line in _accepting_star_lines(stars):
         click.echo(line)
     click.echo(

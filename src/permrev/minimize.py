@@ -7,7 +7,7 @@ canonical form: two DFAs accept the same language iff their minimized
 tables are identical, which is how ``are_equivalent`` decides.
 
 The verification pipeline (``verify_witness``, the spectrum grid and the
-magic-value probe) does not minimize: one ``reversal.certify_reversal`` or
+magic-value probe) does not minimize: one ``witness._reverse_stars`` or
 ``reversal.reversal_certificate`` call explores each permutation
 automaton's reverse subsets once and reads asc and minimality of both
 sides off them, and the probe reads asc on byte masks. The

@@ -16,15 +16,14 @@ one ``itemgetter`` per subset serves every letter.
 
 ``reversal_certificate`` reads the accepting-state complexity and
 minimality of both sides off the subsets, without minimizing either
-automaton and without building the reverse one. ``certify_reversal``
-returns the reverse automaton and its subsets as well, from the same
-exploration. Both take permutation automata only, the automata that the
-reversal spectrum is about, and refuse any other DFA before exploring: the
-letters generate a group, transitive on the reachable states, that
-permutes the Nerode classes and the reverse subsets, so the forward side
-is read off the start's Nerode class, which one set intersection over the
-reverse subsets that hold the start gives. The construction itself, and
-``reverse_dfa``, serve every DFA.
+automaton and without building the reverse one. It takes permutation
+automata only, the automata that the reversal spectrum is about, and
+refuses any other DFA before exploring: the letters generate a group,
+transitive on the reachable states, that permutes the Nerode classes and
+the reverse subsets, so the forward side is read off the start's Nerode
+class, which one set intersection over the reverse subsets that hold the
+start gives. The construction itself, and ``reverse_dfa``, serve every
+DFA.
 
 The magic-value probe reads the asc pair of automata of at most
 ``MASK_STATES`` = 8 states on a private byte kernel, ``_mask_asc_pair``,
@@ -44,8 +43,10 @@ most 8 states), the walk took 0.017 s at best and 0.030 s in the median
 of 30 interleaved repetitions, the level-by-level translate kernel
 0.024 s and 0.042 s, and the tuple path 0.086 s and 0.149 s (2 shared
 vCPUs, Python 3.11).
-``reversal_certificate``, ``certify_reversal`` and ``reverse_construction``
-keep the tuple subsets, which the star classification reads.
+``reversal_certificate`` and ``reverse_construction`` keep the tuple
+subsets, which ``witness.classify_reverse_states`` reads. The witness
+verifier runs its own BFS, ``witness._reverse_stars``, which interns each
+star by its center mask and reads the certificate by the same rules.
 """
 
 from __future__ import annotations
@@ -157,15 +158,21 @@ def _explore(fwd: Dfa, max_states: int) -> tuple[list[int], list[SubsetState]]:
             j = intern(t, fresh)
             if j == fresh:
                 if j >= max_states:
-                    raise CapacityError(
-                        f"reverse construction exceeded {max_states} states",
-                        count=j,
-                        stage="reverse_construction",
-                    )
+                    raise _capacity_error(max_states)
                 subsets.append(t)
                 fresh += 1
             targets.append(j)
     return targets, subsets
+
+
+def _capacity_error(max_states: int) -> CapacityError:
+    """The error of a reverse construction about to intern a subset past
+    ``max_states``, which is then the subset's id."""
+    return CapacityError(
+        f"reverse construction exceeded {max_states} states",
+        count=max_states,
+        stage="reverse_construction",
+    )
 
 
 def reverse_construction(
@@ -224,21 +231,6 @@ def _check_permutation_automaton(fwd: Dfa) -> None:
     """Raise ValueError unless every letter of the Dfa ``fwd`` permutes."""
     if not is_permutation_automaton(fwd):
         raise ValueError("expected a permutation automaton")
-
-
-def certify_reversal(
-    fwd: Dfa,
-) -> tuple[Dfa, list[SubsetState], ReversalCertificate]:
-    """``reverse_construction(fwd)`` and ``reversal_certificate(fwd)``,
-    from one exploration.
-
-    Raises ValueError, before exploring, unless ``fwd`` is a permutation
-    automaton. The construction runs with ``DEFAULT_MAX_STATES`` as it
-    reads at call time; its CapacityError propagates.
-    """
-    _check_permutation_automaton(fwd)
-    rev, subsets = reverse_construction(fwd, DEFAULT_MAX_STATES)
-    return rev, subsets, _certificate(fwd, subsets, reachable_states(fwd))
 
 
 def reversal_certificate(fwd: Dfa) -> ReversalCertificate:

@@ -15,17 +15,24 @@ from __future__ import annotations
 
 import math
 from functools import reduce
-from itertools import combinations, islice, repeat
-from operator import and_, eq, ge, xor
-from typing import Iterable
+from itertools import combinations, compress, count, islice, repeat
+from operator import and_, contains, eq, ge, itemgetter, or_, xor
+from typing import Iterable, Sequence
 
-from .dfa import Dfa, check_dfa
+from . import reversal
+from .dfa import Dfa, check_dfa, reachable_states
 from .errors import (
     CapacityError, are_subset_states, check_int, check_points, check_subset, int_text
 )
 from .perms import KSubset
 from .records import Record
-from .reversal import SubsetState, certify_reversal, mask_states
+from .reversal import (
+    ReversalCertificate,
+    SubsetState,
+    _capacity_error,
+    _check_permutation_automaton,
+    mask_states,
+)
 
 # Unused here: perfbench/tracing.py wraps these names on this module by attribute.
 from .minimize import asc, minimize  # noqa: F401
@@ -270,7 +277,7 @@ def classify_reverse_states(
     """Match every reverse state to its star center.
 
     ``subsets[i]`` is the subset of witness states behind state ``i`` of
-    ``rev``, as ``certify_reversal`` returns them: distinct, strictly
+    ``rev``, as ``reverse_construction`` returns them: distinct, strictly
     increasing tuples of witness state numbers. A state's center is the
     common part of its members, the AND of their n-bit point-sets. m
     alpha-subsets whose common part has alpha - 1 points are the whole
@@ -304,27 +311,162 @@ def _classify(
     ``points[q]`` of each witness state q."""
     n, alpha = params.n, params.alpha
     members = map(map, repeat(points.__getitem__), subsets)
-    commons = [*map(reduce, repeat(and_), members, repeat((1 << n) - 1))]
+    commons = map(reduce, repeat(and_), members, repeat((1 << n) - 1))
     centers = [
         common if len(subset) == params.m and common.bit_count() == alpha - 1 else None
         for subset, common in zip(subsets, commons)
     ]
-    all_stars = None not in centers
-    accepting = sorted(
-        tuple(mask_states(centers[i])) for i in rev.finals if centers[i] is not None
-    )
+    checks = _star_checks(params, centers, rev.columns, rev.finals)
+    return StarClassification(tuple(centers), *checks[1:])
 
+
+def _star_checks(
+    params: WitnessParams,
+    keys: list,
+    columns: Sequence[Sequence[int]],
+    finals: Iterable[int],
+) -> tuple[bool, tuple[KSubset, ...], bool, bool]:
+    """(all stars, accepting centers, covers all centers, letter law) of
+    the reverse states in ``keys``, whose letter columns are ``columns``
+    and whose finals are ``finals``.
+
+    An int key is the center mask of the star that the state is; any other
+    key is a state that is no star. The accepting centers are those of the
+    finals that are stars, as sorted point tuples.
+    """
+    n, alpha = params.n, params.alpha
+    all_stars = all(map(isinstance, keys, repeat(int)))
+    accepting = sorted(
+        tuple(mask_states(keys[i])) for i in finals if isinstance(keys[i], int)
+    )
     # Distinct centers have distinct members, so no two states share a center.
-    covers = all_stars and len(commons) == math.comb(n, alpha - 1)
+    covers = all_stars and len(keys) == math.comb(n, alpha - 1)
     # Reading a reverse letter applies its inverse to the center: a^-1 is a
     # right rotation by one bit and b is its own inverse.
-    to_a, to_b = (map(commons.__getitem__, column) for column in rev.columns)
+    to_a, to_b = (map(keys.__getitem__, column) for column in columns)
     letter_law = (
         all_stars
-        and all(map(eq, to_a, _rotations(commons, n, 1)))
-        and all(map(eq, to_b, _swaps(commons)))
+        and all(map(eq, to_a, _rotations(keys, n, 1)))
+        and all(map(eq, to_b, _swaps(keys)))
     )
-    return StarClassification(tuple(centers), tuple(accepting), covers, letter_law)
+    return all_stars, tuple(accepting), covers, letter_law
+
+
+def _reverse_stars(
+    params: WitnessParams, state_cap: int
+) -> tuple[int, int, list, tuple[list[int], list[int]], list[int], ReversalCertificate]:
+    """The witness from ``_witness_core`` and its reverse construction,
+    explored once: the forward state and final counts, the intern key of
+    each reverse state in ``_explore``'s BFS order, the reverse's two
+    letter columns, its finals and the witness's certificate.
+
+    A subset of m members whose common point mask has alpha - 1 bits is
+    the star around that mask (``_classify``'s rule), keyed by the mask;
+    any other subset is keyed by its sorted member tuple. An int never
+    equals a tuple, so interning stays by subset. The letters permute, so
+    every subset has as many members as the finals. ``packed[q]`` holds
+    the point-sets of q's preimages under a and b in two n-bit lanes: one
+    AND over a subset's members gives both images' common masks. Only the
+    current BFS level's member tuples are kept.
+
+    The certificate follows ``reversal._certificate``: a subset that holds
+    the start is a reverse final and joins the start-class intersection,
+    and when some state is unreachable each subset is first cut to the
+    reachable states. Raises as ``_witness_core`` and ``Dfa`` do;
+    ValueError, before exploring, unless the letters permute; and
+    CapacityError past ``reversal.DEFAULT_MAX_STATES`` as it reads at
+    call time.
+    """
+    columns, finals, points = _witness_core(params.m, params.alpha, state_cap)
+    fwd = Dfa(len(points), 2, columns, 0, finals)
+    _check_permutation_automaton(fwd)
+    max_states = reversal.DEFAULT_MAX_STATES
+    n, alpha, size, finals, start = (
+        params.n, params.alpha, fwd.num_states, fwd.finals, fwd.start
+    )
+    full = (1 << n) - 1
+    reach = reachable_states(fwd)
+    live = None if len(reach) == size else frozenset(reach)
+    del fwd, reach
+
+    # Each entry of the inverses is the column's own int object for its
+    # state, so the inverses add no int objects.
+    ids = [0] * size
+    any(map(ids.__setitem__, columns[0], columns[0]))
+    inverse_a, inverse_b = [0] * size, [0] * size
+    for inverse, column in zip((inverse_a, inverse_b), columns):
+        any(map(inverse.__setitem__, column, ids))
+    pick = points.__getitem__
+    packed = [
+        *map(or_, map(pick, inverse_a), map(n.__rlshift__, map(pick, inverse_b)))
+    ]
+    both = (1 << 2 * n) - 1
+
+    first = tuple(sorted(finals))
+    # a popcount is never -1: no subset of another size is a star
+    bits = alpha - 1 if len(first) == params.m else -1
+    common = reduce(and_, map(pick, first), full)
+    del columns, ids, pick, points
+    index = {common if common.bit_count() == bits else first: 0}
+    intern = index.setdefault
+    fresh = 1  # the id of the next new subset, len(index)
+    # itemgetter returns a tuple only for two or more items
+    getter = itemgetter if len(first) > 1 else (
+        lambda *s: lambda seq: (*map(seq.__getitem__, s),)
+    )
+    to_a: list[int] = []
+    to_b: list[int] = []
+    rev_finals: list[int] = []
+    start_class: set[int] | None = None
+    cuts: set[frozenset[int]] = set()
+    held: set[frozenset[int]] = set()
+    level = [first]
+    while level:
+        holds = [*map(contains, level, repeat(start))]
+        rev_finals += compress(count(fresh - len(level)), holds)
+        cut = level if live is None else [*map(live.intersection, level)]
+        holding = [*compress(cut, holds)]
+        if holding:
+            if start_class is None:
+                start_class = set(holding[0])
+            start_class.intersection_update(*holding)
+        if live is not None:
+            cuts.update(cut)
+            held.update(holding)
+        found = []
+        for s in level:
+            get = getter(*s)
+            common = reduce(and_, get(packed), both)
+            mask = common & full
+            key = mask if mask.bit_count() == bits else (*sorted(get(inverse_a)),)
+            j = intern(key, fresh)
+            if j == fresh:
+                if j >= max_states:
+                    raise _capacity_error(max_states)
+                found.append(get(inverse_a))
+                fresh += 1
+            to_a.append(j)
+            mask = common >> n
+            key = mask if mask.bit_count() == bits else (*sorted(get(inverse_b)),)
+            j = intern(key, fresh)
+            if j == fresh:
+                if j >= max_states:
+                    raise _capacity_error(max_states)
+                found.append(get(inverse_b))
+                fresh += 1
+            to_b.append(j)
+        level = found
+    del inverse_a, inverse_b, packed
+
+    reached = size if live is None else len(live)
+    class_size = reached if start_class is None else len(start_class)
+    certificate = ReversalCertificate(
+        asc_forward=len(finals if live is None else finals & live) // class_size,
+        asc_reverse=len(rev_finals) if live is None else len(held),
+        forward_minimal=live is None and class_size == 1,
+        reverse_minimal=live is None or len(cuts) == fresh,
+    )
+    return size, len(finals), [*index], (to_a, to_b), rev_finals, certificate
 
 
 class WitnessReport(Record):
@@ -362,6 +504,11 @@ def verify_witness(
     Capacity overruns propagate as CapacityError; any falsified check
     produces a failing report naming the first broken clause.
 
+    One BFS, ``_reverse_stars``, explores the reverse and interns each
+    star by its center mask; the counts, the certificate and the star
+    checks are read off its keys, columns and finals. No reverse ``Dfa``
+    is built and nothing is minimized.
+
     A test breaks the witness five ways, which fail ``forward_finals``,
     ``forward_minimal``, ``reverse_states`` and ``stars_match`` first. The
     other checks follow from these, or from the construction:
@@ -375,29 +522,27 @@ def verify_witness(
     """
     params = WitnessParams(m, alpha)
     n = params.n
-    columns, finals, points = _witness_core(m, alpha, state_cap)
-    fwd = Dfa(len(points), 2, columns, 0, finals)
-    forward_states, forward_finals = fwd.num_states, len(fwd.finals)
-    rev, subsets, certificate = certify_reversal(fwd)
-    del fwd, columns  # the forward table need not outlive the reversal
-    classification = _classify(params, rev, subsets, points)
+    forward_states, forward_finals, keys, rev_columns, rev_finals, certificate = (
+        _reverse_stars(params, state_cap)
+    )
+    all_stars, accepting_centers, covers, letter_law = _star_checks(
+        params, keys, rev_columns, rev_finals
+    )
+    stars_ok = covers and letter_law
 
     expected_centers = tuple(combinations(params.q_init, alpha - 1))
-    accepting_ok = (
-        classification.all_stars
-        and classification.accepting_centers == expected_centers
-    )
+    accepting_ok = all_stars and accepting_centers == expected_centers
     accepting_stars = tuple(
-        star_members(params, center) for center in classification.accepting_centers
+        star_members(params, center) for center in accepting_centers
     )
 
     checks = (
         ("forward_states", forward_states == math.comb(n, alpha)),
         ("forward_finals", forward_finals == m),
         ("forward_minimal", certificate.forward_minimal),
-        ("reverse_states", rev.num_states == math.comb(n, alpha - 1)),
-        ("stars_match", classification.ok),
-        ("reverse_finals", len(rev.finals) == alpha),
+        ("reverse_states", len(keys) == math.comb(n, alpha - 1)),
+        ("stars_match", stars_ok),
+        ("reverse_finals", len(rev_finals) == alpha),
         ("accepting_centers", accepting_ok),
         ("reverse_minimal", certificate.reverse_minimal),
         ("asc_forward", certificate.asc_forward == m),
@@ -410,10 +555,10 @@ def verify_witness(
         forward_states=forward_states,
         forward_finals=forward_finals,
         forward_minimal=certificate.forward_minimal,
-        reverse_states=rev.num_states,
-        reverse_finals=len(rev.finals),
+        reverse_states=len(keys),
+        reverse_finals=len(rev_finals),
         reverse_minimal=certificate.reverse_minimal,
-        stars_match=classification.ok,
+        stars_match=stars_ok,
         accepting_centers_match=accepting_ok,
         asc_forward=certificate.asc_forward,
         asc_reverse=certificate.asc_reverse,

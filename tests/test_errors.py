@@ -47,7 +47,6 @@ from permrev.perms import (
     transposition_perm,
 )
 from permrev.reversal import (
-    certify_reversal,
     mask_states,
     reversal_certificate,
     reverse_construction,
@@ -322,7 +321,7 @@ ENTRY_POINTS = {
     "mask_states": (mask_states, VALUES),
     "reverse_dfa": (reverse_dfa, DFAS, VALUES),
     "reverse_subsets": (reverse_subsets, DFAS, VALUES),
-    "certify_reversal": (certify_reversal, DFAS),
+    "reverse_construction": (reverse_construction, DFAS, VALUES),
     "reversal_certificate": (reversal_certificate, DFAS),
     "asc_pair": (asc_pair, DFAS),
     "random_pfa": (random_pfa, st.one_of(VALUES, st.builds(random.Random)), VALUES),

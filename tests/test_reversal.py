@@ -16,7 +16,6 @@ from permrev.records import replace
 from permrev.reversal import (
     MASK_STATES,
     _mask_asc_pair,
-    certify_reversal,
     mask_states,
     reversal_certificate,
     reverse_construction,
@@ -243,25 +242,13 @@ def test_reversed_language_on_exhaustive_words():
 
 
 # ---------------------------------------------------------------------
-# certify_reversal
+# reversal_certificate
 # ---------------------------------------------------------------------
 
 def certified(fwd):
     """(asc_forward, asc_reverse, forward_minimal, reverse_minimal)."""
-    c = certify_reversal(fwd)[2]
-    assert reversal_certificate(fwd) == c
+    c = reversal_certificate(fwd)
     return c.asc_forward, c.asc_reverse, c.forward_minimal, c.reverse_minimal
-
-
-@given(permutation_automata())
-def test_certify_reversal_returns_its_construction(fwd):
-    assert certify_reversal(fwd)[:2] == reverse_construction(fwd)
-
-
-@given(permutation_automata(max_states=MASK_STATES))
-def test_reversal_certificate_matches_certify_reversal(fwd):
-    # the same subsets, with the finals found without a reverse Dfa
-    assert reversal_certificate(fwd) == certify_reversal(fwd)[2]
 
 
 def mask_asc_pair(fwd):
@@ -332,32 +319,29 @@ def test_certificate_capacity_error_is_the_same_on_both_paths(monkeypatch, m, al
     assert (fwd.num_states <= MASK_STATES) == (m == 2)
     forbid(monkeypatch, "_mask_asc_pair")
     monkeypatch.setattr(reversal, "DEFAULT_MAX_STATES", 2)
-    for call in (reversal_certificate, certify_reversal):
-        with pytest.raises(CapacityError) as info:
-            call(fwd)
-        assert (str(info.value), info.value.count, info.value.stage) == (
-            "reverse construction exceeded 2 states", 2, "reverse_construction"
-        )
+    with pytest.raises(CapacityError) as info:
+        reversal_certificate(fwd)
+    assert (str(info.value), info.value.count, info.value.stage) == (
+        "reverse construction exceeded 2 states", 2, "reverse_construction"
+    )
 
 
 @SIZES
 def test_certificate_cap_admits_exactly_its_count(monkeypatch, m, alpha):
     fwd = build_witness(m, alpha)
-    rev, subsets, expected = certify_reversal(fwd)
-    size = len(subsets)
+    size = len(reverse_subsets(fwd))
+    expected = reversal_certificate(fwd)
     forbid(monkeypatch, "_mask_asc_pair")
     monkeypatch.setattr(reversal, "DEFAULT_MAX_STATES", size)
     assert reversal_certificate(fwd) == expected
-    assert certify_reversal(fwd) == (rev, subsets, expected)
     monkeypatch.setattr(reversal, "DEFAULT_MAX_STATES", size - 1)
-    for call in (reversal_certificate, certify_reversal):
-        with pytest.raises(CapacityError) as info:
-            call(fwd)
-        assert info.value.count == size - 1
+    with pytest.raises(CapacityError) as info:
+        reversal_certificate(fwd)
+    assert info.value.count == size - 1
 
 
 @pytest.mark.filterwarnings("error")
-@pytest.mark.parametrize("call", [certify_reversal, reversal_certificate])
+@pytest.mark.parametrize("call", [reverse_construction, reversal_certificate])
 @pytest.mark.parametrize("fwd", [None, "dfa 1 1", ((0,),)], ids=["none", "str", "table"])
 def test_certificates_require_a_dfa(call, fwd):
     with pytest.raises(ValueError) as info:
@@ -417,10 +401,9 @@ def test_certificates_refuse_a_merging_letter_before_exploring(monkeypatch):
     assert reverse_construction(fwd)[1] == [(1,), (0,), (), (0, 1)]
     for name in ("_explore", "reachable_states", "reverse_construction"):
         forbid(monkeypatch, name)
-    for call in (reversal_certificate, certify_reversal):
-        with pytest.raises(ValueError) as info:
-            call(fwd)
-        assert str(info.value) == "expected a permutation automaton"
+    with pytest.raises(ValueError) as info:
+        reversal_certificate(fwd)
+    assert str(info.value) == "expected a permutation automaton"
 
 
 def test_certificate_cuts_subsets_to_reachable_states():

@@ -11,7 +11,7 @@ from permrev.dfa import Dfa, is_permutation_automaton, reachable_states
 from permrev.minimize import asc
 from permrev.records import replace
 from permrev.reversal import (
-    MASK_STATES, _mask_asc_pair, certify_reversal, reversal_certificate, reverse_dfa
+    MASK_STATES, _mask_asc_pair, reversal_certificate, reverse_dfa
 )
 from permrev.spectrum import (
     DEFAULT_SEED,
@@ -241,7 +241,7 @@ def test_benchmark_probe_job_is_pinned():
 @given(permutation_automata())
 def test_asc_never_exceeds_final_count(dfa):
     # the premise of the probe's skip, inaccessible automata included
-    certificate = certify_reversal(dfa)[2]
+    certificate = reversal_certificate(dfa)
     assert certificate.asc_forward <= len(dfa.finals)
 
 
@@ -383,9 +383,9 @@ def count_calls(monkeypatch, names):
 
 
 def forbid_full_reversal(monkeypatch):
-    """Count the calls that build a reverse Dfa: ``certify_reversal`` and
-    the construction, looked up on the reversal module."""
-    calls = {"certify_reversal": 0, "reverse_construction": 0}
+    """Count the calls that build a reverse Dfa: the construction, looked
+    up on the reversal module."""
+    calls = {"reverse_construction": 0}
 
     def counted(name):
         original = getattr(reversal, name)
@@ -411,8 +411,7 @@ def test_grid_explores_each_automaton_once_and_never_minimizes(monkeypatch):
         "_witness_core": 4, "build_witness": 0, "reversal_certificate": 6,
         "reverse_dfa": 0, "asc": 0,
     }
-    assert full == {"certify_reversal": 0, "reverse_construction": 0}
-    assert not hasattr(spectrum, "certify_reversal")
+    assert full == {"reverse_construction": 0}
 
 
 def record_draws(monkeypatch):
@@ -461,7 +460,7 @@ def test_probe_explores_each_draw_once_and_never_minimizes(monkeypatch):
     }
     assert not hasattr(spectrum, "is_permutation_automaton")
     assert certified < sum(len(finals) >= 2 for _, _, finals in draws)
-    assert full == {"certify_reversal": 0, "reverse_construction": 0}
+    assert full == {"reverse_construction": 0}
 
 
 def test_probe_certifies_each_draw_from_its_own_columns(monkeypatch):

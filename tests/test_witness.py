@@ -1,10 +1,12 @@
 import math
+import random
+from collections import Counter
 from itertools import combinations
 
 import pytest
 
 from permrev import reversal, witness
-from permrev.dfa import Dfa, is_permutation_automaton
+from permrev.dfa import Dfa, is_permutation_automaton, reachable_states
 from permrev.errors import CapacityError
 from permrev.reversal import reverse_construction
 from permrev.witness import (
@@ -385,9 +387,12 @@ def test_verify_4_3():
 
 
 def test_verify_explores_once_and_never_minimizes(monkeypatch):
-    names = ("certify_reversal", "reverse_dfa", "reverse_subsets", "minimize", "asc")
-    private = ("_labels", "are_subset_states", "_colex_masks")
-    calls = dict.fromkeys(names + ("reverse_construction",) + private, 0)
+    names = ("reverse_dfa", "reverse_subsets", "minimize", "asc")
+    private = (
+        "_labels", "are_subset_states", "_colex_masks", "_classify", "_reverse_stars"
+    )
+    on_reversal = ("reverse_construction", "_explore")
+    calls = dict.fromkeys(names + private + on_reversal, 0)
 
     def counted(owner, name):
         original = getattr(owner, name)
@@ -398,22 +403,32 @@ def test_verify_explores_once_and_never_minimizes(monkeypatch):
 
         return wrapper
 
-    for name in names:
+    for name in names + private:
         monkeypatch.setattr(witness, name, counted(witness, name))
-    # certify_reversal looks up the construction on its own module
-    monkeypatch.setattr(
-        reversal, "reverse_construction", counted(reversal, "reverse_construction")
-    )
-    # verify builds its witness unlabeled, classifies without re-checking,
-    # and lists point masks once, for the forward states: centers stay masks
-    for name in private:
-        monkeypatch.setattr(witness, name, counted(witness, name))
+    for name in on_reversal:
+        monkeypatch.setattr(reversal, name, counted(reversal, name))
+    # verify builds its witness unlabeled, lists point masks once, for the
+    # forward states, and explores once, by star center: no subset list,
+    # no reverse Dfa and no classify pass
     assert verify_witness(3, 4).passed
     assert calls == {
-        "certify_reversal": 1, "reverse_construction": 1, "reverse_dfa": 0,
-        "reverse_subsets": 0, "minimize": 0, "asc": 0, "_labels": 0,
-        "are_subset_states": 0, "_colex_masks": 1,
+        "reverse_dfa": 0, "reverse_subsets": 0, "minimize": 0, "asc": 0,
+        "_labels": 0, "are_subset_states": 0, "_colex_masks": 1, "_classify": 0,
+        "_reverse_stars": 1, "reverse_construction": 0, "_explore": 0,
     }
+    assert not hasattr(reversal, "certify_reversal")
+
+
+def test_verify_reverse_cap_is_read_at_call_time(monkeypatch):
+    # C(6, 3) = 20 reverse states: the cap admits exactly that many
+    monkeypatch.setattr(reversal, "DEFAULT_MAX_STATES", 7)
+    with pytest.raises(CapacityError) as info:
+        verify_witness(3, 4)
+    assert (str(info.value), info.value.count, info.value.stage) == (
+        "reverse construction exceeded 7 states", 7, "reverse_construction"
+    )
+    monkeypatch.setattr(reversal, "DEFAULT_MAX_STATES", 20)
+    assert verify_witness(3, 4).passed
 
 
 def test_verify_passes_on_the_2_to_7_grid():
@@ -462,6 +477,66 @@ def test_verify_fails_each_mutated_witness_at_the_oracles_check(monkeypatch):
             report.reverse_states,
         ) == expected, name
         assert not report.passed
+
+
+def _random_mutation(rng, columns, finals):
+    """One random break of a witness table, as (columns, finals): a letter
+    shuffled, two entries of a letter swapped, b the identity, b equal to
+    a, the letters swapped, or a random final set of any size."""
+    a, b = map(list, columns)
+    size = len(a)
+    kind = rng.randrange(6)
+    if kind == 0:
+        rng.shuffle(rng.choice((a, b)))
+    elif kind == 1:
+        column = rng.choice((a, b))
+        i, j = rng.sample(range(size), 2)
+        column[i], column[j] = column[j], column[i]
+    elif kind == 2:
+        b = [*range(size)]
+    elif kind == 3:
+        b = a
+    elif kind == 4:
+        a, b = b, a
+    else:
+        finals = frozenset(rng.sample(range(size), rng.randrange(size + 1)))
+    return (tuple(a), tuple(b)), finals
+
+
+def test_verify_matches_the_oracle_on_random_mutations(monkeypatch):
+    # Witnesses of at most 10 states, where the oracle is fast. Non-stars,
+    # keyed by their member tuples, and unreachable states, cut from the
+    # subsets, occur only in broken witnesses such as these.
+    rng = random.Random(2032)
+    cells = [
+        (m, alpha) for m in range(2, 5) for alpha in range(2, 10)
+        if math.comb(m + alpha - 1, alpha) <= 10
+    ]
+    core = witness._witness_core
+    firsts, inaccessible, off_size = Counter(), 0, 0
+    for _ in range(200):
+        m, alpha = rng.choice(cells)
+        columns, finals, points = core(m, alpha, 10)
+        columns, finals = _random_mutation(rng, columns, finals)
+
+        def mutated(m, alpha, state_cap, table=(columns, finals, points)):
+            return table
+
+        monkeypatch.setattr(witness, "_witness_core", mutated)
+        report = verify_witness(m, alpha)
+        fwd = Dfa(len(points), 2, columns, 0, finals)
+        expected = witness_checks_by_oracle(m, alpha, fwd)
+        assert (
+            report.first_failure, report.asc_forward, report.asc_reverse,
+            report.reverse_states,
+        ) == expected, (m, alpha, columns, finals)
+        firsts[expected[0]] += 1
+        inaccessible += len(reachable_states(fwd)) < fwd.num_states
+        off_size += len(finals) != m
+    assert set(firsts) == {
+        None, "forward_finals", "forward_minimal", "reverse_states", "stars_match"
+    }
+    assert inaccessible and off_size
 
 
 def test_verify_propagates_capacity():
