@@ -64,6 +64,11 @@ SubsetState = tuple[int, ...]
 
 DEFAULT_MAX_STATES = 1_000_000
 
+# The default of ``max_states``: every reverse construction reads
+# DEFAULT_MAX_STATES when it is called, not when this module loads. It is
+# not None, which is refused like any other non-int cap.
+_DEFAULT_CAP: int = object()  # type: ignore[assignment]
+
 # _mask_asc_pair takes automata of up to this many states: one bit per
 # state in a byte.
 MASK_STATES = 8
@@ -176,7 +181,7 @@ def _capacity_error(max_states: int) -> CapacityError:
 
 
 def reverse_construction(
-    fwd: Dfa, max_states: int = DEFAULT_MAX_STATES
+    fwd: Dfa, max_states: int = _DEFAULT_CAP
 ) -> tuple[Dfa, list[SubsetState]]:
     """Reachable part of the automaton accepting the reversed language, and
     the subset-state behind each of its states.
@@ -184,8 +189,11 @@ def reverse_construction(
     ``_explore`` interns the subset-states; one is final iff it contains
     the forward start state. The reverse DFA is unlabeled
     (``labels=None``): the subsets name its states, and ``reverse_dfa``
-    renders them as labels for text output.
+    renders them as labels for text output. ``max_states`` defaults to
+    ``DEFAULT_MAX_STATES`` as it reads at the call.
     """
+    if max_states is _DEFAULT_CAP:
+        max_states = DEFAULT_MAX_STATES
     check_int("max_states", max_states, 1)
     check_dfa(fwd)
     targets, subsets = _explore(fwd, max_states)
@@ -196,12 +204,12 @@ def reverse_construction(
     return rev, subsets
 
 
-def reverse_subsets(fwd: Dfa, max_states: int = DEFAULT_MAX_STATES) -> list[SubsetState]:
+def reverse_subsets(fwd: Dfa, max_states: int = _DEFAULT_CAP) -> list[SubsetState]:
     """The reachable subset-states, in intern (BFS) order."""
     return reverse_construction(fwd, max_states)[1]
 
 
-def reverse_dfa(fwd: Dfa, max_states: int = DEFAULT_MAX_STATES) -> Dfa:
+def reverse_dfa(fwd: Dfa, max_states: int = _DEFAULT_CAP) -> Dfa:
     """The automaton of ``reverse_construction``, labeled for text output.
 
     Each state's label joins the forward labels of its subset's members

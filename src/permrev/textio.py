@@ -20,11 +20,13 @@ in any order.
 The emitters work on the table's columns: each state's number becomes a
 string once, each letter's images are picks from those strings, and a
 document is one join, as adding joined blocks would copy it each time.
+``emit_dot`` escapes labels only if their join holds ``\\`` or ``"``.
 ``parse_dfa`` walks the header lines token by token, and reads the state
-lines in one pass of builtins over their token columns. Only when that
-pass fails are the state lines walked one by one as well. A walk raises a
-``ParseError`` at the first bad token, with its 1-based line and column;
-the column is computed only then.
+lines in one pass of builtins over their token columns, mapping numbers
+through one dict from ``str(q)`` to q for each state q: a missing key is
+a bad number. Only when that pass fails are the state lines numbered and
+walked one by one. A walk raises a ``ParseError`` at the first bad token,
+with its 1-based line and column; the column is computed only then.
 """
 
 from __future__ import annotations
@@ -111,30 +113,6 @@ def _column(line: str, k: int) -> int:
     return next(islice(_TOKEN.finditer(line), k, None)).start() + 1
 
 
-def _are_numbers(tokens: list[str]) -> bool:
-    """Whether every token is a number without a sign, ``0`` or
-    ``[1-9][0-9]*``: the tokens hold only ASCII digits, and a token that
-    starts with "0" is "0" itself."""
-    digits = "".join(tokens)
-    return not tokens or (
-        digits.isdigit()
-        and digits.isascii()
-        and tokens.count("0") == f" {' '.join(tokens)}".count(" 0")
-    )
-
-
-def _are_labels(tokens: list[str]) -> bool:
-    """Whether every token is a label, ``[`` then ``]`` with no bracket
-    between: each starts with "[" and ends with "]", and the tokens hold
-    no more brackets than that."""
-    spaced = f" {' '.join(tokens)} "
-    n = len(tokens)
-    return (
-        spaced.count(" [") == spaced.count("[") == n
-        and spaced.count("] ") == spaced.count("]") == n
-    )
-
-
 def _numbers(
     line_no: int, line: str, tokens: list[str], k: int, bound: int, what: str
 ) -> tuple[int, ...]:
@@ -194,22 +172,24 @@ def _state_block(
         return None
     labels = None
     if labeled:
-        labels = flat[2::width]
-        if not _are_labels(labels):
+        # "] [" can match only at the n - 1 spaces of the join, so n pieces
+        # free of brackets are the insides of n labels
+        joined = " ".join(flat[2::width])
+        if joined[0] != "[" or joined[-1] != "]":
             return None
-        labels = [*map(itemgetter(slice(1, -1)), labels)]
-    columns = [flat[i::width] for i in (1, *range(colon + 1, width))]
-    del flat  # it would double the token pointers held while ints are made
-    if not _are_numbers([*chain.from_iterable(columns)]):
-        return None
-    try:
-        columns = [[*map(int, column)] for column in columns]
-    except ValueError:  # more digits than int() converts; the walk says so
-        return None
-    if max(map(max, columns)) >= n:
-        return None
-    indices, *images = columns
+        labels = joined[1:-1].split("] [")
+        rest = "".join(labels)
+        if len(labels) != n or "[" in rest or "]" in rest:
+            return None
     states = [*range(n)]
+    # a KeyError is a token that is not 0|[1-9][0-9]* below n
+    number = dict(zip(map(str, states), states)).__getitem__
+    try:
+        indices, *images = [
+            [*map(number, flat[i::width])] for i in (1, *range(colon + 1, width))
+        ]
+    except KeyError:
+        return None
     # n indices below n are the n states iff they are distinct
     if indices != states and sorted(indices) != states:
         return None
@@ -278,16 +258,23 @@ def _reject_state_lines(
 
 
 def parse_dfa(text: str) -> Dfa:
+    """The DFA of a document in the format above, labels included.
+
+    Raises ``ParseError`` (a ``ValueError``) at the first bad token, with
+    its line and column, and ``ValueError`` unless ``text`` is a str.
+    """
     _check_str(text)
     lines = text.splitlines()
-    split = [*map(str.split, lines)]
-    rows = [*compress(zip(count(1), lines, split), split)]
-    last_line = rows[-1][0] if rows else 1
+    # the non-blank lines, numbered lazily: only the header and a rejected
+    # state block are read through it
+    numbered = filter(itemgetter(2), zip(count(1), lines, map(str.split, lines)))
+    head = [*islice(numbered, 3)]
 
     def need_row(i: int, what: str) -> tuple[int, str, list[str]]:
-        if i >= len(rows):
-            raise ParseError(last_line, 1, f"expected {what}")
-        return rows[i]
+        if i >= len(head):
+            # fewer than three rows: the last of them is the last line
+            raise ParseError(head[-1][0] if head else 1, 1, f"expected {what}")
+        return head[i]
 
     line_no, line, tokens = need_row(0, "'dfa' header")
     if tokens[0] != "dfa":
@@ -316,10 +303,12 @@ def parse_dfa(text: str) -> Dfa:
     finals = _numbers(line_no, line, tokens, 1, num_states, "final state")
 
     table = _state_block(
-        [*map(itemgetter(2), rows[3:])], num_states, alphabet_size
+        [*filter(None, map(str.split, lines[line_no:]))], num_states, alphabet_size
     )
     if table is None:
-        _reject_state_lines(rows[3:], num_states, alphabet_size, last_line)
+        rows = [*numbered]
+        last_line = rows[-1][0] if rows else line_no
+        _reject_state_lines(rows, num_states, alphabet_size, last_line)
     columns, labels = table
     return Dfa(num_states, alphabet_size, columns, start, frozenset(finals), labels)
 
@@ -334,8 +323,11 @@ def emit_dot(dfa: Dfa) -> str:
     names = [*map(str, range(dfa.num_states))]
     labels = names
     if dfa.labels is not None:
-        escaped = map(str.replace, dfa.labels, repeat("\\"), repeat("\\\\"))
-        labels = [*map(str.replace, escaped, repeat('"'), repeat('\\"'))]
+        labels = [*dfa.labels]
+        joined = "".join(labels)
+        if "\\" in joined or '"' in joined:
+            escaped = map(str.replace, labels, repeat("\\"), repeat("\\\\"))
+            labels = [*map(str.replace, escaped, repeat('"'), repeat('\\"'))]
         for q in compress(range(dfa.num_states), map(not_, labels)):
             labels[q] = names[q]
     shapes = ['", shape=circle];\n'] * dfa.num_states

@@ -339,7 +339,10 @@ def parse_dfa_by_lines(text: str) -> Dfa | None:
         return None
 
     def index(token: str) -> int | None:
-        if _NUMBER.fullmatch(token) and 0 <= int(token) < n:
+        # a number with more digits than n is out of range; it may have
+        # more than int() converts
+        fits = len(token) <= len(str(n))
+        if _NUMBER.fullmatch(token) and fits and 0 <= int(token) < n:
             return int(token)
         return None
 

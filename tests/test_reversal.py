@@ -326,6 +326,23 @@ def test_certificate_capacity_error_is_the_same_on_both_paths(monkeypatch, m, al
     )
 
 
+@pytest.mark.parametrize(
+    "call", [reverse_subsets, reverse_construction, reverse_dfa, reversal_certificate]
+)
+def test_default_cap_is_read_at_call_time_by_every_construction(monkeypatch, call):
+    # build_witness(3, 4) has 20 reverse subsets; a default bound when the
+    # module loaded would return them all
+    fwd = build_witness(3, 4)
+    monkeypatch.setattr(reversal, "DEFAULT_MAX_STATES", 2)
+    with pytest.raises(CapacityError) as info:
+        call(fwd)
+    assert (str(info.value), info.value.count, info.value.stage) == (
+        "reverse construction exceeded 2 states", 2, "reverse_construction"
+    )
+    monkeypatch.setattr(reversal, "DEFAULT_MAX_STATES", 20)
+    call(fwd)
+
+
 @SIZES
 def test_certificate_cap_admits_exactly_its_count(monkeypatch, m, alpha):
     fwd = build_witness(m, alpha)

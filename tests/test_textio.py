@@ -1,6 +1,7 @@
 import hashlib
 import json
 import random
+import tracemalloc
 from itertools import combinations
 
 import pytest
@@ -130,6 +131,23 @@ def test_header_count_bounded_by_state_lines():
         parse_dfa(text)
     assert (info.value.line, info.value.column) == (5, 1)
     assert "missing 'state 2' line" in str(info.value)
+
+
+def test_huge_header_count_is_refused_before_allocation():
+    # the numeral table is built only once the line count matches the header
+    text = (
+        "dfa 100000000 2\nstart 0\nfinals\n"
+        "state 0 : 1 0\nstate 1 : 2 1\nstate 2 : 0 2\n"
+    )
+    tracemalloc.start()
+    try:
+        with pytest.raises(ParseError) as info:
+            parse_dfa(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(info.value) == "line 6, column 1: missing 'state 3' line"
+    assert peak < 1_000_000
 
 
 def test_duplicate_reported_before_missing():
@@ -263,6 +281,22 @@ TOO_LONG = "expected {}, got a number of 5000 digits"
      "state lines must be labeled consistently"),
     (HEAD2 + f"state 0 : 0 {BIG}\nstate 1 : 0 0\n", 4, 13,
      TOO_LONG.format("a state index")),
+    # tokens that the state block's numeral lookup refuses, and the labels
+    # that its one split refuses, in the last line and in the first
+    (HEAD + "state 0 : 1\nstate +1 : 0\n", 5, 7, "expected a state index, got '+1'"),
+    (HEAD + "state 0 : 1\nstate 1 : +1\n", 5, 11, "expected a state index, got '+1'"),
+    (HEAD + "state 0 : 1\nstate 1_0 : 0\n", 5, 7,
+     "expected a state index, got '1_0'"),
+    (HEAD + "state 0 : 1\nstate 1 : 1_0\n", 5, 11,
+     "expected a state index, got '1_0'"),
+    (HEAD + f"state 0 : 1\nstate {BIG} : 0\n", 5, 7, TOO_LONG.format("a state index")),
+    (HEAD + f"state 0 : 1\nstate 1 : {BIG}\n", 5, 11, TOO_LONG.format("a state index")),
+    (HEAD + "state 0 [a] : 1\nstate 1 [a][b] : 0\n", 5, 9, "expected '[<label>]'"),
+    (HEAD + "state 0 [a][b] : 1\nstate 1 [b] : 0\n", 4, 9, "expected '[<label>]'"),
+    (HEAD + "state 0 [a] : 1\nstate 1 [a]] : 0\n", 5, 9, "expected '[<label>]'"),
+    (HEAD + "state 0 [a]] : 1\nstate 1 [b] : 0\n", 4, 9, "expected '[<label>]'"),
+    # "[a" and "b]" join to one bracketed piece
+    (HEAD + "state 0 [a : 1\nstate 1 b] : 0\n", 4, 9, "expected '[<label>]'"),
 ], ids=[
     "empty", "blank", "header", "header_long", "header_short", "state_count",
     "alphabet_size", "state_count_underscore", "state_count_zero",
@@ -283,7 +317,11 @@ TOO_LONG = "expected {}, got a number of 5000 digits"
     "state_leading_zero", "state_minus_zero", "image_leading_zero",
     "image_minus_zero", "state_count_too_long", "alphabet_size_too_long",
     "start_too_long", "finals_too_long", "state_too_long",
-    "too_long_after_labels_added", "image_too_long",
+    "too_long_after_labels_added", "image_too_long", "last_state_plus",
+    "last_image_plus", "last_state_underscore", "last_image_underscore",
+    "last_state_too_long", "last_image_too_long", "last_label_two",
+    "first_label_two", "last_label_closed_twice", "first_label_closed_twice",
+    "label_split_across_lines",
 ])
 def test_parse_error_positions_are_pinned(text, line, column, message):
     with pytest.raises(ParseError) as info:
@@ -470,8 +508,9 @@ def test_parse_spaced_shuffled_document_matches_oracle(text):
     check_parse_roundtrips_or_raises(text)
 
 
-BAD_NUMBERS = ("00", "07", "-0", "-1", "\u0663", "n", "state", ":", "[x]")
-BAD_LABELS = ("[a]b]", "[a[b]", "[]]", "[[]", "[", "]", "a]", ":")
+BAD_NUMBERS = ("00", "07", "-0", "-1", "\u0663", "n", "state", ":", "[x]", "+1",
+               "1_0", BIG)
+BAD_LABELS = ("[a]b]", "[a[b]", "[]]", "[[]", "[", "]", "a]", ":", "[a][b]", "[a]]")
 BAD_COLONS = ("state", "n", "0", "[x]", "::")
 BAD_KEYWORDS = ("stat", ":", "0", "[x]")
 
@@ -569,6 +608,22 @@ def test_dot_escapes_quotes_and_backslashes():
     dot = emit_dot(dfa)
     assert 'q0 [label="a\\"b", shape=circle];' in dot
     assert 'q1 [label="c\\\\d", shape=doublecircle];' in dot
+
+
+def test_dot_escapes_a_quote_first_and_a_backslash_last():
+    # the escape test must read every label: only the first holds a quote
+    # and only the last a backslash
+    labels = ('a"b', "c", "", "d.e", "f\\g")
+    dfa = Dfa(5, 1, ((1, 2, 3, 4, 0),), 0, frozenset({4}), labels=labels)
+    dot = emit_dot(dfa)
+    assert dot == emit_dot_by_lines(dfa)
+    assert 'q0 [label="a\\"b", shape=circle];' in dot
+    assert 'q2 [label="2", shape=circle];' in dot
+    assert 'q4 [label="f\\\\g", shape=doublecircle];' in dot
+    for one in ((labels[0], *labels[1:4], "f"), ("a", *labels[1:])):
+        # one escaped character, at either end
+        dot = emit_dot(replace(dfa, labels=one))
+        assert dot == emit_dot_by_lines(replace(dfa, labels=one))
 
 
 def test_dot_reverse_witness_has_star_labels(witness_3_4):
