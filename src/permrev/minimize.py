@@ -7,10 +7,11 @@ canonical form: two DFAs accept the same language iff their minimized
 tables are identical, which is how ``are_equivalent`` decides.
 
 The verification pipeline (``verify_witness``, the spectrum grid and the
-magic-value probe) does not minimize: one ``witness._reverse_stars`` or
-``reversal.reversal_certificate`` call explores each permutation
-automaton's reverse subsets once and reads asc and minimality of both
-sides off them, and the probe reads asc on byte masks. The
+magic-value probe) does not minimize: one ``witness._reverse_stars`` call
+explores each witness's reverse subsets once, for the verifier and for
+each grid cell alike, one ``reversal.reversal_certificate`` call each
+trivial row's, and ``reversal._certify`` reads asc and minimality of
+both sides off them; the probe reads asc on byte masks. The
 minimizer serves ``permrev minimize`` and ``permrev asc``,
 ``are_equivalent``, and the tests, where table filling checks it and it
 checks the certificate.

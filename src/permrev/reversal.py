@@ -43,10 +43,14 @@ most 8 states), the walk took 0.017 s at best and 0.030 s in the median
 of 30 interleaved repetitions, the level-by-level translate kernel
 0.024 s and 0.042 s, and the tuple path 0.086 s and 0.149 s (2 shared
 vCPUs, Python 3.11).
-``reversal_certificate`` and ``reverse_construction`` keep the tuple
-subsets, which ``witness.classify_reverse_states`` reads. The witness
-verifier runs its own BFS, ``witness._reverse_stars``, which interns each
-star by its center mask and reads the certificate by the same rules.
+Outside that kernel one reader, ``_certify``, reads every certificate
+off the subsets, taken in BFS order as consecutive lists of which it
+holds only the current one. ``reversal_certificate`` hands it
+``_explore``'s tuple subsets as one list; ``reverse_construction`` keeps
+them, for ``witness.classify_reverse_states``. The witness's own BFS,
+``witness._reverse_stars``, which the verifier, the worked example and
+every grid cell run, interns each star by its center mask and hands the
+reader one level at a time.
 """
 
 from __future__ import annotations
@@ -54,7 +58,7 @@ from __future__ import annotations
 from functools import reduce
 from itertools import chain, compress, count, repeat
 from operator import and_, contains, itemgetter
-from typing import AbstractSet, Sequence
+from typing import AbstractSet, Collection, Iterable, Sequence
 
 from .dfa import Dfa, check_dfa, is_permutation_automaton, reachable_states
 from .errors import CapacityError, are_subset_states, check_index, check_int
@@ -251,59 +255,70 @@ def reversal_certificate(fwd: Dfa) -> ReversalCertificate:
     """
     _check_permutation_automaton(fwd)
     subsets = _explore(fwd, DEFAULT_MAX_STATES)[1]
-    return _certificate(fwd, subsets, reachable_states(fwd))
+    reach = reachable_states(fwd)
+    live = None if len(reach) == fwd.num_states else frozenset(reach)
+    return _certify([subsets], fwd.start, fwd.finals, fwd.num_states, live)[0]
 
 
-def _certificate(
-    fwd: Dfa, subsets: list[SubsetState], reach: list[int]
-) -> ReversalCertificate:
-    """The certificate of a permutation automaton, read off its reverse
-    subsets and its reachable states.
+def _certify(
+    levels: Iterable[list[Collection[int]]],
+    start: int,
+    finals: frozenset[int],
+    num_states: int,
+    live: frozenset[int] | None,
+) -> tuple[ReversalCertificate, list[int]]:
+    """The certificate of a permutation automaton on ``num_states``
+    states, with start ``start`` and finals ``finals``, and the positions
+    of its reverse finals. ``levels`` yields the reverse subsets in intern
+    (BFS) order as consecutive lists, of which only the current one is
+    held; ``live`` is the reachable states, or None when all are.
 
-    The subsets are exactly the sets ``{p : p . w in F}``, one for
-    each word w, so two forward states are Myhill-Nerode equivalent iff
-    every subset holds both or neither, and two reverse states are
-    equivalent iff their subsets agree on the reachable forward states
-    (Brzozowski's double-reversal argument). ``_start_class`` reads the
-    forward side. The final reverse states are the subsets that hold the
-    forward start. On an accessible automaton the cut subsets are the
-    interned ones, which are distinct, so the reverse is minimal.
-    """
-    n = fwd.num_states
-    accessible = len(reach) == n
-    # Unreachable states take no part in either language's quotient.
-    if accessible:
-        cut = subsets
-    else:
-        live = set(reach)
-        cut = [tuple(p for p in s if p in live) for s in subsets]
-    # The start is reachable, so a subset holds it iff its cut does.
-    holds = [*map(contains, cut, repeat(fwd.start))]
-    asc_forward, num_classes = _start_class(fwd, cut, holds, reach)
-    return ReversalCertificate(
-        asc_forward=asc_forward,
-        asc_reverse=len(set(compress(cut, holds))),
-        forward_minimal=accessible and num_classes == n,
-        reverse_minimal=accessible or len(set(cut)) == len(cut),
-    )
-
-
-def _start_class(
-    fwd: Dfa, cut: list[SubsetState], holds: list[bool], reach: list[int]
-) -> tuple[int, int]:
-    """The number of Nerode classes among the reachable finals and among
-    the reachable states of a permutation automaton; ``holds[i]`` tells
-    whether ``cut[i]`` holds the start.
+    The subsets are exactly the sets ``{p : p . w in F}``, one for each
+    word w, so two forward states are Myhill-Nerode equivalent iff every
+    subset holds both or neither, and two reverse states are equivalent
+    iff their subsets agree on the reachable forward states (Brzozowski's
+    double-reversal argument). Unreachable states take no part in either
+    quotient, so each subset is cut to ``live``; the start is reachable,
+    so a subset holds it, and is a reverse final, iff its cut does. On an
+    accessible automaton the cut subsets are the interned ones, which are
+    distinct, so the reverse is minimal.
 
     The letters generate a group G, transitive on the reachable states,
-    that permutes the classes, so all have the size of the start's class
-    C. G permutes the subsets too, so every reachable state lies in
+    that permutes the Nerode classes, so all have the size of the start's
+    class C. G permutes the subsets too, so every reachable state lies in
     equally many of them, and one that lies in every subset holding the
-    start lies in no other: C is one intersection.
+    start lies in no other: C is one intersection, begun at the first
+    subset that holds the start. The forward asc is the reachable finals
+    over |C|, and the automaton is minimal iff it is accessible and
+    |C| = 1.
     """
-    start_class = set(reach).intersection(*compress(cut, holds))
-    size = len(start_class)
-    return len(fwd.finals.intersection(reach)) // size, len(reach) // size
+    rev_finals: list[int] = []
+    start_class: set[int] | None = None
+    cuts: set[frozenset[int]] = set()
+    held: set[frozenset[int]] = set()
+    position = 0  # the id of the level's first subset
+    for level in levels:
+        holds = [*map(contains, level, repeat(start))]
+        rev_finals += compress(count(position), holds)
+        position += len(level)
+        cut = level if live is None else [*map(live.intersection, level)]
+        holding = [*compress(cut, holds)]
+        if holding:
+            if start_class is None:
+                start_class = set(holding[0])
+            start_class.intersection_update(*holding)
+        if live is not None:
+            cuts.update(cut)
+            held.update(holding)
+    reached = num_states if live is None else len(live)
+    class_size = reached if start_class is None else len(start_class)
+    certificate = ReversalCertificate(
+        asc_forward=len(finals if live is None else finals & live) // class_size,
+        asc_reverse=len(rev_finals) if live is None else len(held),
+        forward_minimal=live is None and class_size == 1,
+        reverse_minimal=live is None or len(cuts) == position,
+    )
+    return certificate, rev_finals
 
 
 def _mask_asc_pair(
@@ -326,7 +341,7 @@ def _mask_asc_pair(
     most 256 masks, so no cap applies. The group that the letters generate
     keeps the reachable states, so the walk from ``live`` finds exactly the
     reverse subsets cut to them. The reverse asc counts the subsets that
-    hold the start, and, as in ``_start_class``, the start's Nerode class
+    hold the start, and, as in ``_certify``, the start's Nerode class
     is their intersection and the forward asc is ``len(live)`` over its
     size.
     """

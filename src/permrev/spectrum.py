@@ -5,11 +5,13 @@ The grid rows check that the (m, alpha) witness really has asc pair
 one-state automata; and the magic-value probe samples random permutation
 automata looking for a reversal with asc 1 (none is expected: 1 is the one
 unattainable value once asc >= 2). Every asc pair here is read off the
-reverse subsets by one start-class rule: by ``reversal_certificate``, or
-for a probe draw by the byte-mask kernel ``_mask_asc_pair`` on the draw's
-letter columns and reachable finals. No reverse automaton is built,
-nothing is minimized, and a draw becomes a ``Dfa`` only when it is a
-counterexample.
+reverse subsets by one start-class rule, ``reversal._certify``: a grid
+cell through the witness walk that ``verify_witness`` runs,
+``witness._reverse_stars``, a trivial row through
+``reversal_certificate``, and a probe draw by the byte-mask kernel
+``_mask_asc_pair`` on the draw's letter columns and reachable finals. No
+reverse automaton is built, nothing is minimized, and a draw becomes a
+``Dfa`` only when it is a counterexample.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from .dfa import Dfa, _reachable
 from .errors import CapacityError, check_int, int_text
 from .records import Record
 from .reversal import MASK_STATES, _mask_asc_pair, reversal_certificate
-from .witness import DEFAULT_STATE_CAP, _witness_core
+from .witness import DEFAULT_STATE_CAP, WitnessParams, _reverse_stars
 
 # Unused here: perfbench/tracing.py wraps these names on this module by attribute.
 from .minimize import asc  # noqa: F401
@@ -53,10 +55,11 @@ def spectrum_point(
 ) -> tuple[int, int]:
     """asc pair of the (m, alpha) witness; the expected value is (m, alpha).
 
-    The witness is built unlabeled: no label is read here.
+    The witness is built unlabeled and explored by ``verify_witness``'s
+    own walk, ``witness._reverse_stars``.
     """
-    columns, finals, points = _witness_core(m, alpha, state_cap)
-    return asc_pair(Dfa(len(points), 2, columns, 0, finals))
+    certificate = _reverse_stars(WitnessParams(m, alpha), state_cap)[-1]
+    return certificate.asc_forward, certificate.asc_reverse
 
 
 class SpectrumRow(Record):

@@ -15,8 +15,8 @@ from __future__ import annotations
 
 import math
 from functools import reduce
-from itertools import combinations, compress, count, islice, repeat
-from operator import and_, contains, eq, ge, itemgetter, or_, xor
+from itertools import combinations, islice, repeat
+from operator import and_, eq, ge, itemgetter, or_, xor
 from typing import Iterable, Sequence
 
 from . import reversal
@@ -30,6 +30,7 @@ from .reversal import (
     ReversalCertificate,
     SubsetState,
     _capacity_error,
+    _certify,
     _check_permutation_automaton,
     mask_states,
 )
@@ -301,15 +302,7 @@ def classify_reverse_states(
         raise ValueError("a subset does not fit the witness for these parameters")
     if rev.alphabet_size != 2 or not len(set(subsets)) == len(subsets) == rev.num_states:
         raise ValueError("subsets do not match the states of rev")
-    return _classify(params, rev, subsets, _colex_masks(n, alpha))
-
-
-def _classify(
-    params: WitnessParams, rev: Dfa, subsets: list[SubsetState], points: list[int]
-) -> StarClassification:
-    """``classify_reverse_states`` unchecked, given the n-bit point-set
-    ``points[q]`` of each witness state q."""
-    n, alpha = params.n, params.alpha
+    points = _colex_masks(n, alpha)
     members = map(map, repeat(points.__getitem__), subsets)
     commons = map(reduce, repeat(and_), members, repeat((1 << n) - 1))
     centers = [
@@ -361,18 +354,16 @@ def _reverse_stars(
     letter columns, its finals and the witness's certificate.
 
     A subset of m members whose common point mask has alpha - 1 bits is
-    the star around that mask (``_classify``'s rule), keyed by the mask;
-    any other subset is keyed by its sorted member tuple. An int never
-    equals a tuple, so interning stays by subset. The letters permute, so
-    every subset has as many members as the finals. ``packed[q]`` holds
-    the point-sets of q's preimages under a and b in two n-bit lanes: one
-    AND over a subset's members gives both images' common masks. Only the
-    current BFS level's member tuples are kept.
-
-    The certificate follows ``reversal._certificate``: a subset that holds
-    the start is a reverse final and joins the start-class intersection,
-    and when some state is unreachable each subset is first cut to the
-    reachable states. Raises as ``_witness_core`` and ``Dfa`` do;
+    the star around that mask (``classify_reverse_states``'s rule), keyed
+    by the mask; any other subset is keyed by its sorted member tuple. An
+    int never equals a tuple, so interning stays by subset. The letters
+    permute, so every subset has as many members as the finals.
+    ``packed[q]`` holds the point-sets of q's preimages under a and b in
+    two n-bit lanes: one AND over a subset's members gives both images'
+    common masks. A local generator yields each BFS level of member
+    tuples before it walks it, and ``reversal._certify`` reads the
+    certificate and the reverse finals off the levels as they come, so
+    only the frontier is kept. Raises as ``_witness_core`` and ``Dfa`` do;
     ValueError, before exploring, unless the letters permute; and
     CapacityError past ``reversal.DEFAULT_MAX_STATES`` as it reads at
     call time.
@@ -408,64 +399,46 @@ def _reverse_stars(
     common = reduce(and_, map(pick, first), full)
     del columns, ids, pick, points
     index = {common if common.bit_count() == bits else first: 0}
-    intern = index.setdefault
-    fresh = 1  # the id of the next new subset, len(index)
     # itemgetter returns a tuple only for two or more items
     getter = itemgetter if len(first) > 1 else (
         lambda *s: lambda seq: (*map(seq.__getitem__, s),)
     )
     to_a: list[int] = []
     to_b: list[int] = []
-    rev_finals: list[int] = []
-    start_class: set[int] | None = None
-    cuts: set[frozenset[int]] = set()
-    held: set[frozenset[int]] = set()
-    level = [first]
-    while level:
-        holds = [*map(contains, level, repeat(start))]
-        rev_finals += compress(count(fresh - len(level)), holds)
-        cut = level if live is None else [*map(live.intersection, level)]
-        holding = [*compress(cut, holds)]
-        if holding:
-            if start_class is None:
-                start_class = set(holding[0])
-            start_class.intersection_update(*holding)
-        if live is not None:
-            cuts.update(cut)
-            held.update(holding)
-        found = []
-        for s in level:
-            get = getter(*s)
-            common = reduce(and_, get(packed), both)
-            mask = common & full
-            key = mask if mask.bit_count() == bits else (*sorted(get(inverse_a)),)
-            j = intern(key, fresh)
-            if j == fresh:
-                if j >= max_states:
-                    raise _capacity_error(max_states)
-                found.append(get(inverse_a))
-                fresh += 1
-            to_a.append(j)
-            mask = common >> n
-            key = mask if mask.bit_count() == bits else (*sorted(get(inverse_b)),)
-            j = intern(key, fresh)
-            if j == fresh:
-                if j >= max_states:
-                    raise _capacity_error(max_states)
-                found.append(get(inverse_b))
-                fresh += 1
-            to_b.append(j)
-        level = found
-    del inverse_a, inverse_b, packed
 
-    reached = size if live is None else len(live)
-    class_size = reached if start_class is None else len(start_class)
-    certificate = ReversalCertificate(
-        asc_forward=len(finals if live is None else finals & live) // class_size,
-        asc_reverse=len(rev_finals) if live is None else len(held),
-        forward_minimal=live is None and class_size == 1,
-        reverse_minimal=live is None or len(cuts) == fresh,
-    )
+    def levels():
+        """Yield each BFS level of member tuples, then walk it."""
+        intern = index.setdefault
+        fresh = 1  # the id of the next new subset, len(index)
+        level = [first]
+        while level:
+            yield level
+            found = []
+            for s in level:
+                get = getter(*s)
+                common = reduce(and_, get(packed), both)
+                mask = common & full
+                key = mask if mask.bit_count() == bits else (*sorted(get(inverse_a)),)
+                j = intern(key, fresh)
+                if j == fresh:
+                    if j >= max_states:
+                        raise _capacity_error(max_states)
+                    found.append(get(inverse_a))
+                    fresh += 1
+                to_a.append(j)
+                mask = common >> n
+                key = mask if mask.bit_count() == bits else (*sorted(get(inverse_b)),)
+                j = intern(key, fresh)
+                if j == fresh:
+                    if j >= max_states:
+                        raise _capacity_error(max_states)
+                    found.append(get(inverse_b))
+                    fresh += 1
+                to_b.append(j)
+            level = found
+
+    certificate, rev_finals = _certify(levels(), start, finals, size, live)
+    del inverse_a, inverse_b, packed
     return size, len(finals), [*index], (to_a, to_b), rev_finals, certificate
 
 

@@ -332,7 +332,11 @@ def parse_dfa_by_lines(text: str) -> Dfa | None:
     header, start_line, finals_line, *state_lines = lines
     if len(header) != 3 or header[0] != "dfa":
         return None
-    if not all(_NUMBER.fullmatch(token) for token in header[1:]):
+    # n states need n state lines and k letters k images on each, so a count
+    # with more digits than the text has characters is too large; it may
+    # have more digits than int() converts
+    fits = all(len(token) <= len(str(len(text))) for token in header[1:])
+    if not fits or not all(_NUMBER.fullmatch(token) for token in header[1:]):
         return None
     n, k = int(header[1]), int(header[2])
     if n < 1 or k < 1:

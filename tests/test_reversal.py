@@ -434,15 +434,38 @@ def test_certificate_cuts_subsets_to_reachable_states():
     assert certified(fwd) == (1, 1, False, False)
 
 
+def certify_args(fwd):
+    """The arguments of ``reversal._certify`` after the subsets."""
+    reach = reachable_states(fwd)
+    live = None if len(reach) == fwd.num_states else frozenset(reach)
+    return fwd.start, fwd.finals, fwd.num_states, live
+
+
 @given(permutation_automata())
 def test_start_class_rule_matches_minimize(fwd):
-    # the forward rule on the cut subsets: the Nerode classes among the
-    # reachable finals and among the reachable states
-    reach = reachable_states(fwd)
-    live = set(reach)
-    cut = [tuple(p for p in s if p in live) for s in reverse_subsets(fwd)]
-    holds = [fwd.start in s for s in cut]
+    # the forward rule on the reverse subsets: asc counts the Nerode
+    # classes among the reachable finals, and the automaton is minimal iff
+    # it is accessible and no two states share a class
+    certificate = reversal._certify([reverse_subsets(fwd)], *certify_args(fwd))[0]
     small_fwd = minimize(fwd)
-    assert reversal._start_class(fwd, cut, holds, reach) == (
-        len(small_fwd.finals), small_fwd.num_states
+    assert (certificate.asc_forward, certificate.forward_minimal) == (
+        len(small_fwd.finals), small_fwd.num_states == fwd.num_states
     )
+
+
+WITNESSES = st.builds(build_witness, st.integers(2, 4), st.integers(2, 4))
+
+
+@given(permutation_automata() | WITNESSES, st.data())
+def test_certify_reads_the_subsets_alike_however_they_are_split(fwd, data):
+    # a BFS hands the subsets over level by level; the cut points here are
+    # arbitrary, and a level may be empty. A witness's start class is the
+    # intersection of several subsets, which a split must not lose.
+    rev, subsets = reverse_construction(fwd)
+    args = certify_args(fwd)
+    whole = reversal._certify([subsets], *args)
+    cuts = sorted(data.draw(st.sets(st.integers(0, len(subsets)))))
+    bounds = [0, *cuts, len(subsets)]
+    levels = (subsets[i:j] for i, j in zip(bounds, bounds[1:]))
+    assert reversal._certify(levels, *args) == whole
+    assert whole[1] == sorted(rev.finals)

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 
 from permrev import dfa as dfa_module
-from permrev import reversal, spectrum
+from permrev import reversal, spectrum, witness
 from permrev.dfa import Dfa, is_permutation_automaton, reachable_states
 from permrev.minimize import asc
 from permrev.records import replace
@@ -402,15 +402,27 @@ def forbid_full_reversal(monkeypatch):
 
 
 def test_grid_explores_each_automaton_once_and_never_minimizes(monkeypatch):
-    names = ("_witness_core", "build_witness", "reversal_certificate", "reverse_dfa", "asc")
+    names = (
+        "_reverse_stars", "build_witness", "reversal_certificate", "reverse_dfa", "asc"
+    )
     calls = count_calls(monkeypatch, names)
     full = forbid_full_reversal(monkeypatch)
+    cores = {"_witness_core": 0}
+    core = witness._witness_core
+
+    def counted_core(*args):
+        cores["_witness_core"] += 1
+        return core(*args)
+
+    monkeypatch.setattr(witness, "_witness_core", counted_core)
     assert spectrum_table(3, 3).passed
-    # four unlabeled witnesses plus the two one-state automata of the trivial rows
+    # four unlabeled witnesses walked as verify walks them, plus the two
+    # one-state automata of the trivial rows
     assert calls == {
-        "_witness_core": 4, "build_witness": 0, "reversal_certificate": 6,
+        "_reverse_stars": 4, "build_witness": 0, "reversal_certificate": 2,
         "reverse_dfa": 0, "asc": 0,
     }
+    assert cores == {"_witness_core": 4}
     assert full == {"reverse_construction": 0}
 
 

@@ -5,7 +5,7 @@ import tracemalloc
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 import hypothesis.strategies as st
 
 from permrev import textio
@@ -412,6 +412,9 @@ def check_parse_roundtrips_or_raises(text):
     assert parse_dfa(emit_dfa(dfa)) == dfa
 
 
+# header counts of more digits than int() converts
+@example(f"dfa {BIG} 1\nstart 0\nfinals\nstate 0 : 0\n")
+@example(f"dfa 1 {BIG}\nstart 0\nfinals\nstate 0 : 0\n")
 @given(st.text())
 def test_parse_arbitrary_text_roundtrips_or_raises(text):
     check_parse_roundtrips_or_raises(text)

@@ -389,7 +389,7 @@ def test_verify_4_3():
 def test_verify_explores_once_and_never_minimizes(monkeypatch):
     names = ("reverse_dfa", "reverse_subsets", "minimize", "asc")
     private = (
-        "_labels", "are_subset_states", "_colex_masks", "_classify", "_reverse_stars"
+        "_labels", "are_subset_states", "_colex_masks", "_reverse_stars"
     )
     on_reversal = ("reverse_construction", "_explore")
     calls = dict.fromkeys(names + private + on_reversal, 0)
@@ -413,7 +413,7 @@ def test_verify_explores_once_and_never_minimizes(monkeypatch):
     assert verify_witness(3, 4).passed
     assert calls == {
         "reverse_dfa": 0, "reverse_subsets": 0, "minimize": 0, "asc": 0,
-        "_labels": 0, "are_subset_states": 0, "_colex_masks": 1, "_classify": 0,
+        "_labels": 0, "are_subset_states": 0, "_colex_masks": 1,
         "_reverse_stars": 1, "reverse_construction": 0, "_explore": 0,
     }
     assert not hasattr(reversal, "certify_reversal")
