@@ -7,11 +7,9 @@ failure, 3 capacity exceeded.
 from __future__ import annotations
 
 import sys
-from typing import Sequence
 
 import click
 
-from .dfa import Dfa, apply_word
 from .errors import CapacityError
 from .minimize import asc as _asc
 from .minimize import minimize as _minimize
@@ -32,14 +30,12 @@ from .textio import (
 )
 from .witness import (
     DEFAULT_STATE_CAP,
-    Star,
     WitnessParams,
     WitnessReport,
     _reverse_stars,
-    _star_checks,
+    _witness_report,
     build_witness,
     star_label,
-    star_members,
     subset_label,
     verify_witness,
 )
@@ -130,11 +126,13 @@ def _yes(flag: bool) -> str:
     return "yes" if flag else "NO"
 
 
-def _accepting_star_lines(stars: Sequence[Star]) -> list[str]:
-    lines = [f"accepting stars ({len(stars)}):"]
-    for star in stars:
+def _star_and_asc_lines(report: WitnessReport) -> list[str]:
+    """The accepting stars and the asc line, as verify and example print them."""
+    lines = [f"accepting stars ({len(report.accepting_stars)}):"]
+    for star in report.accepting_stars:
         members = ",".join(subset_label(member) for member in star.members)
         lines.append(f"  {star_label(star.center)} = {{{members}}}")
+    lines.append(f"asc: forward={report.asc_forward} reverse={report.asc_reverse}")
     return lines
 
 
@@ -146,8 +144,7 @@ def _format_witness_report(report: WitnessReport) -> str:
         f" minimal={_yes(report.forward_minimal)}",
         f"reverse: states={report.reverse_states} finals={report.reverse_finals}"
         f" minimal={_yes(report.reverse_minimal)} stars={_yes(report.stars_match)}",
-        *_accepting_star_lines(report.accepting_stars),
-        f"asc: forward={report.asc_forward} reverse={report.asc_reverse}",
+        *_star_and_asc_lines(report),
     ]
     lines.append(
         "result: PASS" if report.passed else f"result: FAIL ({report.first_failure})"
@@ -258,32 +255,28 @@ def probe_magic_one(n_max: int, samples: int, seed: int, require_asc2: bool) -> 
 def example() -> None:
     """Reproduce the worked m=3, alpha=4 reversal computation."""
     params = WitnessParams(3, 4)
-    keys, columns, finals, certificate = _reverse_stars(params, DEFAULT_STATE_CAP)[2:]
-    rev = Dfa(len(keys), 2, columns, 0, finals)
+    walk = _reverse_stars(params, DEFAULT_STATE_CAP)
+    keys, columns = walk[2:4]
     names = [
         star_label(tuple(mask_states(key))) if isinstance(key, int) else str(i)
         for i, key in enumerate(keys)
     ]
 
     click.echo(f"worked example: witness m=3 alpha=4 (n={params.n})")
-    click.echo(f"reverse start: {names[rev.start]}")
-    state = rev.start
+    # the reverse start is state 0, the subset of the forward finals
+    click.echo(f"reverse start: {names[0]}")
+    state = 0
     chain = [names[state]]
     for _ in range(5):
-        state = rev.columns[0][state]
+        state = columns[0][state]
         chain.append(names[state])
     click.echo("a-chain: " + " -a-> ".join(chain))
-    click.echo(f"b-step: {names[state]} -b-> {names[rev.columns[1][state]]}")
-    state = apply_word(rev, rev.start, word_from_str("aabaaaa"))
-    click.echo(f"word a2ba4: {names[rev.start]} -a2ba4-> {names[state]}")
-
-    accepting_centers = _star_checks(params, keys, columns, finals)[1]
-    stars = [star_members(params, c) for c in accepting_centers]
-    for line in _accepting_star_lines(stars):
-        click.echo(line)
-    click.echo(
-        f"asc: forward={certificate.asc_forward} reverse={certificate.asc_reverse}"
-    )
+    click.echo(f"b-step: {names[state]} -b-> {names[columns[1][state]]}")
+    state = 0
+    for letter in word_from_str("aabaaaa"):
+        state = columns[letter][state]
+    click.echo(f"word a2ba4: {names[0]} -a2ba4-> {names[state]}")
+    click.echo("\n".join(_star_and_asc_lines(_witness_report(params, walk))))
 
 
 def main(argv: list[str] | None = None) -> int:

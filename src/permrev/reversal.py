@@ -43,10 +43,11 @@ most 8 states), the walk took 0.017 s at best and 0.030 s in the median
 of 30 interleaved repetitions, the level-by-level translate kernel
 0.024 s and 0.042 s, and the tuple path 0.086 s and 0.149 s (2 shared
 vCPUs, Python 3.11).
-Outside that kernel one reader, ``_certify``, reads every certificate
-off the subsets, taken in BFS order as consecutive lists of which it
-holds only the current one. ``reversal_certificate`` hands it
-``_explore``'s tuple subsets as one list; ``reverse_construction`` keeps
+Outside that kernel one prologue, ``_permutation_live``, refuses any
+other DFA and finds the reachable states, and one reader, ``_certify``,
+reads every certificate off the subsets, taken in BFS order as
+consecutive lists of which it holds only the current one.
+``reversal_certificate`` hands it ``_explore``'s tuple subsets as one list; ``reverse_construction`` keeps
 them, for ``witness.classify_reverse_states``. The witness's own BFS,
 ``witness._reverse_stars``, which the verifier, the worked example and
 every grid cell run, interns each star by its center mask and hands the
@@ -239,10 +240,14 @@ class ReversalCertificate(Record):
     reverse_minimal: bool
 
 
-def _check_permutation_automaton(fwd: Dfa) -> None:
-    """Raise ValueError unless every letter of the Dfa ``fwd`` permutes."""
+def _permutation_live(fwd: Dfa) -> frozenset[int] | None:
+    """The reachable states of the Dfa ``fwd``, or None when all are, as
+    ``_certify`` takes them. Raises ValueError unless every letter permutes.
+    """
     if not is_permutation_automaton(fwd):
         raise ValueError("expected a permutation automaton")
+    reach = reachable_states(fwd)
+    return None if len(reach) == fwd.num_states else frozenset(reach)
 
 
 def reversal_certificate(fwd: Dfa) -> ReversalCertificate:
@@ -253,10 +258,8 @@ def reversal_certificate(fwd: Dfa) -> ReversalCertificate:
     automaton, and CapacityError when the reverse construction would pass
     its default cap.
     """
-    _check_permutation_automaton(fwd)
+    live = _permutation_live(fwd)
     subsets = _explore(fwd, DEFAULT_MAX_STATES)[1]
-    reach = reachable_states(fwd)
-    live = None if len(reach) == fwd.num_states else frozenset(reach)
     return _certify([subsets], fwd.start, fwd.finals, fwd.num_states, live)[0]
 
 

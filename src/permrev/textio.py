@@ -218,9 +218,7 @@ def _reject_state_lines(
             raise ParseError(line_no, _column(line, 0), "expected 'state' line")
         if len(tokens) < 2:
             raise ParseError(line_no, _column(line, 0), "expected 'state <index>'")
-        q = _int_token(line_no, line, 1, tokens[1], "a state index")
-        if not 0 <= q < num_states:
-            raise ParseError(line_no, _column(line, 1), f"state {q} is out of range")
+        (q,) = _numbers(line_no, line, tokens[:2], 1, num_states, "state")
         if q in seen:
             raise ParseError(line_no, _column(line, 1), f"duplicate line for state {q}")
         seen.add(q)

@@ -20,7 +20,7 @@ from operator import and_, eq, ge, itemgetter, or_, xor
 from typing import Iterable, Sequence
 
 from . import reversal
-from .dfa import Dfa, check_dfa, reachable_states
+from .dfa import Dfa, check_dfa
 from .errors import (
     CapacityError, are_subset_states, check_int, check_points, check_subset, int_text
 )
@@ -31,7 +31,7 @@ from .reversal import (
     SubsetState,
     _capacity_error,
     _certify,
-    _check_permutation_automaton,
+    _permutation_live,
     mask_states,
 )
 
@@ -135,13 +135,16 @@ def _colex_masks(n: int, k: int) -> list[int]:
     The masks are built up one point at a time: adding point j keeps the
     t-subsets of the points so far and appends the (t-1)-subsets with bit j
     set, which are all larger. Only the sizes that can still grow to k are
-    kept up to date.
+    kept up to date, and each size is dropped after the last step that
+    reads it.
     """
     by_size = [[0]] + [[] for _ in range(k)]
     for j in range(n):
         bit = 1 << j
         for t in range(min(j + 1, k), max(0, k - n + j), -1):
             by_size[t] += map(bit.__or__, by_size[t - 1])
+        if j >= n - k:
+            by_size[k - n + j] = []
     return by_size[k]
 
 
@@ -175,8 +178,23 @@ def _witness_core(
     as the tuple that ``Dfa`` stores, so it is never copied.
     """
     params = WitnessParams(m, alpha)
-    check_int("state_cap", state_cap, 1)
+    total = _witness_size(params, state_cap)
     n = params.n
+    points = _colex_masks(n, alpha)
+    index = dict(zip(points, range(total)))
+    a_images = tuple(map(index.__getitem__, _rotations(points, n, n - 1)))
+    b_images = tuple(map(index.__getitem__, _swaps(points)))
+    # The final star: the first alpha - 1 points and any one other point.
+    center0 = (1 << (alpha - 1)) - 1
+    finals = frozenset(index[center0 | 1 << u] for u in range(alpha - 1, n))
+    return (a_images, b_images), finals, points
+
+
+def _witness_size(params: WitnessParams, state_cap: int) -> int:
+    """C(n, alpha), the witness's state count, checked against the cap as
+    ``build_witness`` states."""
+    check_int("state_cap", state_cap, 1)
+    m, alpha, n = params.m, params.alpha, params.n
     k = min(alpha, m - 1)  # C(n, alpha) = C(n, k), and k <= n / 2
     total = _count_up_to(n, k, state_cap)
     if total > state_cap:
@@ -188,14 +206,7 @@ def _witness_core(
             count=exact,
             stage="build_witness",
         )
-    points = _colex_masks(n, alpha)
-    index = dict(zip(points, range(total)))
-    a_images = tuple(map(index.__getitem__, _rotations(points, n, n - 1)))
-    b_images = tuple(map(index.__getitem__, _swaps(points)))
-    # The final star: the first alpha - 1 points and any one other point.
-    center0 = (1 << (alpha - 1)) - 1
-    finals = frozenset(index[center0 | 1 << u] for u in range(alpha - 1, n))
-    return (a_images, b_images), finals, points
+    return total
 
 
 def _count_up_to(n: int, k: int, cap: int) -> int:
@@ -366,19 +377,18 @@ def _reverse_stars(
     only the frontier is kept. Raises as ``_witness_core`` and ``Dfa`` do;
     ValueError, before exploring, unless the letters permute; and
     CapacityError past ``reversal.DEFAULT_MAX_STATES`` as it reads at
-    call time.
+    call time, before anything is built when the C(n, alpha - 1) stars
+    of an unbroken witness would pass it.
     """
-    columns, finals, points = _witness_core(params.m, params.alpha, state_cap)
+    n, alpha, max_states = params.n, params.alpha, reversal.DEFAULT_MAX_STATES
+    _witness_size(params, state_cap)  # a bad or passed state cap comes first
+    if _count_up_to(n, min(alpha - 1, params.m), max_states) > max_states:
+        raise _capacity_error(max_states)
+    columns, finals, points = _witness_core(params.m, alpha, state_cap)
     fwd = Dfa(len(points), 2, columns, 0, finals)
-    _check_permutation_automaton(fwd)
-    max_states = reversal.DEFAULT_MAX_STATES
-    n, alpha, size, finals, start = (
-        params.n, params.alpha, fwd.num_states, fwd.finals, fwd.start
-    )
+    live, finals, size = _permutation_live(fwd), fwd.finals, len(points)
+    del fwd
     full = (1 << n) - 1
-    reach = reachable_states(fwd)
-    live = None if len(reach) == size else frozenset(reach)
-    del fwd, reach
 
     # Each entry of the inverses is the column's own int object for its
     # state, so the inverses add no int objects.
@@ -437,7 +447,7 @@ def _reverse_stars(
                 to_b.append(j)
             level = found
 
-    certificate, rev_finals = _certify(levels(), start, finals, size, live)
+    certificate, rev_finals = _certify(levels(), 0, finals, size, live)
     del inverse_a, inverse_b, packed
     return size, len(finals), [*index], (to_a, to_b), rev_finals, certificate
 
@@ -494,10 +504,14 @@ def verify_witness(
     - ``asc_reverse``: by ``reverse_finals`` and ``reverse_minimal``.
     """
     params = WitnessParams(m, alpha)
-    n = params.n
-    forward_states, forward_finals, keys, rev_columns, rev_finals, certificate = (
-        _reverse_stars(params, state_cap)
-    )
+    return _witness_report(params, _reverse_stars(params, state_cap))
+
+
+def _witness_report(params: WitnessParams, walk: tuple) -> WitnessReport:
+    """``verify_witness``'s report on ``walk``, the result of
+    ``_reverse_stars`` for ``params``."""
+    m, alpha, n = params.m, params.alpha, params.n
+    forward_states, forward_finals, keys, rev_columns, rev_finals, certificate = walk
     all_stars, accepting_centers, covers, letter_law = _star_checks(
         params, keys, rev_columns, rev_finals
     )

@@ -106,6 +106,23 @@ def perms(draw, min_n=1, max_n=8):
     return tuple(draw(st.permutations(tuple(range(n)))))
 
 
+def count_calls(monkeypatch, owner, names):
+    """Wrap each named attribute of ``owner`` so that it counts its calls,
+    and return the live dict of counts, keyed by name."""
+    calls = dict.fromkeys(names, 0)
+
+    def counted(name, original):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        return wrapper
+
+    for name in names:
+        monkeypatch.setattr(owner, name, counted(name, getattr(owner, name)))
+    return calls
+
+
 @pytest.fixture(scope="session")
 def witness_3_4():
     return build_witness(3, 4)

@@ -1,9 +1,15 @@
+import contextlib
+import io
 import json
+from unittest import mock
+
+from hypothesis import given, settings
+import hypothesis.strategies as st
 
 from permrev.cli import main
 from permrev.dfa import Dfa
 from permrev.textio import emit_dfa, parse_dfa
-from permrev.witness import WitnessReport, WitnessParams
+from permrev.witness import WitnessReport, WitnessParams, build_witness
 
 EMPTY_LANG_DOC = emit_dfa(Dfa(1, 2, ((0,), (0,)), 0, frozenset()))
 
@@ -249,3 +255,103 @@ def test_example_reproduces_star_chain(capsys):
         "  S(234) = {1234,2345,2346}",
         "asc: forward=3 reverse=4",
     ]
+
+
+# ---------------------------------------------------------------------
+# every command, any arguments: an exit code, never a traceback
+# ---------------------------------------------------------------------
+
+NON_INTS = st.sampled_from(["x", "2.0", "", "-", "1e3", "0x10", "--", "٣"]) | st.text(
+    max_size=3
+)
+
+
+@st.composite
+def token(draw, ints):
+    """An int drawn from ``ints``, as a token, or one time in eight a
+    token that is no int."""
+    return str(draw(ints)) if draw(st.integers(0, 7)) else draw(NON_INTS)
+
+
+SIZE = token(st.integers(0, 6))
+SAMPLES = token(st.integers(-2, 50))
+# caps as small as the witnesses, so that some runs exit 3
+CAP = token(st.integers(1, 30) | st.integers(1, 10**6))
+# "-" is stdout or stdin, "file" the temp file, "dir" the temp directory
+# itself, which open() refuses, and "missing" a path in no directory; the
+# first two are drawn twice as often
+PATH = st.sampled_from(["-", "-", "file", "file", "dir", "missing"])
+
+# command: (positional arguments, {option: value strategy, or None for a flag})
+COMMANDS = {
+    "witness": ([SIZE, SIZE], {"--out": PATH, "--dot": PATH, "--state-cap": CAP}),
+    "reverse": ([PATH], {"--out": PATH, "--max-states": CAP}),
+    "minimize": ([PATH], {"--out": PATH}),
+    "asc": ([PATH], {}),
+    "verify": ([SIZE, SIZE], {"--json": PATH, "--state-cap": CAP}),
+    "spectrum": ([], {
+        "--m-max": SIZE, "--alpha-max": SIZE, "--probe-samples": SAMPLES,
+        "--json": PATH, "--state-cap": CAP,
+    }),
+    "probe-magic-one": ([], {
+        "--n-max": token(st.integers(-1, 8)), "--samples": SAMPLES,
+        "--seed": token(st.integers()), "--require-asc2": None,
+    }),
+    "example": ([], {}),
+}
+
+WITNESS_3_3 = emit_dfa(build_witness(3, 3)).splitlines()
+
+
+@st.composite
+def mutated_witness_docs(draw):
+    """The (3, 3) witness document with up to three lines dropped, doubled
+    or swapped, or tokens replaced."""
+    lines = [line.split(" ") for line in WITNESS_3_3]
+    for _ in range(draw(st.integers(0, 3))):
+        i = draw(st.integers(0, len(lines) - 1))
+        kind = draw(st.sampled_from(["drop", "double", "swap", "token"]))
+        if kind == "drop" and len(lines) > 1:
+            del lines[i]
+        elif kind == "double":
+            lines.insert(i, list(lines[i]))
+        elif kind == "swap":
+            j = draw(st.integers(0, len(lines) - 1))
+            lines[i], lines[j] = lines[j], lines[i]
+        elif kind == "token":
+            k = draw(st.integers(0, len(lines[i]) - 1))
+            lines[i][k] = draw(
+                st.sampled_from(["0", "9", "10", "-1", "007", ":", "[l]", "state"])
+                | NON_INTS
+            )
+    return "\n".join(map(" ".join, lines)) + "\n"
+
+
+@st.composite
+def invocations(draw):
+    """A command line of one of the eight commands, as tokens."""
+    command = draw(st.sampled_from(sorted(COMMANDS)))
+    positional, options = COMMANDS[command]
+    argv = [command, *(draw(arg) for arg in positional)]
+    order = draw(st.permutations(sorted(options)))
+    for option in order[:draw(st.integers(0, len(order)))]:
+        argv.append(option)
+        if options[option] is not None:
+            argv.append(draw(options[option]))
+    return argv
+
+
+@settings(max_examples=150, deadline=None)
+@given(invocations(), mutated_witness_docs())
+def test_every_command_exits_with_a_code_and_no_traceback(tmp_path_factory, argv, doc):
+    where = tmp_path_factory.mktemp("cli")
+    (where / "file").write_text(doc)
+    paths = {"file": str(where / "file"), "dir": str(where), "missing": "no/such"}
+    argv = [paths.get(arg, arg) for arg in argv]
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch("sys.stdin", io.StringIO(doc)), contextlib.redirect_stdout(
+        out
+    ), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2, 3), argv
+    assert "Traceback" not in err.getvalue(), argv

@@ -436,9 +436,7 @@ def test_certificate_cuts_subsets_to_reachable_states():
 
 def certify_args(fwd):
     """The arguments of ``reversal._certify`` after the subsets."""
-    reach = reachable_states(fwd)
-    live = None if len(reach) == fwd.num_states else frozenset(reach)
-    return fwd.start, fwd.finals, fwd.num_states, live
+    return fwd.start, fwd.finals, fwd.num_states, reversal._permutation_live(fwd)
 
 
 @given(permutation_automata())

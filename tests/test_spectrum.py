@@ -24,7 +24,7 @@ from permrev.spectrum import (
 )
 from permrev.witness import build_witness, verify_witness
 
-from conftest import permutation_automata, pfas
+from conftest import count_calls, permutation_automata, pfas
 from oracles import draw_by_stdlib, probe_by_stdlib
 
 
@@ -365,56 +365,13 @@ def test_probe_report_travels_with_table():
 # call structure: one exploration per automaton, no minimization
 # ---------------------------------------------------------------------
 
-def count_calls(monkeypatch, names):
-    calls = dict.fromkeys(names, 0)
-
-    def counted(name):
-        original = getattr(spectrum, name)
-
-        def wrapper(*args, **kwargs):
-            calls[name] += 1
-            return original(*args, **kwargs)
-
-        return wrapper
-
-    for name in names:
-        monkeypatch.setattr(spectrum, name, counted(name))
-    return calls
-
-
-def forbid_full_reversal(monkeypatch):
-    """Count the calls that build a reverse Dfa: the construction, looked
-    up on the reversal module."""
-    calls = {"reverse_construction": 0}
-
-    def counted(name):
-        original = getattr(reversal, name)
-
-        def wrapper(*args, **kwargs):
-            calls[name] += 1
-            return original(*args, **kwargs)
-
-        return wrapper
-
-    for name in calls:
-        monkeypatch.setattr(reversal, name, counted(name))
-    return calls
-
-
 def test_grid_explores_each_automaton_once_and_never_minimizes(monkeypatch):
     names = (
         "_reverse_stars", "build_witness", "reversal_certificate", "reverse_dfa", "asc"
     )
-    calls = count_calls(monkeypatch, names)
-    full = forbid_full_reversal(monkeypatch)
-    cores = {"_witness_core": 0}
-    core = witness._witness_core
-
-    def counted_core(*args):
-        cores["_witness_core"] += 1
-        return core(*args)
-
-    monkeypatch.setattr(witness, "_witness_core", counted_core)
+    calls = count_calls(monkeypatch, spectrum, names)
+    full = count_calls(monkeypatch, reversal, ["reverse_construction"])
+    cores = count_calls(monkeypatch, witness, ["_witness_core"])
     assert spectrum_table(3, 3).passed
     # four unlabeled witnesses walked as verify walks them, plus the two
     # one-state automata of the trivial rows
@@ -455,9 +412,10 @@ def passes_both_skips(draw):
 def test_probe_explores_each_draw_once_and_never_minimizes(monkeypatch):
     draws = record_draws(monkeypatch)
     calls = count_calls(
-        monkeypatch, ("_mask_asc_pair", "reversal_certificate", "reverse_dfa", "asc")
+        monkeypatch, spectrum,
+        ("_mask_asc_pair", "reversal_certificate", "reverse_dfa", "asc"),
     )
-    full = forbid_full_reversal(monkeypatch)
+    full = count_calls(monkeypatch, reversal, ["reverse_construction"])
     report = magic_one_probe(6, 50, count_checked_only=True)
     assert report.checked == 50
     assert len(draws) == report.drawn

@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 from collections import Counter
 from itertools import combinations
 
@@ -9,6 +10,7 @@ from permrev import reversal, witness
 from permrev.dfa import Dfa, is_permutation_automaton, reachable_states
 from permrev.errors import CapacityError
 from permrev.reversal import reverse_construction
+from permrev.spectrum import spectrum_point
 from permrev.witness import (
     WitnessParams,
     build_witness,
@@ -19,8 +21,10 @@ from permrev.witness import (
     verify_witness,
 )
 
+from conftest import count_calls
 from oracles import (
     all_pairs_distinguishable,
+    colex_subsets,
     star_centers_by_enumeration,
     witness_by_itertools,
     witness_checks_by_oracle,
@@ -391,27 +395,15 @@ def test_verify_explores_once_and_never_minimizes(monkeypatch):
     private = (
         "_labels", "are_subset_states", "_colex_masks", "_reverse_stars"
     )
-    on_reversal = ("reverse_construction", "_explore")
-    calls = dict.fromkeys(names + private + on_reversal, 0)
-
-    def counted(owner, name):
-        original = getattr(owner, name)
-
-        def wrapper(*args, **kwargs):
-            calls[name] += 1
-            return original(*args, **kwargs)
-
-        return wrapper
-
-    for name in names + private:
-        monkeypatch.setattr(witness, name, counted(witness, name))
-    for name in on_reversal:
-        monkeypatch.setattr(reversal, name, counted(reversal, name))
+    on_witness = count_calls(monkeypatch, witness, names + private)
+    on_reversal = count_calls(
+        monkeypatch, reversal, ["reverse_construction", "_explore"]
+    )
     # verify builds its witness unlabeled, lists point masks once, for the
     # forward states, and explores once, by star center: no subset list,
     # no reverse Dfa and no classify pass
     assert verify_witness(3, 4).passed
-    assert calls == {
+    assert {**on_witness, **on_reversal} == {
         "reverse_dfa": 0, "reverse_subsets": 0, "minimize": 0, "asc": 0,
         "_labels": 0, "are_subset_states": 0, "_colex_masks": 1,
         "_reverse_stars": 1, "reverse_construction": 0, "_explore": 0,
@@ -429,6 +421,42 @@ def test_verify_reverse_cap_is_read_at_call_time(monkeypatch):
     )
     monkeypatch.setattr(reversal, "DEFAULT_MAX_STATES", 20)
     assert verify_witness(3, 4).passed
+
+
+def traced_peak(call):
+    """``call()``'s result, or the CapacityError it raised, and the peak
+    of the memory that tracemalloc saw it allocate."""
+    tracemalloc.start()
+    try:
+        try:
+            result = call()
+        except CapacityError as error:
+            result = error
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return result, peak
+
+
+def test_colex_masks_drop_each_size_after_its_last_read():
+    # at k = n - 1 a size kept after its last read would hold O(n^2) masks
+    # of up to n bits; the 1001 masks of 1001 bits take about 0.2 MB
+    masks, peak = traced_peak(lambda: witness._colex_masks(1001, 1000))
+    assert peak < 2_000_000
+    assert masks == [sum(1 << p for p in s) for s in colex_subsets(1001, 1000)]
+
+
+@pytest.mark.parametrize("call", [verify_witness, spectrum_point])
+def test_reverse_cap_is_checked_before_the_witness_is_built(call):
+    # 1501 forward states fit the default state cap; C(1501, 1499) =
+    # 1 125 750 reverse stars pass the default reverse cap
+    error, peak = traced_peak(lambda: call(2, 1500))
+    assert isinstance(error, CapacityError)
+    assert (str(error), error.count, error.stage) == (
+        "reverse construction exceeded 1000000 states", 1_000_000,
+        "reverse_construction",
+    )
+    assert peak < 5_000_000
 
 
 def test_verify_passes_on_the_2_to_7_grid():
