@@ -18,35 +18,28 @@ one ``itemgetter`` per subset serves every letter.
 minimality of both sides off the subsets, without minimizing either
 automaton and without building the reverse one. It takes permutation
 automata only, the automata that the reversal spectrum is about, and
-refuses any other DFA before exploring: the letters generate a group,
-transitive on the reachable states, that permutes the Nerode classes and
-the reverse subsets, so the forward side is read off the start's Nerode
-class, which one set intersection over the reverse subsets that hold the
-start gives. The construction itself, and ``reverse_dfa``, serve every
-DFA.
+refuses any other DFA before exploring; ``_certify`` says why the forward
+side is then read off the start's Nerode class. The construction itself,
+and ``reverse_dfa``, serve every DFA.
 
 The magic-value probe reads the asc pair of automata of at most
 ``MASK_STATES`` = 8 states on a private byte kernel, ``_mask_asc_pair``,
 where a subset-state is a byte: bit p stands for forward state p, so every
-subset is a mask in 0..255. Each letter's preimage map is then one
-256-byte table, built from ints whose byte lanes hold one mask each. The
-walk appends each new mask to a found-list that it walks as it grows,
-with a 256-byte ``bytearray`` as the seen-table: one table lookup per
-mask and letter. The orbits are tiny (21.5 masks over 5.9 BFS levels on
-average on the benchmark's probe), so these scalar steps cost less than
-mapping a whole level per letter with ``bytes.translate``, which pays
-several C calls and a new ``bytes`` per level. The same start-class rule reads both asc values off
-the bytes of all subsets: one translate and one AND over the subsets that
-hold the start. The bound is the width of a byte, not a tuning knob. On
+subset is a mask in 0..255; the kernel's docstring gives its tables and
+its walk, one table lookup per mask and letter. The orbits are tiny
+(21.5 masks over 5.9 BFS levels on average on the benchmark's probe), so
+these scalar steps cost less than mapping a whole level per letter with
+``bytes.translate``, which pays several C calls and a new ``bytes`` per
+level. The bound is the width of a byte, not a tuning knob. On
 the 2019 automata that the benchmark's probe certifies (seed 1009, at
 most 8 states), the walk took 0.017 s at best and 0.030 s in the median
 of 30 interleaved repetitions, the level-by-level translate kernel
 0.024 s and 0.042 s, and the tuple path 0.086 s and 0.149 s (2 shared
 vCPUs, Python 3.11).
 Outside that kernel one prologue, ``_permutation_live``, refuses any
-other DFA and finds the reachable states, and one reader, ``_certify``,
-reads every certificate off the subsets, taken in BFS order as
-consecutive lists of which it holds only the current one.
+non-permuting letter table and finds the reachable states, and one
+reader, ``_certify``, reads every certificate off the subsets, taken in
+BFS order as consecutive lists of which it holds only the current one.
 ``reversal_certificate`` hands it ``_explore``'s tuple subsets as one list; ``reverse_construction`` keeps
 them, for ``witness.classify_reverse_states``. The witness's own BFS,
 ``witness._reverse_stars``, which the verifier, the worked example and
@@ -61,7 +54,7 @@ from itertools import chain, compress, count, repeat
 from operator import and_, contains, itemgetter
 from typing import AbstractSet, Collection, Iterable, Sequence
 
-from .dfa import Dfa, check_dfa, is_permutation_automaton, reachable_states
+from .dfa import Dfa, _reachable, check_dfa
 from .errors import CapacityError, are_subset_states, check_index, check_int
 from .records import Record, replace
 
@@ -240,14 +233,18 @@ class ReversalCertificate(Record):
     reverse_minimal: bool
 
 
-def _permutation_live(fwd: Dfa) -> frozenset[int] | None:
-    """The reachable states of the Dfa ``fwd``, or None when all are, as
-    ``_certify`` takes them. Raises ValueError unless every letter permutes.
+def _permutation_live(
+    columns: Sequence[Sequence[int]], start: int
+) -> frozenset[int] | None:
+    """The states that ``start`` reaches under the letter tables
+    ``columns``, or None when all do. Raises ValueError unless each column,
+    as a set, is the state set, a test that also bounds every entry.
     """
-    if not is_permutation_automaton(fwd):
+    states = set(range(len(columns[0])))
+    if not all(map(states.__eq__, map(set, columns))):
         raise ValueError("expected a permutation automaton")
-    reach = reachable_states(fwd)
-    return None if len(reach) == fwd.num_states else frozenset(reach)
+    reach = _reachable(columns, start)
+    return None if len(reach) == len(states) else frozenset(reach)
 
 
 def reversal_certificate(fwd: Dfa) -> ReversalCertificate:
@@ -258,7 +255,8 @@ def reversal_certificate(fwd: Dfa) -> ReversalCertificate:
     automaton, and CapacityError when the reverse construction would pass
     its default cap.
     """
-    live = _permutation_live(fwd)
+    check_dfa(fwd)
+    live = _permutation_live(fwd.columns, fwd.start)
     subsets = _explore(fwd, DEFAULT_MAX_STATES)[1]
     return _certify([subsets], fwd.start, fwd.finals, fwd.num_states, live)[0]
 
@@ -289,11 +287,13 @@ def _certify(
     The letters generate a group G, transitive on the reachable states,
     that permutes the Nerode classes, so all have the size of the start's
     class C. G permutes the subsets too, so every reachable state lies in
-    equally many of them, and one that lies in every subset holding the
-    start lies in no other: C is one intersection, begun at the first
+    the same number k of them, and one that lies in every subset holding
+    the start lies in no other: C is one intersection, begun at the first
     subset that holds the start. The forward asc is the reachable finals
     over |C|, and the automaton is minimal iff it is accessible and
-    |C| = 1.
+    |C| = 1. On an accessible automaton k is the reverse asc, and counting
+    memberships gives k * num_states = |finals| * (subset count); k = 1,
+    the magic value, makes C the one subset holding the start: asc 1 too.
     """
     rev_finals: list[int] = []
     start_class: set[int] | None = None

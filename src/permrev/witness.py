@@ -160,28 +160,27 @@ def build_witness(m: int, alpha: int, state_cap: int = DEFAULT_STATE_CAP) -> Dfa
     computing C(n, alpha) in full; the error's ``count`` is the exact count
     where ``EXACT_COUNT_BITS`` admits it, and None otherwise.
     """
-    columns, finals, points = _witness_core(m, alpha, state_cap)
-    n = m + alpha - 1
-    return Dfa(len(points), 2, columns, 0, finals, _labels(n, alpha))
+    params = WitnessParams(m, alpha)
+    _witness_size(params, state_cap)
+    columns, finals, points = _witness_core(params)
+    return Dfa(len(points), 2, columns, 0, finals, _labels(params.n, alpha))
 
 
 def _witness_core(
-    m: int, alpha: int, state_cap: int
+    params: WitnessParams,
 ) -> tuple[tuple[tuple[int, ...], ...], frozenset[int], list[int]]:
-    """The unlabeled witness, checked against the cap as ``build_witness``
-    states: its letter columns, its finals and the n-bit point-set of each
-    state, from ``_colex_masks``.
+    """The unlabeled witness, whose size its callers check first with
+    ``_witness_size``: its letter columns, its finals and the n-bit
+    point-set of each state, from ``_colex_masks``.
 
     Letter a (i -> i+1 mod n) rotates a point-set left by one bit, letter b
     swaps bits 0 and 1, and a dict from point-set to state number gives
     each image's index. Each letter's column is one pass of builtins, built
     as the tuple that ``Dfa`` stores, so it is never copied.
     """
-    params = WitnessParams(m, alpha)
-    total = _witness_size(params, state_cap)
-    n = params.n
+    n, alpha = params.n, params.alpha
     points = _colex_masks(n, alpha)
-    index = dict(zip(points, range(total)))
+    index = dict(zip(points, range(len(points))))
     a_images = tuple(map(index.__getitem__, _rotations(points, n, n - 1)))
     b_images = tuple(map(index.__getitem__, _swaps(points)))
     # The final star: the first alpha - 1 points and any one other point.
@@ -374,7 +373,7 @@ def _reverse_stars(
     common masks. A local generator yields each BFS level of member
     tuples before it walks it, and ``reversal._certify`` reads the
     certificate and the reverse finals off the levels as they come, so
-    only the frontier is kept. Raises as ``_witness_core`` and ``Dfa`` do;
+    only the frontier is kept. Raises as ``build_witness`` does;
     ValueError, before exploring, unless the letters permute; and
     CapacityError past ``reversal.DEFAULT_MAX_STATES`` as it reads at
     call time, before anything is built when the C(n, alpha - 1) stars
@@ -384,10 +383,8 @@ def _reverse_stars(
     _witness_size(params, state_cap)  # a bad or passed state cap comes first
     if _count_up_to(n, min(alpha - 1, params.m), max_states) > max_states:
         raise _capacity_error(max_states)
-    columns, finals, points = _witness_core(params.m, alpha, state_cap)
-    fwd = Dfa(len(points), 2, columns, 0, finals)
-    live, finals, size = _permutation_live(fwd), fwd.finals, len(points)
-    del fwd
+    columns, finals, points = _witness_core(params)
+    live, size = _permutation_live(columns, 0), len(points)
     full = (1 << n) - 1
 
     # Each entry of the inverses is the column's own int object for its
@@ -497,7 +494,8 @@ def verify_witness(
     other checks follow from these, or from the construction:
     - ``forward_states``: ``_witness_core`` numbers all C(n, alpha) states.
     - ``reverse_finals``: by ``stars_match``; a star accepts iff the start holds
-      its center, and alpha centers lie in the start.
+      its center, and alpha centers lie in the start. ``_certify``'s lemma
+      reads alpha * C(n, alpha) = m * C(n, alpha - 1) here.
     - ``accepting_centers``: by ``stars_match``, as ``reverse_finals``.
     - ``reverse_minimal``: by ``forward_minimal``; an accessible DFA's reverse is.
     - ``asc_forward``: by ``forward_finals`` and ``forward_minimal``.

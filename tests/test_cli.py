@@ -8,6 +8,7 @@ import hypothesis.strategies as st
 
 from permrev.cli import main
 from permrev.dfa import Dfa
+from permrev.reversal import reverse_dfa
 from permrev.textio import emit_dfa, parse_dfa
 from permrev.witness import WitnessReport, WitnessParams, build_witness
 
@@ -300,14 +301,21 @@ COMMANDS = {
     "example": ([], {}),
 }
 
-WITNESS_3_3 = emit_dfa(build_witness(3, 3)).splitlines()
+# the (3, 3) witness; its reverse, whose labels hold commas; and the
+# reverse of (2, 9), 45 states at n = 10, whose labels hold dots too
+BASE_DOCS = [
+    emit_dfa(build_witness(3, 3)),
+    emit_dfa(reverse_dfa(build_witness(3, 3))),
+    emit_dfa(reverse_dfa(build_witness(2, 9))),
+]
 
 
 @st.composite
 def mutated_witness_docs(draw):
-    """The (3, 3) witness document with up to three lines dropped, doubled
-    or swapped, or tokens replaced."""
-    lines = [line.split(" ") for line in WITNESS_3_3]
+    """A witness or reverse document of ``BASE_DOCS`` with up to three
+    lines dropped, doubled or swapped, or tokens replaced."""
+    doc = draw(st.sampled_from(BASE_DOCS))
+    lines = [line.split(" ") for line in doc.splitlines()]
     for _ in range(draw(st.integers(0, 3))):
         i = draw(st.integers(0, len(lines) - 1))
         kind = draw(st.sampled_from(["drop", "double", "swap", "token"]))

@@ -1,31 +1,48 @@
-"""Every binary permutation automaton of up to five states, certified.
+"""Every binary permutation automaton of up to eight states, certified.
 
 The m >= 2 row of the spectrum says that reverse asc 1 never occurs once
 asc >= 2. The probe samples that claim; here it is checked on one
 automaton per isomorphism class of accessible binary permutation automata
 (``oracles.canonical_permutation_pairs``, start 0) and every final set of
 2 to n - 1 states. Fewer than two finals give asc <= 1, and n finals accept
-every word. The census reads each asc pair with the probe's byte kernel,
+every word. ``census`` reads each asc pair with the probe's byte kernel,
 ``_mask_asc_pair``; every automaton here is accessible, so its reachable
 finals are its finals. A tier-1 test checks that kernel against
 ``reversal_certificate`` on every final set up to five states, and
 ``tests/test_spectrum.py`` does on probe draws of six to eight states.
 
-Run as a script, ``python tests/test_exhaustive.py N`` prints the census for
-N states: the pair count, the count with asc >= 2, the count with reverse
-asc 1, and the ``(asc, asc_reverse)`` histogram.
+The census by orbits, ``orbit_census``, reads the same counts with one
+walk per orbit instead of one per final set. In a permutation automaton
+each letter's preimage map permutes the subsets of states, and both asc
+values are constant on an orbit O of final sets: O is the set of reverse
+subsets. The group that the letters generate is transitive, so every
+state lies in the same number k of members of O. k, the count of members
+that hold the start, is the reverse asc, and counting (state, member)
+pairs two ways gives |O| * |F| = k * n, which the census asserts on every
+orbit. The start's Nerode class is the AND of those k members, so the
+forward asc is |F| over its bit count, and k = 1 forces the forward asc 1.
+A tier-1 test checks the orbit census against ``census`` up to five states
+and pins its six- and seven-state lines.
+
+Run as a script, ``python tests/test_exhaustive.py N`` prints the orbit
+census for N <= 8 states: the pair count, the count with asc >= 2, the
+count with reverse asc 1, and the ``(asc, asc_reverse)`` histogram.
 """
 
 import sys
 from collections import Counter
-from itertools import combinations, permutations, product
+from functools import reduce
+from itertools import combinations, compress, permutations, product
 from math import factorial
+from operator import and_
 
 import pytest
 
 from permrev.dfa import Dfa
 from permrev.minimize import asc
-from permrev.reversal import _mask_asc_pair, reversal_certificate, reverse_dfa
+from permrev.reversal import (
+    _BIT, _HOLDS, MASK_STATES, _mask_asc_pair, reversal_certificate, reverse_dfa
+)
 
 from oracles import bfs_order_by_queue, canonical_permutation_pairs
 
@@ -49,8 +66,48 @@ def census(n):
     return len(pairs), histogram
 
 
+def orbit_census(n):
+    """``census`` of n <= 8 states, one walk per orbit of final masks.
+
+    Each letter's preimage map is one 256-byte table built from
+    ``reversal._HOLDS``, as in ``_mask_asc_pair``; the masks 0..2^n - 1
+    are split into orbits under both tables. Each orbit adds its size to
+    the histogram once, under the asc pair that all its members share.
+    """
+    if n > MASK_STATES:
+        raise ValueError(f"the byte tables hold at most {MASK_STATES} states")
+    pairs = canonical_permutation_pairs(n)
+    histogram = Counter()
+    for pair in pairs:
+        tables = [
+            sum(map(list.__getitem__, _HOLDS, column)).to_bytes(256, "little")
+            for column in pair
+        ]
+        seen = bytearray(1 << n)
+        for first in range(1 << n):
+            if seen[first]:
+                continue
+            seen[first] = 1
+            orbit = [first]
+            for s in orbit:  # grows while it is walked
+                for table in tables:
+                    t = table[s]
+                    if not seen[t]:
+                        seen[t] = 1
+                        orbit.append(t)
+            members = bytes(orbit)
+            holding = [*compress(members, members.translate(_BIT[0]))]
+            final_count = first.bit_count()
+            assert len(orbit) * final_count == len(holding) * n, (pair, first)
+            if holding:
+                forward = final_count // reduce(and_, holding).bit_count()
+                if forward >= 2:
+                    histogram[forward, len(holding)] += len(orbit)
+    return len(pairs), histogram
+
+
 def census_lines(n):
-    pairs, histogram = census(n)
+    pairs, histogram = orbit_census(n)
     reverse_one = sum(
         count for (_, reverse), count in histogram.items() if reverse == 1
     )
@@ -108,6 +165,35 @@ def test_no_reverse_asc_one_up_to_five_states():
     for n, (_, histogram) in enumerate(counts, 1):
         assert not any(reverse == 1 for _, reverse in histogram)
         assert dict(histogram) == HISTOGRAMS[n]
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_orbit_census_matches_the_census_up_to_five_states(n):
+    # census(n) itself is checked against HISTOGRAMS above
+    assert orbit_census(n) == census(n)
+
+
+# The lines that `python tests/test_exhaustive.py N` prints; CI pins N = 6
+# and N = 8 the same way.
+CENSUS_LINES = {
+    6: [
+        "n=6 pairs=3447 asc>=2=191865 reverse_asc_1=0",
+        "histogram: (2,2)=2511 (2,3)=2322 (2,4)=1872 (2,5)=45000 (3,2)=312 "
+        "(3,3)=954 (3,4)=936 (3,5)=2280 (3,6)=1512 (3,9)=4644 (3,10)=57720 "
+        "(4,4)=1926 (4,6)=2322 (4,8)=1872 (4,10)=45000 (5,5)=20682",
+    ],
+    7: [
+        "n=7 pairs=29093 asc>=2=3462067 reverse_asc_1=0",
+        "histogram: (2,2)=609 (2,6)=610344 (3,3)=7091 (3,6)=2646 (3,9)=4704 "
+        "(3,12)=22344 (3,15)=981470 (4,4)=7091 (4,8)=2646 (4,12)=4704 "
+        "(4,16)=22344 (4,20)=981470 (5,5)=609 (5,15)=610344 (6,6)=203651",
+    ],
+}
+
+
+@pytest.mark.parametrize("n", sorted(CENSUS_LINES))
+def test_orbit_census_lines_of_six_and_seven_states(n):
+    assert census_lines(n) == CENSUS_LINES[n]
 
 
 @pytest.mark.parametrize("n", range(1, 6))

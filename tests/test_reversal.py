@@ -416,7 +416,7 @@ def test_certificates_refuse_a_merging_letter_before_exploring(monkeypatch):
     # reverse_dfa still take it
     fwd = Dfa(2, 2, ((1, 0), (0, 0)), 0, frozenset({1}))
     assert reverse_construction(fwd)[1] == [(1,), (0,), (), (0, 1)]
-    for name in ("_explore", "reachable_states", "reverse_construction"):
+    for name in ("_explore", "_reachable", "reverse_construction"):
         forbid(monkeypatch, name)
     with pytest.raises(ValueError) as info:
         reversal_certificate(fwd)
@@ -434,9 +434,18 @@ def test_certificate_cuts_subsets_to_reachable_states():
     assert certified(fwd) == (1, 1, False, False)
 
 
+@pytest.mark.parametrize("columns", [((1, 0), (0, 2)), ((0, -1),), ((1, 1),)])
+def test_permutation_prologue_bounds_every_entry(columns):
+    # the witness walk hands its tables over with no Dfa to check them first
+    with pytest.raises(ValueError) as info:
+        reversal._permutation_live(columns, 0)
+    assert str(info.value) == "expected a permutation automaton"
+
+
 def certify_args(fwd):
     """The arguments of ``reversal._certify`` after the subsets."""
-    return fwd.start, fwd.finals, fwd.num_states, reversal._permutation_live(fwd)
+    live = reversal._permutation_live(fwd.columns, fwd.start)
+    return fwd.start, fwd.finals, fwd.num_states, live
 
 
 @given(permutation_automata())
@@ -449,6 +458,31 @@ def test_start_class_rule_matches_minimize(fwd):
     assert (certificate.asc_forward, certificate.forward_minimal) == (
         len(small_fwd.finals), small_fwd.num_states == fwd.num_states
     )
+
+
+def reachable_part(fwd):
+    """``fwd`` cut to its reachable states, renumbered in BFS order."""
+    reach = reachable_states(fwd)
+    number = {q: i for i, q in enumerate(reach)}
+    columns = [[number[column[q]] for q in reach] for column in fwd.columns]
+    finals = frozenset(number[q] for q in fwd.finals if q in number)
+    return Dfa(len(reach), fwd.alphabet_size, columns, 0, finals)
+
+
+@given(permutation_automata())
+def test_reverse_asc_is_the_membership_count_of_each_state(draw):
+    # an inaccessible draw has the asc pair of its reachable part, which is
+    # accessible; there the group is transitive, so every state lies in the
+    # same number k of reverse subsets, and k is the reverse asc: counting
+    # memberships two ways gives k * n = |F| * (subset count), and k = 1
+    # forces asc 1
+    fwd = reachable_part(draw)
+    certificate = reversal_certificate(fwd)
+    assert asc_pair_of(certificate) == asc_pair_of(reversal_certificate(draw))
+    assert certificate.asc_reverse * fwd.num_states == len(fwd.finals) * len(
+        reverse_subsets(fwd)
+    )
+    assert certificate.asc_reverse != 1 or certificate.asc_forward == 1
 
 
 WITNESSES = st.builds(build_witness, st.integers(2, 4), st.integers(2, 4))

@@ -371,7 +371,7 @@ def test_grid_explores_each_automaton_once_and_never_minimizes(monkeypatch):
     )
     calls = count_calls(monkeypatch, spectrum, names)
     full = count_calls(monkeypatch, reversal, ["reverse_construction"])
-    cores = count_calls(monkeypatch, witness, ["_witness_core"])
+    cores = count_calls(monkeypatch, witness, ["_witness_core", "_witness_size"])
     assert spectrum_table(3, 3).passed
     # four unlabeled witnesses walked as verify walks them, plus the two
     # one-state automata of the trivial rows
@@ -379,7 +379,8 @@ def test_grid_explores_each_automaton_once_and_never_minimizes(monkeypatch):
         "_reverse_stars": 4, "build_witness": 0, "reversal_certificate": 2,
         "reverse_dfa": 0, "asc": 0,
     }
-    assert cores == {"_witness_core": 4}
+    # and each witness is sized once
+    assert cores == {"_witness_core": 4, "_witness_size": 4}
     assert full == {"reverse_construction": 0}
 
 

@@ -393,20 +393,22 @@ def test_verify_4_3():
 def test_verify_explores_once_and_never_minimizes(monkeypatch):
     names = ("reverse_dfa", "reverse_subsets", "minimize", "asc")
     private = (
-        "_labels", "are_subset_states", "_colex_masks", "_reverse_stars"
+        "_labels", "are_subset_states", "_colex_masks", "_reverse_stars",
+        "Dfa", "_witness_size",
     )
     on_witness = count_calls(monkeypatch, witness, names + private)
     on_reversal = count_calls(
         monkeypatch, reversal, ["reverse_construction", "_explore"]
     )
-    # verify builds its witness unlabeled, lists point masks once, for the
-    # forward states, and explores once, by star center: no subset list,
-    # no reverse Dfa and no classify pass
+    # verify builds its witness unlabeled, sizes it once, lists point
+    # masks once, for the forward states, and explores once, by star
+    # center: no Dfa on either side, no subset list and no classify pass
     assert verify_witness(3, 4).passed
     assert {**on_witness, **on_reversal} == {
         "reverse_dfa": 0, "reverse_subsets": 0, "minimize": 0, "asc": 0,
         "_labels": 0, "are_subset_states": 0, "_colex_masks": 1,
-        "_reverse_stars": 1, "reverse_construction": 0, "_explore": 0,
+        "_reverse_stars": 1, "Dfa": 0, "_witness_size": 1,
+        "reverse_construction": 0, "_explore": 0,
     }
     assert not hasattr(reversal, "certify_reversal")
 
@@ -469,6 +471,17 @@ def test_verify_passes_on_the_2_to_7_grid():
     assert failures == []
 
 
+@pytest.mark.parametrize("m", range(2, 7))
+def test_verify_reports_read_the_magic_value_lemma(m):
+    # every forward state lies in as many reverse stars as the reverse asc:
+    # alpha * C(n, alpha) = m * C(n, alpha - 1)
+    for alpha in range(2, 7):
+        report = verify_witness(m, alpha)
+        assert report.reverse_finals * report.forward_states == (
+            report.forward_finals * report.reverse_states
+        ), (m, alpha)
+
+
 def _mutations(columns, finals):
     """Five broken (3, 4) witnesses as (name, columns, finals), and the
     check of ``verify_witness`` that each should fail first."""
@@ -490,8 +503,8 @@ def test_verify_fails_each_mutated_witness_at_the_oracles_check(monkeypatch):
     core = witness._witness_core
     for name, columns, finals, first in _mutations(oracle.columns, oracle.finals):
 
-        def mutated(m, alpha, state_cap, columns=columns, finals=finals):
-            points = core(m, alpha, state_cap)[2]
+        def mutated(params, columns=columns, finals=finals):
+            points = core(params)[2]
             return columns, frozenset(finals), points
 
         monkeypatch.setattr(witness, "_witness_core", mutated)
@@ -544,10 +557,10 @@ def test_verify_matches_the_oracle_on_random_mutations(monkeypatch):
     firsts, inaccessible, off_size = Counter(), 0, 0
     for _ in range(200):
         m, alpha = rng.choice(cells)
-        columns, finals, points = core(m, alpha, 10)
+        columns, finals, points = core(WitnessParams(m, alpha))
         columns, finals = _random_mutation(rng, columns, finals)
 
-        def mutated(m, alpha, state_cap, table=(columns, finals, points)):
+        def mutated(params, table=(columns, finals, points)):
             return table
 
         monkeypatch.setattr(witness, "_witness_core", mutated)
