@@ -22,11 +22,12 @@ string once, each letter's images are picks from those strings, and a
 document is one join, as adding joined blocks would copy it each time.
 ``emit_dot`` escapes labels only if their join holds ``\\`` or ``"``.
 ``parse_dfa`` walks the header lines token by token, and reads the state
-lines in one pass of builtins over their token columns, mapping numbers
-through one dict from ``str(q)`` to q for each state q: a missing key is
-a bad number. Only when that pass fails are the state lines numbered and
-walked one by one. A walk raises a ``ParseError`` at the first bad token,
-with its 1-based line and column; the column is computed only then.
+lines ``SLICE_LINES`` at a time, in one pass of builtins over each slice's
+token columns, mapping numbers through one dict from ``str(q)`` to q for
+each state q: a missing key is a bad number. Only when a pass fails are
+the state lines numbered and walked one by one. A walk raises a
+``ParseError`` at the first bad token, with its 1-based line and column;
+the column is computed only then.
 """
 
 from __future__ import annotations
@@ -48,6 +49,8 @@ _LETTERS = "abcdefghijklmnopqrstuvwxyz"
 
 _TOKEN = re.compile(r"\S+")
 _UNWRITABLE = re.compile(r"[\s\[\]]")
+# State lines split at a time by parse_dfa: the tokens it holds at once
+SLICE_LINES = 512
 
 
 class ParseError(ValueError):
@@ -146,52 +149,63 @@ def _int_token(line_no: int, line: str, k: int, token: str, what: str) -> int:
 
 
 def _state_block(
-    rows: list[list[str]], num_states: int, alphabet_size: int
+    lines: list[str], first: int, num_states: int, alphabet_size: int
 ) -> tuple[list[list[int]], list[str] | None] | None:
     """The letter columns and labels, in state order, of the state lines
-    whose token lists are ``rows``; None if some line is bad.
+    ``lines[first:]``; None if some line is bad.
 
-    One pass of builtins over whole token columns. It accepts exactly the
-    lines that ``_reject_state_lines`` accepts: consistent labeling makes
-    every line as wide, a line of width k + 4 must be labeled, and n
-    distinct indices below n are ``range(n)``. So when it returns None, the
-    walk raises. The line count is checked first, so nothing is allocated
-    from the header's count.
+    The lines are split ``SLICE_LINES`` at a time, and each slice's token
+    columns get one pass of builtins. It accepts exactly the lines that
+    ``_reject_state_lines`` accepts: the first line's width fixes labeling,
+    and every line must be as wide; a line of width k + 4 must be labeled;
+    and n distinct indices below n are ``range(n)``. So when it returns
+    None, the walk raises. The line count bounds the header's count before
+    the numeral table is built, so nothing is allocated from a huge header.
     """
     n, k = num_states, alphabet_size
-    widths = set(map(len, rows))
-    if len(rows) != n or len(widths) != 1:
+    if n > len(lines) - first:
         return None
-    (width,) = widths
-    labeled = width == k + 4
-    if width != k + 3 and not labeled:
-        return None
-    flat = [*chain.from_iterable(rows)]
-    colon = 2 + labeled
-    if flat[::width].count("state") != n or flat[colon::width].count(":") != n:
-        return None
-    labels = None
-    if labeled:
-        # "] [" can match only at the n - 1 spaces of the join, so n pieces
-        # free of brackets are the insides of n labels
-        joined = " ".join(flat[2::width])
-        if joined[0] != "[" or joined[-1] != "]":
-            return None
-        labels = joined[1:-1].split("] [")
-        rest = "".join(labels)
-        if len(labels) != n or "[" in rest or "]" in rest:
-            return None
     states = [*range(n)]
     # a KeyError is a token that is not 0|[1-9][0-9]* below n
     number = dict(zip(map(str, states), states)).__getitem__
-    try:
-        indices, *images = [
-            [*map(number, flat[i::width])] for i in (1, *range(colon + 1, width))
-        ]
-    except KeyError:
-        return None
+    indices: list[int] = []
+    width = labels = None
+    for i in range(first, len(lines), SLICE_LINES):
+        rows = [*filter(None, map(str.split, lines[i : i + SLICE_LINES]))]
+        if not rows:
+            continue
+        if width is None:
+            width = len(rows[0])
+            if width not in (k + 3, k + 4):
+                return None
+            colon = width - k - 1
+            images = [[] for _ in range(k)]
+            labels = [] if colon == 3 else None
+        if set(map(len, rows)) != {width}:
+            return None
+        flat = [*chain.from_iterable(rows)]
+        r = len(rows)
+        if flat[::width].count("state") != r or flat[colon::width].count(":") != r:
+            return None
+        if labels is not None:
+            # "] [" can match only at the r - 1 spaces of the join, so r
+            # pieces free of brackets are the insides of r labels
+            joined = " ".join(flat[2::width])
+            if joined[0] != "[" or joined[-1] != "]":
+                return None
+            pieces = joined[1:-1].split("] [")
+            rest = "".join(pieces)
+            if len(pieces) != r or "[" in rest or "]" in rest:
+                return None
+            labels += pieces
+        try:
+            indices += map(number, flat[1::width])
+            for j, column in enumerate(images, colon + 1):
+                column += map(number, flat[j::width])
+        except KeyError:
+            return None
     # n indices below n are the n states iff they are distinct
-    if indices != states and sorted(indices) != states:
+    if len(indices) != n or indices != states and sorted(indices) != states:
         return None
     if indices != states:
         order = sorted(states, key=indices.__getitem__)
@@ -202,12 +216,13 @@ def _state_block(
 
 
 def _reject_state_lines(
-    rows: list[tuple[int, str, list[str]]],
+    rows: Iterable[tuple[int, str, list[str]]],
     num_states: int,
     alphabet_size: int,
-    last_line: int,
+    line_no: int,
 ) -> NoReturn:
-    """Raise the ParseError of the first bad state line, in line order.
+    """Raise the ParseError of the first bad state line, in line order;
+    a missing line is named at the last line, ``line_no`` if none follows.
 
     Called only when ``_state_block`` returned None, so some line is bad.
     """
@@ -251,15 +266,18 @@ def _reject_state_lines(
         _numbers(line_no, line, tokens, k, num_states, "image")
     if len(seen) != num_states:
         missing = next(q for q in range(num_states) if q not in seen)
-        raise ParseError(last_line, 1, f"missing 'state {missing}' line")
+        raise ParseError(line_no, 1, f"missing 'state {missing}' line")
     raise AssertionError("the walk accepted state lines that the pass rejected")
 
 
 def parse_dfa(text: str) -> Dfa:
     """The DFA of a document in the format above, labels included.
 
-    Raises ``ParseError`` (a ``ValueError``) at the first bad token, with
-    its line and column, and ``ValueError`` unless ``text`` is a str.
+    The state lines are split one slice at a time, so beside the returned
+    DFA the parse holds only the line list, the numeral table and one
+    slice's tokens. Raises ``ParseError`` (a ``ValueError``) at the first
+    bad token, with its line and column, and ``ValueError`` unless ``text``
+    is a str.
     """
     _check_str(text)
     lines = text.splitlines()
@@ -300,13 +318,9 @@ def parse_dfa(text: str) -> Dfa:
         raise ParseError(line_no, _column(line, 0), "expected 'finals' line")
     finals = _numbers(line_no, line, tokens, 1, num_states, "final state")
 
-    table = _state_block(
-        [*filter(None, map(str.split, lines[line_no:]))], num_states, alphabet_size
-    )
+    table = _state_block(lines, line_no, num_states, alphabet_size)
     if table is None:
-        rows = [*numbered]
-        last_line = rows[-1][0] if rows else line_no
-        _reject_state_lines(rows, num_states, alphabet_size, last_line)
+        _reject_state_lines(numbered, num_states, alphabet_size, line_no)
     columns, labels = table
     return Dfa(num_states, alphabet_size, columns, start, frozenset(finals), labels)
 

@@ -55,6 +55,10 @@ DEFAULT_STATE_CAP = 10_000
 # than about 35 ms (2 vCPUs, Python 3.11), where math.comb takes 43 s on
 # C(1999999, 1000000).
 EXACT_COUNT_BITS = 1 << 18
+# The characters that build_witness's labels may take, counted before any
+# is built: the state cap counts states, but labels grow as states * alpha.
+# (11, 11) needs 9.6 M; (2, 9999), within the default cap, would need 489 M.
+LABEL_CHARS = 1 << 26
 
 
 class WitnessParams(Record):
@@ -158,10 +162,13 @@ def build_witness(m: int, alpha: int, state_cap: int = DEFAULT_STATE_CAP) -> Dfa
     ``state_cap`` is not an int >= 1 and CapacityError when the witness
     would have more than ``state_cap`` states. That is decided without
     computing C(n, alpha) in full; the error's ``count`` is the exact count
-    where ``EXACT_COUNT_BITS`` admits it, and None otherwise.
+    where ``EXACT_COUNT_BITS`` admits it, and None otherwise. Labels of
+    more than ``LABEL_CHARS`` characters in all are a CapacityError too,
+    whose ``count`` is that character count, raised before any is built.
     """
     params = WitnessParams(m, alpha)
     _witness_size(params, state_cap)
+    _label_chars(params)
     columns, finals, points = _witness_core(params)
     return Dfa(len(points), 2, columns, 0, finals, _labels(params.n, alpha))
 
@@ -203,6 +210,31 @@ def _witness_size(params: WitnessParams, state_cap: int) -> int:
             f"witness for (m={m}, alpha={alpha}) needs C({n}, {alpha}) states, "
             f"more than the cap of {cap}",
             count=exact,
+            stage="build_witness",
+        )
+    return total
+
+
+def _label_chars(params: WitnessParams) -> int:
+    """``sum(map(len, _labels(n, alpha)))``, refused past ``LABEL_CHARS``.
+
+    Each point p lies in C(n - 1, alpha - 1) subsets and takes len(str(p))
+    digits, one per power of ten up to p, and each label with a point above
+    9 takes alpha - 1 dots. Called after the state cap, so C(n, alpha) is
+    small.
+    """
+    alpha, n = params.alpha, params.n
+    digits, low = 0, 1
+    while low <= n:
+        digits, low = digits + n - low + 1, 10 * low
+    dotted = math.comb(n, alpha) - math.comb(min(n, 9), alpha)
+    total = math.comb(n - 1, alpha - 1) * digits + (alpha - 1) * dotted
+    if total > LABEL_CHARS:
+        m, alpha, chars = map(int_text, (params.m, alpha, total))
+        raise CapacityError(
+            f"witness for (m={m}, alpha={alpha}) needs {chars} label characters, "
+            f"more than the budget of {LABEL_CHARS}",
+            count=total,
             stage="build_witness",
         )
     return total

@@ -3,6 +3,7 @@ import json
 import random
 import tracemalloc
 from itertools import combinations
+from unittest.mock import patch
 
 import pytest
 from hypothesis import example, given, settings
@@ -206,7 +207,7 @@ BIG = "1" * 5000
 TOO_LONG = "expected {}, got a number of 5000 digits"
 
 
-@pytest.mark.parametrize("text,line,column,message", [
+PINNED_ERRORS = pytest.mark.parametrize("text,line,column,message", [
     ("", 1, 1, "expected 'dfa' header"),
     ("  \n\t\n", 1, 1, "expected 'dfa' header"),
     ("  dfx 2 1\n", 1, 3, "expected 'dfa' header"),
@@ -323,11 +324,31 @@ TOO_LONG = "expected {}, got a number of 5000 digits"
     "first_label_two", "last_label_closed_twice", "first_label_closed_twice",
     "label_split_across_lines",
 ])
-def test_parse_error_positions_are_pinned(text, line, column, message):
+
+
+def check_parse_error(text, line, column, message):
     with pytest.raises(ParseError) as info:
         parse_dfa(text)
     assert (info.value.line, info.value.column) == (line, column)
     assert str(info.value) == f"line {line}, column {column}: {message}"
+
+
+@PINNED_ERRORS
+def test_parse_error_positions_are_pinned(text, line, column, message):
+    check_parse_error(text, line, column, message)
+
+
+# parse_dfa reading 1, 2 or 3 state lines at a time. The slice size is
+# patched in the test body: Hypothesis refuses a function-scoped fixture
+# under @given, as its examples would share it.
+SMALL_SLICES = pytest.mark.parametrize("size", [1, 2, 3])
+
+
+@SMALL_SLICES
+@PINNED_ERRORS
+def test_parse_error_positions_hold_in_small_slices(size, text, line, column, message):
+    with patch.object(textio, "SLICE_LINES", size):
+        check_parse_error(text, line, column, message)
 
 
 MUTATION_TOKENS = ("dfa", "start", "finals", "state", ":", "[", "[]", "[s0]")
@@ -511,6 +532,13 @@ def test_parse_spaced_shuffled_document_matches_oracle(text):
     check_parse_roundtrips_or_raises(text)
 
 
+@SMALL_SLICES
+@given(spaced_documents())
+def test_spaced_shuffled_document_in_small_slices_matches_oracle(size, text):
+    with patch.object(textio, "SLICE_LINES", size):
+        check_parse_roundtrips_or_raises(text)
+
+
 BAD_NUMBERS = ("00", "07", "-0", "-1", "\u0663", "n", "state", ":", "[x]", "+1",
                "1_0", BIG)
 BAD_LABELS = ("[a]b]", "[a[b]", "[]]", "[[]", "[", "]", "a]", ":", "[a][b]", "[a]]")
@@ -560,6 +588,80 @@ def same_width_documents(draw):
 @given(same_width_documents())
 def test_parse_same_width_mutation_matches_oracle(text):
     check_parse_roundtrips_or_raises(text)
+
+
+@SMALL_SLICES
+@settings(max_examples=300)
+@given(same_width_documents())
+def test_same_width_mutation_in_small_slices_matches_oracle(size, text):
+    with patch.object(textio, "SLICE_LINES", size):
+        check_parse_roundtrips_or_raises(text)
+
+
+@SMALL_SLICES
+@settings(max_examples=300)
+@given(value_mutated_documents())
+def test_value_mutated_document_in_small_slices_matches_oracle(size, text):
+    with patch.object(textio, "SLICE_LINES", size):
+        check_parse_roundtrips_or_raises(text)
+
+
+# Four state lines, two to a slice at size 2: lines 4-5 and 6-7
+FOUR = "dfa 4 1\nstart 0\nfinals 3\n"
+
+
+@pytest.mark.parametrize("size", [1, 2, 3, textio.SLICE_LINES])
+@pytest.mark.parametrize("text,line,column,message", [
+    (FOUR + "state 0 [a] : 1\nstate 1 [b] : 2\nstate 2 : 3\nstate 3 : 0\n", 6, 1,
+     "state lines must be labeled consistently"),
+    (FOUR + "state 0 : 1\nstate 1 : 2\nstate 2 [c] : 3\nstate 3 [d] : 0\n", 6, 1,
+     "state lines must be labeled consistently"),
+    (FOUR + "state 0 : 1\nstate 1 : 2\nstate 2 : 3 0\nstate 3 : 0\n", 6, 13,
+     "expected 1 transition images, got 2"),
+    (FOUR + "state 0 : 1\nstate 1 : 2\nstate 1 : 3\nstate 3 : 0\n", 6, 7,
+     "duplicate line for state 1"),
+    (FOUR + "state 0 : 1\nstate 1 : 2\nstate 2 : 3\nstate 3 : 4\n", 7, 11,
+     "image 4 is out of range"),
+    (FOUR + "state 0 [a] : 1\nstate 1 [b] : 2\nstate 2 [c] : 3\nstate 3 [d : 0\n", 7, 9,
+     "expected '[<label>]'"),
+    (FOUR + "state 0 : 1\nstate 1 : 2\n \n\t\n", 5, 1, "missing 'state 2' line"),
+], ids=["labeled_then_unlabeled", "unlabeled_then_labeled", "width_change",
+        "index_in_two_slices", "late_image_range", "late_label", "blank_last_slice"])
+def test_parse_error_across_slices_is_positioned(size, text, line, column, message):
+    with patch.object(textio, "SLICE_LINES", size):
+        check_parse_error(text, line, column, message)
+
+
+@pytest.mark.parametrize("size", [1, 2, 3, textio.SLICE_LINES])
+@pytest.mark.parametrize("labeled", [False, True])
+def test_blank_lines_on_a_slice_boundary_are_skipped(size, labeled):
+    # at size 2 the second slice is blank, and the others start or end blank
+    lines = ["state 0 [a] : 1", "state 1 [b] : 2", "", " \t ",
+             "state 3 [d] : 0", "\u3000", "state 2 [c] : 3", ""]
+    if not labeled:
+        lines = [" ".join(t for t in line.split(" ") if "[" not in t) for line in lines]
+    text = FOUR + "\n".join(lines) + "\n"
+    labels = ("a", "b", "c", "d") if labeled else None
+    expected = Dfa(4, 1, ((1, 2, 3, 0),), 0, frozenset({3}), labels)
+    assert parse_dfa_by_lines(text) == expected
+    with patch.object(textio, "SLICE_LINES", size):
+        assert parse_dfa(text) == expected
+
+
+def test_parse_peak_memory_is_bounded():
+    # the (8, 7) reverse document: 466 678 bytes and 3003 state lines.
+    # Splitting every line before checking any peaked at 4 285 485 bytes;
+    # a slice at a time, the parse holds the line list, the numeral table,
+    # the Dfa and one slice's tokens: 2 252 936 bytes (Python 3.11)
+    text = emit_dfa(reverse_dfa(build_witness(8, 7)))
+    tracemalloc.start()
+    try:
+        dfa = parse_dfa(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert dfa.num_states == 3003
+    assert peak < 3_000_000
 
 
 WITNESS_7_7 = emit_dfa(build_witness(7, 7)).splitlines()

@@ -144,6 +144,37 @@ def test_witness_cap_admits_exactly_its_count(m, alpha):
     assert info.value.count == total
 
 
+def test_label_chars_counts_every_label():
+    for m in range(2, 9):
+        for alpha in range(2, 9):
+            labels = witness._labels(m + alpha - 1, alpha)
+            chars = witness._label_chars(WitnessParams(m, alpha))
+            assert chars == sum(map(len, labels)), (m, alpha)
+
+
+def test_label_budget_refuses_before_any_label_is_built():
+    # C(10000, 9999) = 10 000 states fit the default state cap, but their
+    # labels would take 488 881 106 characters
+    error, peak = traced_peak(lambda: build_witness(2, 9999))
+    assert isinstance(error, CapacityError)
+    assert (str(error), error.count, error.stage) == (
+        "witness for (m=2, alpha=9999) needs 488881106 label characters,"
+        " more than the budget of 67108864", 488_881_106, "build_witness",
+    )
+    assert peak < 1_000_000
+
+
+@pytest.mark.parametrize("m,alpha", [(3, 4), (6, 5), (20, 2), (2, 20)])
+def test_label_budget_admits_exactly_its_count(monkeypatch, m, alpha):
+    chars = sum(map(len, build_witness(m, alpha).labels))
+    monkeypatch.setattr(witness, "LABEL_CHARS", chars)
+    assert build_witness(m, alpha).num_states == math.comb(m + alpha - 1, alpha)
+    monkeypatch.setattr(witness, "LABEL_CHARS", chars - 1)
+    with pytest.raises(CapacityError) as info:
+        build_witness(m, alpha)
+    assert (info.value.count, info.value.stage) == (chars, "build_witness")
+
+
 # ---------------------------------------------------------------------
 # stars
 # ---------------------------------------------------------------------
