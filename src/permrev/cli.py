@@ -10,6 +10,7 @@ import sys
 
 import click
 
+from .dfa import Dfa, apply_word
 from .errors import CapacityError
 from .minimize import asc as _asc
 from .minimize import minimize as _minimize
@@ -256,26 +257,21 @@ def example() -> None:
     """Reproduce the worked m=3, alpha=4 reversal computation."""
     params = WitnessParams(3, 4)
     walk = _reverse_stars(params, DEFAULT_STATE_CAP)
-    keys, columns = walk[2:4]
+    keys, columns, rev_finals = walk[2:5]
     names = [
         star_label(tuple(mask_states(key))) if isinstance(key, int) else str(i)
         for i, key in enumerate(keys)
     ]
+    # the reverse start is state 0, the subset of the forward finals
+    rev = Dfa(len(keys), 2, columns, 0, rev_finals, names)
+    chain = [apply_word(rev, 0, (0,) * i) for i in range(6)]
+    end, word = chain[-1], apply_word(rev, 0, word_from_str("aabaaaa"))
 
     click.echo(f"worked example: witness m=3 alpha=4 (n={params.n})")
-    # the reverse start is state 0, the subset of the forward finals
-    click.echo(f"reverse start: {names[0]}")
-    state = 0
-    chain = [names[state]]
-    for _ in range(5):
-        state = columns[0][state]
-        chain.append(names[state])
-    click.echo("a-chain: " + " -a-> ".join(chain))
-    click.echo(f"b-step: {names[state]} -b-> {names[columns[1][state]]}")
-    state = 0
-    for letter in word_from_str("aabaaaa"):
-        state = columns[letter][state]
-    click.echo(f"word a2ba4: {names[0]} -a2ba4-> {names[state]}")
+    click.echo(f"reverse start: {rev.label(0)}")
+    click.echo("a-chain: " + " -a-> ".join(map(rev.label, chain)))
+    click.echo(f"b-step: {rev.label(end)} -b-> {rev.label(apply_word(rev, end, (1,)))}")
+    click.echo(f"word a2ba4: {rev.label(0)} -a2ba4-> {rev.label(word)}")
     click.echo("\n".join(_star_and_asc_lines(_witness_report(params, walk))))
 
 

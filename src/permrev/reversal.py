@@ -14,13 +14,16 @@ predecessor lists of the members of S, about |S| + |preimage| list
 operations plus one sort. Each letter takes its path from the input, and
 one ``itemgetter`` per subset serves every letter.
 
+Each entry point builds only what it returns, from one core, ``_reverse``:
+``reverse_construction`` one unlabeled ``Dfa``, ``reverse_dfa`` one
+labeled ``Dfa`` and ``reverse_subsets`` none; ``reverse_step`` reads one
+preimage off one letter column. These serve every DFA.
 ``reversal_certificate`` reads the accepting-state complexity and
 minimality of both sides off the subsets, without minimizing either
 automaton and without building the reverse one. It takes permutation
 automata only, the automata that the reversal spectrum is about, and
 refuses any other DFA before exploring; ``_certify`` says why the forward
-side is then read off the start's Nerode class. The construction itself,
-and ``reverse_dfa``, serve every DFA.
+side is then read off the start's Nerode class.
 
 The magic-value probe reads the asc pair of automata of at most
 ``MASK_STATES`` = 8 states on a private byte kernel, ``_mask_asc_pair``,
@@ -39,12 +42,11 @@ vCPUs, Python 3.11).
 Outside that kernel one prologue, ``_permutation_live``, refuses any
 non-permuting letter table and finds the reachable states, and one
 reader, ``_certify``, reads every certificate off the subsets, taken in
-BFS order as consecutive lists of which it holds only the current one.
-``reversal_certificate`` hands it ``_explore``'s tuple subsets as one list; ``reverse_construction`` keeps
-them, for ``witness.classify_reverse_states``. The witness's own BFS,
-``witness._reverse_stars``, which the verifier, the worked example and
-every grid cell run, interns each star by its center mask and hands the
-reader one level at a time.
+BFS order as consecutive lists of which it holds only the current one:
+``_explore``'s tuple subsets as one list, or one level at a time from the
+witness's own BFS, ``witness._reverse_stars``, which the verifier, the
+worked example and every grid cell run and which interns each star by its
+center mask.
 """
 
 from __future__ import annotations
@@ -56,7 +58,7 @@ from typing import AbstractSet, Collection, Iterable, Sequence
 
 from .dfa import Dfa, _reachable, check_dfa
 from .errors import CapacityError, are_subset_states, check_index, check_int
-from .records import Record, replace
+from .records import Record
 
 SubsetState = tuple[int, ...]
 
@@ -121,7 +123,7 @@ def _preimage_table(fwd: Dfa, letter: int) -> tuple[list, bool]:
 
 
 def reverse_step(fwd: Dfa, s: SubsetState, letter: int) -> SubsetState:
-    """Preimage of the subset under one letter of the forward automaton.
+    """Preimage of the subset under one letter, read off its column in one pass.
 
     When ``fwd`` is a permutation automaton this is a bijection on subsets
     and preserves cardinality.
@@ -130,9 +132,7 @@ def reverse_step(fwd: Dfa, s: SubsetState, letter: int) -> SubsetState:
     if not are_subset_states((s,), fwd.num_states):
         raise ValueError("subset-state does not fit the forward automaton")
     check_index("letter", letter, fwd.alphabet_size)
-    table, permutes = _preimage_table(fwd, letter)
-    image = map(table.__getitem__, s)
-    return tuple(sorted(image if permutes else chain.from_iterable(image)))
+    return (*compress(count(), map(set(s).__contains__, fwd.columns[letter])),)
 
 
 def _explore(fwd: Dfa, max_states: int) -> tuple[list[int], list[SubsetState]]:
@@ -178,33 +178,37 @@ def _capacity_error(max_states: int) -> CapacityError:
     )
 
 
-def reverse_construction(
-    fwd: Dfa, max_states: int = _DEFAULT_CAP
-) -> tuple[Dfa, list[SubsetState]]:
-    """Reachable part of the automaton accepting the reversed language, and
-    the subset-state behind each of its states.
-
-    ``_explore`` interns the subset-states; one is final iff it contains
-    the forward start state. The reverse DFA is unlabeled
-    (``labels=None``): the subsets name its states, and ``reverse_dfa``
-    renders them as labels for text output. ``max_states`` defaults to
-    ``DEFAULT_MAX_STATES`` as it reads at the call.
-    """
+def _reverse(
+    fwd: Dfa, max_states: int
+) -> tuple[list[list[int]], frozenset[int], list[SubsetState]]:
+    """The reverse construction's letter columns, finals (the subsets that
+    hold the forward start) and subsets, under ``max_states`` or else
+    ``DEFAULT_MAX_STATES`` as it reads at the call."""
     if max_states is _DEFAULT_CAP:
         max_states = DEFAULT_MAX_STATES
     check_int("max_states", max_states, 1)
     check_dfa(fwd)
     targets, subsets = _explore(fwd, max_states)
     k = fwd.alphabet_size
-    columns = [targets[c::k] for c in range(k)]
     finals = compress(count(), map(contains, subsets, repeat(fwd.start)))
-    rev = Dfa(len(subsets), k, columns, 0, frozenset(finals))
-    return rev, subsets
+    return [targets[c::k] for c in range(k)], frozenset(finals), subsets
+
+
+def reverse_construction(
+    fwd: Dfa, max_states: int = _DEFAULT_CAP
+) -> tuple[Dfa, list[SubsetState]]:
+    """Reachable part of the automaton accepting the reversed language, and
+    the subset-state behind each of its states.
+
+    The reverse DFA is unlabeled: the subsets name its states.
+    """
+    columns, finals, subsets = _reverse(fwd, max_states)
+    return Dfa(len(subsets), fwd.alphabet_size, columns, 0, finals), subsets
 
 
 def reverse_subsets(fwd: Dfa, max_states: int = _DEFAULT_CAP) -> list[SubsetState]:
-    """The reachable subset-states, in intern (BFS) order."""
-    return reverse_construction(fwd, max_states)[1]
+    """The reachable subset-states, in intern (BFS) order; no DFA is built."""
+    return _reverse(fwd, max_states)[2]
 
 
 def reverse_dfa(fwd: Dfa, max_states: int = _DEFAULT_CAP) -> Dfa:
@@ -213,10 +217,10 @@ def reverse_dfa(fwd: Dfa, max_states: int = _DEFAULT_CAP) -> Dfa:
     Each state's label joins the forward labels of its subset's members
     with commas; this is the view that ``permrev reverse`` emits.
     """
-    rev, subsets = reverse_construction(fwd, max_states)
+    columns, finals, subsets = _reverse(fwd, max_states)
     names = fwd.labels or [*map(str, range(fwd.num_states))]
-    pick = names.__getitem__
-    return replace(rev, labels=tuple(",".join(map(pick, s)) for s in subsets))
+    labels = tuple(",".join(map(names.__getitem__, s)) for s in subsets)
+    return Dfa(len(subsets), fwd.alphabet_size, columns, 0, finals, labels)
 
 
 class ReversalCertificate(Record):

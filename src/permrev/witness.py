@@ -392,8 +392,8 @@ def _reverse_stars(
 ) -> tuple[int, int, list, tuple[list[int], list[int]], list[int], ReversalCertificate]:
     """The witness from ``_witness_core`` and its reverse construction,
     explored once: the forward state and final counts, the intern key of
-    each reverse state in ``_explore``'s BFS order, the reverse's two
-    letter columns, its finals and the witness's certificate.
+    each reverse state in this walk's BFS order (ties by letter), the
+    reverse's two letter columns, its finals and the witness's certificate.
 
     A subset of m members whose common point mask has alpha - 1 bits is
     the star around that mask (``classify_reverse_states``'s rule), keyed

@@ -9,6 +9,7 @@ its members, the witness oracle moves point tuples instead of bit masks,
 the BFS order comes from an explicit queue, the DFA document reader
 takes one line at a time, with a regular expression per token, and the
 DFA document and DOT writers format one line per state or edge, the
+DOT reader finds each edge line with one regular expression, the
 random draws go through the stdlib's own ``shuffle``, ``randrange`` and
 ``randint``, and the witness checks read stars and minimality off these
 oracles. Each oracle builds its own tables and runs its own words; none
@@ -441,6 +442,14 @@ def emit_dot_by_lines(dfa: Dfa) -> str:
             lines.append(f'  q{q} -> q{t} [label="{letter}"];')
     lines.append("}")
     return "".join(line + "\n" for line in lines)
+
+
+def dot_edges(text: str) -> list[tuple[int, int, str]]:
+    """(source, target, letter name) of every edge line of a DOT document
+    in the form of ``emit_dot_by_lines``, in document order; the arrow
+    from the start point is not an edge of the automaton."""
+    edge = r'^  q(\d+) -> q(\d+) \[label="(\w+)"\];$'
+    return [(int(p), int(q), name) for p, q, name in re.findall(edge, text, re.M)]
 
 
 def witness_checks_by_oracle(m: int, alpha: int, fwd: Dfa) -> tuple:

@@ -8,9 +8,13 @@ import hypothesis.strategies as st
 
 from permrev.cli import main
 from permrev.dfa import Dfa
+from permrev.minimize import minimize
 from permrev.reversal import reverse_dfa
 from permrev.textio import emit_dfa, parse_dfa
 from permrev.witness import WitnessReport, WitnessParams, build_witness
+
+from conftest import dfas
+from oracles import dot_edges
 
 EMPTY_LANG_DOC = emit_dfa(Dfa(1, 2, ((0,), (0,)), 0, frozenset()))
 
@@ -363,3 +367,52 @@ def test_every_command_exits_with_a_code_and_no_traceback(tmp_path_factory, argv
         code = main(argv)
     assert code in (0, 1, 2, 3), argv
     assert "Traceback" not in err.getvalue(), argv
+
+
+# ---------------------------------------------------------------------
+# every document a command writes, read back
+# ---------------------------------------------------------------------
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(2, 4), st.integers(2, 4), dfas())
+def test_every_written_document_reads_back(tmp_path_factory, m, alpha, drawn):
+    where = tmp_path_factory.mktemp("docs")
+    (where / "drawn.dfa").write_text(emit_dfa(drawn))
+    read = {}
+
+    def run_and_read(*argv):
+        """Run the command with each file name in ``where``, and read every
+        file that it wrote."""
+        files = [str(where / a) if "." in a else a for a in argv]
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(files) == 0, argv
+        for option, name in zip(argv, argv[1:]):
+            if option in ("--out", "--dot", "--json"):
+                read[name] = (where / name).read_text()
+
+    run_and_read("witness", str(m), str(alpha), "--out", "w.dfa", "--dot", "w.dot")
+    fwd = parse_dfa(read["w.dfa"])
+    assert fwd == build_witness(m, alpha)
+    # one DOT edge per (state, letter), each the table's own
+    edges = dot_edges(read["w.dot"])
+    assert len(edges) == fwd.num_states * fwd.alphabet_size
+    assert sorted(edges) == sorted(
+        (q, t, "ab"[c]) for c, column in enumerate(fwd.columns)
+        for q, t in enumerate(column)
+    )
+    for source, dfa in (("w.dfa", fwd), ("drawn.dfa", drawn)):
+        run_and_read("reverse", source, "--out", "r.dfa")
+        assert parse_dfa(read["r.dfa"]) == reverse_dfa(dfa)
+        run_and_read("minimize", source, "--out", "n.dfa")
+        assert parse_dfa(read["n.dfa"]) == minimize(dfa)
+    run_and_read("verify", str(m), str(alpha), "--json", "v.json")
+    report = json.loads(read["v.json"])
+    assert (report["kind"], report["m"], report["alpha"], report["passed"]) == (
+        "witness_report", m, alpha, True
+    )
+    run_and_read("spectrum", "--m-max", str(m), "--alpha-max", str(alpha),
+                 "--json", "s.json")
+    report = json.loads(read["s.json"])
+    assert (report["kind"], report["m_max"], report["passed"]) == (
+        "spectrum_report", m, True
+    )

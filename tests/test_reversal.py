@@ -26,7 +26,9 @@ from permrev.reversal import (
 from permrev.textio import word_from_str
 from permrev.witness import WitnessParams, build_witness, star_members
 
-from conftest import dfa_with_word, dfas, mixed_dfas, permutation_automata, pfas
+from conftest import (
+    count_calls, dfa_with_word, dfas, mixed_dfas, permutation_automata, pfas
+)
 from oracles import (
     brute_reachable_subsets,
     colex_subsets,
@@ -144,6 +146,18 @@ def test_permutation_steps_preserve_cardinality(pfa, data):
     assert len(reverse_step(pfa, s, letter)) == len(s)
 
 
+@given(mixed_dfas(), st.data())
+def test_reverse_step_matches_the_preimage_oracle_on_every_letter(dfa, data):
+    # one letter permutes the states and the other merges two of them
+    assert not is_permutation_automaton(dfa)
+    members = data.draw(st.sets(st.integers(0, dfa.num_states - 1)))
+    for letter in range(dfa.alphabet_size):
+        expected = tuple(
+            q for q in range(dfa.num_states) if apply_word(dfa, q, (letter,)) in members
+        )
+        assert reverse_step(dfa, tuple(sorted(members)), letter) == expected
+
+
 # ---------------------------------------------------------------------
 # reverse_dfa
 # ---------------------------------------------------------------------
@@ -173,6 +187,26 @@ def test_smallest_witness_reverse_against_brute_force(m, alpha):
     assert rev.labels is None
     assert replace(reverse_dfa(fwd), labels=None) == rev
     assert len(rev.finals) == alpha
+
+
+@pytest.mark.parametrize(
+    "name,built",
+    [
+        ("reverse_dfa", 1),
+        ("reverse_construction", 1),
+        ("reverse_subsets", 0),
+        ("reverse_step", 0),
+    ],
+)
+def test_each_entry_point_builds_only_the_dfa_it_returns(
+    monkeypatch, witness_3_4, name, built
+):
+    # reverse_dfa builds its labeled DFA directly, not by relabeling an
+    # unlabeled one, and reverse_subsets and reverse_step return no DFA
+    args = (witness_3_4, (0, 3), 1) if name == "reverse_step" else (witness_3_4,)
+    constructed = count_calls(monkeypatch, Dfa, ["__post_init__"])
+    getattr(reversal, name)(*args)
+    assert constructed["__post_init__"] == built
 
 
 def test_reverse_start_is_finals_and_labels_join(witness_3_4):
