@@ -71,13 +71,10 @@ def cli() -> None:
     """Permutation-automaton reversal toolkit."""
 
 
-_witness_state_cap = click.option(
-    "--state-cap",
-    default=DEFAULT_STATE_CAP,
-    show_default=True,
-    type=int,
-    help="Exit 3 if the witness has more states than this.",
-)
+def _state_cap(help: str = "Exit 3 if the witness has more states than this."):
+    return click.option(
+        "--state-cap", default=DEFAULT_STATE_CAP, show_default=True, type=int, help=help
+    )
 
 
 @cli.command()
@@ -85,7 +82,7 @@ _witness_state_cap = click.option(
 @click.argument("alpha", type=int)
 @click.option("--out", default=None, help="Write the DFA document here ('-' = stdout).")
 @click.option("--dot", default=None, help="Also write a Graphviz rendering here.")
-@_witness_state_cap
+@_state_cap()
 def witness(
     m: int, alpha: int, out: str | None, dot: str | None, state_cap: int
 ) -> None:
@@ -157,7 +154,7 @@ def _format_witness_report(report: WitnessReport) -> str:
 @click.argument("m", type=int)
 @click.argument("alpha", type=int)
 @click.option("--json", "json_path", default=None, help="Also write the report as JSON.")
-@_witness_state_cap
+@_state_cap()
 def verify(m: int, alpha: int, json_path: str | None, state_cap: int) -> None:
     """Machine-check the witness for (M, ALPHA); exit 2 when a check fails."""
     report = verify_witness(m, alpha, state_cap=state_cap)
@@ -196,13 +193,7 @@ def _format_probe_report(report: MagicProbeReport) -> str:
     " until this many automata with asc >= 2 are checked.",
 )
 @click.option("--json", "json_path", default=None, help="Also write the report as JSON.")
-@click.option(
-    "--state-cap",
-    default=DEFAULT_STATE_CAP,
-    show_default=True,
-    type=int,
-    help="Skip the grid cells whose witness has more states than this.",
-)
+@_state_cap("Skip the grid cells whose witness has more states than this.")
 def spectrum(
     m_max: int,
     alpha_max: int,

@@ -25,11 +25,14 @@ automata only, the automata that the reversal spectrum is about, and
 refuses any other DFA before exploring; ``_certify`` says why the forward
 side is then read off the start's Nerode class.
 
-The magic-value probe reads the asc pair of automata of at most
-``MASK_STATES`` = 8 states on a private byte kernel, ``_mask_asc_pair``,
-where a subset-state is a byte: bit p stands for forward state p, so every
-subset is a mask in 0..255; the kernel's docstring gives its tables and
-its walk, one table lookup per mask and letter. The orbits are tiny
+The magic-value probe, through ``_mask_asc_pair``, and the exhaustive
+census of ``tests/test_exhaustive.py`` read the asc pairs of automata of
+at most ``MASK_STATES`` = 8 states on one private byte kernel, where a
+subset-state is a byte: bit p stands for forward state p, so every subset
+is a mask in 0..255. ``_mask_tables`` makes each letter's preimage map one
+256-byte table, and ``_mask_orbit`` walks the orbit of one final mask, one
+table lookup per mask and letter; the probe walks one orbit per draw, the
+census every orbit of the 2^n masks. The orbits are tiny
 (21.5 masks over 5.9 BFS levels on average on the benchmark's probe), so
 these scalar steps cost less than mapping a whole level per letter with
 ``bytes.translate``, which pays several C calls and a new ``bytes`` per
@@ -69,7 +72,7 @@ DEFAULT_MAX_STATES = 1_000_000
 # not None, which is refused like any other non-int cap.
 _DEFAULT_CAP: int = object()  # type: ignore[assignment]
 
-# _mask_asc_pair takes automata of up to this many states: one bit per
+# The byte kernel takes automata of up to this many states: one bit per
 # state in a byte.
 MASK_STATES = 8
 
@@ -328,39 +331,38 @@ def _certify(
     return certificate, rev_finals
 
 
-def _mask_asc_pair(
-    columns: Sequence[Sequence[int]], start: int, live: AbstractSet[int]
-) -> tuple[int, int]:
-    """(asc, reverse asc) of a permutation automaton on at most
-    ``MASK_STATES`` states, given as its letter columns (``columns[c][q]``
-    the successor of q on letter c), its start and ``live``, its reachable
-    finals; each subset-state is a byte whose bit ``1 << p`` stands for
-    forward state p.
-
-    Nothing is checked and no ``Dfa`` is needed: the magic-value probe
-    passes the columns that ``spectrum._draw`` shuffled, so a probe draw
-    becomes a ``Dfa`` only when it is a counterexample.
-
-    Each letter's preimage map is one 256-byte table. The walk runs over
-    a found-list that grows while it is walked, with a 256-byte seen-table,
-    so each found mask costs one lookup per letter; both asc values depend
-    on the orbit as a set, not on the order it is found in. There are at
-    most 256 masks, so no cap applies. The group that the letters generate
-    keeps the reachable states, so the walk from ``live`` finds exactly the
-    reverse subsets cut to them. The reverse asc counts the subsets that
-    hold the start, and, as in ``_certify``, the start's Nerode class
-    is their intersection and the forward asc is ``len(live)`` over its
-    size.
+def _mask_tables(columns: Sequence[Sequence[int]]) -> list[bytes]:
+    """One 256-byte preimage table per letter column (``columns[c][q]``
+    the successor of q on letter c) of a permutation automaton on at most
+    ``MASK_STATES`` states: byte s is the preimage of the mask s, whose bit
+    ``1 << p`` stands for forward state p. Nothing is checked.
     """
     # the preimage of s under a letter holds p iff s holds p's successor;
     # the rows _HOLDS[p] have disjoint lanes, so their sum is their OR
-    tables = [
+    return [
         sum(map(list.__getitem__, _HOLDS, column)).to_bytes(256, "little")
         for column in columns
     ]
-    found = [sum(map((1).__lshift__, live))]
-    seen = bytearray(256)
-    seen[found[0]] = 1
+
+
+def _mask_orbit(
+    tables: Sequence[bytes], start: int, first: int, seen: bytearray
+) -> tuple[int, int, int]:
+    """(asc, reverse asc, orbit size) of the final mask ``first`` under
+    ``_mask_tables``' tables, with the orbit marked in ``seen``.
+
+    The walk runs over a found-list that grows while it is walked, so each
+    found mask costs one lookup per letter; both asc values depend on the
+    orbit as a set, not on the order it is found in. There are at most 256
+    masks, so no cap applies. The group that the letters generate keeps
+    the reachable states, so from reachable finals the walk finds exactly
+    the reverse subsets cut to them. The reverse asc counts the subsets
+    that hold the start, and, as in ``_certify``, the start's Nerode class
+    is their intersection and the forward asc is ``first.bit_count()``
+    over its size.
+    """
+    seen[first] = 1
+    found = [first]
     for s in found:  # grows while it is walked
         for table in tables:
             t = table[s]
@@ -369,6 +371,20 @@ def _mask_asc_pair(
                 found.append(t)
     subsets = bytes(found)
     holds = subsets.translate(_BIT[start])
-    # with no live state no subset holds the start, and the asc is 0
+    # with no final no subset holds the start, and the asc is 0
     start_class = reduce(and_, compress(subsets, holds), 255)
-    return len(live) // start_class.bit_count(), holds.count(1)
+    return first.bit_count() // start_class.bit_count(), holds.count(1), len(found)
+
+
+def _mask_asc_pair(
+    columns: Sequence[Sequence[int]], start: int, live: AbstractSet[int]
+) -> tuple[int, int]:
+    """(asc, reverse asc) of a permutation automaton on at most
+    ``MASK_STATES`` states from its letter columns, its start and ``live``,
+    its reachable finals: the probe's one ``_mask_orbit`` per draw.
+
+    Nothing is checked and no ``Dfa`` is needed, so a probe draw becomes a
+    ``Dfa`` only when it is a counterexample.
+    """
+    live_mask = sum(map((1).__lshift__, live))
+    return _mask_orbit(_mask_tables(columns), start, live_mask, bytearray(256))[:2]

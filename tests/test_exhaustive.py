@@ -11,9 +11,10 @@ finals are its finals. A tier-1 test checks that kernel against
 ``reversal_certificate`` on every final set up to five states, and
 ``tests/test_spectrum.py`` does on probe draws of six to eight states.
 
-The census by orbits, ``orbit_census``, reads the same counts with one
-walk per orbit instead of one per final set. In a permutation automaton
-each letter's preimage map permutes the subsets of states, and both asc
+The census by orbits, ``orbit_census``, walks each orbit of final masks
+once, where ``census`` walks every final set, through the same kernel's
+``_mask_tables`` and ``_mask_orbit``. In a permutation automaton each
+letter's preimage map permutes the subsets of states, and both asc
 values are constant on an orbit O of final sets: O is the set of reverse
 subsets. The group that the letters generate is transitive, so every
 state lies in the same number k of members of O. k, the count of members
@@ -21,8 +22,9 @@ that hold the start, is the reverse asc, and counting (state, member)
 pairs two ways gives |O| * |F| = k * n, which the census asserts on every
 orbit. The start's Nerode class is the AND of those k members, so the
 forward asc is |F| over its bit count, and k = 1 forces the forward asc 1.
-A tier-1 test checks the orbit census against ``census`` up to five states
-and pins its six- and seven-state lines.
+Tier-1 tests check the orbit census against ``census`` up to five states
+and check that its ``_mask_orbit`` calls cover the 2^n masks of each pair;
+they pin its six- and seven-state lines.
 
 Run as a script, ``python tests/test_exhaustive.py N`` prints the orbit
 census for N <= 8 states: the pair count, the count with asc >= 2, the
@@ -31,17 +33,16 @@ count with reverse asc 1, and the ``(asc, asc_reverse)`` histogram.
 
 import sys
 from collections import Counter
-from functools import reduce
-from itertools import combinations, compress, permutations, product
+from itertools import combinations, permutations, product
 from math import factorial
-from operator import and_
 
 import pytest
 
+from permrev import reversal
 from permrev.dfa import Dfa
 from permrev.minimize import asc
 from permrev.reversal import (
-    _BIT, _HOLDS, MASK_STATES, _mask_asc_pair, reversal_certificate, reverse_dfa
+    MASK_STATES, _mask_asc_pair, reversal_certificate, reverse_dfa
 )
 
 from oracles import bfs_order_by_queue, canonical_permutation_pairs
@@ -69,40 +70,25 @@ def census(n):
 def orbit_census(n):
     """``census`` of n <= 8 states, one walk per orbit of final masks.
 
-    Each letter's preimage map is one 256-byte table built from
-    ``reversal._HOLDS``, as in ``_mask_asc_pair``; the masks 0..2^n - 1
-    are split into orbits under both tables. Each orbit adds its size to
-    the histogram once, under the asc pair that all its members share.
+    The masks 0..2^n - 1 are split into orbits by the probe's own kernel,
+    ``reversal._mask_tables`` and ``reversal._mask_orbit``. Each orbit
+    adds its size to the histogram once, under the asc pair that all its
+    members share.
     """
     if n > MASK_STATES:
         raise ValueError(f"the byte tables hold at most {MASK_STATES} states")
     pairs = canonical_permutation_pairs(n)
+    orbit = reversal._mask_orbit
     histogram = Counter()
     for pair in pairs:
-        tables = [
-            sum(map(list.__getitem__, _HOLDS, column)).to_bytes(256, "little")
-            for column in pair
-        ]
+        tables = reversal._mask_tables(pair)
         seen = bytearray(1 << n)
         for first in range(1 << n):
-            if seen[first]:
-                continue
-            seen[first] = 1
-            orbit = [first]
-            for s in orbit:  # grows while it is walked
-                for table in tables:
-                    t = table[s]
-                    if not seen[t]:
-                        seen[t] = 1
-                        orbit.append(t)
-            members = bytes(orbit)
-            holding = [*compress(members, members.translate(_BIT[0]))]
-            final_count = first.bit_count()
-            assert len(orbit) * final_count == len(holding) * n, (pair, first)
-            if holding:
-                forward = final_count // reduce(and_, holding).bit_count()
+            if not seen[first]:
+                forward, reverse, size = orbit(tables, 0, first, seen)
+                assert size * first.bit_count() == reverse * n, (pair, first)
                 if forward >= 2:
-                    histogram[forward, len(holding)] += len(orbit)
+                    histogram[forward, reverse] += size
     return len(pairs), histogram
 
 
@@ -171,6 +157,22 @@ def test_no_reverse_asc_one_up_to_five_states():
 def test_orbit_census_matches_the_census_up_to_five_states(n):
     # census(n) itself is checked against HISTOGRAMS above
     assert orbit_census(n) == census(n)
+
+
+@pytest.mark.parametrize("n", range(1, 5))
+def test_orbit_census_walks_the_probe_kernel(n, monkeypatch):
+    kernel = reversal._mask_orbit
+    sizes = Counter()  # orbit sizes summed per pair, keyed by its tables
+
+    def recorded(tables, start, first, seen):
+        orbit = kernel(tables, start, first, seen)
+        sizes[tuple(tables)] += orbit[2]
+        return orbit
+
+    monkeypatch.setattr(reversal, "_mask_orbit", recorded)
+    orbit_census(n)
+    assert len(sizes) == len(canonical_permutation_pairs(n))
+    assert set(sizes.values()) == {1 << n}
 
 
 # The lines that `python tests/test_exhaustive.py N` prints; CI pins N = 6
