@@ -15,6 +15,7 @@ from itertools import repeat
 from typing import Callable, Sequence
 
 from .errors import are_indices, check_index, check_int, check_points, int_text
+from .perms import _inverse
 from .records import Record
 
 Word = Sequence[int]
@@ -117,7 +118,7 @@ def accepts(dfa: Dfa, word: Word) -> bool:
 def is_permutation_automaton(dfa: Dfa) -> bool:
     """True iff every letter permutes the state set."""
     check_dfa(dfa)
-    return all(len(set(column)) == dfa.num_states for column in dfa.columns)
+    return None not in map(_inverse, dfa.columns)
 
 
 def reachable_states(dfa: Dfa) -> list[int]:

@@ -43,13 +43,16 @@ of 30 interleaved repetitions, the level-by-level translate kernel
 0.024 s and 0.042 s, and the tuple path 0.086 s and 0.149 s (2 shared
 vCPUs, Python 3.11).
 Outside that kernel one prologue, ``_permutation_live``, refuses any
-non-permuting letter table and finds the reachable states, and one
-reader, ``_certify``, reads every certificate off the subsets, taken in
-BFS order as consecutive lists of which it holds only the current one:
-``_explore``'s tuple subsets as one list, or one level at a time from the
-witness's own BFS, ``witness._reverse_stars``, which the verifier, the
-worked example and every grid cell run and which interns each star by its
-center mask.
+non-permuting letter table, returns each letter's inverse and finds the
+reachable states, and one reader, ``_certify``, reads every certificate
+off the subsets, taken in BFS order as consecutive lists of which it
+holds only the current one: ``_explore``'s tuple subsets as one list, or
+one level at a time from the witness's own BFS,
+``witness._reverse_stars``, which the verifier, the worked example and
+every grid cell run, which walks the prologue's inverses and which
+interns each star by its center mask. The prologue and ``_explore`` take
+the permutation rule and the inverses from one helper,
+``perms._inverse``, which marks each state in one pass and builds no set.
 """
 
 from __future__ import annotations
@@ -61,6 +64,7 @@ from typing import AbstractSet, Collection, Iterable, Sequence
 
 from .dfa import Dfa, _reachable, check_dfa
 from .errors import CapacityError, are_subset_states, check_index, check_int
+from .perms import _inverse
 from .records import Record
 
 SubsetState = tuple[int, ...]
@@ -109,22 +113,6 @@ def _predecessors(column: Sequence[int]) -> list[list[int]]:
     return pre
 
 
-def _preimage_table(fwd: Dfa, letter: int) -> tuple[list, bool]:
-    """The table that a subset-state's members pick their preimage from
-    under ``letter``, and whether the letter permutes the states.
-
-    When the letter permutes the states, every state has exactly one
-    predecessor, and the table is the inverse map. Otherwise it holds the
-    predecessor list of each state, and the preimage is the union of the
-    members' lists; each state has one successor per letter, so distinct
-    states have disjoint lists and the union has no repeats.
-    """
-    column = fwd.columns[letter]
-    if len(set(column)) == fwd.num_states:
-        return sorted(range(fwd.num_states), key=column.__getitem__), True
-    return _predecessors(column), False
-
-
 def reverse_step(fwd: Dfa, s: SubsetState, letter: int) -> SubsetState:
     """Preimage of the subset under one letter, read off its column in one pass.
 
@@ -144,12 +132,19 @@ def _explore(fwd: Dfa, max_states: int) -> tuple[list[int], list[SubsetState]]:
     order.
 
     Exploration starts from the forward final set and follows letter
-    preimages. Each subset-state gets one ``itemgetter`` of its members,
-    which picks them from every letter's ``_preimage_table``: the picks
-    are the preimage for a letter that permutes the forward states, and
-    the predecessor lists to chain otherwise; one BFS serves both.
+    preimages. Each letter gets one table: the inverse from
+    ``perms._inverse`` when the letter permutes the forward states, since
+    every state then has exactly one predecessor, and otherwise the
+    predecessor list of each state. Each subset-state gets one
+    ``itemgetter`` of its members, which picks them from every table: the
+    picks are the preimage for a permuting letter, and the lists to chain
+    otherwise. Each state has one successor per letter, so distinct states
+    have disjoint lists and the chain has no repeats; one BFS serves both.
     """
-    tables = [_preimage_table(fwd, c) for c in range(fwd.alphabet_size)]
+    tables = [
+        (_predecessors(column), False) if inverse is None else (inverse, True)
+        for column, inverse in zip(fwd.columns, map(_inverse, fwd.columns))
+    ]
     subsets = [tuple(sorted(fwd.finals))]
     index = {subsets[0]: 0}
     intern = index.setdefault
@@ -242,16 +237,17 @@ class ReversalCertificate(Record):
 
 def _permutation_live(
     columns: Sequence[Sequence[int]], start: int
-) -> frozenset[int] | None:
-    """The states that ``start`` reaches under the letter tables
-    ``columns``, or None when all do. Raises ValueError unless each column,
-    as a set, is the state set, a test that also bounds every entry.
+) -> tuple[list[list[int]], frozenset[int] | None]:
+    """The inverse of each letter table in ``columns``, from
+    ``perms._inverse``, and the states that ``start`` reaches, or None when
+    all do. Raises ValueError unless the columns have one length and each
+    permutes its states, a test that also bounds every entry.
     """
-    states = set(range(len(columns[0])))
-    if not all(map(states.__eq__, map(set, columns))):
+    inverses = [*map(_inverse, columns)]
+    if None in inverses or len(set(map(len, columns))) > 1:
         raise ValueError("expected a permutation automaton")
     reach = _reachable(columns, start)
-    return None if len(reach) == len(states) else frozenset(reach)
+    return inverses, None if len(reach) == len(columns[0]) else frozenset(reach)
 
 
 def reversal_certificate(fwd: Dfa) -> ReversalCertificate:
@@ -263,7 +259,7 @@ def reversal_certificate(fwd: Dfa) -> ReversalCertificate:
     its default cap.
     """
     check_dfa(fwd)
-    live = _permutation_live(fwd.columns, fwd.start)
+    live = _permutation_live(fwd.columns, fwd.start)[1]
     subsets = _explore(fwd, DEFAULT_MAX_STATES)[1]
     return _certify([subsets], fwd.start, fwd.finals, fwd.num_states, live)[0]
 

@@ -15,8 +15,8 @@ from __future__ import annotations
 
 import math
 from functools import reduce
-from itertools import combinations, islice, repeat
-from operator import and_, eq, ge, itemgetter, or_, xor
+from itertools import combinations, compress, islice, repeat
+from operator import add, and_, eq, ge, itemgetter, not_, or_, xor
 from typing import Iterable, Sequence
 
 from . import reversal
@@ -180,19 +180,34 @@ def _witness_core(
     ``_witness_size``: its letter columns, its finals and the n-bit
     point-set of each state, from ``_colex_masks``.
 
-    Letter a (i -> i+1 mod n) rotates a point-set left by one bit, letter b
-    swaps bits 0 and 1, and a dict from point-set to state number gives
-    each image's index. Each letter's column is one pass of builtins, built
-    as the tuple that ``Dfa`` stores, so it is never copied.
+    The states are numbered in colex order, so the colex rank of a set
+    s_1 < ... < s_alpha, the sum of C(s_j, j), is its state number, and
+    each column and final is read off the point-sets with no lookup:
+    - Letter a (i -> i+1 mod n) maps the sets without point n-1, the
+      first C(n-1, alpha) states, onto the sets without point 0, and the
+      sets with point n-1 onto those with point 0. On either part it adds
+      one to each point below n-1, which keeps colex order, and on the
+      second it also sends n-1, held by every set there, to 0. So a's
+      column is the stable partition of the state numbers by point 0:
+      first the states without point 0, then the states with it, each run
+      in increasing order.
+    - Letter b swaps points 0 and 1. Only a set holding exactly one of
+      them changes, and then only in its first term C(s_1, 1) = s_1,
+      which is 0 or 1; so b sends q to q + bit0 - bit1 of q's point-set.
+    - The finals, the first alpha - 1 points and one point u >= alpha - 1,
+      rank C(u, alpha): the other terms are C(j - 1, j) = 0.
+    Both columns take their entries from one list of state ints, so each
+    state is one int object, and each column is built as the tuple that
+    ``Dfa`` stores, so it is never copied.
     """
     n, alpha = params.n, params.alpha
     points = _colex_masks(n, alpha)
-    index = dict(zip(points, range(len(points))))
-    a_images = tuple(map(index.__getitem__, _rotations(points, n, n - 1)))
-    b_images = tuple(map(index.__getitem__, _swaps(points)))
-    # The final star: the first alpha - 1 points and any one other point.
-    center0 = (1 << (alpha - 1)) - 1
-    finals = frozenset(index[center0 | 1 << u] for u in range(alpha - 1, n))
+    states = [*range(len(points))]
+    odd = [*map((1).__and__, points)]
+    a_images = (*compress(states, map(not_, odd)), *compress(states, odd))
+    steps = map(_STEP01.__getitem__, map((3).__and__, points))
+    b_images = tuple(map(states.__getitem__, map(add, states, steps)))
+    finals = frozenset(math.comb(u, alpha) for u in range(alpha - 1, n))
     return (a_images, b_images), finals, points
 
 
@@ -256,18 +271,20 @@ def _count_up_to(n: int, k: int, cap: int) -> int:
     return total
 
 
-def _rotations(masks: list[int], n: int, shift: int) -> Iterable[int]:
-    """Each n-bit mask rotated right by ``shift`` bits (left by n - shift).
+def _rotations(masks: list[int], n: int) -> Iterable[int]:
+    """Each n-bit mask rotated right by one bit: the preimage under a.
 
     The 2n bits of x * (2^n + 1) are x twice over, side by side, so a shift
     and a cut to n bits give the rotation.
     """
     doubled = map(((1 << n) + 1).__mul__, masks)
-    return map(((1 << n) - 1).__and__, map(shift.__rrshift__, doubled))
+    return map(((1 << n) - 1).__and__, map((1).__rrshift__, doubled))
 
 
-# x ^ _SWAP01[x & 3] is x with bits 0 and 1 swapped.
+# x ^ _SWAP01[x & 3] is x with bits 0 and 1 swapped, and the colex rank of
+# x plus _STEP01[x & 3] is that of the swapped set: bit0 - bit1.
 _SWAP01 = (0, 3, 3, 0)
+_STEP01 = (0, 1, -1, 0)
 
 
 def _swaps(masks: list[int]) -> Iterable[int]:
@@ -381,7 +398,7 @@ def _star_checks(
     to_a, to_b = (map(keys.__getitem__, column) for column in columns)
     letter_law = (
         all_stars
-        and all(map(eq, to_a, _rotations(keys, n, 1)))
+        and all(map(eq, to_a, _rotations(keys, n)))
         and all(map(eq, to_b, _swaps(keys)))
     )
     return all_stars, tuple(accepting), covers, letter_law
@@ -399,13 +416,15 @@ def _reverse_stars(
     the star around that mask (``classify_reverse_states``'s rule), keyed
     by the mask; any other subset is keyed by its sorted member tuple. An
     int never equals a tuple, so interning stays by subset. The letters
-    permute, so every subset has as many members as the finals.
-    ``packed[q]`` holds the point-sets of q's preimages under a and b in
-    two n-bit lanes: one AND over a subset's members gives both images'
-    common masks. A local generator yields each BFS level of member
-    tuples before it walks it, and ``reversal._certify`` reads the
-    certificate and the reverse finals off the levels as they come, so
-    only the frontier is kept. Raises as ``build_witness`` does;
+    permute, so every subset has as many members as the finals. The
+    preimages are read off the inverses that ``reversal._permutation_live``
+    returns with its check, whose entries are the columns' own int
+    objects, so they add no int objects. ``packed[q]`` holds the
+    point-sets of q's preimages under a and b in two n-bit lanes: one AND
+    over a subset's members gives both images' common masks. A local
+    generator yields each BFS level of member tuples before it walks it,
+    and ``reversal._certify`` reads the certificate and the reverse finals
+    off the levels as they come, so only the frontier is kept. Raises as ``build_witness`` does;
     ValueError, before exploring, unless the letters permute; and
     CapacityError past ``reversal.DEFAULT_MAX_STATES`` as it reads at
     call time, before anything is built when the C(n, alpha - 1) stars
@@ -416,16 +435,8 @@ def _reverse_stars(
     if _count_up_to(n, min(alpha - 1, params.m), max_states) > max_states:
         raise _capacity_error(max_states)
     columns, finals, points = _witness_core(params)
-    live, size = _permutation_live(columns, 0), len(points)
-    full = (1 << n) - 1
-
-    # Each entry of the inverses is the column's own int object for its
-    # state, so the inverses add no int objects.
-    ids = [0] * size
-    any(map(ids.__setitem__, columns[0], columns[0]))
-    inverse_a, inverse_b = [0] * size, [0] * size
-    for inverse, column in zip((inverse_a, inverse_b), columns):
-        any(map(inverse.__setitem__, column, ids))
+    (inverse_a, inverse_b), live = _permutation_live(columns, 0)
+    size, full = len(points), (1 << n) - 1
     pick = points.__getitem__
     packed = [
         *map(or_, map(pick, inverse_a), map(n.__rlshift__, map(pick, inverse_b)))
@@ -436,7 +447,7 @@ def _reverse_stars(
     # a popcount is never -1: no subset of another size is a star
     bits = alpha - 1 if len(first) == params.m else -1
     common = reduce(and_, map(pick, first), full)
-    del columns, ids, pick, points
+    del columns, pick, points
     index = {common if common.bit_count() == bits else first: 0}
     # itemgetter returns a tuple only for two or more items
     getter = itemgetter if len(first) > 1 else (

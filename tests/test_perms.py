@@ -7,6 +7,7 @@ import hypothesis.strategies as st
 
 from permrev.errors import CapacityError, NotInGroupError
 from permrev.perms import (
+    _inverse,
     act_on_subset,
     colex_rank,
     colex_unrank,
@@ -74,6 +75,38 @@ def test_inverse_examples():
 @given(perms())
 def test_inverse_cancels(p):
     assert compose(p, perm_inverse(p)) == identity_perm(len(p))
+
+
+def inverse_by_sorting(p):
+    """The inverse of ``p`` by sorting and search, or None unless the
+    entries are ints, not bools, that sort to range(len(p))."""
+    if not all(type(x) is int for x in p) or sorted(p) != [*range(len(p))]:
+        return None
+    return [p.index(q) for q in range(len(p))]
+
+
+# tables of every kind, and permutations, which few random lists are
+TABLES = st.one_of(
+    st.lists(st.integers(-2, 10) | st.booleans(), max_size=9),
+    st.integers(0, 9).flatmap(lambda n: st.permutations(range(n))),
+)
+
+
+@given(TABLES)
+def test_one_permutation_rule_matches_sorting(p):
+    expected = inverse_by_sorting(p)
+    assert _inverse(p) == _inverse(tuple(p)) == expected
+
+
+def test_inverse_reuses_the_tables_own_ints():
+    # the witness walk's memory depends on this: its inverses add no int
+    # objects to those of its columns
+    p = [*range(1000)]
+    random.Random(41).shuffle(p)
+    p = [int(str(q)) for q in p]  # fresh objects, not range's
+    inverse = _inverse(p)
+    assert inverse == inverse_by_sorting(p)
+    assert {*map(id, inverse)} <= {*map(id, p)}
 
 
 def test_act_on_subset_examples():

@@ -468,7 +468,14 @@ def test_certificate_cuts_subsets_to_reachable_states():
     assert certified(fwd) == (1, 1, False, False)
 
 
-@pytest.mark.parametrize("columns", [((1, 0), (0, 2)), ((0, -1),), ((1, 1),)])
+@pytest.mark.parametrize("columns", [
+    ((1, 0), (0, 2)), ((0, -1),), ((1, 1),),
+    # a longer column that repeats a state, or that hits every state and
+    # more, and a bool for 1: each passed a test of the columns as sets
+    ((0, 1), (1, 0, 0)), ((1, 0), (0, 1, 1, 0)), ((True, 0),),
+    # a longer column that is itself a permutation
+    ((1, 0), (0, 1, 2)),
+])
 def test_permutation_prologue_bounds_every_entry(columns):
     # the witness walk hands its tables over with no Dfa to check them first
     with pytest.raises(ValueError) as info:
@@ -478,7 +485,7 @@ def test_permutation_prologue_bounds_every_entry(columns):
 
 def certify_args(fwd):
     """The arguments of ``reversal._certify`` after the subsets."""
-    live = reversal._permutation_live(fwd.columns, fwd.start)
+    live = reversal._permutation_live(fwd.columns, fwd.start)[1]
     return fwd.start, fwd.finals, fwd.num_states, live
 
 
