@@ -50,9 +50,11 @@ holds only the current one: ``_explore``'s tuple subsets as one list, or
 one level at a time from the witness's own BFS,
 ``witness._reverse_stars``, which the verifier, the worked example and
 every grid cell run, which walks the prologue's inverses and which
-interns each star by its center mask. The prologue and ``_explore`` take
+interns each star by its center mask. The prologue and ``_reverse`` take
 the permutation rule and the inverses from one helper,
-``perms._inverse``, which marks each state in one pass and builds no set.
+``perms._inverse``, which marks each state in one pass and builds no set;
+``_explore`` takes its letter tables from its caller, so the certificate
+explores on the prologue's inverses and builds each one once.
 """
 
 from __future__ import annotations
@@ -126,26 +128,24 @@ def reverse_step(fwd: Dfa, s: SubsetState, letter: int) -> SubsetState:
     return (*compress(count(), map(set(s).__contains__, fwd.columns[letter])),)
 
 
-def _explore(fwd: Dfa, max_states: int) -> tuple[list[int], list[SubsetState]]:
+def _explore(
+    tables: list[tuple[list, bool]], finals: frozenset[int], max_states: int
+) -> tuple[list[int], list[SubsetState]]:
     """The reverse BFS: the successor indices of every subset-state, one
     letter after another in one flat list, and the subset-states in intern
     order.
 
-    Exploration starts from the forward final set and follows letter
-    preimages. Each letter gets one table: the inverse from
-    ``perms._inverse`` when the letter permutes the forward states, since
-    every state then has exactly one predecessor, and otherwise the
-    predecessor list of each state. Each subset-state gets one
+    Exploration starts from the forward final set ``finals`` and follows
+    letter preimages. Each letter gets one table from the caller, paired
+    with True when it is the letter's inverse, since every state of a
+    permuting letter has exactly one predecessor, and with False when it
+    holds the predecessor list of each state. Each subset-state gets one
     ``itemgetter`` of its members, which picks them from every table: the
     picks are the preimage for a permuting letter, and the lists to chain
     otherwise. Each state has one successor per letter, so distinct states
     have disjoint lists and the chain has no repeats; one BFS serves both.
     """
-    tables = [
-        (_predecessors(column), False) if inverse is None else (inverse, True)
-        for column, inverse in zip(fwd.columns, map(_inverse, fwd.columns))
-    ]
-    subsets = [tuple(sorted(fwd.finals))]
+    subsets = [tuple(sorted(finals))]
     index = {subsets[0]: 0}
     intern = index.setdefault
     fresh = 1  # the id of the next new subset-state, len(subsets)
@@ -181,12 +181,18 @@ def _reverse(
 ) -> tuple[list[list[int]], frozenset[int], list[SubsetState]]:
     """The reverse construction's letter columns, finals (the subsets that
     hold the forward start) and subsets, under ``max_states`` or else
-    ``DEFAULT_MAX_STATES`` as it reads at the call."""
+    ``DEFAULT_MAX_STATES`` as it reads at the call. A letter's table is its
+    inverse from ``perms._inverse`` when it permutes the forward states, and
+    otherwise its predecessor lists."""
     if max_states is _DEFAULT_CAP:
         max_states = DEFAULT_MAX_STATES
     check_int("max_states", max_states, 1)
     check_dfa(fwd)
-    targets, subsets = _explore(fwd, max_states)
+    tables = [
+        (_predecessors(column), False) if inverse is None else (inverse, True)
+        for column, inverse in zip(fwd.columns, map(_inverse, fwd.columns))
+    ]
+    targets, subsets = _explore(tables, fwd.finals, max_states)
     k = fwd.alphabet_size
     finals = compress(count(), map(contains, subsets, repeat(fwd.start)))
     return [targets[c::k] for c in range(k)], frozenset(finals), subsets
@@ -259,8 +265,9 @@ def reversal_certificate(fwd: Dfa) -> ReversalCertificate:
     its default cap.
     """
     check_dfa(fwd)
-    live = _permutation_live(fwd.columns, fwd.start)[1]
-    subsets = _explore(fwd, DEFAULT_MAX_STATES)[1]
+    inverses, live = _permutation_live(fwd.columns, fwd.start)
+    tables = [*zip(inverses, repeat(True))]
+    subsets = _explore(tables, fwd.finals, DEFAULT_MAX_STATES)[1]
     return _certify([subsets], fwd.start, fwd.finals, fwd.num_states, live)[0]
 
 

@@ -21,11 +21,13 @@ The emitters work on the table's columns: each state's number becomes a
 string once, each letter's images are picks from those strings, and a
 document is one join, as adding joined blocks would copy it each time.
 ``emit_dot`` escapes labels only if their join holds ``\\`` or ``"``.
-``parse_dfa`` walks the header lines token by token, and reads the state
-lines ``SLICE_LINES`` at a time, in one pass of builtins over each slice's
-token columns, mapping numbers through one dict from ``str(q)`` to q for
-each state q: a missing key is a bad number. Only when a pass fails are
-the state lines numbered and walked one by one. A walk raises a
+``parse_dfa`` splits the text into lines a chunk of ``CHUNK_CHARS``
+characters at a time, walks the header lines token by token, and reads
+the state lines at most ``SLICE_LINES`` of a chunk at a time, in one pass
+of builtins over each slice's token columns, mapping numbers through one
+dict from ``str(q)`` to q for each state q: a missing key is a bad number.
+Only when a pass fails are the state lines numbered and walked one by
+one. A walk raises a
 ``ParseError`` at the first bad token, with its 1-based line and column;
 the column is computed only then.
 """
@@ -34,7 +36,7 @@ from __future__ import annotations
 
 import json
 import re
-from itertools import chain, compress, count, islice, repeat
+from itertools import chain, compress, count, islice, repeat, tee
 from operator import itemgetter, not_
 from typing import Iterable, Iterator, NoReturn
 
@@ -51,6 +53,8 @@ _TOKEN = re.compile(r"\S+")
 _UNWRITABLE = re.compile(r"[\s\[\]]")
 # State lines split at a time by parse_dfa: the tokens it holds at once
 SLICE_LINES = 512
+# Characters past which parse_dfa cuts its next chunk of lines at a "\n"
+CHUNK_CHARS = 8192
 
 
 class ParseError(ValueError):
@@ -148,30 +152,39 @@ def _int_token(line_no: int, line: str, k: int, token: str, what: str) -> int:
     raise ParseError(line_no, _column(line, k), f"expected {what}, got {token!r}")
 
 
-def _state_block(
-    lines: list[str], first: int, num_states: int, alphabet_size: int
-) -> tuple[list[list[int]], list[str] | None] | None:
-    """The letter columns and labels, in state order, of the state lines
-    ``lines[first:]``; None if some line is bad.
+def _slices(text: str) -> Iterator[list[str]]:
+    """``text.splitlines()``, at most ``SLICE_LINES`` lines at a time from
+    one chunk, which ends at the first ``"\\n"`` past ``CHUNK_CHARS``
+    characters."""
+    for chunk in re.finditer("(?s).{1,%d}[^\n]*\n?" % CHUNK_CHARS, text):
+        lines = chunk[0].splitlines()
+        for i in range(0, len(lines), SLICE_LINES):
+            yield lines[i : i + SLICE_LINES]
 
-    The lines are split ``SLICE_LINES`` at a time, and each slice's token
-    columns get one pass of builtins. It accepts exactly the lines that
-    ``_reject_state_lines`` accepts: the first line's width fixes labeling,
-    and every line must be as wide; a line of width k + 4 must be labeled;
-    and n distinct indices below n are ``range(n)``. So when it returns
-    None, the walk raises. The line count bounds the header's count before
-    the numeral table is built, so nothing is allocated from a huge header.
+
+def _state_block(
+    text: str, num_states: int, alphabet_size: int
+) -> tuple[list[list[int]], list[str] | None] | None:
+    """The letter columns and labels, in state order, of the state lines,
+    the non-blank lines of ``text`` past the header's three; None if some
+    line is bad.
+
+    Each slice's token columns get one pass of builtins. It accepts exactly
+    the lines that ``_reject_state_lines`` accepts: the first line's width
+    fixes labeling, and every line must be as wide; a line of width k + 4
+    must be labeled; and n distinct indices below n are ``range(n)``. So
+    when it returns None, the walk raises.
     """
     n, k = num_states, alphabet_size
-    if n > len(lines) - first:
-        return None
     states = [*range(n)]
     # a KeyError is a token that is not 0|[1-9][0-9]* below n
     number = dict(zip(map(str, states), states)).__getitem__
     indices: list[int] = []
     width = labels = None
-    for i in range(first, len(lines), SLICE_LINES):
-        rows = [*filter(None, map(str.split, lines[i : i + SLICE_LINES]))]
+    skip = 3  # the header rows, which parse_dfa reads
+    for piece in _slices(text):
+        rows = [*filter(None, map(str.split, piece))]
+        rows, skip = rows[skip:], max(skip - len(rows), 0)
         if not rows:
             continue
         if width is None:
@@ -273,17 +286,17 @@ def _reject_state_lines(
 def parse_dfa(text: str) -> Dfa:
     """The DFA of a document in the format above, labels included.
 
-    The state lines are split one slice at a time, so beside the returned
-    DFA the parse holds only the line list, the numeral table and one
+    The text is split one chunk of lines at a time, so beside the returned
+    DFA the parse holds only the numeral table, one chunk's lines and one
     slice's tokens. Raises ``ParseError`` (a ``ValueError``) at the first
     bad token, with its line and column, and ``ValueError`` unless ``text``
     is a str.
     """
     _check_str(text)
-    lines = text.splitlines()
     # the non-blank lines, numbered lazily: only the header and a rejected
     # state block are read through it
-    numbered = filter(itemgetter(2), zip(count(1), lines, map(str.split, lines)))
+    lines, copy = tee(chain.from_iterable(_slices(text)))
+    numbered = filter(itemgetter(2), zip(count(1), lines, map(str.split, copy)))
     head = [*islice(numbered, 3)]
 
     def need_row(i: int, what: str) -> tuple[int, str, list[str]]:
@@ -318,8 +331,10 @@ def parse_dfa(text: str) -> Dfa:
         raise ParseError(line_no, _column(line, 0), "expected 'finals' line")
     finals = _numbers(line_no, line, tokens, 1, num_states, "final state")
 
-    table = _state_block(lines, line_no, num_states, alphabet_size)
-    if table is None:
+    # a state line takes more than one character, so a count past the text's
+    # length is refused before the numeral table is built
+    table = num_states <= len(text) and _state_block(text, num_states, alphabet_size)
+    if not table:
         _reject_state_lines(numbered, num_states, alphabet_size, line_no)
     columns, labels = table
     return Dfa(num_states, alphabet_size, columns, start, frozenset(finals), labels)

@@ -483,6 +483,13 @@ def test_permutation_prologue_bounds_every_entry(columns):
     assert str(info.value) == "expected a permutation automaton"
 
 
+def test_certificate_builds_each_inverse_once(monkeypatch):
+    # the prologue's inverses are the exploration's tables: one per letter
+    calls = count_calls(monkeypatch, reversal, ["_inverse"])
+    reversal_certificate(build_witness(3, 4))
+    assert calls == {"_inverse": 2}
+
+
 def certify_args(fwd):
     """The arguments of ``reversal._certify`` after the subsets."""
     live = reversal._permutation_live(fwd.columns, fwd.start)[1]

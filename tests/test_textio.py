@@ -2,7 +2,7 @@ import hashlib
 import json
 import random
 import tracemalloc
-from itertools import combinations
+from itertools import chain, combinations
 from unittest.mock import patch
 
 import pytest
@@ -126,7 +126,7 @@ def test_missing_state_line():
 
 
 def test_header_count_bounded_by_state_lines():
-    # nothing is allocated from the header's count; the first gap is named
+    # a count the text could hold: the first gap is named
     text = "dfa 5 1\nstart 0\nfinals\nstate 0 : 0\nstate 1 : 1\n"
     with pytest.raises(ParseError) as info:
         parse_dfa(text)
@@ -135,7 +135,7 @@ def test_header_count_bounded_by_state_lines():
 
 
 def test_huge_header_count_is_refused_before_allocation():
-    # the numeral table is built only once the line count matches the header
+    # the numeral table is built only for a count no larger than the text
     text = (
         "dfa 100000000 2\nstart 0\nfinals\n"
         "state 0 : 1 0\nstate 1 : 2 1\nstate 2 : 0 2\n"
@@ -648,11 +648,106 @@ def test_blank_lines_on_a_slice_boundary_are_skipped(size, labeled):
         assert parse_dfa(text) == expected
 
 
+# ---------------------------------------------------------------------
+# documents split into chunks of lines
+# ---------------------------------------------------------------------
+
+# parse_dfa cutting a chunk at the first "\n" at or past 1, 2 or 3
+# characters, so that each line of three or more characters ends a chunk
+SMALL_CHUNKS = pytest.mark.parametrize("chars", [1, 2, 3])
+
+
+@SMALL_CHUNKS
+@PINNED_ERRORS
+def test_parse_error_positions_hold_in_small_chunks(chars, text, line, column, message):
+    with patch.object(textio, "CHUNK_CHARS", chars):
+        check_parse_error(text, line, column, message)
+
+
+@SMALL_CHUNKS
+@given(spaced_documents())
+def test_spaced_shuffled_document_in_small_chunks_matches_oracle(chars, text):
+    with patch.object(textio, "CHUNK_CHARS", chars):
+        check_parse_roundtrips_or_raises(text)
+
+
+@SMALL_CHUNKS
+@settings(max_examples=300)
+@given(same_width_documents())
+def test_same_width_mutation_in_small_chunks_matches_oracle(chars, text):
+    with patch.object(textio, "CHUNK_CHARS", chars):
+        check_parse_roundtrips_or_raises(text)
+
+
+@SMALL_CHUNKS
+@settings(max_examples=300)
+@given(value_mutated_documents())
+def test_value_mutated_document_in_small_chunks_matches_oracle(chars, text):
+    with patch.object(textio, "CHUNK_CHARS", chars):
+        check_parse_roundtrips_or_raises(text)
+
+
+SWAP = Dfa(2, 1, ((1, 0),), 0, frozenset({1}))
+
+
+def chunk_lines(text, chars):
+    with patch.object(textio, "CHUNK_CHARS", chars):
+        return [*textio._slices(text)]
+
+
+@pytest.mark.parametrize("end", ["\n", "\r\n"])
+def test_chunks_cut_only_at_line_ends(end):
+    # a cut at any "\n", that of "\r\n" included, keeps every line whole
+    text = end.join(emit_dfa(SWAP).splitlines()) + end
+    for chars in range(1, len(text) + 2):
+        chunks = chunk_lines(text, chars)
+        assert [*chain.from_iterable(chunks)] == text.splitlines()
+        # its shortest line has 7 characters, so up to 7 each is one chunk
+        if chars <= 7:
+            assert len(chunks) == 5
+        with patch.object(textio, "CHUNK_CHARS", chars):
+            assert parse_dfa(text) == SWAP
+
+
+@pytest.mark.parametrize("end", ["\r", "\u2028"])
+def test_line_ends_other_than_newline_make_one_chunk(end):
+    text = end.join(emit_dfa(SWAP).splitlines()) + end
+    assert chunk_lines(text, 1) == [text.splitlines()]
+    with patch.object(textio, "CHUNK_CHARS", 1):
+        assert parse_dfa(text) == SWAP
+        check_parse_error(text.replace("start 0", "start 9"), 2, 7,
+                          "start state 9 is out of range")
+
+
+@pytest.mark.parametrize("chars", [1, 2, 3, 7, 40])
+def test_blank_lines_before_the_header_span_chunks(chars):
+    blank = "\n" * 30 + " \t\n" * 10
+    assert len(chunk_lines(blank, chars)) > 1
+    with patch.object(textio, "CHUNK_CHARS", chars):
+        assert parse_dfa(blank + emit_dfa(SWAP)) == SWAP
+        check_parse_error(blank + "dfa 2 1\n\n" + blank + "start 9\n", 83, 7,
+                          "start state 9 is out of range")
+        check_parse_error(blank + "dfa 2 1\nstart 0\n" + blank, 42, 1,
+                          "expected 'finals' line")
+
+
+def test_header_count_past_the_text_builds_no_table(monkeypatch):
+    # a state line takes more than one character: no numeral table is built
+    text = "dfa 1000000000000 1\nstart 0\nfinals\nstate 0 : 0\n"
+
+    def fail(*args):
+        raise AssertionError("the state block was read")
+
+    monkeypatch.setattr(textio, "_state_block", fail)
+    check_parse_error(text, 4, 1, "missing 'state 1' line")
+
+
 def test_parse_peak_memory_is_bounded():
     # the (8, 7) reverse document: 466 678 bytes and 3003 state lines.
     # Splitting every line before checking any peaked at 4 285 485 bytes;
-    # a slice at a time, the parse holds the line list, the numeral table,
-    # the Dfa and one slice's tokens: 2 252 936 bytes (Python 3.11)
+    # a slice at a time, with the whole line list, 2 252 936 bytes; a chunk
+    # of lines at a time, the parse holds the numeral table, the Dfa, one
+    # chunk's lines and one slice's tokens: 1 099 663 bytes (Python 3.11)
     text = emit_dfa(reverse_dfa(build_witness(8, 7)))
     tracemalloc.start()
     try:
@@ -661,7 +756,7 @@ def test_parse_peak_memory_is_bounded():
     finally:
         tracemalloc.stop()
     assert dfa.num_states == 3003
-    assert peak < 3_000_000
+    assert peak < 1_500_000
 
 
 WITNESS_7_7 = emit_dfa(build_witness(7, 7)).splitlines()
