@@ -11,12 +11,11 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from itertools import combinations
 from typing import Iterator, Sequence
 
 from .errors import (
     CapacityError, NotInGroupError, are_indices, check_index, check_int, check_points,
-    check_subset,
+    check_subset, int_text,
 )
 
 Perm = tuple[int, ...]
@@ -88,7 +87,8 @@ def colex_rank(subset: KSubset) -> int:
     subset = check_points("subset", subset)
     if list(subset) != sorted(set(subset)) or min(subset, default=0) < 0:
         raise ValueError(
-            f"subset {subset} is not a strictly increasing tuple of points >= 0"
+            f"subset {int_text(subset)} is not a strictly increasing tuple of"
+            " points >= 0"
         )
     return sum(math.comb(c, j + 1) for j, c in enumerate(subset))
 
@@ -103,7 +103,10 @@ def colex_unrank(rank: int, n: int, k: int) -> KSubset:
     check_int("k", k, 0)
     check_int("rank", rank, 0)
     if rank >= math.comb(n, k):
-        raise ValueError(f"rank {rank} out of range for {k}-subsets of [{n}]")
+        raise ValueError(
+            f"rank {int_text(rank)} out of range for {int_text(k)}-subsets"
+            f" of [{int_text(n)}]"
+        )
     out = [0] * k
     r = rank
     c = n
@@ -117,18 +120,28 @@ def colex_unrank(rank: int, n: int, k: int) -> KSubset:
 
 
 def ksubsets(n: int, k: int) -> Iterator[KSubset]:
-    """All k-subsets of {0..n-1} in colexicographic order.
+    """All k-subsets of {0..n-1} in colexicographic order, one at a time.
 
-    The subsets are enumerated in one step, so the first one costs as much
-    memory as all of them. Raises ValueError unless ``n`` and ``k`` are
-    ints >= 0.
+    Raises ValueError at the call unless ``n`` and ``k`` are ints >= 0.
     """
     check_int("n", n, 0)
     check_int("k", k, 0)
-    # combinations over the points in decreasing order list the reversed
-    # subsets in decreasing colexicographic order.
-    descending = list(combinations(range(n - 1, -1, -1), k))
-    return (x[::-1] for x in reversed(descending))
+    return _colex(n, k)
+
+
+def _colex(n: int, k: int) -> Iterator[KSubset]:
+    # the next subset, as the next larger mask of k bits: move up the least
+    # point whose successor is free, and put the points below it at 0, 1, ...
+    points = [*range(k)]
+    while k <= n:
+        yield tuple(points)
+        j = 0
+        while j < k - 1 and points[j] + 1 == points[j + 1]:
+            j += 1
+        if k == 0 or points[j] + 1 == n:
+            return
+        points[j] += 1
+        points[:j] = range(j)
 
 
 def _check_generators(generators: Sequence[Perm]) -> int:
@@ -144,7 +157,7 @@ def _check_generators(generators: Sequence[Perm]) -> int:
 def _check_perm(p: tuple[int, ...], n: int) -> list[int]:
     """The inverse of the ints ``p``; ValueError unless they permute range(n)."""
     if len(p) != n or (inverse := _inverse(p)) is None:
-        raise ValueError(f"{p} is not a permutation of [{n}]")
+        raise ValueError(f"{int_text(p)} is not a permutation of [{n}]")
     return inverse
 
 

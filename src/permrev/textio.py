@@ -23,9 +23,9 @@ document is one join, as adding joined blocks would copy it each time.
 ``emit_dot`` escapes labels only if their join holds ``\\`` or ``"``.
 ``parse_dfa`` splits the text into lines a chunk of ``CHUNK_CHARS``
 characters at a time, walks the header lines token by token, and reads
-the state lines at most ``SLICE_LINES`` of a chunk at a time, in one pass
-of builtins over each slice's token columns, mapping numbers through one
-dict from ``str(q)`` to q for each state q: a missing key is a bad number.
+the state lines in one pass of builtins over each chunk's token columns,
+mapping numbers through one dict from ``str(q)`` to q for each state q:
+a missing key is a bad number.
 Only when a pass fails are the state lines numbered and walked one by
 one. A walk raises a
 ``ParseError`` at the first bad token, with its 1-based line and column;
@@ -51,8 +51,6 @@ _LETTERS = "abcdefghijklmnopqrstuvwxyz"
 
 _TOKEN = re.compile(r"\S+")
 _UNWRITABLE = re.compile(r"[\s\[\]]")
-# State lines split at a time by parse_dfa: the tokens it holds at once
-SLICE_LINES = 512
 # Characters past which parse_dfa cuts its next chunk of lines at a "\n"
 CHUNK_CHARS = 8192
 
@@ -153,13 +151,10 @@ def _int_token(line_no: int, line: str, k: int, token: str, what: str) -> int:
 
 
 def _slices(text: str) -> Iterator[list[str]]:
-    """``text.splitlines()``, at most ``SLICE_LINES`` lines at a time from
-    one chunk, which ends at the first ``"\\n"`` past ``CHUNK_CHARS``
-    characters."""
+    """``text.splitlines()``, one chunk at a time, each ending at the first
+    ``"\\n"`` past ``CHUNK_CHARS`` characters."""
     for chunk in re.finditer("(?s).{1,%d}[^\n]*\n?" % CHUNK_CHARS, text):
-        lines = chunk[0].splitlines()
-        for i in range(0, len(lines), SLICE_LINES):
-            yield lines[i : i + SLICE_LINES]
+        yield chunk[0].splitlines()
 
 
 def _state_block(
@@ -169,7 +164,7 @@ def _state_block(
     the non-blank lines of ``text`` past the header's three; None if some
     line is bad.
 
-    Each slice's token columns get one pass of builtins. It accepts exactly
+    Each chunk's token columns get one pass of builtins. It accepts exactly
     the lines that ``_reject_state_lines`` accepts: the first line's width
     fixes labeling, and every line must be as wide; a line of width k + 4
     must be labeled; and n distinct indices below n are ``range(n)``. So
@@ -287,8 +282,8 @@ def parse_dfa(text: str) -> Dfa:
     """The DFA of a document in the format above, labels included.
 
     The text is split one chunk of lines at a time, so beside the returned
-    DFA the parse holds only the numeral table, one chunk's lines and one
-    slice's tokens. Raises ``ParseError`` (a ``ValueError``) at the first
+    DFA the parse holds only the numeral table and one chunk's lines and
+    tokens. Raises ``ParseError`` (a ``ValueError``) at the first
     bad token, with its line and column, and ``ValueError`` unless ``text``
     is a str.
     """

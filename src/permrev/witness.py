@@ -120,7 +120,8 @@ def star_members(params: WitnessParams, center: KSubset) -> Star:
     center = check_subset("center", center, params.n)
     if len(center) != params.alpha - 1:
         raise ValueError(
-            f"center must have {params.alpha - 1} points (got {len(center)})"
+            f"center must have {int_text(params.alpha - 1)} points"
+            f" (got {len(center)})"
         )
     members = tuple(
         sorted(

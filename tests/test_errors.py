@@ -342,8 +342,8 @@ ENTRY_POINTS = {
     "spectrum_table": (spectrum_table, VALUES, VALUES, VALUES),
     # at most 30 samples, or 30 checked draws
     "magic_one_probe": (magic_one_probe, VALUES, VALUES, VALUES, VALUES),
-    # ksubsets lists every subset at once: at most C(16, 8) = 12 870 here
-    "ksubsets": (ksubsets, values(16), values(16)),
+    # listed in full, as ksubsets yields lazily: at most C(16, 8) = 12 870
+    "ksubsets": (lambda n, k: [*ksubsets(n, k)], values(16), values(16)),
 }
 
 DOCUMENTED = (ValueError, ParseError, CapacityError, NotInGroupError)
@@ -426,6 +426,31 @@ def test_int_text_is_repr_up_to_100_digits():
     assert [int_text(v) for v in (0, -7, True, "x", 2.5)] == [
         "0", "-7", "True", "'x'", "2.5"
     ]
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda: colex_rank((HUGE, 0)),
+     "subset (<5001 digits>, 0) is not a strictly increasing tuple of points >= 0"),
+    (lambda: colex_unrank(5, HUGE, 0), "rank 5 out of range for 0-subsets of"
+     " [<5001 digits>]"),
+    (lambda: colex_unrank(HUGE, 5, 2), "rank <5001 digits> out of range for"
+     " 2-subsets of [5]"),
+    (lambda: colex_unrank(0, 5, HUGE), "rank 0 out of range for <5001 digits>"
+     "-subsets of [5]"),
+    (lambda: perm_inverse((HUGE, 0)), "(<5001 digits>, 0) is not a permutation of [2]"),
+    (lambda: act_on_subset((HUGE, 0), (0,)),
+     "(<5001 digits>, 0) is not a permutation of [2]"),
+    (lambda: synthesize_word([(1, 0)], (HUGE, 0)),
+     "(<5001 digits>, 0) is not a permutation of [2]"),
+    (lambda: star_members(WitnessParams(2, HUGE), (0,)),
+     "center must have <5000 digits> points (got 1)"),
+], ids=["colex_rank", "colex_unrank_n", "colex_unrank_rank", "colex_unrank_k",
+        "perm_inverse", "act_on_subset", "synthesize_word", "star_members"])
+def test_argument_message_names_a_huge_int_by_its_digits(call, message):
+    # str() of an int past 4300 digits raises its own ValueError
+    with pytest.raises(ValueError) as info:
+        call()
+    assert str(info.value) == message
 
 
 def test_argument_checks_name_a_huge_int_by_its_digits():

@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given
@@ -145,10 +146,26 @@ def test_ksubsets_rejects_negative_sizes(n, k):
 
 
 def test_rank_matches_enumeration_order():
-    for n, k in [(5, 2), (6, 3), (7, 4)]:
-        for rank, subset in enumerate(ksubsets(n, k)):
-            assert colex_rank(subset) == rank
-            assert colex_unrank(rank, n, k) == subset
+    # k = 0, k = n and k > n included: C(n, k) subsets, none when k > n
+    for n in range(8):
+        for k in range(n + 3):
+            subsets = [*ksubsets(n, k)]
+            assert len(subsets) == math.comb(n, k)
+            for rank, subset in enumerate(subsets):
+                assert colex_rank(subset) == rank
+                assert colex_unrank(rank, n, k) == subset
+
+
+def test_ksubsets_yields_the_first_subset_before_building_the_rest():
+    # C(40, 20) = 137 846 528 820 subsets; listing them first ran out of memory
+    tracemalloc.start()
+    try:
+        first = next(ksubsets(40, 20))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert first == tuple(range(20))
+    assert peak < 10_000
 
 
 def test_unrank_out_of_range():

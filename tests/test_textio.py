@@ -338,16 +338,17 @@ def test_parse_error_positions_are_pinned(text, line, column, message):
     check_parse_error(text, line, column, message)
 
 
-# parse_dfa reading 1, 2 or 3 state lines at a time. The slice size is
-# patched in the test body: Hypothesis refuses a function-scoped fixture
-# under @given, as its examples would share it.
-SMALL_SLICES = pytest.mark.parametrize("size", [1, 2, 3])
+# parse_dfa cutting a chunk past 16, 32 or 48 characters, so that a chunk
+# holds one state line or several. The size is patched in the test body:
+# Hypothesis refuses a function-scoped fixture under @given, as its
+# examples would share it.
+FEW_LINE_CHUNKS = pytest.mark.parametrize("size", [1, 2, 3])
 
 
-@SMALL_SLICES
+@FEW_LINE_CHUNKS
 @PINNED_ERRORS
 def test_parse_error_positions_hold_in_small_slices(size, text, line, column, message):
-    with patch.object(textio, "SLICE_LINES", size):
+    with patch.object(textio, "CHUNK_CHARS", 16 * size):
         check_parse_error(text, line, column, message)
 
 
@@ -532,10 +533,10 @@ def test_parse_spaced_shuffled_document_matches_oracle(text):
     check_parse_roundtrips_or_raises(text)
 
 
-@SMALL_SLICES
+@FEW_LINE_CHUNKS
 @given(spaced_documents())
 def test_spaced_shuffled_document_in_small_slices_matches_oracle(size, text):
-    with patch.object(textio, "SLICE_LINES", size):
+    with patch.object(textio, "CHUNK_CHARS", 16 * size):
         check_parse_roundtrips_or_raises(text)
 
 
@@ -590,27 +591,28 @@ def test_parse_same_width_mutation_matches_oracle(text):
     check_parse_roundtrips_or_raises(text)
 
 
-@SMALL_SLICES
+@FEW_LINE_CHUNKS
 @settings(max_examples=300)
 @given(same_width_documents())
 def test_same_width_mutation_in_small_slices_matches_oracle(size, text):
-    with patch.object(textio, "SLICE_LINES", size):
+    with patch.object(textio, "CHUNK_CHARS", 16 * size):
         check_parse_roundtrips_or_raises(text)
 
 
-@SMALL_SLICES
+@FEW_LINE_CHUNKS
 @settings(max_examples=300)
 @given(value_mutated_documents())
 def test_value_mutated_document_in_small_slices_matches_oracle(size, text):
-    with patch.object(textio, "SLICE_LINES", size):
+    with patch.object(textio, "CHUNK_CHARS", 16 * size):
         check_parse_roundtrips_or_raises(text)
 
 
-# Four state lines, two to a slice at size 2: lines 4-5 and 6-7
+# Four state lines. At 16 characters lines 4-5 and 6-7 are two chunks; at
+# 32 and 48 the header's chunk holds line 4, or lines 4-5
 FOUR = "dfa 4 1\nstart 0\nfinals 3\n"
 
 
-@pytest.mark.parametrize("size", [1, 2, 3, textio.SLICE_LINES])
+@pytest.mark.parametrize("size", [1, 2, 3, 512])
 @pytest.mark.parametrize("text,line,column,message", [
     (FOUR + "state 0 [a] : 1\nstate 1 [b] : 2\nstate 2 : 3\nstate 3 : 0\n", 6, 1,
      "state lines must be labeled consistently"),
@@ -628,14 +630,15 @@ FOUR = "dfa 4 1\nstart 0\nfinals 3\n"
 ], ids=["labeled_then_unlabeled", "unlabeled_then_labeled", "width_change",
         "index_in_two_slices", "late_image_range", "late_label", "blank_last_slice"])
 def test_parse_error_across_slices_is_positioned(size, text, line, column, message):
-    with patch.object(textio, "SLICE_LINES", size):
+    with patch.object(textio, "CHUNK_CHARS", 16 * size):
         check_parse_error(text, line, column, message)
 
 
-@pytest.mark.parametrize("size", [1, 2, 3, textio.SLICE_LINES])
+@pytest.mark.parametrize("size", [1, 2, 3, 512])
 @pytest.mark.parametrize("labeled", [False, True])
 def test_blank_lines_on_a_slice_boundary_are_skipped(size, labeled):
-    # at size 2 the second slice is blank, and the others start or end blank
+    # the last chunk is blank at 16 characters labeled and at 32 unlabeled,
+    # and other chunks start or end blank
     lines = ["state 0 [a] : 1", "state 1 [b] : 2", "", " \t ",
              "state 3 [d] : 0", "\u3000", "state 2 [c] : 3", ""]
     if not labeled:
@@ -644,7 +647,7 @@ def test_blank_lines_on_a_slice_boundary_are_skipped(size, labeled):
     labels = ("a", "b", "c", "d") if labeled else None
     expected = Dfa(4, 1, ((1, 2, 3, 0),), 0, frozenset({3}), labels)
     assert parse_dfa_by_lines(text) == expected
-    with patch.object(textio, "SLICE_LINES", size):
+    with patch.object(textio, "CHUNK_CHARS", 16 * size):
         assert parse_dfa(text) == expected
 
 
@@ -746,8 +749,8 @@ def test_parse_peak_memory_is_bounded():
     # the (8, 7) reverse document: 466 678 bytes and 3003 state lines.
     # Splitting every line before checking any peaked at 4 285 485 bytes;
     # a slice at a time, with the whole line list, 2 252 936 bytes; a chunk
-    # of lines at a time, the parse holds the numeral table, the Dfa, one
-    # chunk's lines and one slice's tokens: 1 099 663 bytes (Python 3.11)
+    # of lines at a time, the parse holds the numeral table, the Dfa and one
+    # chunk's lines and tokens: 1 099 663 bytes (Python 3.11)
     text = emit_dfa(reverse_dfa(build_witness(8, 7)))
     tracemalloc.start()
     try:
@@ -757,6 +760,30 @@ def test_parse_peak_memory_is_bounded():
         tracemalloc.stop()
     assert dfa.num_states == 3003
     assert peak < 1_500_000
+
+
+def test_short_lines_are_read_a_whole_chunk_at_a_time():
+    # 100 000 state lines of 11 to 19 characters: the densest chunk holds
+    # 527 of them, and a chunk is the one bound on the lines held at once
+    n = 100_000
+    cycle = Dfa(n, 1, ((*range(1, n), 0),), 0, frozenset({0}))
+    text = emit_dfa(cycle)
+    chunks = [*textio._slices(text)]
+    assert [*chain.from_iterable(chunks)] == text.splitlines()
+    assert max(map(len, chunks)) == 527
+    for lines in chunks[:-1]:
+        # cut at the first "\n" past CHUNK_CHARS characters, and nowhere else
+        assert sum(map(len, lines[:-1])) + len(lines) - 1 <= textio.CHUNK_CHARS
+        assert sum(map(len, lines)) + len(lines) > textio.CHUNK_CHARS
+    tracemalloc.start()
+    try:
+        dfa = parse_dfa(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert dfa == cycle
+    # 15 182 936 bytes (Python 3.11)
+    assert peak < 16_000_000
 
 
 WITNESS_7_7 = emit_dfa(build_witness(7, 7)).splitlines()
