@@ -150,7 +150,7 @@ def _int_token(line_no: int, line: str, k: int, token: str, what: str) -> int:
     raise ParseError(line_no, _column(line, k), f"expected {what}, got {token!r}")
 
 
-def _slices(text: str) -> Iterator[list[str]]:
+def _chunks(text: str) -> Iterator[list[str]]:
     """``text.splitlines()``, one chunk at a time, each ending at the first
     ``"\\n"`` past ``CHUNK_CHARS`` characters."""
     for chunk in re.finditer("(?s).{1,%d}[^\n]*\n?" % CHUNK_CHARS, text):
@@ -177,8 +177,8 @@ def _state_block(
     indices: list[int] = []
     width = labels = None
     skip = 3  # the header rows, which parse_dfa reads
-    for piece in _slices(text):
-        rows = [*filter(None, map(str.split, piece))]
+    for lines in _chunks(text):
+        rows = [*filter(None, map(str.split, lines))]
         rows, skip = rows[skip:], max(skip - len(rows), 0)
         if not rows:
             continue
@@ -290,7 +290,7 @@ def parse_dfa(text: str) -> Dfa:
     _check_str(text)
     # the non-blank lines, numbered lazily: only the header and a rejected
     # state block are read through it
-    lines, copy = tee(chain.from_iterable(_slices(text)))
+    lines, copy = tee(chain.from_iterable(_chunks(text)))
     numbered = filter(itemgetter(2), zip(count(1), lines, map(str.split, copy)))
     head = [*islice(numbered, 3)]
 

@@ -695,7 +695,7 @@ SWAP = Dfa(2, 1, ((1, 0),), 0, frozenset({1}))
 
 def chunk_lines(text, chars):
     with patch.object(textio, "CHUNK_CHARS", chars):
-        return [*textio._slices(text)]
+        return [*textio._chunks(text)]
 
 
 @pytest.mark.parametrize("end", ["\n", "\r\n"])
@@ -768,7 +768,7 @@ def test_short_lines_are_read_a_whole_chunk_at_a_time():
     n = 100_000
     cycle = Dfa(n, 1, ((*range(1, n), 0),), 0, frozenset({0}))
     text = emit_dfa(cycle)
-    chunks = [*textio._slices(text)]
+    chunks = [*textio._chunks(text)]
     assert [*chain.from_iterable(chunks)] == text.splitlines()
     assert max(map(len, chunks)) == 527
     for lines in chunks[:-1]:
@@ -782,8 +782,10 @@ def test_short_lines_are_read_a_whole_chunk_at_a_time():
     finally:
         tracemalloc.stop()
     assert dfa == cycle
-    # 15 182 936 bytes (Python 3.11)
-    assert peak < 16_000_000
+    # 16 210 272 bytes on Python 3.10, 15 182 733 on 3.11, 14 348 821 on
+    # 3.12 and 14 348 837 on 3.13: the numeral table's dict is the bulk,
+    # and 3.10 stores a hash beside each of its str keys
+    assert peak < 17_000_000
 
 
 WITNESS_7_7 = emit_dfa(build_witness(7, 7)).splitlines()
