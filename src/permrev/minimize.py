@@ -8,13 +8,13 @@ tables are identical, which is how ``are_equivalent`` decides.
 
 The verification pipeline (``verify_witness``, the spectrum grid and the
 magic-value probe) does not minimize: one ``witness._reverse_stars`` call
-explores each witness's reverse subsets once, for the verifier and for
-each grid cell alike, one ``reversal.reversal_certificate`` call each
-trivial row's, and ``reversal._certify`` reads asc and minimality of
-both sides off them; the probe reads asc on byte masks. The
-minimizer serves ``permrev minimize`` and ``permrev asc``,
-``are_equivalent``, and the tests, where table filling checks it and it
-checks the certificate.
+walks each witness's reverse once by star center, for the verifier and
+for each grid cell alike, and reads asc and minimality of both sides off
+the centers; ``reversal._certify`` reads them off the subsets of each
+trivial row's ``reversal.reversal_certificate``; the probe reads asc on
+byte masks. The minimizer serves ``permrev minimize`` and ``permrev
+asc``, ``are_equivalent``, and the tests, where table filling checks it
+and it checks the certificate.
 """
 
 from __future__ import annotations

@@ -45,16 +45,17 @@ vCPUs, Python 3.11).
 Outside that kernel one prologue, ``_permutation_live``, refuses any
 non-permuting letter table, returns each letter's inverse and finds the
 reachable states, and one reader, ``_certify``, reads every certificate
-off the subsets, taken in BFS order as consecutive lists of which it
-holds only the current one: ``_explore``'s tuple subsets as one list, or
-one level at a time from the witness's own BFS,
+off ``_explore``'s tuple subsets, taken in BFS order as consecutive lists
+of which it holds only the current one. The witness's own walk,
 ``witness._reverse_stars``, which the verifier, the worked example and
-every grid cell run, which walks the prologue's inverses and which
-interns each star by its center mask. The prologue and ``_reverse`` take
-the permutation rule and the inverses from one helper,
-``perms._inverse``, which marks each state in one pass and builds no set;
-``_explore`` takes its letter tables from its caller, so the certificate
-explores on the prologue's inverses and builds each one once.
+every grid cell run, needs neither on an intact witness: it checks that
+both letters act on the points and walks the star centers; a broken
+witness goes through the prologue, ``_explore`` and ``_certify``. The
+prologue and ``_reverse`` take the permutation rule and the inverses
+from one helper, ``perms._inverse``, which marks each state in one pass
+and builds no set; ``_explore`` takes its letter tables from its caller,
+so the certificate explores on the prologue's inverses and builds each
+one once.
 """
 
 from __future__ import annotations

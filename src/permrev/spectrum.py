@@ -5,13 +5,13 @@ The grid rows check that the (m, alpha) witness really has asc pair
 one-state automata; and the magic-value probe samples random permutation
 automata looking for a reversal with asc 1 (none is expected: 1 is the one
 unattainable value once asc >= 2). Every asc pair here is read off the
-reverse subsets by one start-class rule, ``reversal._certify``: a grid
-cell through the witness walk that ``verify_witness`` runs,
-``witness._reverse_stars``, a trivial row through
-``reversal_certificate``, and a probe draw by the byte-mask kernel
-``_mask_asc_pair`` on the draw's letter columns and reachable finals. No
-reverse automaton is built, nothing is minimized, and a draw becomes a
-``Dfa`` only when it is a counterexample.
+start's Nerode class in the reverse: a grid cell off the star centers of
+the walk that ``verify_witness`` runs, ``witness._reverse_stars``, a
+trivial row off the subsets of ``reversal_certificate``, and a probe draw
+by the byte-mask kernel ``_mask_asc_pair`` on the draw's letter columns
+and reachable finals. No reverse automaton is built, nothing is
+minimized, and a draw becomes a ``Dfa`` only when it is a
+counterexample.
 """
 
 from __future__ import annotations

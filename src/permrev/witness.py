@@ -8,21 +8,23 @@ form the star around {1..alpha-1} (all alpha-subsets containing it).
 ``verify_witness`` recomputes, rather than assumes, every property this
 construction is supposed to have: state and final counts on both sides,
 the star structure of the reverse reachable part, minimality forward and
-backward, and the accepting-state complexities.
+backward, and the accepting-state complexities. Both letters act on the
+points, so the reverse is walked by star center.
 """
 
 from __future__ import annotations
 
 import math
 from functools import reduce
-from itertools import combinations, compress, islice, repeat
-from operator import add, and_, eq, ge, itemgetter, not_, or_, xor
+from itertools import combinations, compress, count, islice, repeat
+from operator import add, and_, eq, ge, not_, or_, xor
 from typing import Iterable, Sequence
 
 from . import reversal
 from .dfa import Dfa, check_dfa
 from .errors import (
-    CapacityError, are_subset_states, check_int, check_points, check_subset, int_text
+    CapacityError, are_indices, are_subset_states, check_int, check_points,
+    check_subset, int_text,
 )
 from .perms import KSubset
 from .records import Record
@@ -199,7 +201,10 @@ def _witness_core(
       rank C(u, alpha): the other terms are C(j - 1, j) = 0.
     Both columns take their entries from one list of state ints, so each
     state is one int object, and each column is built as the tuple that
-    ``Dfa`` stores, so it is never copied.
+    ``Dfa`` stores, so it is never copied. Each is unpacked from a list,
+    whose final size the tuple then takes: ``tuple(map(...))`` grows by
+    reallocation, which left the heap about 1 KB larger per
+    ``spectrum_table(7, 7)`` call.
     """
     n, alpha = params.n, params.alpha
     points = _colex_masks(n, alpha)
@@ -207,7 +212,7 @@ def _witness_core(
     odd = [*map((1).__and__, points)]
     a_images = (*compress(states, map(not_, odd)), *compress(states, odd))
     steps = map(_STEP01.__getitem__, map((3).__and__, points))
-    b_images = tuple(map(states.__getitem__, map(add, states, steps)))
+    b_images = (*map(states.__getitem__, map(add, states, steps)),)
     finals = frozenset(math.comb(u, alpha) for u in range(alpha - 1, n))
     return (a_images, b_images), finals, points
 
@@ -272,7 +277,7 @@ def _count_up_to(n: int, k: int, cap: int) -> int:
     return total
 
 
-def _rotations(masks: list[int], n: int) -> Iterable[int]:
+def _rotations(masks: Iterable[int], n: int) -> Iterable[int]:
     """Each n-bit mask rotated right by one bit: the preimage under a.
 
     The 2n bits of x * (2^n + 1) are x twice over, side by side, so a shift
@@ -339,19 +344,13 @@ def classify_reverse_states(
 
     ``subsets[i]`` is the subset of witness states behind state ``i`` of
     ``rev``, as ``reverse_construction`` returns them: distinct, strictly
-    increasing tuples of witness state numbers. A state's center is the
-    common part of its members, the AND of their n-bit point-sets. m
-    alpha-subsets whose common part has alpha - 1 points are the whole
-    star around it, since that star has exactly m members. That common
-    mask is the star's center, kept as a mask; any other state gets center
-    None. No star is built per center.
+    increasing tuples of witness state numbers. A state's center is its
+    star's center mask by ``_centers``' rule, or None when it is no star.
     Besides the per-state star test, this checks the bijection with all
     (alpha-1)-subset centers and the single-letter law on center masks:
     reading letter c maps the star around T to the star around the preimage
     of T under c, a right rotation by one bit for a and the swap of bits 0
     and 1 for b.
-    The AND of the members and the letter law each run as builtins over a
-    whole column; only the star test is a comprehension.
     Raises ValueError unless ``params`` is a WitnessParams, ``rev`` a Dfa
     and ``subsets`` subset-states of the witness that match ``rev``.
     """
@@ -362,15 +361,25 @@ def classify_reverse_states(
         raise ValueError("a subset does not fit the witness for these parameters")
     if rev.alphabet_size != 2 or not len(set(subsets)) == len(subsets) == rev.num_states:
         raise ValueError("subsets do not match the states of rev")
-    points = _colex_masks(n, alpha)
-    members = map(map, repeat(points.__getitem__), subsets)
-    commons = map(reduce, repeat(and_), members, repeat((1 << n) - 1))
-    centers = [
-        common if len(subset) == params.m and common.bit_count() == alpha - 1 else None
-        for subset, common in zip(subsets, commons)
-    ]
+    centers = _centers(params, _colex_masks(n, alpha), subsets)
     checks = _star_checks(params, centers, rev.columns, rev.finals)
     return StarClassification(tuple(centers), *checks[1:])
+
+
+def _centers(
+    params: WitnessParams, points: list[int], subsets: Sequence[Sequence[int]]
+) -> list[int | None]:
+    """The center mask of each subset of witness states that is a star, and
+    None for any other. m members whose common part, the AND of their
+    point-sets, has alpha - 1 points are the whole star around it, since
+    that star has exactly m members."""
+    m, bits = params.m, params.alpha - 1
+    members = map(map, repeat(points.__getitem__), subsets)
+    commons = map(reduce, repeat(and_), members, repeat((1 << params.n) - 1))
+    return [
+        common if len(s) == m and common.bit_count() == bits else None
+        for s, common in zip(subsets, commons)
+    ]
 
 
 def _star_checks(
@@ -410,22 +419,27 @@ def _reverse_stars(
 ) -> tuple[int, int, list, tuple[list[int], list[int]], list[int], ReversalCertificate]:
     """The witness from ``_witness_core`` and its reverse construction,
     explored once: the forward state and final counts, the intern key of
-    each reverse state in this walk's BFS order (ties by letter), the
-    reverse's two letter columns, its finals and the witness's certificate.
+    each reverse state in BFS order (ties by letter), the reverse's two
+    letter columns, its finals and the witness's certificate.
 
-    A subset of m members whose common point mask has alpha - 1 bits is
-    the star around that mask (``classify_reverse_states``'s rule), keyed
-    by the mask; any other subset is keyed by its sorted member tuple. An
-    int never equals a tuple, so interning stays by subset. The letters
-    permute, so every subset has as many members as the finals. The
-    preimages are read off the inverses that ``reversal._permutation_live``
-    returns with its check, whose entries are the columns' own int
-    objects, so they add no int objects. ``packed[q]`` holds the
-    point-sets of q's preimages under a and b in two n-bit lanes: one AND
-    over a subset's members gives both images' common masks. A local
-    generator yields each BFS level of member tuples before it walks it,
-    and ``reversal._certify`` reads the certificate and the reverse finals
-    off the levels as they come, so only the frontier is kept. Raises as ``build_witness`` does;
+    A star is keyed by its center mask, any other subset by its sorted
+    member tuple (``_centers``' rule). If a letter maps every point-set
+    through a bijection sigma of the points, its preimage of the star
+    around T is the star around sigma^-1(T). So once the point law holds,
+    that both columns hold ``len(points)`` states and send every state q
+    to the state whose point-set is ``points[q]`` rotated left by one bit
+    (a) or with bits 0 and 1 swapped (b), and the finals form a star, the
+    BFS walks the center masks alone: a right rotation and a swap per
+    star, with the columns and the points dropped. The points are
+    distinct, so the law makes each letter permute, and the rotation and
+    the swap generate every permutation of the points, so every state is
+    reachable and the orbit is all C(n, alpha - 1) centers, which the cap
+    has admitted. A star holds the start iff its center lies in the
+    start's point-set, and the start's Nerode class (``_certify``) is
+    then the C(n - |U|, alpha - |U|) states that hold the union U of
+    those centers. Any other table goes through the prologue
+    ``_permutation_live`` and is explored by ``reversal._explore`` on its
+    inverses and read by ``_certify``. Raises as ``build_witness`` does;
     ValueError, before exploring, unless the letters permute; and
     CapacityError past ``reversal.DEFAULT_MAX_STATES`` as it reads at
     call time, before anything is built when the C(n, alpha - 1) stars
@@ -436,61 +450,52 @@ def _reverse_stars(
     if _count_up_to(n, min(alpha - 1, params.m), max_states) > max_states:
         raise _capacity_error(max_states)
     columns, finals, points = _witness_core(params)
-    (inverse_a, inverse_b), live = _permutation_live(columns, 0)
-    size, full = len(points), (1 << n) - 1
-    pick = points.__getitem__
-    packed = [
-        *map(or_, map(pick, inverse_a), map(n.__rlshift__, map(pick, inverse_b)))
-    ]
-    both = (1 << 2 * n) - 1
-
-    first = tuple(sorted(finals))
-    # a popcount is never -1: no subset of another size is a star
-    bits = alpha - 1 if len(first) == params.m else -1
-    common = reduce(and_, map(pick, first), full)
+    size, pick = len(points), points.__getitem__
+    center = _centers(params, points, [sorted(finals)])[0]
+    if not (
+        center is not None
+        and [*map(len, columns)] == [size, size]
+        and all(map(are_indices, columns, repeat(size)))
+        and all(map(eq, points, _rotations(map(pick, columns[0]), n)))
+        and all(map(eq, map(pick, columns[1]), _swaps(points)))
+    ):
+        inverses, live = _permutation_live(columns, 0)
+        tables = [*zip(inverses, repeat(True))]
+        targets, subsets = reversal._explore(tables, finals, max_states)
+        centers = _centers(params, points, subsets)
+        keys = [s if c is None else c for s, c in zip(subsets, centers)]
+        certificate, rev_finals = _certify([subsets], 0, finals, size, live)
+        columns = targets[::2], targets[1::2]
+        return size, len(finals), keys, columns, rev_finals, certificate
+    start = points[0]
     del columns, pick, points
-    index = {common if common.bit_count() == bits else first: 0}
-    # itemgetter returns a tuple only for two or more items
-    getter = itemgetter if len(first) > 1 else (
-        lambda *s: lambda seq: (*map(seq.__getitem__, s),)
+    keys, index, to_a, to_b = [center], {center: 0}, [], []
+    intern, high = index.setdefault, (0, 1 << n - 1)
+    fresh = 1  # the id of the next new center, len(keys)
+    for key in keys:  # grows while it is walked: BFS order
+        mask = key >> 1 | high[key & 1]
+        j = intern(mask, fresh)
+        if j == fresh:
+            keys.append(mask)
+            fresh += 1
+        to_a.append(j)
+        mask = key ^ _SWAP01[key & 3]
+        j = intern(mask, fresh)
+        if j == fresh:
+            keys.append(mask)
+            fresh += 1
+        to_b.append(j)
+    del index
+    rev_finals = [*compress(count(), map(eq, map(start.__and__, keys), keys))]
+    union = reduce(or_, map(keys.__getitem__, rev_finals), 0)
+    class_size = math.comb(n - union.bit_count(), alpha - union.bit_count())
+    certificate = ReversalCertificate(
+        asc_forward=len(finals) // class_size,
+        asc_reverse=len(rev_finals),
+        forward_minimal=class_size == 1,
+        reverse_minimal=True,
     )
-    to_a: list[int] = []
-    to_b: list[int] = []
-
-    def levels():
-        """Yield each BFS level of member tuples, then walk it."""
-        intern = index.setdefault
-        fresh = 1  # the id of the next new subset, len(index)
-        level = [first]
-        while level:
-            yield level
-            found = []
-            for s in level:
-                get = getter(*s)
-                common = reduce(and_, get(packed), both)
-                mask = common & full
-                key = mask if mask.bit_count() == bits else (*sorted(get(inverse_a)),)
-                j = intern(key, fresh)
-                if j == fresh:
-                    if j >= max_states:
-                        raise _capacity_error(max_states)
-                    found.append(get(inverse_a))
-                    fresh += 1
-                to_a.append(j)
-                mask = common >> n
-                key = mask if mask.bit_count() == bits else (*sorted(get(inverse_b)),)
-                j = intern(key, fresh)
-                if j == fresh:
-                    if j >= max_states:
-                        raise _capacity_error(max_states)
-                    found.append(get(inverse_b))
-                    fresh += 1
-                to_b.append(j)
-            level = found
-
-    certificate, rev_finals = _certify(levels(), 0, finals, size, live)
-    del inverse_a, inverse_b, packed
-    return size, len(finals), [*index], (to_a, to_b), rev_finals, certificate
+    return size, len(finals), keys, (to_a, to_b), rev_finals, certificate
 
 
 class WitnessReport(Record):
@@ -528,10 +533,11 @@ def verify_witness(
     Capacity overruns propagate as CapacityError; any falsified check
     produces a failing report naming the first broken clause.
 
-    One BFS, ``_reverse_stars``, explores the reverse and interns each
-    star by its center mask; the counts, the certificate and the star
-    checks are read off its keys, columns and finals. No reverse ``Dfa``
-    is built and nothing is minimized.
+    One BFS, ``_reverse_stars``, explores the reverse: by star center
+    once the point law holds, through ``reversal._explore`` on any other
+    table. The counts, the certificate and the star checks are read off
+    its keys, columns and finals. No reverse ``Dfa`` is built and nothing
+    is minimized.
 
     A test breaks the witness five ways, which fail ``forward_finals``,
     ``forward_minimal``, ``reverse_states`` and ``stars_match`` first. The

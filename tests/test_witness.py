@@ -532,6 +532,7 @@ def test_verify_fails_each_mutated_witness_at_the_oracles_check(monkeypatch):
     oracle = witness_by_itertools(3, 4)
     assert witness_checks_by_oracle(3, 4, oracle) == (None, 3, 4, 20)
     core = witness._witness_core
+    calls = count_calls(monkeypatch, reversal, ["_explore"])
     for name, columns, finals, first in _mutations(oracle.columns, oracle.finals):
 
         def mutated(params, columns=columns, finals=finals):
@@ -539,7 +540,10 @@ def test_verify_fails_each_mutated_witness_at_the_oracles_check(monkeypatch):
             return columns, frozenset(finals), points
 
         monkeypatch.setattr(witness, "_witness_core", mutated)
+        calls["_explore"] = 0
         report = verify_witness(3, 4)
+        # no broken table passes the point law: the generic BFS explores it
+        assert calls == {"_explore": 1}, name
         expected = witness_checks_by_oracle(
             3, 4, Dfa(oracle.num_states, 2, columns, 0, finals)
         )
@@ -549,6 +553,68 @@ def test_verify_fails_each_mutated_witness_at_the_oracles_check(monkeypatch):
             report.reverse_states,
         ) == expected, name
         assert not report.passed
+
+
+@pytest.mark.parametrize("m,alpha", [(3, 4), (4, 3), (2, 5)])
+def test_a_b_off_the_point_law_is_explored_and_fails_the_stars(monkeypatch, m, alpha):
+    # b swaps points 1 and 2, not 0 and 1: the letters still permute and
+    # reach every state, and the finals are still a star, but the point
+    # law fails, so the walk takes the generic BFS
+    params = WitnessParams(m, alpha)
+    (a, _), finals, points = witness._witness_core(params)
+    state = {mask: q for q, mask in enumerate(points)}
+    b = tuple(state[x ^ 6 if (x >> 1 ^ x >> 2) & 1 else x] for x in points)
+    fwd = Dfa(len(points), 2, (a, b), 0, finals)
+    assert is_permutation_automaton(fwd)
+    assert len(reachable_states(fwd)) == fwd.num_states
+    assert classify_reverse_states(params, *reverse_construction(fwd)).all_stars
+    monkeypatch.setattr(witness, "_witness_core", lambda p: ((a, b), finals, points))
+    calls = count_calls(monkeypatch, reversal, ["_explore"])
+    report = verify_witness(m, alpha)
+    assert calls == {"_explore": 1}
+    assert (report.asc_forward, report.asc_reverse) == (m, alpha)
+    assert report.first_failure == "stars_match"
+    assert (
+        report.first_failure, report.asc_forward, report.asc_reverse,
+        report.reverse_states,
+    ) == witness_checks_by_oracle(m, alpha, fwd)
+
+
+@pytest.mark.parametrize("broken", [
+    lambda b: tuple(True if q == 1 else q for q in b),
+    lambda b: tuple(-1 if q == 14 else q for q in b),
+    lambda b: tuple(15 if q == 14 else q for q in b),
+    lambda b: b[:-1],
+], ids=["bool", "negative", "past-the-end", "short"])
+def test_a_witness_column_that_is_no_table_is_refused(monkeypatch, broken):
+    # True picks the points of state 1, -1 those of state 14, and a short
+    # column's entries all pass, so the point law alone would pass three
+    # of these; 15 picks no points at all
+    (a, b), finals, points = witness._witness_core(WitnessParams(3, 4))
+    b = broken(b)
+    monkeypatch.setattr(witness, "_witness_core", lambda p: ((a, b), finals, points))
+    calls = count_calls(monkeypatch, reversal, ["_explore"])
+    with pytest.raises(ValueError) as info:
+        verify_witness(3, 4)
+    assert str(info.value) == "expected a permutation automaton"
+    assert calls == {"_explore": 0}
+
+
+@pytest.mark.parametrize(
+    "m,alpha", [(m, a) for m in range(2, 7) for a in range(2, 7)] + [(2, 12), (12, 2)]
+)
+def test_star_center_walk_matches_the_generic_construction(monkeypatch, m, alpha):
+    # state by state: a drift of the orbit's BFS order or ids fails here
+    params, fwd = WitnessParams(m, alpha), build_witness(m, alpha)
+    calls = count_calls(monkeypatch, reversal, ["_explore"])
+    walk = witness._reverse_stars(params, witness.DEFAULT_STATE_CAP)
+    assert calls == {"_explore": 0}
+    keys, columns, rev_finals, certificate = walk[2:]
+    rev, subsets = reverse_construction(fwd)
+    assert keys == [*classify_reverse_states(params, rev, subsets).centers]
+    assert (*map(tuple, columns),) == rev.columns
+    assert rev_finals == sorted(rev.finals)
+    assert certificate == reversal.reversal_certificate(fwd)
 
 
 def _random_mutation(rng, columns, finals):
