@@ -10,7 +10,7 @@ The verification pipeline (``verify_witness``, the spectrum grid and the
 magic-value probe) does not minimize: one ``witness._reverse_stars`` call
 walks each witness's reverse once by star center, for the verifier and
 for each grid cell alike, and reads asc and minimality of both sides off
-the centers; ``reversal._certify`` reads them off the subsets of each
+the centers; ``reversal._certified`` reads them off the subsets of each
 trivial row's ``reversal.reversal_certificate``; the probe reads asc on
 byte masks. The minimizer serves ``permrev minimize`` and ``permrev
 asc``, ``are_equivalent``, and the tests, where table filling checks it

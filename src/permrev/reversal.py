@@ -22,7 +22,7 @@ preimage off one letter column. These serve every DFA.
 minimality of both sides off the subsets, without minimizing either
 automaton and without building the reverse one. It takes permutation
 automata only, the automata that the reversal spectrum is about, and
-refuses any other DFA before exploring; ``_certify`` says why the forward
+refuses any other DFA before exploring; ``_certified`` says why the forward
 side is then read off the start's Nerode class.
 
 The magic-value probe, through ``_mask_asc_pair``, and the exhaustive
@@ -42,20 +42,17 @@ most 8 states), the walk took 0.017 s at best and 0.030 s in the median
 of 30 interleaved repetitions, the level-by-level translate kernel
 0.024 s and 0.042 s, and the tuple path 0.086 s and 0.149 s (2 shared
 vCPUs, Python 3.11).
-Outside that kernel one prologue, ``_permutation_live``, refuses any
-non-permuting letter table, returns each letter's inverse and finds the
-reachable states, and one reader, ``_certify``, reads every certificate
-off ``_explore``'s tuple subsets, taken in BFS order as consecutive lists
-of which it holds only the current one. The witness's own walk,
-``witness._reverse_stars``, which the verifier, the worked example and
-every grid cell run, needs neither on an intact witness: it checks that
-both letters act on the points and walks the star centers; a broken
-witness goes through the prologue, ``_explore`` and ``_certify``. The
-prologue and ``_reverse`` take the permutation rule and the inverses
-from one helper, ``perms._inverse``, which marks each state in one pass
-and builds no set; ``_explore`` takes its letter tables from its caller,
-so the certificate explores on the prologue's inverses and builds each
-one once.
+Outside that kernel one path, ``_certified``, refuses any non-permuting
+letter table, explores on each letter's inverse with ``_explore`` and
+reads the certificate and the reverse finals off the one subset list.
+The witness's own walk, ``witness._reverse_stars``, which the verifier,
+the worked example and every grid cell run, needs no such path on an
+intact witness: it checks that both letters act on the points and walks
+the star centers; a broken witness goes through ``_certified``.
+``_certified`` and ``_reverse`` take the permutation rule and the
+inverses from one helper, ``perms._inverse``, which marks each state in
+one pass and builds no set; ``_explore`` takes its letter tables from its
+caller, so the certificate builds each inverse once.
 """
 
 from __future__ import annotations
@@ -63,7 +60,7 @@ from __future__ import annotations
 from functools import reduce
 from itertools import chain, compress, count, repeat
 from operator import and_, contains, itemgetter
-from typing import AbstractSet, Collection, Iterable, Sequence
+from typing import AbstractSet, Sequence
 
 from .dfa import Dfa, _reachable, check_dfa
 from .errors import CapacityError, are_subset_states, check_index, check_int
@@ -242,21 +239,6 @@ class ReversalCertificate(Record):
     reverse_minimal: bool
 
 
-def _permutation_live(
-    columns: Sequence[Sequence[int]], start: int
-) -> tuple[list[list[int]], frozenset[int] | None]:
-    """The inverse of each letter table in ``columns``, from
-    ``perms._inverse``, and the states that ``start`` reaches, or None when
-    all do. Raises ValueError unless the columns have one length and each
-    permutes its states, a test that also bounds every entry.
-    """
-    inverses = [*map(_inverse, columns)]
-    if None in inverses or len(set(map(len, columns))) > 1:
-        raise ValueError("expected a permutation automaton")
-    reach = _reachable(columns, start)
-    return inverses, None if len(reach) == len(columns[0]) else frozenset(reach)
-
-
 def reversal_certificate(fwd: Dfa) -> ReversalCertificate:
     """The certificate of ``fwd``, read off its reverse subsets without
     building the reverse automaton.
@@ -266,34 +248,31 @@ def reversal_certificate(fwd: Dfa) -> ReversalCertificate:
     its default cap.
     """
     check_dfa(fwd)
-    inverses, live = _permutation_live(fwd.columns, fwd.start)
-    tables = [*zip(inverses, repeat(True))]
-    subsets = _explore(tables, fwd.finals, DEFAULT_MAX_STATES)[1]
-    return _certify([subsets], fwd.start, fwd.finals, fwd.num_states, live)[0]
+    return _certified(fwd.columns, fwd.start, fwd.finals, DEFAULT_MAX_STATES)[2]
 
 
-def _certify(
-    levels: Iterable[list[Collection[int]]],
+def _certified(
+    columns: Sequence[Sequence[int]],
     start: int,
     finals: frozenset[int],
-    num_states: int,
-    live: frozenset[int] | None,
-) -> tuple[ReversalCertificate, list[int]]:
-    """The certificate of a permutation automaton on ``num_states``
-    states, with start ``start`` and finals ``finals``, and the positions
-    of its reverse finals. ``levels`` yields the reverse subsets in intern
-    (BFS) order as consecutive lists, of which only the current one is
-    held; ``live`` is the reachable states, or None when all are.
+    max_states: int,
+) -> tuple[list[int], list[SubsetState], ReversalCertificate, list[int]]:
+    """``_explore``'s successor indices and subsets for the permutation
+    automaton with letter tables ``columns``, start ``start`` and finals
+    ``finals``, explored on the inverses from ``perms._inverse``, with its
+    certificate and the positions of its reverse finals. Raises
+    ValueError, before exploring, unless the columns have one length and
+    each permutes its states, a test that also bounds every entry.
 
     The subsets are exactly the sets ``{p : p . w in F}``, one for each
     word w, so two forward states are Myhill-Nerode equivalent iff every
     subset holds both or neither, and two reverse states are equivalent
     iff their subsets agree on the reachable forward states (Brzozowski's
     double-reversal argument). Unreachable states take no part in either
-    quotient, so each subset is cut to ``live``; the start is reachable,
-    so a subset holds it, and is a reverse final, iff its cut does. On an
-    accessible automaton the cut subsets are the interned ones, which are
-    distinct, so the reverse is minimal.
+    quotient, so each subset is cut to the reachable states; the start is
+    reachable, so a subset holds it, and is a reverse final, iff its cut
+    does. On an accessible automaton the cut subsets are the interned
+    ones, which are distinct, so the reverse is minimal.
 
     The letters generate a group G, transitive on the reachable states,
     that permutes the Nerode classes, so all have the size of the start's
@@ -303,36 +282,28 @@ def _certify(
     subset that holds the start. The forward asc is the reachable finals
     over |C|, and the automaton is minimal iff it is accessible and
     |C| = 1. On an accessible automaton k is the reverse asc, and counting
-    memberships gives k * num_states = |finals| * (subset count); k = 1,
+    memberships gives k * (state count) = |finals| * (subset count); k = 1,
     the magic value, makes C the one subset holding the start: asc 1 too.
     """
-    rev_finals: list[int] = []
-    start_class: set[int] | None = None
-    cuts: set[frozenset[int]] = set()
-    held: set[frozenset[int]] = set()
-    position = 0  # the id of the level's first subset
-    for level in levels:
-        holds = [*map(contains, level, repeat(start))]
-        rev_finals += compress(count(position), holds)
-        position += len(level)
-        cut = level if live is None else [*map(live.intersection, level)]
-        holding = [*compress(cut, holds)]
-        if holding:
-            if start_class is None:
-                start_class = set(holding[0])
-            start_class.intersection_update(*holding)
-        if live is not None:
-            cuts.update(cut)
-            held.update(holding)
-    reached = num_states if live is None else len(live)
-    class_size = reached if start_class is None else len(start_class)
+    inverses = [*map(_inverse, columns)]
+    if None in inverses or len(set(map(len, columns))) > 1:
+        raise ValueError("expected a permutation automaton")
+    reach = _reachable(columns, start)
+    live = None if len(reach) == len(columns[0]) else frozenset(reach)
+    targets, subsets = _explore([*zip(inverses, repeat(True))], finals, max_states)
+    holds = [*map(contains, subsets, repeat(start))]
+    rev_finals = [*compress(count(), holds)]
+    cut = subsets if live is None else [*map(live.intersection, subsets)]
+    holding = [*compress(cut, holds)]
+    # with no subset holding the start, every reachable state is one class
+    start_class = set(holding[0]).intersection(*holding) if holding else reach
     certificate = ReversalCertificate(
-        asc_forward=len(finals if live is None else finals & live) // class_size,
-        asc_reverse=len(rev_finals) if live is None else len(held),
-        forward_minimal=live is None and class_size == 1,
-        reverse_minimal=live is None or len(cuts) == position,
+        asc_forward=len(finals if live is None else finals & live) // len(start_class),
+        asc_reverse=len(rev_finals) if live is None else len(set(holding)),
+        forward_minimal=live is None and len(start_class) == 1,
+        reverse_minimal=live is None or len(set(cut)) == len(subsets),
     )
-    return certificate, rev_finals
+    return targets, subsets, certificate, rev_finals
 
 
 def _mask_tables(columns: Sequence[Sequence[int]]) -> list[bytes]:
@@ -361,7 +332,7 @@ def _mask_orbit(
     masks, so no cap applies. The group that the letters generate keeps
     the reachable states, so from reachable finals the walk finds exactly
     the reverse subsets cut to them. The reverse asc counts the subsets
-    that hold the start, and, as in ``_certify``, the start's Nerode class
+    that hold the start, and, as in ``_certified``, the start's Nerode class
     is their intersection and the forward asc is ``first.bit_count()``
     over its size.
     """

@@ -32,8 +32,6 @@ from .reversal import (
     ReversalCertificate,
     SubsetState,
     _capacity_error,
-    _certify,
-    _permutation_live,
     mask_states,
 )
 
@@ -435,15 +433,15 @@ def _reverse_stars(
     the swap generate every permutation of the points, so every state is
     reachable and the orbit is all C(n, alpha - 1) centers, which the cap
     has admitted. A star holds the start iff its center lies in the
-    start's point-set, and the start's Nerode class (``_certify``) is
+    start's point-set, and the start's Nerode class (``_certified``) is
     then the C(n - |U|, alpha - |U|) states that hold the union U of
-    those centers. Any other table goes through the prologue
-    ``_permutation_live`` and is explored by ``reversal._explore`` on its
-    inverses and read by ``_certify``. Raises as ``build_witness`` does;
-    ValueError, before exploring, unless the letters permute; and
-    CapacityError past ``reversal.DEFAULT_MAX_STATES`` as it reads at
-    call time, before anything is built when the C(n, alpha - 1) stars
-    of an unbroken witness would pass it.
+    those centers. Any other table goes through ``reversal._certified``,
+    which explores it on its inverses and reads its certificate and
+    reverse finals. Raises as ``build_witness`` does; ValueError, before
+    exploring, unless the letters permute; and CapacityError past
+    ``reversal.DEFAULT_MAX_STATES`` as it reads at call time, before
+    anything is built when the C(n, alpha - 1) stars of an unbroken
+    witness would pass it.
     """
     n, alpha, max_states = params.n, params.alpha, reversal.DEFAULT_MAX_STATES
     _witness_size(params, state_cap)  # a bad or passed state cap comes first
@@ -459,12 +457,11 @@ def _reverse_stars(
         and all(map(eq, points, _rotations(map(pick, columns[0]), n)))
         and all(map(eq, map(pick, columns[1]), _swaps(points)))
     ):
-        inverses, live = _permutation_live(columns, 0)
-        tables = [*zip(inverses, repeat(True))]
-        targets, subsets = reversal._explore(tables, finals, max_states)
+        targets, subsets, certificate, rev_finals = reversal._certified(
+            columns, 0, finals, max_states
+        )
         centers = _centers(params, points, subsets)
         keys = [s if c is None else c for s, c in zip(subsets, centers)]
-        certificate, rev_finals = _certify([subsets], 0, finals, size, live)
         columns = targets[::2], targets[1::2]
         return size, len(finals), keys, columns, rev_finals, certificate
     start = points[0]
@@ -534,17 +531,17 @@ def verify_witness(
     produces a failing report naming the first broken clause.
 
     One BFS, ``_reverse_stars``, explores the reverse: by star center
-    once the point law holds, through ``reversal._explore`` on any other
-    table. The counts, the certificate and the star checks are read off
-    its keys, columns and finals. No reverse ``Dfa`` is built and nothing
-    is minimized.
+    once the point law holds, through ``reversal._certified`` on any
+    other table. The counts, the certificate and the star checks are read
+    off its keys, columns and finals. No reverse ``Dfa`` is built and
+    nothing is minimized.
 
     A test breaks the witness five ways, which fail ``forward_finals``,
     ``forward_minimal``, ``reverse_states`` and ``stars_match`` first. The
     other checks follow from these, or from the construction:
     - ``forward_states``: ``_witness_core`` numbers all C(n, alpha) states.
     - ``reverse_finals``: by ``stars_match``; a star accepts iff the start holds
-      its center, and alpha centers lie in the start. ``_certify``'s lemma
+      its center, and alpha centers lie in the start. ``_certified``'s lemma
       reads alpha * C(n, alpha) = m * C(n, alpha - 1) here.
     - ``accepting_centers``: by ``stars_match``, as ``reverse_finals``.
     - ``reverse_minimal``: by ``forward_minimal``; an accessible DFA's reverse is.

@@ -141,14 +141,17 @@ def test_replace_builds_through_the_constructor():
 
 def test_import_loads_no_dataclasses_or_inspect():
     # Measured against the modules this interpreter has already loaded before
-    # the import, so that a site hook loading either module passes.
+    # the import, so that a site hook loading any of them passes. The CLI
+    # and click load only with ``permrev.cli``: importing them after the
+    # library about doubles the cost of ``import permrev``.
     src = Path(permrev.__file__).resolve().parent.parent
+    unwanted = {"dataclasses", "inspect", "click", "permrev.cli"}
     script = (
         "import sys\n"
         "before = set(sys.modules)\n"
         "import permrev\n"
         "print(permrev.__file__)\n"
-        "print(sorted({'dataclasses', 'inspect'} & (set(sys.modules) - before)))\n"
+        f"print(sorted({unwanted!r} & (set(sys.modules) - before)))\n"
     )
     env = {**os.environ, "PYTHONPATH": str(src)}
     result = subprocess.run(

@@ -476,24 +476,20 @@ def test_certificate_cuts_subsets_to_reachable_states():
     # a longer column that is itself a permutation
     ((1, 0), (0, 1, 2)),
 ])
-def test_permutation_prologue_bounds_every_entry(columns):
+def test_permutation_prologue_bounds_every_entry(monkeypatch, columns):
     # the witness walk hands its tables over with no Dfa to check them first
+    calls = count_calls(monkeypatch, reversal, ["_explore"])
     with pytest.raises(ValueError) as info:
-        reversal._permutation_live(columns, 0)
+        reversal._certified(columns, 0, frozenset({0}), 10)
     assert str(info.value) == "expected a permutation automaton"
+    assert calls == {"_explore": 0}
 
 
 def test_certificate_builds_each_inverse_once(monkeypatch):
-    # the prologue's inverses are the exploration's tables: one per letter
-    calls = count_calls(monkeypatch, reversal, ["_inverse"])
+    # the refusal's inverses are the exploration's tables: one per letter
+    calls = count_calls(monkeypatch, reversal, ["_inverse", "_certified"])
     reversal_certificate(build_witness(3, 4))
-    assert calls == {"_inverse": 2}
-
-
-def certify_args(fwd):
-    """The arguments of ``reversal._certify`` after the subsets."""
-    live = reversal._permutation_live(fwd.columns, fwd.start)[1]
-    return fwd.start, fwd.finals, fwd.num_states, live
+    assert calls == {"_inverse": 2, "_certified": 1}
 
 
 @given(permutation_automata())
@@ -501,7 +497,7 @@ def test_start_class_rule_matches_minimize(fwd):
     # the forward rule on the reverse subsets: asc counts the Nerode
     # classes among the reachable finals, and the automaton is minimal iff
     # it is accessible and no two states share a class
-    certificate = reversal._certify([reverse_subsets(fwd)], *certify_args(fwd))[0]
+    certificate = reversal_certificate(fwd)
     small_fwd = minimize(fwd)
     assert (certificate.asc_forward, certificate.forward_minimal) == (
         len(small_fwd.finals), small_fwd.num_states == fwd.num_states
@@ -536,16 +532,13 @@ def test_reverse_asc_is_the_membership_count_of_each_state(draw):
 WITNESSES = st.builds(build_witness, st.integers(2, 4), st.integers(2, 4))
 
 
-@given(permutation_automata() | WITNESSES, st.data())
-def test_certify_reads_the_subsets_alike_however_they_are_split(fwd, data):
-    # a BFS hands the subsets over level by level; the cut points here are
-    # arbitrary, and a level may be empty. A witness's start class is the
-    # intersection of several subsets, which a split must not lose.
+@given(permutation_automata() | WITNESSES)
+def test_certified_subsets_and_finals_match_the_construction(fwd):
+    # the certificate path explores on the inverses alone, where the
+    # construction takes each letter's own path: both intern alike
     rev, subsets = reverse_construction(fwd)
-    args = certify_args(fwd)
-    whole = reversal._certify([subsets], *args)
-    cuts = sorted(data.draw(st.sets(st.integers(0, len(subsets)))))
-    bounds = [0, *cuts, len(subsets)]
-    levels = (subsets[i:j] for i, j in zip(bounds, bounds[1:]))
-    assert reversal._certify(levels, *args) == whole
-    assert whole[1] == sorted(rev.finals)
+    _, certified_subsets, _, rev_finals = reversal._certified(
+        fwd.columns, fwd.start, fwd.finals, reversal.DEFAULT_MAX_STATES
+    )
+    assert certified_subsets == subsets
+    assert rev_finals == sorted(rev.finals)

@@ -429,7 +429,7 @@ def test_verify_explores_once_and_never_minimizes(monkeypatch):
     )
     on_witness = count_calls(monkeypatch, witness, names + private)
     on_reversal = count_calls(
-        monkeypatch, reversal, ["reverse_construction", "_explore"]
+        monkeypatch, reversal, ["reverse_construction", "_explore", "_certified"]
     )
     # verify builds its witness unlabeled, sizes it once, lists point
     # masks once, for the forward states, and explores once, by star
@@ -439,7 +439,7 @@ def test_verify_explores_once_and_never_minimizes(monkeypatch):
         "reverse_dfa": 0, "reverse_subsets": 0, "minimize": 0, "asc": 0,
         "_labels": 0, "are_subset_states": 0, "_colex_masks": 1,
         "_reverse_stars": 1, "Dfa": 0, "_witness_size": 1,
-        "reverse_construction": 0, "_explore": 0,
+        "reverse_construction": 0, "_explore": 0, "_certified": 0,
     }
     assert not hasattr(reversal, "certify_reversal")
 
@@ -532,7 +532,7 @@ def test_verify_fails_each_mutated_witness_at_the_oracles_check(monkeypatch):
     oracle = witness_by_itertools(3, 4)
     assert witness_checks_by_oracle(3, 4, oracle) == (None, 3, 4, 20)
     core = witness._witness_core
-    calls = count_calls(monkeypatch, reversal, ["_explore"])
+    calls = count_calls(monkeypatch, reversal, ["_explore", "_certified"])
     for name, columns, finals, first in _mutations(oracle.columns, oracle.finals):
 
         def mutated(params, columns=columns, finals=finals):
@@ -540,10 +540,10 @@ def test_verify_fails_each_mutated_witness_at_the_oracles_check(monkeypatch):
             return columns, frozenset(finals), points
 
         monkeypatch.setattr(witness, "_witness_core", mutated)
-        calls["_explore"] = 0
+        calls.update(_explore=0, _certified=0)
         report = verify_witness(3, 4)
         # no broken table passes the point law: the generic BFS explores it
-        assert calls == {"_explore": 1}, name
+        assert calls == {"_explore": 1, "_certified": 1}, name
         expected = witness_checks_by_oracle(
             3, 4, Dfa(oracle.num_states, 2, columns, 0, finals)
         )
@@ -569,9 +569,9 @@ def test_a_b_off_the_point_law_is_explored_and_fails_the_stars(monkeypatch, m, a
     assert len(reachable_states(fwd)) == fwd.num_states
     assert classify_reverse_states(params, *reverse_construction(fwd)).all_stars
     monkeypatch.setattr(witness, "_witness_core", lambda p: ((a, b), finals, points))
-    calls = count_calls(monkeypatch, reversal, ["_explore"])
+    calls = count_calls(monkeypatch, reversal, ["_explore", "_certified"])
     report = verify_witness(m, alpha)
-    assert calls == {"_explore": 1}
+    assert calls == {"_explore": 1, "_certified": 1}
     assert (report.asc_forward, report.asc_reverse) == (m, alpha)
     assert report.first_failure == "stars_match"
     assert (
